@@ -4,11 +4,7 @@ from .channel import ChannelRealization, apply_channel, draw_channel, freq_respo
 from .equalization import (
     CpeUpdate,
     EqualizerOptions,
-    build_w,
-    detect,
     equalize_frame,
-    equalize_symbol,
-    track_cpe,
 )
 from .estimation import (
     EstimationError,

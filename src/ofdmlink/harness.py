@@ -2,10 +2,11 @@
 
 A grid point is one (snr, linewidth) pair; all configured receiver modes
 share the same per-frame channel, noise, payload, and phase-path draws at
-that point, so mode comparisons are paired.  Randomness is derived from
-the master seed through (snr index, linewidth index, frame index) labels,
-which makes every result byte-reproducible regardless of worker count or
-scheduling.
+that point, so mode comparisons are paired.  Frame randomness is derived
+from the master seed through the frame index alone, so every grid point
+sees the same draws (common random numbers) and cross-point comparisons
+are paired too; every result is byte-reproducible regardless of worker
+count or scheduling.
 
 Receiver modes:
 

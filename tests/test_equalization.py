@@ -6,13 +6,16 @@ import pytest
 from conftest import make_channel
 from ofdmlink.channel import apply_channel
 from ofdmlink.equalization import (
-    CpeUpdate,
+    UPSILON_CEILING,
     EqualizerOptions,
-    build_w,
-    detect,
+    _frame_context,
+    _mixing_matrices,
+    _pilot_responses,
+    _solve_pairs,
+    _track,
+    _tracking_matrices,
     equalize_frame,
     mmse_r_matrix,
-    track_cpe,
 )
 from ofdmlink.estimation import EstimatorState
 from ofdmlink.framing import (
@@ -27,9 +30,10 @@ from ofdmlink.framing import (
 )
 from ofdmlink.impairments import IqParams, apply_iq_imbalance
 from ofdmlink.numerics import (
+    CONDITION_LIMIT,
     ConfigurationError,
     RandomSource,
-    SingularMatrixError,
+    condition_number,
     logical_to_bin,
 )
 
@@ -55,15 +59,35 @@ def pilot_observation(state, smap, pilots, upsilon):
     return x
 
 
+def track_cpe(x, state, smap, pilots, variant="re-derived", ceiling=UPSILON_CEILING):
+    """Tracking updates and flags of a ``(symbols, n, m_r)`` stack via the frame kernel."""
+    ctx = _frame_context(smap, state, EqualizerOptions())
+    return _track(np.asarray(x), state, pilots, ctx, variant, ceiling)
+
+
+def build_w(k, state, upsilon):
+    """Mixing matrix of the single mirror pair ``{k, -k}`` (2m_r x 2m_t)."""
+    n = state.h_pre.shape[0]
+    b_k = logical_to_bin(np.array([k]), n)
+    b_mk = logical_to_bin(np.array([-k]), n)
+    return _mixing_matrices(np.asarray(upsilon)[None], state, b_k, b_mk)[0, 0]
+
+
+def detect(x_stack, w, r=None):
+    """Soft estimate and guard verdict of one stacked mirror pair."""
+    s, good = _solve_pairs(w[None], np.asarray(x_stack, dtype=complex)[None], r)
+    return s[0], bool(good[0])
+
+
 class TestTrackCpe:
     def test_identity_without_drift(self, smap64):
         ch = make_channel(seed=101)
         state = genie_state(ch)
         pilots = pilot_matrix(2)
         x = pilot_observation(state, smap64, pilots, np.ones(2, dtype=complex))
-        upd = track_cpe(x, state, smap64, pilots)
-        np.testing.assert_allclose(upd.upsilon, 1.0, atol=1e-9)
-        assert not upd.flagged
+        ups, flagged = track_cpe(x[None], state, smap64, pilots)
+        np.testing.assert_allclose(ups[0], 1.0, atol=1e-9)
+        assert not flagged[0]
 
     def test_recovers_injected_rotation(self, smap64):
         ch = make_channel(seed=102)
@@ -72,8 +96,8 @@ class TestTrackCpe:
         pilots = pilot_matrix(2)
         ups = np.exp(0.3j) * np.ones(2, dtype=complex)
         x = pilot_observation(state, smap64, pilots, ups)
-        upd = track_cpe(x, state, smap64, pilots)
-        np.testing.assert_allclose(upd.upsilon, ups, atol=1e-6)
+        got, _ = track_cpe(x[None], state, smap64, pilots)
+        np.testing.assert_allclose(got[0], ups, atol=1e-6)
 
     def test_per_branch_rotations(self, smap64):
         ch = make_channel(seed=103)
@@ -82,8 +106,8 @@ class TestTrackCpe:
         pilots = pilot_matrix(2)
         ups = np.exp(1j * np.array([0.25, -0.4])) * np.array([0.97, 1.02])
         x = pilot_observation(state, smap64, pilots, ups)
-        upd = track_cpe(x, state, smap64, pilots)
-        np.testing.assert_allclose(upd.upsilon, ups, atol=1e-6)
+        got, _ = track_cpe(x[None], state, smap64, pilots)
+        np.testing.assert_allclose(got[0], ups, atol=1e-6)
 
     def test_published_matrix_variant_misses_rotation(self, smap64):
         # The literal published construction drops the imaginary column
@@ -93,8 +117,8 @@ class TestTrackCpe:
         pilots = pilot_matrix(2)
         ups = np.exp(0.3j) * np.ones(2, dtype=complex)
         x = pilot_observation(state, smap64, pilots, ups)
-        upd = track_cpe(x, state, smap64, pilots, variant="as-printed")
-        assert np.abs(upd.upsilon - ups).max() > 1e-2
+        got, _ = track_cpe(x[None], state, smap64, pilots, variant="as-printed")
+        assert np.abs(got[0] - ups).max() > 1e-2
 
     def test_pilot_averaging_tightens_estimate(self, smap64):
         # The four-pilot average beats every single-pilot estimator over
@@ -109,8 +133,8 @@ class TestTrackCpe:
             state = genie_state(ch, psi_scale=0.02)
             x = pilot_observation(state, smap64, pilots, ups)
             x = x + rng.complex_normal(var=0.02, size=x.shape)
-            upd = track_cpe(x, state, smap64, pilots)
-            err_avg.append(np.abs(upd.upsilon - ups) ** 2)
+            got, _ = track_cpe(x[None], state, smap64, pilots)
+            err_avg.append(np.abs(got[0] - ups) ** 2)
             singles = _per_pilot_estimates(x, state, smap64, pilots)
             for l in range(4):
                 err_single[l].append(np.abs(singles[l] - ups) ** 2)
@@ -118,24 +142,22 @@ class TestTrackCpe:
             assert np.mean(err_avg) < np.mean(err_single[l])
 
     def test_divergence_flag_and_fallback(self, smap64):
+        # A diverging symbol keeps the update of the symbol before it.
         ch = make_channel(seed=107)
         state = genie_state(ch)
         pilots = pilot_matrix(2)
+        prev = pilot_observation(state, smap64, pilots, np.full(2, 0.5 + 0j))
         x = pilot_observation(state, smap64, pilots, np.ones(2, dtype=complex)) * 50.0
-        prev = CpeUpdate(upsilon=np.full(2, 0.5 + 0j))
-        upd = track_cpe(x, state, smap64, pilots, prev=prev)
-        assert upd.flagged
-        np.testing.assert_allclose(upd.upsilon, 0.5)
+        ups, flagged = track_cpe(np.stack([prev, x]), state, smap64, pilots)
+        assert flagged[1]
+        np.testing.assert_allclose(ups[1], 0.5)
 
 
 def _per_pilot_estimates(x, state, smap, pilots):
     """Single-pilot tracking estimates, one per pilot bin (averaging baseline)."""
-    from ofdmlink.equalization import _pilot_terms, _tracking_matrices
-
-    n = smap.n
-    p_index = {k: i for i, k in enumerate(smap.pilot_bins)}
-    p_mirror = np.array([p_index[-k] for k in smap.pilot_bins])
-    z, y, ym = _pilot_terms(x, state, pilots, logical_to_bin(smap.pilot_bins, n), p_mirror)
+    ctx = _frame_context(smap, state, EqualizerOptions())
+    y, ym = _pilot_responses(state, pilots, ctx)
+    z = np.stack([x[ctx.p_bins], np.conj(x[ctx.p_bins[ctx.p_mirror]])], axis=1)
     c = _tracking_matrices(y, ym, state.k1, state.k2, "re-derived")
     r = z.shape[0]
     out = np.empty((r, state.m_r), dtype=complex)
@@ -148,6 +170,114 @@ def _per_pilot_estimates(x, state, smap, pilots):
             )
             out[l, q] = phi[0].real + 1j * phi[1].real
     return out
+
+
+def per_symbol_tracker(data, state, smap, pilots, variant, ceiling=UPSILON_CEILING):
+    """The symbol-by-symbol tracker, written out as an oracle for the frame kernel.
+
+    Each symbol solves each branch's regularized pilot systems behind the
+    eigenvalue condition guard and falls back to the previous symbol's update (1
+    before the first) when the guard rejects or the estimate is not
+    finite or exceeds the ceiling.
+    """
+    ctx = _frame_context(smap, state, EqualizerOptions())
+    y, ym = _pilot_responses(state, pilots, ctx)
+    c = _tracking_matrices(y, ym, state.k1, state.k2, variant)
+    gram = np.einsum("qrij,qrik->qrjk", c.conj(), c)
+    prev = np.ones(state.m_r, dtype=complex)
+    history, flagged = [], 0
+    for x in data:
+        z = np.stack([x[ctx.p_bins], np.conj(x[ctx.p_bins[ctx.p_mirror]])], axis=1)
+        rhs = np.einsum("qrij,qri->qrj", c.conj(), np.moveaxis(z, 2, 0))
+        ups = np.empty(state.m_r, dtype=complex)
+        rejected = False
+        for q in range(state.m_r):
+            lam = max(float(state.psi[q, q].real), 0.0)
+            reg = gram[q] + lam * np.eye(2, dtype=complex)
+            cond = condition_number(reg, hermitian=True)
+            if not (np.isfinite(reg).all() and np.all(cond <= CONDITION_LIMIT)):
+                ups[q], rejected = prev[q], True
+                continue
+            mean = np.linalg.solve(reg, rhs[q][..., None])[..., 0].mean(axis=0)
+            est = mean[0].real + 1j * mean[1].real
+            if not np.isfinite(est) or abs(est) > ceiling:
+                ups[q], rejected = prev[q], True
+            else:
+                ups[q] = est
+        history.append(ups)
+        flagged += rejected
+        prev = ups
+    return np.array(history), flagged
+
+
+class TestForwardFillTracker:
+    """The frame tracker equals the symbol-by-symbol loop, fallbacks included."""
+
+    def _frame(self, smap, scales, state=None):
+        # One drifting rotation per symbol and branch; ``scales`` multiplies
+        # a symbol's (or a symbol-branch's) pilots, 50 pushes it over the
+        # ceiling and NaN makes it non-finite.
+        if state is None:
+            ch = make_channel(seed=141)
+            state = genie_state(ch, iq=IqParams.uniform(2, 5.0, 10.0), psi_scale=1e-3)
+        pilots = pilot_matrix(2)
+        phases = np.linspace(0.05, 0.6, len(scales))
+        data = np.stack([
+            pilot_observation(state, smap, pilots, np.exp(1j * np.array([p, -p])))
+            * np.broadcast_to(s, (2,))[None, :]
+            for p, s in zip(phases, scales)
+        ])
+        return data, state, pilots
+
+    def _compare(self, smap, data, state, pilots, variant="re-derived"):
+        want_hist, want_flagged = per_symbol_tracker(data, state, smap, pilots, variant)
+        options = EqualizerOptions(tracking_variant=variant)
+        dec = equalize_frame(data, state, smap, pilots, 0, options=options)
+        np.testing.assert_array_equal(dec.cpe_history, want_hist)
+        assert dec.flagged_symbols == want_flagged
+        return dec, want_flagged
+
+    def test_rejection_on_first_symbol(self, smap64):
+        data, state, pilots = self._frame(smap64, [[50, 1], 1, 1, 1, 1])
+        dec, flagged = self._compare(smap64, data, state, pilots)
+        assert flagged == 1 and dec.cpe_history[0, 0] == 1.0
+
+    def test_rejection_mid_frame(self, smap64):
+        data, state, pilots = self._frame(smap64, [1, 1, [1, 50], 1, 1, 1])
+        dec, flagged = self._compare(smap64, data, state, pilots)
+        assert flagged == 1
+        assert dec.cpe_history[2, 1] == dec.cpe_history[1, 1]
+
+    def test_consecutive_rejections(self, smap64):
+        nan = float("nan")
+        scales = [1, 50, [50, 1], [nan, 50], 1, [1, 50], 50, 1]
+        data, state, pilots = self._frame(smap64, scales)
+        dec, flagged = self._compare(smap64, data, state, pilots)
+        assert flagged == 5
+        hist = dec.cpe_history
+        np.testing.assert_array_equal(hist[1:4, 0], hist[0, 0])
+        assert hist[3, 1] == hist[2, 1]
+        assert hist[6, 0] == hist[5, 0] and hist[6, 1] == hist[4, 1]
+
+    def test_guard_rejected_branches_hold_identity(self, smap64):
+        # The as-printed model has rank one; with zero measured noise the
+        # guard rejects every symbol of every branch.
+        state = genie_state(make_channel(seed=142), iq=IqParams.uniform(2, 5.0, 10.0))
+        data, state, pilots = self._frame(smap64, [1, 50, 1, 1], state=state)
+        dec, flagged = self._compare(smap64, data, state, pilots, variant="as-printed")
+        assert flagged == 4
+        np.testing.assert_array_equal(dec.cpe_history, 1.0)
+
+    def test_guard_rejects_one_branch(self, smap64):
+        # A branch that sees no channel has a zero pilot model: only that
+        # branch is rejected, on every symbol, and the other one tracks.
+        state = genie_state(make_channel(seed=143))
+        state.h_pre[:, 1, :] = 0.0
+        data, state, pilots = self._frame(smap64, [1, [50, 1], 1], state=state)
+        dec, flagged = self._compare(smap64, data, state, pilots)
+        assert flagged == 3
+        np.testing.assert_array_equal(dec.cpe_history[:, 1], 1.0)
+        assert dec.cpe_history[1, 0] == dec.cpe_history[0, 0] != 1.0
 
 
 class TestBuildW:
@@ -184,6 +314,17 @@ class TestBuildW:
             x_stack = np.concatenate([x[k], np.conj(x[(-k) % 64])])
             np.testing.assert_allclose(w @ s_stack, x_stack, atol=1e-9)
 
+    def test_frame_stack_matches_single_pairs(self):
+        # The (symbols, pairs) stack is the single-pair matrix at every entry.
+        ch = make_channel(seed=115)
+        state = genie_state(ch, iq=IqParams.uniform(2, 5.0, 10.0))
+        ups = np.exp(1j * np.array([[0.1, -0.2], [0.3, 0.05], [-0.4, 0.2]]))
+        bins = np.array([1, 5, 26])
+        stack = _mixing_matrices(ups, state, bins, (-bins) % 64)
+        for j in range(3):
+            for p, k in enumerate(bins):
+                np.testing.assert_array_equal(stack[j, p], build_w(k, state, ups[j]))
+
 
 class TestDetect:
     def test_zf_exact_for_all_constellation_points(self):
@@ -196,7 +337,8 @@ class TestDetect:
         for a in points:
             for b in points[:4]:
                 s_stack = np.array([a, b, np.conj(a), np.conj(b)])
-                got = detect(w @ s_stack, w, mode="zf")
+                got, good = detect(w @ s_stack, w)
+                assert good
                 np.testing.assert_allclose(got, s_stack, atol=1e-9)
 
     def test_mmse_with_zero_r_equals_zf(self):
@@ -205,8 +347,8 @@ class TestDetect:
         w = build_w(3, state, np.ones(2, dtype=complex))
         rng = np.random.default_rng(123)
         x = rng.normal(size=4) + 1j * rng.normal(size=4)
-        zf = detect(x, w, mode="zf")
-        mmse = detect(x, w, mode="mmse", r=np.zeros((4, 4)))
+        zf, _ = detect(x, w)
+        mmse, _ = detect(x, w, r=np.zeros((4, 4)))
         np.testing.assert_allclose(mmse, zf, atol=1e-12)
 
     def test_mmse_converges_to_zf(self):
@@ -215,14 +357,14 @@ class TestDetect:
         w = build_w(10, state, np.ones(2, dtype=complex))
         rng = np.random.default_rng(125)
         x = rng.normal(size=4) + 1j * rng.normal(size=4)
-        zf = detect(x, w, mode="zf")
-        mmse = detect(x, w, mode="mmse", r=1e-12 * np.eye(4))
+        zf, _ = detect(x, w)
+        mmse, _ = detect(x, w, r=1e-12 * np.eye(4))
         np.testing.assert_allclose(mmse, zf, atol=1e-9)
 
     def test_siso_flat_channel_scaling(self):
         w = np.diag([2.0, 2.0]).astype(complex)
         s = np.array([0.5 - 0.5j, np.conj(0.5 - 0.5j)])
-        got = detect(w @ s, w, mode="zf")
+        got, _ = detect(w @ s, w)
         np.testing.assert_allclose(got, s, atol=1e-12)
 
     def test_zf_left_inverse_property(self):
@@ -233,15 +375,34 @@ class TestDetect:
         a_zf = np.linalg.solve(gram, w.conj().T)
         np.testing.assert_allclose(a_zf @ w, np.eye(4), atol=1e-10)
 
-    def test_rank_deficiency_raises(self):
+    def test_rank_deficiency_erases(self):
+        # A rank-deficient pair is rejected by the guard: no estimate.
         w = np.zeros((4, 4), dtype=complex)
-        with pytest.raises(SingularMatrixError):
-            detect(np.ones(4, dtype=complex), w, mode="zf")
+        got, good = detect(np.ones(4, dtype=complex), w)
+        assert not good
+        np.testing.assert_array_equal(got, 0.0)
+
+    def test_stack_rejects_only_the_singular_pair(self):
+        ch = make_channel(seed=127)
+        state = genie_state(ch, iq=IqParams.uniform(2, 5.0, 10.0))
+        w = np.stack([build_w(k, state, np.ones(2, dtype=complex)) for k in (3, 5, 9)])
+        w[1] = 0.0
+        s = np.array([1 - 1j, -3 + 1j, 1 + 1j, -3 - 1j]) / np.sqrt(10)
+        got, good = _solve_pairs(w, w @ s, None)
+        np.testing.assert_array_equal(good, [True, False, True])
+        np.testing.assert_allclose(got[[0, 2]], np.stack([s, s]), atol=1e-9)
+        np.testing.assert_array_equal(got[1], 0.0)
 
     def test_mmse_requires_r(self):
-        w = np.eye(4, dtype=complex)
+        # MMSE detection needs a regularizer of the detector's size; the
+        # kron form of a 4x4 link has none, and the frame is refused.
+        ch = make_channel(m_t=4, m_r=4, seed=128)
+        state = genie_state(ch)
+        smap = build_subcarrier_map(64)
+        rx = np.zeros((3, 64, 4), dtype=complex)
+        options = EqualizerOptions(detector="mmse", mmse_r="kron")
         with pytest.raises(ConfigurationError):
-            detect(np.ones(4), w, mode="mmse")
+            equalize_frame(rx, state, smap, pilot_matrix(4), 1, options=options)
 
 
 class TestMmseRMatrix:

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmlink.numerics import (
+    CONDITION_LIMIT,
     ConfigurationError,
     RandomSource,
     SingularMatrixError,
+    condition_number,
     conj_mirror,
     dft,
     idft,
     solve_regularized,
+    well_conditioned,
 )
 
 
@@ -142,6 +145,91 @@ class TestSolveRegularized:
     def test_negative_regularizer_rejected(self):
         with pytest.raises(ConfigurationError):
             solve_regularized(np.eye(2), -1.0, np.ones(2))
+
+
+def eigvalsh_verdicts(stack):
+    """The reference guard: finite entries and eigenvalue condition within the limit."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    out = np.zeros(finite.shape, dtype=bool)
+    if finite.any():
+        out[finite] = condition_number(stack[finite], hermitian=True) <= CONDITION_LIMIT
+    return out
+
+
+def hermitian_psd(rng, n, cond, scale=1.0):
+    """Hermitian PSD matrix with condition number ``cond`` (inf: one zero eigenvalue)."""
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    low = 0.0 if np.isinf(cond) else scale / cond
+    spread = 16.0 if np.isinf(cond) else np.log10(cond)
+    lam = np.concatenate([[scale, low], scale * 10.0 ** rng.uniform(-spread, 0.0, n - 2)])
+    a = (u * lam) @ u.conj().T
+    return 0.5 * (a + a.conj().T)
+
+
+# (kind, log10 condition number): "cond" draws from 1 .. 1e16, "limit"
+# sits within a few ulps-worth of CONDITION_LIMIT, "singular" has a zero
+# eigenvalue, "nan"/"inf" poison one entry of a well-conditioned matrix.
+_matrix_kind = st.one_of(
+    st.tuples(st.just("cond"), st.floats(0.0, 16.0)),
+    st.tuples(st.just("limit"), st.floats(-1e-6, 1e-6)),
+    st.tuples(st.sampled_from(["singular", "nan", "inf", "zero", "ones"]), st.just(0.0)),
+)
+
+
+class TestWellConditioned:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 4, 8]),
+        st.lists(_matrix_kind, min_size=1, max_size=8),
+        st.floats(-6.0, 6.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_verdicts_equal_eigvalsh(self, seed, n, kinds, log_scale):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        stack = []
+        for kind, x in kinds:
+            if kind == "cond":
+                a = hermitian_psd(rng, n, 10.0**x, scale)
+            elif kind == "limit":
+                a = hermitian_psd(rng, n, CONDITION_LIMIT * (1.0 + x), scale)
+            elif kind == "singular":
+                a = hermitian_psd(rng, n, np.inf, scale)
+            elif kind == "zero":
+                a = np.zeros((n, n), dtype=complex)
+            elif kind == "ones":
+                a = np.full((n, n), scale, dtype=complex)
+            else:
+                a = hermitian_psd(rng, n, 10.0, scale)
+                i, j = rng.integers(0, n, size=2)
+                a[i, j] = np.nan if kind == "nan" else np.inf
+            stack.append(a)
+        stack = np.stack(stack)
+        np.testing.assert_array_equal(well_conditioned(stack), eigvalsh_verdicts(stack))
+
+    def test_nan_in_the_unread_triangle_is_rejected(self):
+        # eigvalsh reads one triangle only and returns finite eigenvalues.
+        a = np.eye(3, dtype=complex)
+        a[0, 2] = np.nan
+        assert np.isfinite(condition_number(a, hermitian=True))
+        assert not well_conditioned(a)
+
+    def test_boundary_and_singular_cases(self):
+        stack = np.stack([
+            np.diag([1.0, 1.0 / CONDITION_LIMIT]),
+            np.diag([1.0, 0.5 / CONDITION_LIMIT]),
+            np.diag([1.0, 1e-10]),
+            np.diag([1.0, 0.0]),
+            np.ones((2, 2)),
+            np.eye(2),
+        ]).astype(complex)
+        np.testing.assert_array_equal(well_conditioned(stack), eigvalsh_verdicts(stack))
+        np.testing.assert_array_equal(well_conditioned(stack)[2:], [True, False, False, True])
+
+    def test_single_matrix_and_hermitian_solve(self):
+        assert well_conditioned(np.eye(4))
+        with pytest.raises(SingularMatrixError, match="condition number"):
+            solve_regularized(np.diag([1.0, 1e-14]), 0.0, np.ones(2), hermitian=True)
 
 
 class TestRandomSource:
