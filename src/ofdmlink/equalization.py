@@ -168,7 +168,7 @@ def _track(
 
     z = np.stack([data[:, ctx.p_bins], np.conj(data[:, ctx.p_bins[ctx.p_mirror]])], axis=2)
     z_t = np.moveaxis(z, 3, 1)                                    # (S, m_r, r, 2)
-    rhs = np.einsum("sqrij,sqri->sqrj", np.broadcast_to(c.conj(), (n_syms,) + c.shape), z_t)
+    rhs = np.einsum("qrij,sqri->sqrj", c.conj(), z_t)
     est = np.full((n_syms, m_r), np.nan, dtype=np.complex128)
     if branch_ok.any():
         phi = np.linalg.solve(reg[branch_ok], rhs[:, branch_ok, ..., None])[..., 0]

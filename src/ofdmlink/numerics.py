@@ -96,16 +96,13 @@ def well_conditioned(a: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a)
     finite = np.isfinite(a).all(axis=(-2, -1))
-    safe = a if finite.all() else np.where(finite[..., None, None], a, np.eye(a.shape[-1]))
     with np.errstate(all="ignore"):
         try:
-            inv = np.linalg.inv(safe)
+            inv = np.linalg.inv(a)
         except np.linalg.LinAlgError:  # one exactly singular matrix stops the whole stack
             bound = np.full(finite.shape, np.inf)
         else:
-            bound = np.linalg.norm(safe, np.inf, axis=(-2, -1)) * np.linalg.norm(
-                inv, axis=(-2, -1)
-            )
+            bound = np.linalg.norm(a, np.inf, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
     ok = np.array(finite & (bound <= CONDITION_LIMIT / 100))
     rest = finite & ~ok
     if rest.any():
