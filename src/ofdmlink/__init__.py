@@ -1,11 +1,7 @@
 """Baseband MIMO-OFDM link simulator with joint IQ-imbalance and phase-noise compensation."""
 
 from .channel import ChannelRealization, apply_channel, draw_channel, freq_response
-from .equalization import (
-    CpeUpdate,
-    EqualizerOptions,
-    equalize_frame,
-)
+from .equalization import EqualizerOptions, equalize_frame
 from .estimation import (
     EstimationError,
     EstimatorState,

@@ -30,7 +30,6 @@ from .framing import SubcarrierMap, qam16_demap
 from .numerics import ConfigurationError, logical_to_bin, well_conditioned
 
 __all__ = [
-    "CpeUpdate",
     "EqualizerOptions",
     "FrameDecisions",
     "mmse_r_matrix",
@@ -46,20 +45,11 @@ DETECT_CHUNK = 8
 
 
 @dataclass(frozen=True)
-class CpeUpdate:
-    """Diagonal common-phase update for one data symbol."""
-
-    upsilon: np.ndarray  # (m_r,) complex
-    flagged: bool = False
-
-
-@dataclass(frozen=True)
 class EqualizerOptions:
     detector: str = "zf"            # "zf" | "mmse"
     track: bool = True
     tracking_variant: str = "re-derived"  # "re-derived" | "as-printed"
     mmse_r: str = "sigma"           # "sigma" | "kron"
-    upsilon_ceiling: float = UPSILON_CEILING
 
     def __post_init__(self):
         if self.detector not in ("zf", "mmse"):
@@ -272,7 +262,7 @@ def equalize_frame(
         upsilon = np.asarray(cpe_override, dtype=np.complex128)
     elif options.track:
         upsilon, flagged = _track(
-            data, state, pilots, ctx, options.tracking_variant, options.upsilon_ceiling
+            data, state, pilots, ctx, options.tracking_variant, UPSILON_CEILING
         )
     else:
         upsilon = np.ones((n_syms, state.m_r), dtype=np.complex128)

@@ -37,10 +37,8 @@ __all__ = [
     "IqEstimate",
     "RefinedEstimate",
     "EstimatorState",
-    "EstimationDiagnostics",
     "estimate_noise_ici_corr",
     "estimate_preamble",
-    "diagnostics",
     "estimate_iq_params",
     "demix_channel",
     "refine_iq_channel",
@@ -68,10 +66,8 @@ class PreambleEstimate:
 
 @dataclass(frozen=True)
 class IqEstimate:
-    """Per-branch IQ mismatch estimates and the complex product they came from."""
+    """Per-branch IQ mismatch estimate ``g = eps e^{-j theta}``."""
 
-    eps: np.ndarray    # (m_r,)
-    theta: np.ndarray  # (m_r,) radians
     g: np.ndarray      # (m_r,) complex eps*e^{-j theta}, averaged over bin pairs
 
     @property
@@ -95,8 +91,6 @@ class EstimatorState:
     h_pre: np.ndarray       # (n, m_r, m_t)
     k1: np.ndarray          # (m_r,) diagonal
     psi: np.ndarray         # (m_r, m_r) noise + ICI correlation
-    eps_hat: np.ndarray | None = None
-    theta_hat: np.ndarray | None = None
 
     @property
     def k2(self) -> np.ndarray:
@@ -109,14 +103,6 @@ class EstimatorState:
     @property
     def m_t(self) -> int:
         return self.h_pre.shape[2]
-
-
-@dataclass(frozen=True)
-class EstimationDiagnostics:
-    """Test-mode residuals of the preamble estimator against ground truth."""
-
-    residual: np.ndarray     # (n_used, m_r) e(k) minus the true effective column
-    delta_proxy: np.ndarray  # (m_r,) mean residual, the rho - conj(rho) estimate
 
 
 def estimate_noise_ici_corr(samples: np.ndarray) -> np.ndarray:
@@ -152,12 +138,6 @@ def estimate_preamble(
     return PreambleEstimate(chi_a=chi_a, chi_b=chi_b, e=e)
 
 
-def diagnostics(est: PreambleEstimate, h_true_cols: np.ndarray) -> EstimationDiagnostics:
-    """Residual of ``e`` against the true owned effective-channel columns."""
-    residual = est.e - h_true_cols
-    return EstimationDiagnostics(residual=residual, delta_proxy=residual.mean(axis=0))
-
-
 def estimate_iq_params(
     chi_a: np.ndarray,
     e: np.ndarray,
@@ -169,7 +149,7 @@ def estimate_iq_params(
     For each pair of consecutive used bins owned by different antennas,
     ``2 (chi_a-diff / e-diff) - 1`` equals ``eps e^{-j theta}`` per
     branch; the complex values are averaged over all non-degenerate
-    pairs before taking magnitude and angle.
+    pairs.
     """
     alpha = e[:-1] - e[1:]
     beta = chi_a[:-1] - chi_a[1:]
@@ -182,7 +162,7 @@ def estimate_iq_params(
     if np.any(counts == 0):
         raise EstimationError("a receive branch has no usable bin pair")
     g = ratio.sum(axis=0) / counts
-    return IqEstimate(eps=np.abs(g), theta=-np.angle(g), g=g)
+    return IqEstimate(g=g)
 
 
 @dataclass(frozen=True)
@@ -190,13 +170,11 @@ class RefinedEstimate:
     """Jointly refined IQ mismatch and de-mixed effective channel.
 
     ``u`` is the per-used-bin channel column with the image leakage of
-    the inter-symbol common-phase difference removed; ``w`` is the
-    estimated leakage ratio per branch.
+    the inter-symbol common-phase difference removed.
     """
 
     g: np.ndarray  # (m_r,) complex eps*e^{-j theta}
     u: np.ndarray  # (n_used, m_r)
-    w: np.ndarray  # (m_r,)
 
     @property
     def k1(self) -> np.ndarray:
@@ -274,8 +252,6 @@ def refine_iq_channel(
     """
     g = np.asarray(g0, dtype=np.complex128).copy()
     noise_var = None if psi is None else np.maximum(np.real(np.diag(psi)), 0.0)
-    w = np.zeros_like(g)
-    u = None
     for _ in range(n_iters):
         k1 = (1.0 + g) / 2.0
         k2 = 1.0 - np.conj(k1)
@@ -287,7 +263,7 @@ def refine_iq_channel(
         e2 = ca + np.conj(cb[::-1])
         g = _pair_regression(ca, e2, owner, noise_var)
     u = _demix(est.chi_a, est.chi_b, (1.0 + g) / 2.0)[0]
-    return RefinedEstimate(g=g, u=u, w=w)
+    return RefinedEstimate(g=g, u=u)
 
 
 def _per_antenna_knots(pre: PreambleSet, p: int) -> np.ndarray:
@@ -299,9 +275,10 @@ def interpolate_channel(
 ) -> np.ndarray:
     """Complete the effective channel on all used bins by cubic splines.
 
-    Splines run over the logical bin index per (receive, transmit) pair;
-    trained bins pass through unchanged.  With fewer than four trained
-    bins for an antenna the method falls back to linear interpolation.
+    One spline per transmit antenna runs over the logical bin index, with
+    every receive branch as a column of its values; trained bins pass
+    through unchanged.  With fewer than four trained bins for an antenna
+    the method falls back to linear interpolation.
     """
     n, m_r, m_t = smap.n, e.shape[1], pre.m_t
     used = pre.used
@@ -310,15 +287,13 @@ def interpolate_channel(
     for p in range(m_t):
         sel = _per_antenna_knots(pre, p)
         x = used[sel]
+        if x.size >= 4:
+            h[ub, :, p] = CubicSpline(x, e[sel])(used)
+            continue
+        log.warning("antenna %d has only %d trained bins; spline falls back to linear", p, x.size)
         for q in range(m_r):
             y = e[sel, q]
-            if x.size >= 4:
-                h[ub, q, p] = CubicSpline(x, y)(used)
-            else:
-                log.warning(
-                    "antenna %d has only %d trained bins; spline falls back to linear", p, x.size
-                )
-                h[ub, q, p] = np.interp(used, x, y.real) + 1j * np.interp(used, x, y.imag)
+            h[ub, q, p] = np.interp(used, x, y.real) + 1j * np.interp(used, x, y.imag)
     return h
 
 

@@ -172,11 +172,6 @@ def qam16_demap(symbols: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def qam16_slice(symbols: np.ndarray) -> np.ndarray:
-    """Nearest constellation point for each soft symbol."""
-    return qam16_map(qam16_demap(symbols)).reshape(np.asarray(symbols).shape)
-
-
 @dataclass(frozen=True)
 class PreambleSet:
     """Frequency-domain long training symbols and their per-bin bookkeeping.

@@ -31,6 +31,7 @@ from .equalization import EqualizerOptions, equalize_frame
 from .estimation import (
     EstimationError,
     EstimatorState,
+    PreambleEstimate,
     demix_channel,
     estimate_iq_params,
     estimate_noise_ici_corr,
@@ -70,6 +71,8 @@ __all__ = [
     "compute_mse_ce",
     "compute_mse_k1",
     "simulate_frame",
+    "FrontEnd",
+    "front_end",
     "receiver_state",
     "run_point",
     "run_campaign",
@@ -78,6 +81,7 @@ __all__ = [
 ]
 
 MODES = ("uncompensated", "iq-only", "pn-only", "full", "genie")
+ESTIMATING_MODES = ("full", "iq-only")
 
 CSV_HEADER = (
     "snr_db,beta_hz,mode,detector,ce_method,m_t,m_r,frames_run,"
@@ -280,75 +284,79 @@ def _complete(e_vals, pre, smap, config) -> np.ndarray:
     return interpolate_channel(e_vals, pre, smap)
 
 
-def estimate_iq_refined(
+@dataclass(frozen=True)
+class FrontEnd:
+    """One frame's preamble-stage estimates, shared by every receiver mode."""
+
+    psi: np.ndarray          # (m_r, m_r) noise + ICI correlation from the short symbols
+    est: PreambleEstimate    # per-bin products of the two long training symbols
+    g: np.ndarray | None     # (m_r,) refined mismatch; None if not estimated or failed
+
+
+def front_end(
     frame: SimulatedFrame,
     config: ScenarioConfig,
     fc: FrameConfig,
     smap: SubcarrierMap,
     pre: PreambleSet,
-):
-    """One frame's refined IQ-mismatch estimate (adjacent-bin stage then de-mixing)."""
+) -> FrontEnd:
+    """Estimate one frame's preamble stage once for all receiver modes.
+
+    The mismatch (adjacent-bin stage then de-mixing) is refined only when
+    an estimating mode is configured.
+    """
     nulls = logical_to_bin(smap.null_bins, config.n)
     psi = estimate_noise_ici_corr(frame.rx_grids[: fc.n_short, nulls].reshape(-1, config.m_r))
     est = estimate_preamble(frame.rx_grids[fc.n_short], frame.rx_grids[fc.n_short + 1], pre)
-    g0 = estimate_iq_params(est.chi_a, est.e, pre.owner).g
-    return refine_iq_channel(est, pre.owner, g0, psi=psi)
+    g = None
+    if any(m in ESTIMATING_MODES for m in config.modes):
+        try:
+            g0 = estimate_iq_params(est.chi_a, est.e, pre.owner).g
+            g = refine_iq_channel(est, pre.owner, g0, psi=psi).g
+        except (EstimationError, SingularMatrixError):
+            pass  # the frame does not join its block's mismatch average
+    return FrontEnd(psi=psi, est=est, g=g)
 
 
 def receiver_state(
     frame: SimulatedFrame,
+    fe: FrontEnd,
     config: ScenarioConfig,
     fc: FrameConfig,
     smap: SubcarrierMap,
     pre: PreambleSet,
     mode: str,
-    k1_override: np.ndarray | None = None,
+    k1: np.ndarray | None,
 ) -> EstimatorState:
-    """Run the preamble-stage estimation dictated by the receiver mode.
+    """The receiver-side state of one mode, built from the frame's front end.
 
-    ``k1_override`` substitutes an externally averaged mismatch estimate
-    (multi-frame averaging) in the estimating modes.
+    ``k1`` is the block-averaged mismatch estimate that the estimating
+    modes (``full``, ``iq-only``) use; the other modes ignore it.
     """
     n = config.n
     m_r = config.m_r
-    nulls = logical_to_bin(smap.null_bins, n)
-    short_nulls = frame.rx_grids[: fc.n_short, nulls].reshape(-1, m_r)
-    psi1 = frame.rx_grids[fc.n_short]
-    psi2 = frame.rx_grids[fc.n_short + 1]
 
     if mode == "genie":
-        k1 = frame.iq.k1
         h = frame.theta_pre[None, :, None] * frame.channel.freq
         gain = np.abs(frame.iq.k1) ** 2 + np.abs(frame.iq.k2) ** 2
         psi = np.diag(gain * n * frame.sigma2).astype(np.complex128)
-        return EstimatorState(h_pre=h, k1=k1, psi=psi)
+        return EstimatorState(h_pre=h, k1=frame.iq.k1, psi=psi)
 
-    psi = estimate_noise_ici_corr(short_nulls)
-    est = estimate_preamble(psi1, psi2, pre)
-
-    if mode in ("full", "iq-only"):
-        if k1_override is None:
-            k1 = estimate_iq_refined(frame, config, fc, smap, pre).k1
-        else:
-            k1 = k1_override
-        u = demix_channel(est, k1)
-        h = _complete(u, pre, smap, config)
-        g = 2.0 * k1 - 1.0
-        return EstimatorState(
-            h_pre=h, k1=k1, psi=psi, eps_hat=np.abs(g), theta_hat=-np.angle(g)
-        )
+    if mode in ESTIMATING_MODES:
+        h = _complete(demix_channel(fe.est, k1), pre, smap, config)
+        return EstimatorState(h_pre=h, k1=k1, psi=fe.psi)
 
     if mode == "pn-only":
         # Assuming no IQ mismatch, the two-symbol least-squares channel
         # estimate is exactly the direct-product combination.
-        h = _complete(est.chi_a, pre, smap, config)
-        return EstimatorState(h_pre=h, k1=np.ones(m_r, dtype=np.complex128), psi=psi)
+        h = _complete(fe.est.chi_a, pre, smap, config)
+        return EstimatorState(h_pre=h, k1=np.ones(m_r, dtype=np.complex128), psi=fe.psi)
 
     if mode == "uncompensated":
         b = logical_to_bin(pre.used, n)
-        ls = psi1[b] / pre.lambda1[:, None]
+        ls = frame.rx_grids[fc.n_short][b] / pre.lambda1[:, None]
         h = _complete(ls, pre, smap, config)
-        return EstimatorState(h_pre=h, k1=np.ones(m_r, dtype=np.complex128), psi=psi)
+        return EstimatorState(h_pre=h, k1=np.ones(m_r, dtype=np.complex128), psi=fe.psi)
 
     raise ConfigurationError(f"unknown mode {mode!r}")
 
@@ -395,7 +403,7 @@ def run_point(
     # count cannot change any result.
     point_rng = RandomSource(config.master_seed)
     k1_true = config.iq_params().k1
-    estimating = [m for m in config.modes if m in ("full", "iq-only")]
+    estimating = [m for m in config.modes if m in ESTIMATING_MODES]
 
     acc = {mode: _Accumulator() for mode in config.modes}
     step = config.iq_frame_avg
@@ -408,29 +416,21 @@ def run_point(
             )
             for f in block
         ]
+        fronts = [front_end(frame, config, fc, smap, pre) for frame in frames]
+        g_frames = [fe.g for fe in fronts if fe.g is not None]
         k1_block = None
-        if estimating:
-            g_frames = []
-            for frame in frames:
-                try:
-                    g_frames.append(estimate_iq_refined(frame, config, fc, smap, pre).g)
-                except (EstimationError, SingularMatrixError):
-                    continue
-            if g_frames:
-                k1_block = (1.0 + np.mean(g_frames, axis=0)) / 2.0
-                for mode in estimating:
-                    acc[mode].k1_mse_terms.append(compute_mse_k1(k1_block, k1_true))
+        if g_frames:
+            k1_block = (1.0 + np.mean(g_frames, axis=0)) / 2.0
+            for mode in estimating:
+                acc[mode].k1_mse_terms.append(compute_mse_k1(k1_block, k1_true))
 
-        for frame in frames:
+        for frame, fe in zip(frames, fronts):
             for mode in config.modes:
                 a = acc[mode]
-                override = k1_block if mode in ("full", "iq-only") else None
-                if mode in ("full", "iq-only") and override is None:
+                if mode in ESTIMATING_MODES and k1_block is None:
                     continue  # no usable mismatch estimate in this block
                 try:
-                    state = receiver_state(
-                        frame, config, fc, smap, pre, mode, k1_override=override
-                    )
+                    state = receiver_state(frame, fe, config, fc, smap, pre, mode, k1_block)
                     dec = equalize_frame(
                         frame.rx_grids, state, smap, pilots, fc.n_train,
                         options=_equalizer_options(config, mode),
@@ -446,7 +446,7 @@ def run_point(
                 a.mse_ce_sum += compute_mse_ce(state.h_pre, h_true_eff, pre.used, config.n)
                 a.flagged += dec.flagged_symbols
                 a.frames_run += 1
-                if mode not in ("full", "iq-only"):
+                if mode not in ESTIMATING_MODES:
                     a.k1_mse_terms.append(compute_mse_k1(state.k1, frame.iq.k1))
 
     rows = []

@@ -89,8 +89,8 @@ def test_criterion_02_noiseless_estimator_exactness(smap64):
         psi1, psi2 = transmit_preamble(ch, pre, iq=iq)
         est = estimate_preamble(psi1, psi2, pre)
         got = estimate_iq_params(est.chi_a, est.e, pre.owner)
-        worst_eps = max(worst_eps, np.abs(got.eps - 1.1).max())
-        worst_theta = max(worst_theta, np.abs(got.theta - np.deg2rad(5.0)).max())
+        worst_eps = max(worst_eps, np.abs(np.abs(got.g) - 1.1).max())
+        worst_theta = max(worst_theta, np.abs(-np.angle(got.g) - np.deg2rad(5.0)).max())
         worst_h = max(worst_h, np.abs(est.e - owned_channel_columns(ch, pre)).max())
     elapsed = time.time() - t0
     ok = worst_eps < 1e-9 and worst_theta < 1e-9 and worst_h < 1e-9 and elapsed < 1.0
@@ -199,7 +199,7 @@ def test_criterion_06_genie_zf_exactness():
     pre = build_preamble(2, smap)
     short = build_short_symbol(smap, 2)
     pilots = pilot_matrix(2)
-    from ofdmlink.harness import receiver_state, simulate_frame
+    from ofdmlink.harness import front_end, receiver_state, simulate_frame
 
     same = True
     for f in range(2):
@@ -207,7 +207,8 @@ def test_criterion_06_genie_zf_exactness():
             config, fc, smap, pre, short, pilots, float("inf"), 0.0,
             RandomSource(3600).child("frame", f),
         )
-        state = receiver_state(frame, config, fc, smap, pre, "genie")
+        fe = front_end(frame, config, fc, smap, pre)
+        state = receiver_state(frame, fe, config, fc, smap, pre, "genie", None)
         state_eps = EstimatorState(
             h_pre=state.h_pre, k1=state.k1, psi=1e-12 * np.eye(2, dtype=complex)
         )

@@ -4,11 +4,11 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from conftest import make_channel, owned_channel_columns, transmit_preamble
 from ofdmlink.estimation import (
     EstimationError,
-    diagnostics,
     estimate_iq_params,
     estimate_noise_ici_corr,
     estimate_preamble,
@@ -106,9 +106,6 @@ class TestPreambleEstimation:
         spread = np.abs(residual - residual.mean(axis=0)).max()
         assert spread < 1e-9
         np.testing.assert_allclose(residual.mean(axis=0), 1j * delta.imag, atol=1e-9)
-        diag = diagnostics(est, h_cols)
-        np.testing.assert_allclose(diag.delta_proxy, 1j * delta.imag, atol=1e-9)
-        np.testing.assert_allclose(diag.residual, residual)
 
     def test_mismatch_estimate_exact_noiseless(self, smap64):
         ch = make_channel(seed=74)
@@ -117,8 +114,8 @@ class TestPreambleEstimation:
         psi1, psi2 = transmit_preamble(ch, pre, iq=iq)
         est = estimate_preamble(psi1, psi2, pre)
         got = estimate_iq_params(est.chi_a, est.e, pre.owner)
-        np.testing.assert_allclose(got.eps, [1.1, 1.1], atol=1e-9)
-        np.testing.assert_allclose(got.theta, np.deg2rad([5.0, 5.0]), atol=1e-9)
+        np.testing.assert_allclose(np.abs(got.g), [1.1, 1.1], atol=1e-9)
+        np.testing.assert_allclose(-np.angle(got.g), np.deg2rad([5.0, 5.0]), atol=1e-9)
         np.testing.assert_allclose(got.k1, iq.k1, atol=1e-9)
         np.testing.assert_allclose(got.k2, 1 - np.conj(got.k1), atol=1e-15)
 
@@ -128,8 +125,8 @@ class TestPreambleEstimation:
         psi1, psi2 = transmit_preamble(ch, pre)
         est = estimate_preamble(psi1, psi2, pre)
         got = estimate_iq_params(est.chi_a, est.e, pre.owner)
-        np.testing.assert_allclose(got.eps, 1.0, atol=1e-9)
-        np.testing.assert_allclose(got.theta, 0.0, atol=1e-9)
+        np.testing.assert_allclose(np.abs(got.g), 1.0, atol=1e-9)
+        np.testing.assert_allclose(-np.angle(got.g), 0.0, atol=1e-9)
 
     def test_per_pair_product_constant_noiseless(self, smap64):
         ch = make_channel(seed=76)
@@ -243,6 +240,13 @@ class TestChannelCompletion:
         used_b = logical_to_bin(smap64.used_bins, 64)
         err = np.abs(h[used_b] - ch.freq[used_b])
         assert err.max() / np.abs(ch.freq[used_b]).max() < 5e-2
+        # One spline per (receive, transmit) pair is the reference.
+        want = np.zeros_like(h)
+        for p in range(2):
+            sel = np.flatnonzero(pre.owner == p)
+            for q in range(2):
+                want[used_b, q, p] = CubicSpline(pre.used[sel], est.e[sel, q])(pre.used)
+        np.testing.assert_array_equal(h, want)
 
     def test_linear_fallback_warns(self, smap64, caplog):
         pre = build_preamble(2, smap64)

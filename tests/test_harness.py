@@ -7,7 +7,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from ofdmlink import harness
 from ofdmlink.channel import apply_channel, draw_channel
+from ofdmlink.estimation import estimate_preamble
 from ofdmlink.framing import (
     assemble_frame,
     build_preamble,
@@ -15,12 +17,14 @@ from ofdmlink.framing import (
     modulate_frame,
 )
 from ofdmlink.harness import (
+    MODES,
     CampaignRow,
     ScenarioConfig,
     compute_mse_ce,
     compute_mse_k1,
     emit_csv,
     emit_plots,
+    front_end,
     receiver_state,
     run_campaign,
     run_point,
@@ -152,8 +156,10 @@ class TestReceiverState:
     def test_modes_produce_consistent_states(self):
         config = ScenarioConfig(frames=1, symbols_per_frame=6)
         frame, fc, smap, pre = self._frame(config)
+        fe = front_end(frame, config, fc, smap, pre)
+        k1 = (1.0 + fe.g) / 2.0
         for mode in ("uncompensated", "iq-only", "pn-only", "full", "genie"):
-            state = receiver_state(frame, config, fc, smap, pre, mode)
+            state = receiver_state(frame, fe, config, fc, smap, pre, mode, k1)
             assert state.h_pre.shape == (64, 2, 2)
             np.testing.assert_array_equal(state.k2, 1 - np.conj(state.k1))
             if mode in ("pn-only", "uncompensated"):
@@ -164,8 +170,24 @@ class TestReceiverState:
     def test_unknown_mode_rejected(self):
         config = ScenarioConfig(frames=1, symbols_per_frame=6)
         frame, fc, smap, pre = self._frame(config)
+        fe = front_end(frame, config, fc, smap, pre)
         with pytest.raises(ConfigurationError):
-            receiver_state(frame, config, fc, smap, pre, "psychic")
+            receiver_state(frame, fe, config, fc, smap, pre, "psychic", None)
+
+    def test_preamble_estimated_once_per_frame(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return estimate_preamble(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate_preamble", counted)
+        config = ScenarioConfig(
+            frames=3, snr_db=(20.0,), modes=MODES, iq_frame_avg=2, symbols_per_frame=6,
+        )
+        rows = run_point(config, 0, 0)
+        assert len(calls) == 3
+        assert all(r.frames_run == 3 for r in rows)
 
 
 @pytest.fixture(scope="module")
