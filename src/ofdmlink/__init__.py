@@ -19,8 +19,6 @@ from .framing import (
     build_preamble,
     build_short_symbol,
     build_subcarrier_map,
-    ofdm_demodulate,
-    ofdm_modulate,
     qam16_demap,
     qam16_map,
 )
@@ -46,11 +44,9 @@ from .impairments import (
 from .numerics import (
     ConfigurationError,
     RandomSource,
-    SingularMatrixError,
     conj_mirror,
     dft,
     idft,
-    solve_regularized,
 )
 
 __version__ = "0.1.0"

@@ -35,7 +35,6 @@ __all__ = [
     "EstimationError",
     "PreambleEstimate",
     "IqEstimate",
-    "RefinedEstimate",
     "EstimatorState",
     "estimate_noise_ici_corr",
     "estimate_preamble",
@@ -165,20 +164,12 @@ def estimate_iq_params(
     return IqEstimate(g=g)
 
 
-@dataclass(frozen=True)
-class RefinedEstimate:
-    """Jointly refined IQ mismatch and de-mixed effective channel.
-
-    ``u`` is the per-used-bin channel column with the image leakage of
-    the inter-symbol common-phase difference removed.
-    """
-
-    g: np.ndarray  # (m_r,) complex eps*e^{-j theta}
-    u: np.ndarray  # (n_used, m_r)
-
-    @property
-    def k1(self) -> np.ndarray:
-        return (1.0 + self.g) / 2.0
+def _mixing_det(k1: np.ndarray) -> np.ndarray:
+    """``|K1|^2 - |K2|^2`` per branch; raises where the image cannot be separated."""
+    det = np.abs(k1) ** 2 - np.abs(1.0 - np.conj(k1)) ** 2
+    if np.any(np.abs(det) < 0.1):
+        raise EstimationError("IQ mixing too close to singular to separate the image")
+    return det
 
 
 def _demix(chi_a: np.ndarray, chi_b: np.ndarray, k1: np.ndarray):
@@ -192,10 +183,8 @@ def _demix(chi_a: np.ndarray, chi_b: np.ndarray, k1: np.ndarray):
     with ``m(k) = w conj(u(-k))`` the common-phase-difference leakage, so
     both are recovered whenever ``|K1|^2 != |K2|^2``.
     """
+    det = _mixing_det(k1)
     k2 = 1.0 - np.conj(k1)
-    det = np.abs(k1) ** 2 - np.abs(k2) ** 2
-    if np.any(np.abs(det) < 0.1):
-        raise EstimationError("IQ mixing too close to singular to separate the image")
     cbm = np.conj(chi_b[::-1])
     u = (np.conj(k1) * chi_a - k2 * cbm) / det
     m = (k1 * cbm - np.conj(k2) * chi_a) / det
@@ -239,8 +228,8 @@ def refine_iq_channel(
     g0: np.ndarray,
     psi: np.ndarray | None = None,
     n_iters: int = 3,
-) -> RefinedEstimate:
-    """Alternate between image de-mixing and mismatch re-estimation.
+) -> np.ndarray:
+    """Refined ``(m_r,)`` mismatch ``g``: alternate image de-mixing and re-estimation.
 
     The plain adjacent-bin estimate is polluted by the common-phase
     difference between the two training symbols (it leaks a mirrored
@@ -249,6 +238,7 @@ def refine_iq_channel(
     least squares over the bins, subtracts it, and re-fits the mismatch
     on the cleaned differences (noise-moment corrected when ``psi`` is
     given).  Exact in the noiseless regime, where the leakage is zero.
+    Raises :class:`EstimationError` when the result cannot de-mix the image.
     """
     g = np.asarray(g0, dtype=np.complex128).copy()
     noise_var = None if psi is None else np.maximum(np.real(np.diag(psi)), 0.0)
@@ -262,12 +252,8 @@ def refine_iq_channel(
         cb = est.chi_b - k1 * np.conj(w) * u
         e2 = ca + np.conj(cb[::-1])
         g = _pair_regression(ca, e2, owner, noise_var)
-    u = _demix(est.chi_a, est.chi_b, (1.0 + g) / 2.0)[0]
-    return RefinedEstimate(g=g, u=u)
-
-
-def _per_antenna_knots(pre: PreambleSet, p: int) -> np.ndarray:
-    return np.flatnonzero(pre.owner == p)
+    _mixing_det((1.0 + g) / 2.0)  # every receiver mode de-mixes with the final g
+    return g
 
 
 def interpolate_channel(
@@ -285,7 +271,7 @@ def interpolate_channel(
     h = np.zeros((n, m_r, m_t), dtype=np.complex128)
     ub = logical_to_bin(used, n)
     for p in range(m_t):
-        sel = _per_antenna_knots(pre, p)
+        sel = pre.owner == p
         x = used[sel]
         if x.size >= 4:
             h[ub, :, p] = CubicSpline(x, e[sel])(used)
@@ -307,30 +293,28 @@ def iterative_refine(
     """Complete the channel by transform-domain tap truncation.
 
     Starting from a nearest-trained-bin fill, each iteration transforms
-    the full-band estimate to the time domain, zeroes taps beyond
-    ``l_taps``, transforms back, and re-imposes the measured values on
-    the trained bins.  Deterministic; trained bins always carry the
-    measured values on output.
+    the full-band estimate of every transmit antenna at once to the time
+    domain, zeroes taps beyond ``l_taps``, transforms back, and re-imposes
+    the measured values on the trained bins.  Deterministic; trained bins
+    always carry the measured values on output.
     """
     if n_iters < 1:
         raise ConfigurationError("need at least one refinement iteration")
-    n, m_r, m_t = smap.n, e.shape[1], pre.m_t
+    n, m_t = smap.n, pre.m_t
     used = pre.used
-    h = np.zeros((n, m_r, m_t), dtype=np.complex128)
     logical_all = np.arange(-n // 2, n // 2)
-    for p in range(m_t):
-        sel = _per_antenna_knots(pre, p)
-        kt = used[sel]
-        tb = logical_to_bin(kt, n)
-        # nearest trained bin per logical index, ties toward the lower knot
-        edges = (kt[:-1] + kt[1:]) / 2.0
-        nearest = np.searchsorted(edges, logical_all)
-        g = np.empty((n, m_r), dtype=np.complex128)
-        g[logical_to_bin(logical_all, n)] = e[sel][nearest]
-        for _ in range(n_iters):
-            t = idft(g)
-            t[l_taps:] = 0.0
-            g = dft(t)
-            g[tb] = e[sel]
-        h[:, :, p] = g
-    return h
+    # nearest trained bin of each antenna per logical index, ties toward the
+    # lower knot (argmin keeps the first of equal distances); n exceeds every
+    # real distance, so it masks the bins of the other antennas
+    own = pre.owner == np.arange(m_t)[:, None]
+    dist = np.abs(logical_all[:, None, None] - used)
+    nearest = np.argmin(np.where(own, dist, n), axis=-1)  # (n, m_t) into used
+    g = np.empty((n, e.shape[1], m_t), dtype=np.complex128)
+    g[logical_to_bin(logical_all, n)] = np.swapaxes(e[nearest], 1, 2)
+    ub = logical_to_bin(used, n)
+    for _ in range(n_iters):
+        t = idft(g)
+        t[l_taps:] = 0.0
+        g = dft(t)
+        g[ub, :, pre.owner] = e
+    return g

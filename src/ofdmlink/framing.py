@@ -33,8 +33,6 @@ __all__ = [
     "build_preamble",
     "build_short_symbol",
     "pilot_matrix",
-    "ofdm_modulate",
-    "ofdm_demodulate",
     "modulate_frame",
     "demodulate_frame",
     "assemble_frame",
@@ -130,12 +128,8 @@ class FrameConfig:
     def samples_per_symbol(self) -> int:
         return self.n + self.n_cp
 
-    @property
-    def samples_per_frame(self) -> int:
-        return self.symbols_per_frame * self.samples_per_symbol
-
-    def symbol_window(self, m: int) -> int:
-        """First post-prefix sample index of symbol ``m`` in the frame stream."""
+    def symbol_window(self, m):
+        """First post-prefix sample index of symbol ``m`` (or an array of them) in the stream."""
         return m * self.samples_per_symbol + self.n_cp
 
 
@@ -251,32 +245,24 @@ def pilot_matrix(m_t: int, n_pilots: int = 4) -> np.ndarray:
     return _HADAMARD4[:m_t].astype(np.complex128)
 
 
-def ofdm_modulate(grid: np.ndarray, n_cp: int) -> np.ndarray:
-    """One symbol to time domain with cyclic prefix: ``(n, m) -> (n_cp + n, m)``."""
-    t = idft(np.asarray(grid, dtype=np.complex128))
-    return np.concatenate([t[t.shape[0] - n_cp :], t], axis=0)
-
-
-def ofdm_demodulate(samples: np.ndarray, n_cp: int) -> np.ndarray:
-    """Strip the prefix and transform back: ``(n_cp + n, m) -> (n, m)``."""
-    return dft(np.asarray(samples, dtype=np.complex128)[n_cp:])
-
-
 def modulate_frame(grids: np.ndarray, n_cp: int) -> np.ndarray:
-    """Concatenate the per-symbol waveforms of a ``(s, n, m)`` grid stack."""
-    return np.concatenate([ofdm_modulate(g, n_cp) for g in grids], axis=0)
+    """Time-domain stream of a ``(s, n, m)`` grid stack, each symbol behind its cyclic prefix."""
+    t = np.moveaxis(idft(np.moveaxis(np.asarray(grids, dtype=np.complex128), 0, 1)), 1, 0)
+    s, n, m = t.shape
+    return np.concatenate([t[:, n - n_cp :], t], axis=1).reshape(s * (n + n_cp), m)
 
 
 def demodulate_frame(stream: np.ndarray, n: int, n_cp: int, n_symbols: int) -> np.ndarray:
-    """Split a stream back into ``(s, n, m)`` demodulated grids."""
+    """Split a stream back into ``(s, n, m)`` demodulated grids, prefixes stripped."""
     per = n + n_cp
+    stream = np.asarray(stream, dtype=np.complex128)
     if stream.shape[0] < n_symbols * per:
         raise ConfigurationError(
             f"stream of {stream.shape[0]} samples too short for {n_symbols} symbols"
         )
-    return np.stack(
-        [ofdm_demodulate(stream[m * per : (m + 1) * per], n_cp) for m in range(n_symbols)]
-    )
+    windows = stream[: n_symbols * per].reshape(n_symbols, per, -1)[:, n_cp:]
+    # symbol-major memory: reductions over a strided view may sum in another order
+    return np.ascontiguousarray(np.moveaxis(dft(np.moveaxis(windows, 0, 1)), 1, 0))
 
 
 @dataclass(frozen=True)
@@ -323,10 +309,7 @@ def assemble_frame(
     grids[: config.n_short] = short_symbol
     grids[config.n_short] = preamble.t1
     grids[config.n_short + 1] = preamble.t2
-    dbin = logical_to_bin(smap.data_bins, n)
-    pbin = logical_to_bin(smap.pilot_bins, n)
-    for j, m in enumerate(range(config.n_train, config.symbols_per_frame)):
-        grids[m][dbin] = data_syms[j]
-        grids[m][pbin] = pilots.T
+    grids[config.n_train :, logical_to_bin(smap.data_bins, n)] = data_syms
+    grids[config.n_train :, logical_to_bin(smap.pilot_bins, n)] = pilots.T
     truth = FrameGroundTruth(bits=bits, data_symbols=data_syms, pilots=pilots, grids=grids)
     return grids, truth

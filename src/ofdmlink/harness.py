@@ -54,13 +54,12 @@ from .framing import (
 )
 from .impairments import (
     IqParams,
-    PhaseNoiseTrace,
     apply_iq_imbalance,
     apply_phase_noise,
     cpe_of,
     gen_phase_noise,
 )
-from .numerics import ConfigurationError, RandomSource, SingularMatrixError, logical_to_bin
+from .numerics import ConfigurationError, RandomSource, logical_to_bin
 from .svgplot import line_chart
 
 __all__ = [
@@ -126,8 +125,12 @@ class ScenarioConfig:
         for m in self.modes:
             if m not in MODES:
                 raise ConfigurationError(f"unknown mode {m!r}; choose from {MODES}")
-        if self.detector not in ("zf", "mmse"):
-            raise ConfigurationError(f"unknown detector {self.detector!r}")
+        # the receiver's own checks of the detector, tracking and MMSE names
+        EqualizerOptions(
+            detector=self.detector, tracking_variant=self.tracking_variant, mmse_r=self.mmse_r
+        )
+        if self.detector == "mmse" and self.mmse_r == "kron" and self.m_r**2 != 2 * self.m_t:
+            raise ConfigurationError("kron-form MMSE regularization needs m_r**2 == 2 m_t")
         if self.ce_method not in ("interp", "iterative"):
             raise ConfigurationError(f"unknown ce method {self.ce_method!r}")
         if self.l_taps > self.n_cp:
@@ -210,9 +213,7 @@ class SimulatedFrame:
 
     rx_grids: np.ndarray         # (symbols, n, m_r) demodulated with impairments
     truth_bits: np.ndarray
-    pilots: np.ndarray
     channel: ChannelRealization
-    trace: PhaseNoiseTrace
     iq: IqParams
     sigma2: float                # time-domain noise variance per branch
     theta_pre: np.ndarray        # (m_r,) common phase over the first long symbol
@@ -261,20 +262,12 @@ def simulate_frame(
     rx_grids = demodulate_frame(rx, config.n, config.n_cp, config.symbols_per_frame)
 
     # The preamble-stage estimator targets the channel fused with the mean
-    # common phase of the two long training symbols.
-    theta_pre = 0.5 * (
-        cpe_of(trace, fc.symbol_window(fc.n_short), config.n)
-        + cpe_of(trace, fc.symbol_window(fc.n_short + 1), config.n)
-    )
-    cpe_true = np.stack(
-        [
-            cpe_of(trace, fc.symbol_window(m), config.n) / theta_pre
-            for m in range(fc.n_train, config.symbols_per_frame)
-        ]
-    )
+    # common phase of the two long training symbols (rows 0 and 1).
+    cpe = cpe_of(trace, fc.symbol_window(np.arange(fc.n_short, fc.symbols_per_frame)), config.n)
+    theta_pre = 0.5 * (cpe[0] + cpe[1])
     return SimulatedFrame(
-        rx_grids=rx_grids, truth_bits=truth.bits, pilots=pilots, channel=ch,
-        trace=trace, iq=iq, sigma2=sigma2, theta_pre=theta_pre, cpe_true=cpe_true,
+        rx_grids=rx_grids, truth_bits=truth.bits, channel=ch, iq=iq, sigma2=sigma2,
+        theta_pre=theta_pre, cpe_true=cpe[2:] / theta_pre,
     )
 
 
@@ -312,8 +305,8 @@ def front_end(
     if any(m in ESTIMATING_MODES for m in config.modes):
         try:
             g0 = estimate_iq_params(est.chi_a, est.e, pre.owner).g
-            g = refine_iq_channel(est, pre.owner, g0, psi=psi).g
-        except (EstimationError, SingularMatrixError):
+            g = refine_iq_channel(est, pre.owner, g0, psi=psi)
+        except EstimationError:
             pass  # the frame does not join its block's mismatch average
     return FrontEnd(psi=psi, est=est, g=g)
 
@@ -436,7 +429,7 @@ def run_point(
                         options=_equalizer_options(config, mode),
                         cpe_override=frame.cpe_true if mode == "genie" else None,
                     )
-                except (EstimationError, SingularMatrixError):
+                except EstimationError:
                     continue  # frame recorded as not run for this mode
                 per_bin_bits = config.m_t * 4
                 wrong = (dec.bits != frame.truth_bits) & ~dec.erased[:, :, None, None]

@@ -134,15 +134,16 @@ def apply_iq_imbalance(rx_time: np.ndarray, iq: IqParams) -> np.ndarray:
     return iq.k1[None, :] * rx_time + iq.k2[None, :] * np.conj(rx_time)
 
 
-def cpe_of(trace: PhaseNoiseTrace, start: int, n_fft: int) -> np.ndarray:
-    """Common phase error over one symbol window: ``(1/N) sum e^{j phi}`` per branch.
+def cpe_of(trace: PhaseNoiseTrace, start, n_fft: int) -> np.ndarray:
+    """Common phase error over symbol windows: ``(1/N) sum e^{j phi}`` per branch.
 
-    ``start`` indexes the first post-prefix sample of the symbol within
-    the trace.
+    ``start`` indexes the first post-prefix sample of a symbol within the
+    trace; a scalar gives ``(m_r,)``, an array of ``s`` starts ``(s, m_r)``.
     """
-    if start < 0 or start + n_fft > trace.n_samples:
+    start = np.asarray(start)
+    if np.any(start < 0) or np.any(start + n_fft > trace.n_samples):
         raise ConfigurationError("symbol window out of trace range")
-    return np.mean(np.exp(1j * trace.phi[start : start + n_fft]), axis=0)
+    return np.mean(np.exp(1j * trace.phi[start[..., None] + np.arange(n_fft)]), axis=-2)
 
 
 def phase_noise_coeffs(phi_window: np.ndarray) -> np.ndarray:

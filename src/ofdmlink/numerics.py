@@ -19,14 +19,12 @@ import numpy as np
 
 __all__ = [
     "ConfigurationError",
-    "SingularMatrixError",
     "RandomSource",
     "dft",
     "idft",
     "conj_mirror",
     "condition_number",
     "well_conditioned",
-    "solve_regularized",
     "logical_to_bin",
     "CONDITION_LIMIT",
 ]
@@ -36,10 +34,6 @@ CONDITION_LIMIT = 1e12
 
 class ConfigurationError(ValueError):
     """Inconsistent sizes or parameters supplied by the caller."""
-
-
-class SingularMatrixError(np.linalg.LinAlgError):
-    """Linear system rejected by the condition-number guard."""
 
 
 def _require_pow2(n: int) -> None:
@@ -73,24 +67,22 @@ def logical_to_bin(k, n: int):
     return np.mod(k, n)
 
 
-def condition_number(a: np.ndarray, hermitian: bool = False) -> np.ndarray:
-    """2-norm condition number of a matrix or stack of matrices."""
-    if hermitian:
-        ev = np.abs(np.linalg.eigvalsh(a))
-        hi = ev.max(axis=-1)
-        lo = ev.min(axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(lo > 0, hi / np.where(lo > 0, lo, 1.0), np.inf)
-    return np.linalg.cond(a)
+def condition_number(a: np.ndarray) -> np.ndarray:
+    """2-norm condition number of a Hermitian matrix or stack of them."""
+    ev = np.abs(np.linalg.eigvalsh(a))
+    hi = ev.max(axis=-1)
+    lo = ev.min(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lo > 0, hi / np.where(lo > 0, lo, 1.0), np.inf)
 
 
 def well_conditioned(a: np.ndarray) -> np.ndarray:
     """Condition-guard verdict for each Hermitian matrix of a stack ``(..., n, n)``.
 
-    True exactly where every entry is finite and
-    ``condition_number(a, hermitian=True) <= CONDITION_LIMIT``.  Most
-    matrices are accepted without an eigendecomposition: for Hermitian
-    ``A``, ``cond_2(A) <= ||A||_inf ||A^-1||_F``, and a bound of at most
+    True exactly where every entry is finite and ``condition_number(a) <=
+    CONDITION_LIMIT``.  Most matrices are accepted without an
+    eigendecomposition: for Hermitian ``A``,
+    ``cond_2(A) <= ||A||_inf ||A^-1||_F``, and a bound of at most
     ``CONDITION_LIMIT / 100`` (the factor absorbs the rounding of the
     computed inverse) certifies the matrix.  ``eigvalsh`` decides the rest.
     """
@@ -106,41 +98,8 @@ def well_conditioned(a: np.ndarray) -> np.ndarray:
     ok = np.array(finite & (bound <= CONDITION_LIMIT / 100))
     rest = finite & ~ok
     if rest.any():
-        ok[rest] = condition_number(a[rest], hermitian=True) <= CONDITION_LIMIT
+        ok[rest] = condition_number(a[rest]) <= CONDITION_LIMIT
     return ok
-
-
-def solve_regularized(
-    a: np.ndarray,
-    lam: float,
-    b: np.ndarray,
-    context: str = "",
-    hermitian: bool = False,
-) -> np.ndarray:
-    """Solve ``(A + lam*I) X = B`` with a condition-number guard.
-
-    ``a`` may be a single ``(n, n)`` matrix or a stack ``(..., n, n)``;
-    ``b`` broadcasts accordingly.  ``hermitian`` selects the cheaper
-    guard of :func:`well_conditioned`, valid for Hermitian systems.
-    Raises :class:`SingularMatrixError` naming ``context`` when any
-    system exceeds ``CONDITION_LIMIT`` or is not finite.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if lam < 0:
-        raise ConfigurationError("regularizer must be nonnegative")
-    n = a.shape[-1]
-    reg = a + lam * np.eye(n, dtype=np.complex128)
-    where = f" in {context}" if context else ""
-    if not np.all(np.isfinite(reg)):
-        raise SingularMatrixError(f"non-finite system{where}")
-    ok = well_conditioned(reg) if hermitian else condition_number(reg) <= CONDITION_LIMIT
-    if not np.all(ok):
-        worst = float(np.max(condition_number(reg, hermitian=hermitian)))
-        raise SingularMatrixError(
-            f"condition number {worst:.3e} exceeds {CONDITION_LIMIT:.0e}{where}"
-        )
-    return np.linalg.solve(reg, b)
 
 
 class RandomSource:

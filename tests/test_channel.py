@@ -10,7 +10,7 @@ from ofdmlink.channel import (
     exp_power_profile,
     freq_response,
 )
-from ofdmlink.framing import ofdm_demodulate, ofdm_modulate
+from ofdmlink.framing import demodulate_frame, modulate_frame
 from ofdmlink.numerics import ConfigurationError, RandomSource
 
 
@@ -122,8 +122,8 @@ class TestApplyChannel:
         ch = draw_channel(2, 2, 7, 2.0, root.child("ch"))
         rng = np.random.default_rng(1)
         grid = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
-        rx = apply_channel(ofdm_modulate(grid, 16), ch)
-        got = ofdm_demodulate(rx[:80], 16)
+        rx = apply_channel(modulate_frame(grid[None], 16), ch)
+        got = demodulate_frame(rx, 64, 16, 1)[0]
         expected = np.einsum("kqp,kp->kq", ch.freq, grid)
         err = np.abs(got - expected).max() / np.abs(expected).max()
         assert err < 1e-10

@@ -124,6 +124,18 @@ class TestMain:
         rc = main(["--config", str(tmp_path / "nope.cfg")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "line",
+        ["tracking_variant = bogus", "mmse_r = bogus", "mimo = 4x4\nmmse_r = kron"],
+    )
+    def test_bad_receiver_setting_exits_config(self, tmp_path, line):
+        # caught while the config is built, before any frame runs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"snr = 20\nbeta = 0\nframes = 1\ndetector = mmse\n{line}\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_bad_snr_exits_config(self, tmp_path):
         rc = main(["--snr", "10:35", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG

@@ -194,7 +194,7 @@ def per_symbol_tracker(data, state, smap, pilots, variant, ceiling=UPSILON_CEILI
         for q in range(state.m_r):
             lam = max(float(state.psi[q, q].real), 0.0)
             reg = gram[q] + lam * np.eye(2, dtype=complex)
-            cond = condition_number(reg, hermitian=True)
+            cond = condition_number(reg)
             if not (np.isfinite(reg).all() and np.all(cond <= CONDITION_LIMIT)):
                 ups[q], rejected = prev[q], True
                 continue
@@ -462,6 +462,7 @@ class TestEqualizeFrame:
         from ofdmlink.estimation import (
             estimate_iq_params,
             estimate_preamble,
+            demix_channel,
             iterative_refine,
             refine_iq_channel,
         )
@@ -470,9 +471,9 @@ class TestEqualizeFrame:
         config, smap, pre, pilots, truth, ch, rx = self._loopback_frame(iq=iq)
         est = estimate_preamble(rx[1], rx[2], pre)
         g0 = estimate_iq_params(est.chi_a, est.e, pre.owner).g
-        ref = refine_iq_channel(est, pre.owner, g0)
-        h = iterative_refine(ref.u, pre, smap, l_taps=7)
-        state = EstimatorState(h_pre=h, k1=ref.k1, psi=np.zeros((2, 2), dtype=complex))
+        k1 = (1.0 + refine_iq_channel(est, pre.owner, g0)) / 2.0
+        h = iterative_refine(demix_channel(est, k1), pre, smap, l_taps=7)
+        state = EstimatorState(h_pre=h, k1=k1, psi=np.zeros((2, 2), dtype=complex))
         dec = equalize_frame(rx, state, smap, pilots, config.n_train)
         np.testing.assert_array_equal(dec.bits, truth.bits)
 

@@ -186,7 +186,7 @@ class TestRefinement:
         plain = estimate_iq_params(est.chi_a, est.e, pre.owner)
         refined = refine_iq_channel(est, pre.owner, plain.g, n_iters=30)
         err_plain = np.abs(plain.g - g_true).max()
-        err_refined = np.abs(refined.g - g_true).max()
+        err_refined = np.abs(refined - g_true).max()
         assert err_plain > 1e-3  # the leakage visibly pollutes the one-shot estimate
         assert err_refined < 1e-6  # alternating de-mixing converges to the truth
 
@@ -199,8 +199,18 @@ class TestRefinement:
         plain = estimate_iq_params(est.chi_a, est.e, pre.owner)
         refined = refine_iq_channel(est, pre.owner, plain.g)
         g_true = iq.eps * np.exp(-1j * iq.theta)
-        np.testing.assert_allclose(refined.g, g_true, atol=1e-9)
-        np.testing.assert_allclose(refined.u, owned_channel_columns(ch, pre), atol=1e-9)
+        np.testing.assert_allclose(refined, g_true, atol=1e-9)
+        u = demix_channel(est, (1.0 + refined) / 2.0)
+        np.testing.assert_allclose(u, owned_channel_columns(ch, pre), atol=1e-9)
+
+    def test_unseparable_final_estimate_raises(self, smap64):
+        # Re(g) = |K1|^2 - |K2|^2 below 0.1 cannot de-mix the image, so the
+        # estimate is refused even when no iteration runs.
+        ch = make_channel(seed=84)
+        pre = build_preamble(2, smap64)
+        est = estimate_preamble(*transmit_preamble(ch, pre), pre)
+        with pytest.raises(EstimationError, match="separate the image"):
+            refine_iq_channel(est, pre.owner, np.array([0.05 + 1.1j, 1.0]), n_iters=0)
 
 
 class TestChannelCompletion:
@@ -275,6 +285,28 @@ class TestChannelCompletion:
         for i, k in enumerate(pre.used):
             p = pre.owner[i]
             np.testing.assert_allclose(h[logical_to_bin(k, 64), :, p], est.e[i], atol=1e-12)
+
+    @pytest.mark.parametrize("m_t", [2, 4])
+    def test_iterative_equals_per_antenna_loop(self, m_t, smap64):
+        ch = make_channel(m_t=m_t, m_r=m_t, seed=97 + m_t)
+        pre = build_preamble(m_t, smap64)
+        psi1, psi2 = transmit_preamble(ch, pre)
+        e = estimate_preamble(psi1, psi2, pre).e
+        logical_all = np.arange(-32, 32)
+        expected = np.empty((64, m_t, m_t), dtype=complex)
+        for p in range(m_t):
+            sel = np.flatnonzero(pre.owner == p)
+            kt = pre.used[sel]
+            nearest = np.searchsorted((kt[:-1] + kt[1:]) / 2.0, logical_all)
+            g = np.empty((64, m_t), dtype=complex)
+            g[logical_to_bin(logical_all, 64)] = e[sel][nearest]
+            for _ in range(50):
+                t = np.fft.ifft(g, axis=0)
+                t[7:] = 0.0
+                g = np.fft.fft(t, axis=0)
+                g[logical_to_bin(kt, 64)] = e[sel]
+            expected[:, :, p] = g
+        assert np.array_equal(iterative_refine(e, pre, smap64, l_taps=7), expected)
 
     def test_iterative_beats_spline_for_sparse_training(self, smap64):
         # With four transmit antennas each antenna trains only 13 bins;

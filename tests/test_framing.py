@@ -11,8 +11,6 @@ from ofdmlink.framing import (
     build_subcarrier_map,
     demodulate_frame,
     modulate_frame,
-    ofdm_demodulate,
-    ofdm_modulate,
     pilot_matrix,
     qam16_demap,
     qam16_map,
@@ -188,7 +186,7 @@ class TestShortSymbol:
         samples = []
         for i in range(300):
             noise = rng.complex_normal(var=sigma2, size=(80, 1))
-            grid = ofdm_demodulate(noise, 16)
+            grid = demodulate_frame(noise, 64, 16, 1)[0]
             samples.append(grid[logical_to_bin(smap.null_bins, 64), 0])
         var = np.mean(np.abs(np.concatenate(samples)) ** 2)
         assert var == pytest.approx(64 * sigma2, rel=0.05)
@@ -198,13 +196,31 @@ class TestOfdmModulation:
     def test_round_trip(self):
         rng = np.random.default_rng(6)
         grid = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
-        np.testing.assert_allclose(ofdm_demodulate(ofdm_modulate(grid, 16), 16), grid, atol=1e-12)
+        got = demodulate_frame(modulate_frame(grid[None], 16), 64, 16, 1)[0]
+        np.testing.assert_allclose(got, grid, atol=1e-12)
 
     def test_prefix_copies_tail(self):
         rng = np.random.default_rng(7)
-        grid = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
-        t = ofdm_modulate(grid, 16)
-        np.testing.assert_array_equal(t[:16], t[64:80])
+        grids = rng.normal(size=(5, 64, 2)) + 1j * rng.normal(size=(5, 64, 2))
+        t = modulate_frame(grids, 16).reshape(5, 80, 2)
+        np.testing.assert_array_equal(t[:, :16], t[:, 64:80])
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("n_cp", [0, 16])
+    def test_frame_transforms_equal_per_symbol_fft(self, m, n_cp):
+        rng = np.random.default_rng(10 + m)
+        grids = rng.normal(size=(6, 64, m)) + 1j * rng.normal(size=(6, 64, m))
+        per_symbol = []
+        for g in grids:
+            t = np.fft.ifft(g, axis=0)
+            per_symbol += [t[64 - n_cp :], t]
+        stream = modulate_frame(grids, n_cp)
+        assert np.array_equal(stream, np.concatenate(per_symbol))
+        # noise on every sample, and a channel tail beyond the last symbol
+        per = 64 + n_cp
+        rx = np.concatenate([stream, np.zeros((6, m))]) + rng.normal(size=(6 * per + 6, m))
+        expected = np.stack([np.fft.fft(rx[i * per + n_cp : (i + 1) * per], axis=0) for i in range(6)])
+        assert np.array_equal(demodulate_frame(rx, 64, n_cp, 6), expected)
 
     def test_frame_round_trip(self):
         rng = np.random.default_rng(8)

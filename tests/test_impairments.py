@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ofdmlink.channel import apply_channel, draw_channel
-from ofdmlink.framing import demodulate_frame, modulate_frame, ofdm_demodulate, ofdm_modulate
+from ofdmlink.framing import demodulate_frame, modulate_frame
 from ofdmlink.impairments import (
     IqParams,
     PhaseNoiseTrace,
@@ -98,9 +98,9 @@ class TestApplyPhaseNoise:
     def test_constant_phase_is_pure_cpe(self):
         rng = np.random.default_rng(9)
         grid = rng.normal(size=(64, 1)) + 1j * rng.normal(size=(64, 1))
-        tx = ofdm_modulate(grid, 16)
+        tx = modulate_frame(grid[None], 16)
         tr = PhaseNoiseTrace(phi=np.full((80, 1), 0.37), beta=0.0, ts=5e-8)
-        out = ofdm_demodulate(apply_phase_noise(tx, tr), 16)
+        out = demodulate_frame(apply_phase_noise(tx, tr), 64, 16, 1)[0]
         np.testing.assert_allclose(out, np.exp(0.37j) * grid, atol=1e-12)
 
     def test_short_trace_rejected(self):
@@ -120,7 +120,7 @@ class TestApplyIqImbalance:
         k = 9
         grid = np.zeros((64, 1), dtype=complex)
         grid[k] = 1.0
-        t = ofdm_modulate(grid, 0)
+        t = modulate_frame(grid[None], 0)
         spec = dft(apply_iq_imbalance(t, iq))
         ratio = np.abs(spec[(-k) % 64]) ** 2 / np.abs(spec[k]) ** 2
         assert ratio[0] == pytest.approx(np.abs(iq.k2[0] / iq.k1[0]) ** 2, rel=1e-9)
@@ -157,6 +157,19 @@ class TestCpe:
         tr = PhaseNoiseTrace(phi=np.zeros((64, 1)), beta=0.0, ts=5e-8)
         with pytest.raises(ConfigurationError):
             cpe_of(tr, 1, 64)
+        with pytest.raises(ConfigurationError):
+            cpe_of(tr, np.array([0, 1]), 64)
+
+    @pytest.mark.parametrize("m_r", [1, 2, 4])
+    def test_array_of_starts_equals_scalar_calls(self, m_r):
+        tr = gen_phase_noise(1e5, 5e-8, 12 * 80 + 6, m_r, RandomSource(14).child("pn", m_r))
+        starts = np.arange(12) * 80 + 16
+        got = cpe_of(tr, starts, 64)
+        assert got.shape == (12, m_r)
+        scalar = np.stack([cpe_of(tr, int(s), 64) for s in starts])
+        window_means = np.stack([np.mean(np.exp(1j * tr.phi[s : s + 64]), axis=0) for s in starts])
+        assert np.array_equal(got, scalar)
+        assert np.array_equal(got, window_means)
 
     def test_coefficient_power_is_unity(self):
         # Parseval: the mixing coefficients of any window carry unit power.

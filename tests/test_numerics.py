@@ -9,30 +9,12 @@ from ofdmlink.numerics import (
     CONDITION_LIMIT,
     ConfigurationError,
     RandomSource,
-    SingularMatrixError,
     condition_number,
     conj_mirror,
     dft,
     idft,
-    solve_regularized,
     well_conditioned,
 )
-
-
-def gauss_solve(a, b):
-    """Independent elimination oracle: partial-pivot Gaussian elimination."""
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
-    n = a.shape[0]
-    aug = np.concatenate([a, b.reshape(n, -1)], axis=1)
-    for col in range(n):
-        piv = col + np.argmax(np.abs(aug[col:, col]))
-        aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = aug[col] / aug[col, col]
-        for row in range(n):
-            if row != col:
-                aug[row] = aug[row] - aug[row, col] * aug[col]
-    return aug[:, n:].reshape(b.shape)
 
 
 class TestDft:
@@ -95,64 +77,12 @@ class TestConjMirror:
         np.testing.assert_allclose(conj_mirror(c * g), np.conj(c) * conj_mirror(g))
 
 
-class TestSolveRegularized:
-    def test_identity_passthrough(self):
-        b = np.arange(6, dtype=complex).reshape(3, 2)
-        np.testing.assert_allclose(solve_regularized(np.eye(3), 0.0, b), b)
-
-    def test_pure_regularizer(self):
-        b = np.array([1 + 2j, 3.0, -1j])
-        np.testing.assert_allclose(solve_regularized(np.zeros((3, 3)), 1.0, b), b)
-
-    def test_against_elimination_oracle(self):
-        rng = np.random.default_rng(21)
-        for _ in range(10):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            b = rng.normal(size=4) + 1j * rng.normal(size=4)
-            np.testing.assert_allclose(
-                solve_regularized(a, 0.0, b), gauss_solve(a, b), rtol=1e-9, atol=1e-9
-            )
-
-    def test_residual_contract(self):
-        rng = np.random.default_rng(22)
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        b = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
-        x = solve_regularized(a, 0.5, b)
-        resid = np.linalg.norm((a + 0.5 * np.eye(5)) @ x - b) / np.linalg.norm(b)
-        assert resid < 1e-10
-
-    def test_singular_raises_with_context(self):
-        a = np.ones((3, 3), dtype=complex)
-        with pytest.raises(SingularMatrixError, match="detector setup"):
-            solve_regularized(a, 0.0, np.ones(3), context="detector setup")
-
-    def test_condition_guard(self):
-        a = np.diag([1.0, 1e-14]).astype(complex)
-        with pytest.raises(SingularMatrixError, match="condition number"):
-            solve_regularized(a, 0.0, np.ones(2))
-
-    def test_hermitian_fast_path_agrees(self):
-        rng = np.random.default_rng(23)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        a = m.conj().T @ m + np.eye(4)
-        b = rng.normal(size=4) + 1j * rng.normal(size=4)
-        np.testing.assert_allclose(
-            solve_regularized(a, 0.1, b, hermitian=True),
-            solve_regularized(a, 0.1, b),
-            rtol=1e-12,
-        )
-
-    def test_negative_regularizer_rejected(self):
-        with pytest.raises(ConfigurationError):
-            solve_regularized(np.eye(2), -1.0, np.ones(2))
-
-
 def eigvalsh_verdicts(stack):
     """The reference guard: finite entries and eigenvalue condition within the limit."""
     finite = np.isfinite(stack).all(axis=(-2, -1))
     out = np.zeros(finite.shape, dtype=bool)
     if finite.any():
-        out[finite] = condition_number(stack[finite], hermitian=True) <= CONDITION_LIMIT
+        out[finite] = condition_number(stack[finite]) <= CONDITION_LIMIT
     return out
 
 
@@ -211,7 +141,7 @@ class TestWellConditioned:
         # eigvalsh reads one triangle only and returns finite eigenvalues.
         a = np.eye(3, dtype=complex)
         a[0, 2] = np.nan
-        assert np.isfinite(condition_number(a, hermitian=True))
+        assert np.isfinite(condition_number(a))
         assert not well_conditioned(a)
 
     def test_boundary_and_singular_cases(self):
@@ -228,8 +158,7 @@ class TestWellConditioned:
 
     def test_single_matrix_and_hermitian_solve(self):
         assert well_conditioned(np.eye(4))
-        with pytest.raises(SingularMatrixError, match="condition number"):
-            solve_regularized(np.diag([1.0, 1e-14]), 0.0, np.ones(2), hermitian=True)
+        assert not well_conditioned(np.diag([1.0, 1e-14]).astype(complex))
 
 
 class TestRandomSource:
