@@ -47,7 +47,6 @@ DETECT_CHUNK = 8
 @dataclass(frozen=True)
 class EqualizerOptions:
     detector: str = "zf"            # "zf" | "mmse"
-    track: bool = True
     tracking_variant: str = "re-derived"  # "re-derived" | "as-printed"
     mmse_r: str = "sigma"           # "sigma" | "kron"
 
@@ -246,26 +245,25 @@ def equalize_frame(
     pilots: np.ndarray,
     n_train: int,
     options: EqualizerOptions = EqualizerOptions(),
-    cpe_override: np.ndarray | None = None,
+    phase_updates: np.ndarray | None = None,
 ) -> FrameDecisions:
     """Track the common phase and detect every data bin of a demodulated frame.
 
     ``rx_grids`` is the ``(symbols, n, m_r)`` stack including training
-    symbols; the first ``n_train`` are skipped.  ``cpe_override`` may
-    supply genie per-symbol updates of shape ``(n_data_syms, m_r)``.
+    symbols; the first ``n_train`` are skipped.  With ``phase_updates``
+    None the per-symbol updates are tracked from the pilots; otherwise it
+    supplies them, ``(n_data_syms, m_r)`` (ones apply no update).
     """
     ctx = _frame_context(smap, state, options)
     data = rx_grids[n_train:]
     n_syms, m_t = data.shape[0], state.m_t
-    flagged = np.zeros(n_syms, dtype=bool)
-    if cpe_override is not None:
-        upsilon = np.asarray(cpe_override, dtype=np.complex128)
-    elif options.track:
+    if phase_updates is None:
         upsilon, flagged = _track(
             data, state, pilots, ctx, options.tracking_variant, UPSILON_CEILING
         )
     else:
-        upsilon = np.ones((n_syms, state.m_r), dtype=np.complex128)
+        upsilon = np.asarray(phase_updates, dtype=np.complex128)
+        flagged = np.zeros(n_syms, dtype=bool)
 
     soft = np.zeros((n_syms, smap.n_data, m_t), dtype=np.complex128)
     erased = np.zeros((n_syms, smap.n_data), dtype=bool)

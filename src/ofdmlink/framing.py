@@ -16,7 +16,7 @@ the image-cancelling estimator combination exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,12 +104,8 @@ class FrameConfig:
     n_cp: int = 16
     symbols_per_frame: int = 50
     n_short: int = 1
-    qam_order: int = 16
-    ts: float = 5e-8
 
     def __post_init__(self):
-        if self.qam_order != 16:
-            raise ConfigurationError("only 16-QAM is supported")
         if self.symbols_per_frame < 2 + self.n_short + 1:
             raise ConfigurationError("frame too short for training plus one data symbol")
         if self.m_t < 1 or self.m_r < 1:
@@ -272,7 +268,6 @@ class FrameGroundTruth:
     bits: np.ndarray          # (n_data_syms, n_data, m_t, 4)
     data_symbols: np.ndarray  # (n_data_syms, n_data, m_t)
     pilots: np.ndarray        # (m_t, n_pilots)
-    grids: np.ndarray = field(repr=False, default=None)  # (s, n, m_t) transmitted
 
 
 def assemble_frame(
@@ -311,5 +306,5 @@ def assemble_frame(
     grids[config.n_short + 1] = preamble.t2
     grids[config.n_train :, logical_to_bin(smap.data_bins, n)] = data_syms
     grids[config.n_train :, logical_to_bin(smap.pilot_bins, n)] = pilots.T
-    truth = FrameGroundTruth(bits=bits, data_symbols=data_syms, pilots=pilots, grids=grids)
+    truth = FrameGroundTruth(bits=bits, data_symbols=data_syms, pilots=pilots)
     return grids, truth

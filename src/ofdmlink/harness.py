@@ -8,14 +8,10 @@ sees the same draws (common random numbers) and cross-point comparisons
 are paired too; every result is byte-reproducible regardless of worker
 count or scheduling.
 
-Receiver modes:
-
-* ``full``            estimate IQ mismatch and track the common phase
-* ``iq-only``         estimate IQ mismatch, hold the phase update at identity
-* ``pn-only``         assume no IQ mismatch, track the common phase
-* ``uncompensated``   plain least-squares channel estimate from the first
-                      long symbol, no IQ handling, no tracking
-* ``genie``           ground-truth channel, mismatch, and phase updates
+The receiver modes differ only in the channel estimate they detect with
+(see :func:`receiver_state`) and the common-phase updates they apply:
+``none`` (identity), ``tracked`` (from the pilots) or ``genie`` (ground
+truth).  Each estimate is built once per frame and shared by its modes.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, apply_channel, draw_channel
+from .channel import apply_channel, draw_channel, exp_power_profile
 from .equalization import EqualizerOptions, equalize_frame
 from .estimation import (
     EstimationError,
@@ -64,6 +60,7 @@ from .svgplot import line_chart
 
 __all__ = [
     "MODES",
+    "RECEIVER_MODES",
     "ScenarioConfig",
     "CampaignRow",
     "CampaignResult",
@@ -79,8 +76,15 @@ __all__ = [
     "emit_plots",
 ]
 
-MODES = ("uncompensated", "iq-only", "pn-only", "full", "genie")
-ESTIMATING_MODES = ("full", "iq-only")
+# mode -> (channel estimate, phase updates)
+RECEIVER_MODES = {
+    "uncompensated": ("ls", "none"),
+    "iq-only": ("demixed", "none"),
+    "pn-only": ("direct", "tracked"),
+    "full": ("demixed", "tracked"),
+    "genie": ("genie", "genie"),
+}
+MODES = tuple(RECEIVER_MODES)
 
 CSV_HEADER = (
     "snr_db,beta_hz,mode,detector,ce_method,m_t,m_r,frames_run,"
@@ -122,13 +126,19 @@ class ScenarioConfig:
             raise ConfigurationError("snr list must be nonempty")
         if not self.beta_hz:
             raise ConfigurationError("linewidth list must be nonempty")
+        if any(b < 0 for b in self.beta_hz):
+            raise ConfigurationError("linewidths must be nonnegative")
+        if self.ts <= 0:
+            raise ConfigurationError("sample period must be positive")
         for m in self.modes:
             if m not in MODES:
                 raise ConfigurationError(f"unknown mode {m!r}; choose from {MODES}")
-        # the receiver's own checks of the detector, tracking and MMSE names
-        EqualizerOptions(
-            detector=self.detector, tracking_variant=self.tracking_variant, mmse_r=self.mmse_r
-        )
+        # the frame, grid, pilot, channel and receiver checks, before any frame runs
+        self.frame_config()
+        build_subcarrier_map(self.n)
+        pilot_matrix(self.m_t)
+        exp_power_profile(self.l_taps, self.pdp_decay)
+        self.equalizer_options()
         if self.detector == "mmse" and self.mmse_r == "kron" and self.m_r**2 != 2 * self.m_t:
             raise ConfigurationError("kron-form MMSE regularization needs m_r**2 == 2 m_t")
         if self.ce_method not in ("interp", "iterative"):
@@ -143,7 +153,12 @@ class ScenarioConfig:
     def frame_config(self) -> FrameConfig:
         return FrameConfig(
             m_t=self.m_t, m_r=self.m_r, n=self.n, n_cp=self.n_cp,
-            symbols_per_frame=self.symbols_per_frame, ts=self.ts,
+            symbols_per_frame=self.symbols_per_frame,
+        )
+
+    def equalizer_options(self) -> EqualizerOptions:
+        return EqualizerOptions(
+            detector=self.detector, tracking_variant=self.tracking_variant, mmse_r=self.mmse_r
         )
 
     def iq_params(self) -> IqParams:
@@ -213,10 +228,9 @@ class SimulatedFrame:
 
     rx_grids: np.ndarray         # (symbols, n, m_r) demodulated with impairments
     truth_bits: np.ndarray
-    channel: ChannelRealization
+    h_eff: np.ndarray            # (n, m_r, m_t) channel fused with the preamble-time phase
     iq: IqParams
     sigma2: float                # time-domain noise variance per branch
-    theta_pre: np.ndarray        # (m_r,) common phase over the first long symbol
     cpe_true: np.ndarray         # (n_data_syms, m_r) genie per-symbol updates
 
 
@@ -266,8 +280,8 @@ def simulate_frame(
     cpe = cpe_of(trace, fc.symbol_window(np.arange(fc.n_short, fc.symbols_per_frame)), config.n)
     theta_pre = 0.5 * (cpe[0] + cpe[1])
     return SimulatedFrame(
-        rx_grids=rx_grids, truth_bits=truth.bits, channel=ch, iq=iq, sigma2=sigma2,
-        theta_pre=theta_pre, cpe_true=cpe[2:] / theta_pre,
+        rx_grids=rx_grids, truth_bits=truth.bits, h_eff=theta_pre[None, :, None] * ch.freq,
+        iq=iq, sigma2=sigma2, cpe_true=cpe[2:] / theta_pre,
     )
 
 
@@ -286,6 +300,11 @@ class FrontEnd:
     g: np.ndarray | None     # (m_r,) refined mismatch; None if not estimated or failed
 
 
+def _estimates_mismatch(mode: str) -> bool:
+    estimate, _ = RECEIVER_MODES[mode]
+    return estimate == "demixed"
+
+
 def front_end(
     frame: SimulatedFrame,
     config: ScenarioConfig,
@@ -296,13 +315,13 @@ def front_end(
     """Estimate one frame's preamble stage once for all receiver modes.
 
     The mismatch (adjacent-bin stage then de-mixing) is refined only when
-    an estimating mode is configured.
+    a configured mode detects with the de-mixed channel.
     """
     nulls = logical_to_bin(smap.null_bins, config.n)
     psi = estimate_noise_ici_corr(frame.rx_grids[: fc.n_short, nulls].reshape(-1, config.m_r))
     est = estimate_preamble(frame.rx_grids[fc.n_short], frame.rx_grids[fc.n_short + 1], pre)
     g = None
-    if any(m in ESTIMATING_MODES for m in config.modes):
+    if any(_estimates_mismatch(m) for m in config.modes):
         try:
             g0 = estimate_iq_params(est.chi_a, est.e, pre.owner).g
             g = refine_iq_channel(est, pre.owner, g0, psi=psi)
@@ -318,49 +337,31 @@ def receiver_state(
     fc: FrameConfig,
     smap: SubcarrierMap,
     pre: PreambleSet,
-    mode: str,
+    estimate: str,
     k1: np.ndarray | None,
 ) -> EstimatorState:
-    """The receiver-side state of one mode, built from the frame's front end.
+    """The receiver-side state of one channel estimate, built from the frame's front end.
 
-    ``k1`` is the block-averaged mismatch estimate that the estimating
-    modes (``full``, ``iq-only``) use; the other modes ignore it.
+    ``ls`` is least squares from the first long symbol; ``direct`` is the
+    direct preamble product ``chi_a``, which is the two-symbol least-squares
+    estimate when there is no IQ mismatch; ``demixed`` is the channel
+    de-mixed with ``k1``, the block-averaged mismatch estimate; ``genie`` is
+    the ground-truth channel, mismatch and noise power.
     """
-    n = config.n
-    m_r = config.m_r
-
-    if mode == "genie":
-        h = frame.theta_pre[None, :, None] * frame.channel.freq
+    if estimate == "genie":
         gain = np.abs(frame.iq.k1) ** 2 + np.abs(frame.iq.k2) ** 2
-        psi = np.diag(gain * n * frame.sigma2).astype(np.complex128)
-        return EstimatorState(h_pre=h, k1=frame.iq.k1, psi=psi)
-
-    if mode in ESTIMATING_MODES:
+        psi = np.diag(gain * config.n * frame.sigma2).astype(np.complex128)
+        return EstimatorState(h_pre=frame.h_eff, k1=frame.iq.k1, psi=psi)
+    if estimate == "demixed":
         h = _complete(demix_channel(fe.est, k1), pre, smap, config)
         return EstimatorState(h_pre=h, k1=k1, psi=fe.psi)
-
-    if mode == "pn-only":
-        # Assuming no IQ mismatch, the two-symbol least-squares channel
-        # estimate is exactly the direct-product combination.
-        h = _complete(fe.est.chi_a, pre, smap, config)
-        return EstimatorState(h_pre=h, k1=np.ones(m_r, dtype=np.complex128), psi=fe.psi)
-
-    if mode == "uncompensated":
-        b = logical_to_bin(pre.used, n)
-        ls = frame.rx_grids[fc.n_short][b] / pre.lambda1[:, None]
-        h = _complete(ls, pre, smap, config)
-        return EstimatorState(h_pre=h, k1=np.ones(m_r, dtype=np.complex128), psi=fe.psi)
-
-    raise ConfigurationError(f"unknown mode {mode!r}")
-
-
-def _equalizer_options(config: ScenarioConfig, mode: str) -> EqualizerOptions:
-    return EqualizerOptions(
-        detector=config.detector,
-        track=mode in ("full", "pn-only"),
-        tracking_variant=config.tracking_variant,
-        mmse_r=config.mmse_r,
-    )
+    if estimate == "direct":
+        e = fe.est.chi_a
+    else:  # "ls"
+        b = logical_to_bin(pre.used, config.n)
+        e = frame.rx_grids[fc.n_short][b] / pre.lambda1[:, None]
+    h = _complete(e, pre, smap, config)
+    return EstimatorState(h_pre=h, k1=np.ones(config.m_r, dtype=np.complex128), psi=fe.psi)
 
 
 @dataclass
@@ -390,13 +391,12 @@ def run_point(
     pre = build_preamble(config.m_t, smap)
     short = build_short_symbol(smap, config.m_t)
     pilots = pilot_matrix(config.m_t, smap.pilot_bins.size)
-    # Frame randomness is derived from the frame index alone, so every grid
-    # point sees the same channel/payload/noise-shape draws (common random
-    # numbers): cross-point comparisons are paired, and scheduling or worker
-    # count cannot change any result.
     point_rng = RandomSource(config.master_seed)
     k1_true = config.iq_params().k1
-    estimating = [m for m in config.modes if m in ESTIMATING_MODES]
+    options = config.equalizer_options()
+    no_updates = np.ones((fc.n_data_symbols, config.m_r), dtype=np.complex128)
+    estimates = tuple(dict.fromkeys(RECEIVER_MODES[m][0] for m in config.modes))
+    estimating = [m for m in config.modes if _estimates_mismatch(m)]
 
     acc = {mode: _Accumulator() for mode in config.modes}
     step = config.iq_frame_avg
@@ -418,28 +418,35 @@ def run_point(
                 acc[mode].k1_mse_terms.append(compute_mse_k1(k1_block, k1_true))
 
         for frame, fe in zip(frames, fronts):
-            for mode in config.modes:
-                a = acc[mode]
-                if mode in ESTIMATING_MODES and k1_block is None:
+            states = {}  # estimate -> (receiver state, its mse_ce)
+            for estimate in estimates:
+                if estimate == "demixed" and k1_block is None:
                     continue  # no usable mismatch estimate in this block
                 try:
-                    state = receiver_state(frame, fe, config, fc, smap, pre, mode, k1_block)
-                    dec = equalize_frame(
-                        frame.rx_grids, state, smap, pilots, fc.n_train,
-                        options=_equalizer_options(config, mode),
-                        cpe_override=frame.cpe_true if mode == "genie" else None,
-                    )
+                    state = receiver_state(frame, fe, config, fc, smap, pre, estimate, k1_block)
                 except EstimationError:
-                    continue  # frame recorded as not run for this mode
+                    continue  # frame recorded as not run for the modes of this estimate
+                mse_ce = compute_mse_ce(state.h_pre, frame.h_eff, pre.used, config.n)
+                states[estimate] = (state, mse_ce)
+            updates = {"none": no_updates, "tracked": None, "genie": frame.cpe_true}
+            for mode in config.modes:
+                estimate, phase = RECEIVER_MODES[mode]
+                if estimate not in states:
+                    continue
+                state, mse_ce = states[estimate]
+                dec = equalize_frame(
+                    frame.rx_grids, state, smap, pilots, fc.n_train,
+                    options=options, phase_updates=updates[phase],
+                )
+                a = acc[mode]
                 per_bin_bits = config.m_t * 4
                 wrong = (dec.bits != frame.truth_bits) & ~dec.erased[:, :, None, None]
                 a.bit_errors += int(wrong.sum()) + int(dec.erased.sum()) * per_bin_bits
                 a.bits_total += frame.truth_bits.size
-                h_true_eff = frame.theta_pre[None, :, None] * frame.channel.freq
-                a.mse_ce_sum += compute_mse_ce(state.h_pre, h_true_eff, pre.used, config.n)
+                a.mse_ce_sum += mse_ce
                 a.flagged += dec.flagged_symbols
                 a.frames_run += 1
-                if mode not in ESTIMATING_MODES:
+                if not _estimates_mismatch(mode):
                     a.k1_mse_terms.append(compute_mse_k1(state.k1, frame.iq.k1))
 
     rows = []
@@ -496,8 +503,7 @@ def _series_by(result: CampaignResult, metric: str) -> list:
     series = []
     for mode in result.config.modes:
         for beta in result.config.beta_hz:
-            rows = [r for r in result.rows if r.mode == mode and r.beta_hz == beta]
-            rows.sort(key=lambda r: r.snr_db)
+            rows = sorted(result.filter(mode=mode, beta_hz=beta), key=lambda r: r.snr_db)
             label = f"{mode} b={beta:g}Hz"
             series.append((label, [r.snr_db for r in rows], [getattr(r, metric) for r in rows]))
     return series

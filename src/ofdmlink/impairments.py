@@ -78,12 +78,11 @@ class PhaseNoiseTrace:
     """Per-branch sampled oscillator phase path over one frame.
 
     ``phi[n, q]`` is the phase (radians) of branch ``q`` at sample ``n``;
-    increments are i.i.d. Gaussian with variance ``4 pi beta ts``.
+    :func:`gen_phase_noise` draws i.i.d. Gaussian increments with variance
+    ``4 pi beta ts`` for linewidth ``beta`` and sample period ``ts``.
     """
 
     phi: np.ndarray   # (n_samples, m_r)
-    beta: float       # 3-dB linewidth, Hz
-    ts: float         # sample period, s
 
     @property
     def n_samples(self) -> int:
@@ -115,7 +114,7 @@ def gen_phase_noise(
         phi = np.vstack([np.zeros((1, n_paths)), np.cumsum(inc, axis=0)])
         if shared_oscillator:
             phi = np.repeat(phi, m_r, axis=1)
-    return PhaseNoiseTrace(phi=phi, beta=float(beta), ts=float(ts))
+    return PhaseNoiseTrace(phi=phi)
 
 
 def apply_phase_noise(rx_time: np.ndarray, trace: PhaseNoiseTrace) -> np.ndarray:

@@ -214,13 +214,13 @@ def test_criterion_06_genie_zf_exactness():
         )
         zf = equalize_frame(
             frame.rx_grids, state, smap, pilots, fc.n_train,
-            options=EqualizerOptions(detector="zf", track=False),
-            cpe_override=frame.cpe_true,
+            options=EqualizerOptions(detector="zf"),
+            phase_updates=frame.cpe_true,
         )
         mmse = equalize_frame(
             frame.rx_grids, state_eps, smap, pilots, fc.n_train,
-            options=EqualizerOptions(detector="mmse", track=False),
-            cpe_override=frame.cpe_true,
+            options=EqualizerOptions(detector="mmse"),
+            phase_updates=frame.cpe_true,
         )
         same = same and np.array_equal(zf.bits, mmse.bits)
     elapsed = time.time() - t0

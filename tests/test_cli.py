@@ -126,7 +126,11 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "line",
-        ["tracking_variant = bogus", "mmse_r = bogus", "mimo = 4x4\nmmse_r = kron"],
+        [
+            "tracking_variant = bogus", "mmse_r = bogus", "mimo = 4x4\nmmse_r = kron",
+            "mimo = 5x5", "mimo = 0x2", "beta = -1", "n = 48", "symbols_per_frame = 3",
+            "pdp_decay = 0", "ts = 0", "l_taps = 0",
+        ],
     )
     def test_bad_receiver_setting_exits_config(self, tmp_path, line):
         # caught while the config is built, before any frame runs

@@ -501,11 +501,10 @@ class TestEqualizeFrame:
         rx = rx_clean.copy()
         rx[config.n_train :] *= rot
         state = genie_state(ch, psi_scale=1e-6)
-        tracked = equalize_frame(
-            rx, state, smap, pilots, config.n_train, options=EqualizerOptions(track=True)
-        )
+        tracked = equalize_frame(rx, state, smap, pilots, config.n_train)
         frozen = equalize_frame(
-            rx, state, smap, pilots, config.n_train, options=EqualizerOptions(track=False)
+            rx, state, smap, pilots, config.n_train,
+            phase_updates=np.ones((config.n_data_symbols, 2), dtype=complex),
         )
         err_tracked = np.mean(np.abs(tracked.soft - truth.data_symbols) ** 2)
         err_frozen = np.mean(np.abs(frozen.soft - truth.data_symbols) ** 2)
@@ -521,6 +520,6 @@ class TestEqualizeFrame:
         state = genie_state(ch)
         override = np.repeat(rots[:, None], 2, axis=1)
         dec = equalize_frame(
-            rx, state, smap, pilots, config.n_train, cpe_override=override
+            rx, state, smap, pilots, config.n_train, phase_updates=override
         )
         np.testing.assert_array_equal(dec.bits, truth.bits)

@@ -286,6 +286,4 @@ class TestAssembleFrame:
 
     def test_frame_config_validation(self):
         with pytest.raises(ConfigurationError):
-            FrameConfig(m_t=2, m_r=2, qam_order=64)
-        with pytest.raises(ConfigurationError):
             FrameConfig(m_t=2, m_r=2, symbols_per_frame=3)

@@ -18,6 +18,7 @@ from ofdmlink.framing import (
 )
 from ofdmlink.harness import (
     MODES,
+    RECEIVER_MODES,
     CampaignRow,
     ScenarioConfig,
     compute_mse_ce,
@@ -158,21 +159,18 @@ class TestReceiverState:
         frame, fc, smap, pre = self._frame(config)
         fe = front_end(frame, config, fc, smap, pre)
         k1 = (1.0 + fe.g) / 2.0
-        for mode in ("uncompensated", "iq-only", "pn-only", "full", "genie"):
-            state = receiver_state(frame, fe, config, fc, smap, pre, mode, k1)
+        for mode in MODES:
+            estimate, _ = RECEIVER_MODES[mode]
+            state = receiver_state(frame, fe, config, fc, smap, pre, estimate, k1)
             assert state.h_pre.shape == (64, 2, 2)
             np.testing.assert_array_equal(state.k2, 1 - np.conj(state.k1))
             if mode in ("pn-only", "uncompensated"):
                 np.testing.assert_array_equal(state.k1, np.ones(2))
+            if mode in ("iq-only", "full"):
+                np.testing.assert_array_equal(state.k1, k1)
             if mode == "genie":
                 np.testing.assert_allclose(state.k1, frame.iq.k1)
-
-    def test_unknown_mode_rejected(self):
-        config = ScenarioConfig(frames=1, symbols_per_frame=6)
-        frame, fc, smap, pre = self._frame(config)
-        fe = front_end(frame, config, fc, smap, pre)
-        with pytest.raises(ConfigurationError):
-            receiver_state(frame, fe, config, fc, smap, pre, "psychic", None)
+                np.testing.assert_array_equal(state.h_pre, frame.h_eff)
 
     def test_preamble_estimated_once_per_frame(self, monkeypatch):
         calls = []
@@ -188,6 +186,45 @@ class TestReceiverState:
         rows = run_point(config, 0, 0)
         assert len(calls) == 3
         assert all(r.frames_run == 3 for r in rows)
+
+    @pytest.mark.parametrize("ce_method", ["interp", "iterative"])
+    def test_each_estimate_completed_once_per_frame(self, monkeypatch, ce_method):
+        # full and iq-only share the de-mixed channel; genie completes nothing
+        calls = []
+        complete = harness._complete
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return complete(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_complete", counted)
+        config = ScenarioConfig(
+            frames=4, snr_db=(20.0,), modes=MODES, iq_frame_avg=2, symbols_per_frame=6,
+            ce_method=ce_method,
+        )
+        rows = run_point(config, 0, 0)
+        assert len(calls) == 4 * 3
+        assert all(r.frames_run == 4 for r in rows)
+
+
+def test_run_campaign_reaches_module_level_names(monkeypatch):
+    # Wrappers installed on the module (as the benchmark's probes are) must
+    # see every grid point and frame, so neither name may be bound locally.
+    seen = []
+    point, simulate = harness.run_point, harness.simulate_frame
+
+    def point_spy(*args, **kwargs):
+        seen.append("run_point")
+        return point(*args, **kwargs)
+
+    def simulate_spy(*args, **kwargs):
+        seen.append("simulate_frame")
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_point", point_spy)
+    monkeypatch.setattr(harness, "simulate_frame", simulate_spy)
+    run_campaign(ScenarioConfig(frames=2, snr_db=(20.0,), modes=("genie",), symbols_per_frame=6))
+    assert seen == ["run_point", "simulate_frame", "simulate_frame"]
 
 
 @pytest.fixture(scope="module")

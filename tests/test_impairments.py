@@ -86,7 +86,7 @@ class TestPhaseNoiseGeneration:
 class TestApplyPhaseNoise:
     def test_zero_trace_identity(self):
         x = np.arange(6, dtype=complex).reshape(3, 2)
-        tr = PhaseNoiseTrace(phi=np.zeros((3, 2)), beta=0.0, ts=5e-8)
+        tr = PhaseNoiseTrace(phi=np.zeros((3, 2)))
         np.testing.assert_array_equal(apply_phase_noise(x, tr), x)
 
     def test_magnitude_preserved(self):
@@ -99,12 +99,12 @@ class TestApplyPhaseNoise:
         rng = np.random.default_rng(9)
         grid = rng.normal(size=(64, 1)) + 1j * rng.normal(size=(64, 1))
         tx = modulate_frame(grid[None], 16)
-        tr = PhaseNoiseTrace(phi=np.full((80, 1), 0.37), beta=0.0, ts=5e-8)
+        tr = PhaseNoiseTrace(phi=np.full((80, 1), 0.37))
         out = demodulate_frame(apply_phase_noise(tx, tr), 64, 16, 1)[0]
         np.testing.assert_allclose(out, np.exp(0.37j) * grid, atol=1e-12)
 
     def test_short_trace_rejected(self):
-        tr = PhaseNoiseTrace(phi=np.zeros((10, 1)), beta=0.0, ts=5e-8)
+        tr = PhaseNoiseTrace(phi=np.zeros((10, 1)))
         with pytest.raises(ConfigurationError):
             apply_phase_noise(np.zeros((11, 1), dtype=complex), tr)
 
@@ -140,11 +140,11 @@ class TestApplyIqImbalance:
 
 class TestCpe:
     def test_zero_phase(self):
-        tr = PhaseNoiseTrace(phi=np.zeros((100, 2)), beta=0.0, ts=5e-8)
+        tr = PhaseNoiseTrace(phi=np.zeros((100, 2)))
         np.testing.assert_allclose(cpe_of(tr, 10, 64), [1.0, 1.0])
 
     def test_constant_phase(self):
-        tr = PhaseNoiseTrace(phi=np.full((100, 1), -0.81), beta=0.0, ts=5e-8)
+        tr = PhaseNoiseTrace(phi=np.full((100, 1), -0.81))
         assert cpe_of(tr, 0, 64)[0] == pytest.approx(np.exp(-0.81j))
 
     def test_matches_transform_bin_zero(self):
@@ -154,7 +154,7 @@ class TestCpe:
         np.testing.assert_allclose(got, expected, atol=1e-13)
 
     def test_window_bounds(self):
-        tr = PhaseNoiseTrace(phi=np.zeros((64, 1)), beta=0.0, ts=5e-8)
+        tr = PhaseNoiseTrace(phi=np.zeros((64, 1)))
         with pytest.raises(ConfigurationError):
             cpe_of(tr, 1, 64)
         with pytest.raises(ConfigurationError):
@@ -197,7 +197,7 @@ class TestCombinedModel:
         ch = draw_channel(2, 2, 7, 2.0, root.child("ch"))
         rng = np.random.default_rng(14)
         s = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
-        tr = PhaseNoiseTrace(phi=np.zeros((200, 2)), beta=0.0, ts=5e-8)
+        tr = PhaseNoiseTrace(phi=np.zeros((200, 2)))
         out = combined_freq_model(s, ch, tr, IqParams.ideal(2), 16)
         np.testing.assert_allclose(out, np.einsum("kqp,kp->kq", ch.freq, s), atol=1e-12)
 
@@ -207,7 +207,7 @@ class TestCombinedModel:
         rng = np.random.default_rng(16)
         s = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
         iq = IqParams.uniform(2, 5.0, 10.0)
-        tr = PhaseNoiseTrace(phi=np.zeros((200, 2)), beta=0.0, ts=5e-8)
+        tr = PhaseNoiseTrace(phi=np.zeros((200, 2)))
         faded = np.einsum("kqp,kp->kq", ch.freq, s)
         mirror = np.conj(faded[(-np.arange(64)) % 64])
         expected = iq.k1 * faded + iq.k2 * mirror
