@@ -59,6 +59,8 @@ def _parse_snr(text: str) -> tuple:
         parts = [float(p) for p in text.split(":")]
         if len(parts) != 3:
             raise ConfigurationError(f"SNR range must be a:b:step, got {text!r}")
+        if not all(math.isfinite(p) for p in parts):
+            raise ConfigurationError(f"SNR range endpoints and step must be finite, got {text!r}")
         a, b, step = parts
         if step <= 0:
             raise ConfigurationError("SNR step must be positive")

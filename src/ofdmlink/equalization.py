@@ -70,6 +70,7 @@ class _FrameContext:
     p_bins: np.ndarray    # storage bins of the pilot set, ascending logical
     p_mirror: np.ndarray  # permutation mapping pilot l to the index of -l
     r_matrix: np.ndarray | None  # MMSE regularization, None for ZF
+    r_floor: float        # its smallest eigenvalue, 0 for ZF (no certificate)
 
 
 def _frame_context(
@@ -81,9 +82,10 @@ def _frame_context(
     kpos = np.array([k for k in data if k > 0])
     pilots = smap.pilot_bins
     p_index = {k: i for i, k in enumerate(pilots)}
-    r = None
+    r, r_floor = None, 0.0
     if options.detector == "mmse":
         r = mmse_r_matrix(state, state.m_t, options.mmse_r)
+        r_floor = np.linalg.eigvalsh(r)[0]
     return _FrameContext(
         b_k=logical_to_bin(kpos, n),
         b_mk=logical_to_bin(-kpos, n),
@@ -92,6 +94,7 @@ def _frame_context(
         p_bins=logical_to_bin(pilots, n),
         p_mirror=np.array([p_index[-k] for k in pilots]),
         r_matrix=r,
+        r_floor=r_floor,
     )
 
 
@@ -150,14 +153,14 @@ def _track(
     n_syms, m_r = data.shape[0], state.m_r
     y, ym = _pilot_responses(state, pilots, ctx)
     c = _tracking_matrices(y, ym, state.k1, state.k2, variant)  # (m_r, r, 2, 2)
-    gram = np.einsum("qrij,qrik->qrjk", c.conj(), c)
-    lam = np.maximum(state.psi.diagonal().real, 0.0)
-    reg = gram + lam[:, None, None, None] * np.eye(2, dtype=np.complex128)
-    branch_ok = well_conditioned(reg).all(axis=1)                # (m_r,)
+    ch = c.conj().swapaxes(-1, -2)
+    lam = np.maximum(state.psi.diagonal().real, 0.0)[:, None]    # (m_r, 1)
+    reg = ch @ c + lam[..., None, None] * np.eye(2, dtype=np.complex128)
+    branch_ok = well_conditioned(reg, lam).all(axis=1)           # (m_r,)
 
     z = np.stack([data[:, ctx.p_bins], np.conj(data[:, ctx.p_bins[ctx.p_mirror]])], axis=2)
     z_t = np.moveaxis(z, 3, 1)                                    # (S, m_r, r, 2)
-    rhs = np.einsum("qrij,sqri->sqrj", c.conj(), z_t)
+    rhs = (ch @ z_t[..., None])[..., 0]
     est = np.full((n_syms, m_r), np.nan, dtype=np.complex128)
     if branch_ok.any():
         phi = np.linalg.solve(reg[branch_ok], rhs[:, branch_ok, ..., None])[..., 0]
@@ -218,20 +221,24 @@ def _mixing_matrices(upsilon, state: EstimatorState, b_k, b_mk) -> np.ndarray:
     return np.concatenate([top, bot], axis=2)
 
 
-def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray | None):
+def _solve_pairs(
+    w: np.ndarray, x_stack: np.ndarray, r: np.ndarray | None, r_floor: float = 0.0
+):
     """ZF (``r`` None) or MMSE soft estimates for a stack of mirror pairs.
 
-    ``w`` is ``(..., 2m_r, 2m_t)`` and ``x_stack`` ``(..., 2m_r)``.  Returns
+    ``w`` is ``(..., 2m_r, 2m_t)`` and ``x_stack`` ``(..., 2m_r)``; ``r_floor``
+    is a lower bound on the smallest eigenvalue of ``r`` (0: none).  Returns
     the ``(..., 2m_t)`` estimates ``[s(k); s#(k)]``, zero where the guard
     rejects the pair's system, and the ``(...)`` guard verdicts.
     """
     lead = w.shape[:-2]
     w = w.reshape(-1, *w.shape[-2:])
-    gram = np.einsum("pij,pik->pjk", w.conj(), w)
+    wh = w.conj().swapaxes(-1, -2)
+    gram = wh @ w
     if r is not None:
         gram = gram + r[None]
-    rhs = np.einsum("pij,pi->pj", w.conj(), x_stack.reshape(w.shape[0], -1))
-    good = well_conditioned(gram)
+    rhs = (wh @ x_stack.reshape(w.shape[0], -1, 1))[..., 0]
+    good = well_conditioned(gram, r_floor)
     s_stack = np.zeros(rhs.shape, dtype=np.complex128)
     if good.any():
         s_stack[good] = np.linalg.solve(gram[good], rhs[good][..., None])[..., 0]
@@ -271,7 +278,7 @@ def equalize_frame(
         sl = slice(j, j + DETECT_CHUNK)
         w = _mixing_matrices(upsilon[sl], state, ctx.b_k, ctx.b_mk)
         x_stack = np.concatenate([data[sl, ctx.b_k], np.conj(data[sl, ctx.b_mk])], axis=2)
-        s_stack, good = _solve_pairs(w, x_stack, ctx.r_matrix)
+        s_stack, good = _solve_pairs(w, x_stack, ctx.r_matrix, ctx.r_floor)
         soft[sl, ctx.i_k] = s_stack[..., :m_t]
         soft[sl, ctx.i_mk] = np.conj(s_stack[..., m_t:])
         erased[sl, ctx.i_k] = ~good

@@ -110,6 +110,8 @@ class FrameConfig:
             raise ConfigurationError("frame too short for training plus one data symbol")
         if self.m_t < 1 or self.m_r < 1:
             raise ConfigurationError("antenna counts must be positive")
+        if self.n_cp > self.n:
+            raise ConfigurationError("cyclic prefix must not exceed the FFT size")
 
     @property
     def n_train(self) -> int:

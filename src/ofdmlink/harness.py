@@ -124,12 +124,14 @@ class ScenarioConfig:
             raise ConfigurationError("frames must be >= 1")
         if not self.snr_db:
             raise ConfigurationError("snr list must be nonempty")
+        if any(math.isnan(s) or s == -math.inf for s in self.snr_db):
+            raise ConfigurationError("SNR points must be finite or +inf")
         if not self.beta_hz:
             raise ConfigurationError("linewidth list must be nonempty")
-        if any(b < 0 for b in self.beta_hz):
-            raise ConfigurationError("linewidths must be nonnegative")
-        if self.ts <= 0:
-            raise ConfigurationError("sample period must be positive")
+        if not all(math.isfinite(b) and b >= 0 for b in self.beta_hz):
+            raise ConfigurationError("linewidths must be finite and nonnegative")
+        if not (math.isfinite(self.ts) and self.ts > 0):
+            raise ConfigurationError("sample period must be finite and positive")
         for m in self.modes:
             if m not in MODES:
                 raise ConfigurationError(f"unknown mode {m!r}; choose from {MODES}")

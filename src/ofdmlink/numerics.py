@@ -76,29 +76,54 @@ def condition_number(a: np.ndarray) -> np.ndarray:
         return np.where(lo > 0, hi / np.where(lo > 0, lo, 1.0), np.inf)
 
 
-def well_conditioned(a: np.ndarray) -> np.ndarray:
+def well_conditioned(a: np.ndarray, floor=0.0) -> np.ndarray:
     """Condition-guard verdict for each Hermitian matrix of a stack ``(..., n, n)``.
 
     True exactly where every entry is finite and ``condition_number(a) <=
-    CONDITION_LIMIT``.  Most matrices are accepted without an
-    eigendecomposition: for Hermitian ``A``,
-    ``cond_2(A) <= ||A||_inf ||A^-1||_F``, and a bound of at most
-    ``CONDITION_LIMIT / 100`` (the factor absorbs the rounding of the
-    computed inverse) certifies the matrix.  ``eigvalsh`` decides the rest.
+    CONDITION_LIMIT``.  ``floor`` is a lower bound on the smallest
+    eigenvalue of each matrix, broadcast to ``a.shape[:-2]``; 0 means none.
+    Most matrices are accepted without an eigendecomposition, by one of
+    two certificates that each prove ``cond_2(A) <= CONDITION_LIMIT`` with
+    a factor of 100 to spare for rounding:
+
+    * Regularizer: for ``A = W^H W + R`` with ``R`` Hermitian and
+      ``lambda_min(R) >= floor > 0``, Weyl's inequality gives
+      ``lambda_min(A) >= floor`` (``W^H W`` is positive semidefinite), and
+      ``lambda_max(A) <= trace(A)`` for any such ``A``.  So
+      ``trace(A) <= floor * CONDITION_LIMIT / 100`` certifies the matrix
+      at the cost of a trace.  It also bounds ``cond_2(R)`` by
+      ``CONDITION_LIMIT / 100``, so a ``floor`` read off ``eigvalsh(R)``
+      is accurate to far better than the factor of 100.
+    * Inverse: for Hermitian ``A``, ``cond_2(A) <= ||A||_inf ||A^-1||_F``,
+      and a bound of at most ``CONDITION_LIMIT / 100`` certifies it.
+
+    The inverse runs only on the matrices the regularizer does not
+    certify, and ``eigvalsh`` decides what neither certifies.
     """
     a = np.asarray(a)
-    finite = np.isfinite(a).all(axis=(-2, -1))
+    ok = np.array(np.isfinite(a).all(axis=(-2, -1)))
+    floor = np.broadcast_to(floor, ok.shape)
+    with np.errstate(all="ignore"):
+        trace = np.trace(a, axis1=-2, axis2=-1).real
+        certified = (floor > 0) & np.isfinite(floor) & (trace <= floor * (CONDITION_LIMIT / 100))
+    rest = ok & ~certified
+    if rest.any():
+        ok[rest] = _inverse_certified_or_eigvalsh(a[rest])
+    return ok
+
+
+def _inverse_certified_or_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Verdicts for a stack of finite matrices: the inverse bound, then ``eigvalsh``."""
     with np.errstate(all="ignore"):
         try:
             inv = np.linalg.inv(a)
         except np.linalg.LinAlgError:  # one exactly singular matrix stops the whole stack
-            bound = np.full(finite.shape, np.inf)
+            bound = np.full(a.shape[:-2], np.inf)
         else:
             bound = np.linalg.norm(a, np.inf, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
-    ok = np.array(finite & (bound <= CONDITION_LIMIT / 100))
-    rest = finite & ~ok
-    if rest.any():
-        ok[rest] = condition_number(a[rest]) <= CONDITION_LIMIT
+    ok = bound <= CONDITION_LIMIT / 100
+    if not ok.all():
+        ok[~ok] = condition_number(a[~ok]) <= CONDITION_LIMIT
     return ok
 
 

@@ -1,4 +1,4 @@
-"""Shared helpers: noise-free transmit chains used as test oracles."""
+"""Shared helpers: noise-free transmit chains and the reference condition guard."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from ofdmlink.channel import apply_channel, draw_channel
 from ofdmlink.framing import build_subcarrier_map, demodulate_frame, modulate_frame
 from ofdmlink.impairments import apply_iq_imbalance
-from ofdmlink.numerics import RandomSource, logical_to_bin
+from ofdmlink.numerics import CONDITION_LIMIT, RandomSource, condition_number, logical_to_bin
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +43,12 @@ def owned_channel_columns(ch, pre, scale=None):
 
 def make_channel(m_t=2, m_r=2, l_taps=7, seed=1234, n_fft=64):
     return draw_channel(m_t, m_r, l_taps, 2.0, RandomSource(seed).child("ch"), n_fft=n_fft)
+
+
+def eigvalsh_verdicts(stack):
+    """The reference guard: finite entries and eigenvalue condition within the limit."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    out = np.zeros(finite.shape, dtype=bool)
+    if finite.any():
+        out[finite] = condition_number(stack[finite]) <= CONDITION_LIMIT
+    return out

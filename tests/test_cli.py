@@ -33,6 +33,11 @@ class TestParsers:
         with pytest.raises(ConfigurationError):
             _parse_snr("10:35:0")
 
+    def test_snr_range_must_be_finite(self):
+        for text in ("10:inf:5", "-inf:10:5", "nan:30:5", "10:30:inf", "10:30:nan"):
+            with pytest.raises(ConfigurationError):
+                _parse_snr(text)
+
     def test_mimo(self):
         assert _parse_mimo("2x2") == (2, 2)
         assert _parse_mimo("4X4") == (4, 4)
@@ -136,6 +141,21 @@ class TestMain:
         # caught while the config is built, before any frame runs
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"snr = 20\nbeta = 0\nframes = 1\ndetector = mmse\n{line}\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "beta = nan", "beta = inf", "beta = 0,inf", "ts = nan", "ts = inf", "n_cp = 100",
+            "snr = nan", "snr = -inf", "snr = 20,nan", "snr = 10:inf:5", "snr = 10:30:nan",
+        ],
+    )
+    def test_non_finite_setting_exits_config(self, tmp_path, line):
+        # caught while the config is built: no output directory, no garbage results
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"snr = 20\nbeta = 0\nframes = 1\nmode = genie,full\n{line}\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
         assert not (tmp_path / "out").exists()

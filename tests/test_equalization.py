@@ -183,12 +183,13 @@ def per_symbol_tracker(data, state, smap, pilots, variant, ceiling=UPSILON_CEILI
     ctx = _frame_context(smap, state, EqualizerOptions())
     y, ym = _pilot_responses(state, pilots, ctx)
     c = _tracking_matrices(y, ym, state.k1, state.k2, variant)
-    gram = np.einsum("qrij,qrik->qrjk", c.conj(), c)
+    ch = c.conj().swapaxes(-1, -2)
+    gram = ch @ c
     prev = np.ones(state.m_r, dtype=complex)
     history, flagged = [], 0
     for x in data:
         z = np.stack([x[ctx.p_bins], np.conj(x[ctx.p_bins[ctx.p_mirror]])], axis=1)
-        rhs = np.einsum("qrij,qri->qrj", c.conj(), np.moveaxis(z, 2, 0))
+        rhs = (ch @ np.moveaxis(z, 2, 0)[..., None])[..., 0]
         ups = np.empty(state.m_r, dtype=complex)
         rejected = False
         for q in range(state.m_r):

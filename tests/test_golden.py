@@ -18,6 +18,10 @@ why.
 import os
 import sys
 
+import numpy as np
+
+from conftest import eigvalsh_verdicts
+from ofdmlink import equalization, numerics
 from ofdmlink.harness import CampaignResult, ScenarioConfig, emit_csv, run_campaign
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "results.csv")
@@ -68,6 +72,32 @@ def test_golden_exercises_tracker_fallback():
         if r["seed"] == str(CAMPAIGNS[2].master_seed) and float(r["beta_hz"]) == 0.0
     ]
     assert as_printed and all(int(r["flagged_symbols"]) > 0 for r in as_printed)
+
+
+def test_mmse_guard_verdicts_equal_eigvalsh(monkeypatch):
+    # Every tracker and detector system of the 4x4 MMSE campaign: the
+    # guard, with the floors the receiver passes, gives the eigvalsh
+    # verdict, and the regularizer certificate spares most of them the
+    # inverse.
+    stacks, reached_inverse = [], []
+
+    def guard_spy(a, floor=0.0):
+        verdicts = numerics.well_conditioned(a, floor)
+        stacks.append((np.array(a), verdicts))
+        return verdicts
+
+    def inverse_spy(a):
+        reached_inverse.append(a.shape[0])
+        return inverse_stage(a)
+
+    inverse_stage = numerics._inverse_certified_or_eigvalsh
+    monkeypatch.setattr(equalization, "well_conditioned", guard_spy)
+    monkeypatch.setattr(numerics, "_inverse_certified_or_eigvalsh", inverse_spy)
+    run_campaign(CAMPAIGNS[1])
+    for a, verdicts in stacks:
+        np.testing.assert_array_equal(verdicts, eigvalsh_verdicts(a))
+    total = sum(verdicts.size for _, verdicts in stacks)
+    assert total > 0 and sum(reached_inverse) < total / 2
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import eigvalsh_verdicts
 from ofdmlink.numerics import (
     CONDITION_LIMIT,
     ConfigurationError,
@@ -77,15 +78,6 @@ class TestConjMirror:
         np.testing.assert_allclose(conj_mirror(c * g), np.conj(c) * conj_mirror(g))
 
 
-def eigvalsh_verdicts(stack):
-    """The reference guard: finite entries and eigenvalue condition within the limit."""
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    out = np.zeros(finite.shape, dtype=bool)
-    if finite.any():
-        out[finite] = condition_number(stack[finite]) <= CONDITION_LIMIT
-    return out
-
-
 def hermitian_psd(rng, n, cond, scale=1.0):
     """Hermitian PSD matrix with condition number ``cond`` (inf: one zero eigenvalue)."""
     u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
@@ -103,6 +95,29 @@ _matrix_kind = st.one_of(
     st.tuples(st.just("cond"), st.floats(0.0, 16.0)),
     st.tuples(st.just("limit"), st.floats(-1e-6, 1e-6)),
     st.tuples(st.sampled_from(["singular", "nan", "inf", "zero", "ones"]), st.just(0.0)),
+)
+
+
+def square_with_condition(rng, n, cond, scale=1.0):
+    """Square ``W`` with largest singular value ``scale`` and condition ``cond`` (inf: rank n-1)."""
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    low = 0.0 if np.isinf(cond) else scale / cond
+    spread = 16.0 if np.isinf(cond) else np.log10(cond)
+    sv = np.concatenate([[scale, low], scale * 10.0 ** rng.uniform(-spread, 0.0, n - 2)])
+    return (u * sv) @ v.conj().T
+
+
+# W: "cond" with log10 condition 0 .. 16, "singular" rank-deficient,
+# "nan"/"inf" poison one entry of A; R: "scaled" identity, "random"
+# Hermitian PD with log10 condition 0 .. 16, or "zero" (no regularizer).
+_regularized_kind = st.tuples(
+    st.sampled_from(["cond", "cond", "cond", "singular", "nan", "inf"]),
+    st.floats(0.0, 16.0),
+    st.floats(-6.0, 6.0),
+    st.sampled_from(["scaled", "random", "zero"]),
+    st.floats(0.0, 16.0),
+    st.floats(-6.0, 6.0),
 )
 
 
@@ -136,6 +151,69 @@ class TestWellConditioned:
             stack.append(a)
         stack = np.stack(stack)
         np.testing.assert_array_equal(well_conditioned(stack), eigvalsh_verdicts(stack))
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 4, 8]),
+        st.lists(_regularized_kind, min_size=1, max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_regularizer_certificate_is_sound(self, seed, n, kinds):
+        # A = W^H W + R with the Gram formed as the detector forms it and
+        # floor = eigvalsh(R)[0]: the verdicts are the eigvalsh verdicts
+        # with that floor and without one, and no matrix the trace test
+        # certifies is one eigvalsh rejects.
+        rng = np.random.default_rng(seed)
+        stack, floors = [], []
+        for w_kind, log_cond_w, log_scale_w, r_kind, log_cond_r, log_scale_r in kinds:
+            cond_w = np.inf if w_kind == "singular" else 10.0**log_cond_w
+            w = square_with_condition(rng, n, cond_w, 10.0**log_scale_w)
+            if r_kind == "scaled":
+                r = 10.0**log_scale_r * np.eye(n, dtype=complex)
+            elif r_kind == "random":
+                r = hermitian_psd(rng, n, 10.0**log_cond_r, 10.0**log_scale_r)
+            else:
+                r = np.zeros((n, n), dtype=complex)
+            a = w.conj().swapaxes(-1, -2) @ w + r
+            if w_kind in ("nan", "inf"):
+                i, j = rng.integers(0, n, size=2)
+                a[i, j] = np.nan if w_kind == "nan" else np.inf
+            stack.append(a)
+            floors.append(np.linalg.eigvalsh(r)[0])
+        stack, floors = np.stack(stack), np.array(floors)
+        want = eigvalsh_verdicts(stack)
+        np.testing.assert_array_equal(well_conditioned(stack, floors), want)
+        np.testing.assert_array_equal(well_conditioned(stack), want)
+        trace = np.trace(stack, axis1=-2, axis2=-1).real
+        certified = (
+            np.isfinite(stack).all(axis=(-2, -1))
+            & (floors > 0)
+            & (trace <= floors * (CONDITION_LIMIT / 100))
+        )
+        assert want[certified].all()
+
+    def test_certified_stack_skips_inverse_and_eigvalsh(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("certified matrices need neither inv nor eigvalsh")
+
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        stack = w.conj().swapaxes(-1, -2) @ w + 1e-3 * np.eye(4)
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        assert well_conditioned(stack, 1e-3).all()
+        # the same stack without a floor must take the guarded path
+        with pytest.raises(AssertionError, match="neither"):
+            well_conditioned(stack)
+
+    def test_floor_broadcasts_over_the_stack(self):
+        # (branches, pilots) systems with one floor per branch, as the tracker passes them
+        stack = np.broadcast_to(np.diag([1.0, 1e-14]).astype(complex), (2, 3, 2, 2)).copy()
+        stack[1] += 1e-3 * np.eye(2)
+        floor = np.array([[0.0], [1e-3]])
+        np.testing.assert_array_equal(
+            well_conditioned(stack, floor), [[False] * 3, [True] * 3]
+        )
 
     def test_nan_in_the_unread_triangle_is_rejected(self):
         # eigvalsh reads one triangle only and returns finite eigenvalues.
