@@ -21,7 +21,7 @@ def exp_power_profile(l_taps: int, decay: float) -> np.ndarray:
     """Exponential tap-power profile ``pdp(l) ~ e^{-l/decay}`` normalized to sum 1."""
     if l_taps < 1:
         raise ConfigurationError("need at least one channel tap")
-    if decay <= 0:
+    if not decay > 0:  # also refuses nan
         raise ConfigurationError("decay constant must be positive")
     w = np.exp(-np.arange(l_taps) / float(decay))
     return w / w.sum()

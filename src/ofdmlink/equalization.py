@@ -21,6 +21,7 @@ stack of symbols and pairs at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +62,7 @@ class EqualizerOptions:
 
 @dataclass(frozen=True)
 class _FrameContext:
-    """Index tables and constants shared by every symbol of one frame."""
+    """Index tables shared by every symbol, and the regularizer of each frame."""
 
     b_k: np.ndarray       # storage bins of positive data bins (one per pair)
     b_mk: np.ndarray      # storage bins of their mirrors
@@ -69,66 +70,62 @@ class _FrameContext:
     i_mk: np.ndarray      # positions of the mirror bins
     p_bins: np.ndarray    # storage bins of the pilot set, ascending logical
     p_mirror: np.ndarray  # permutation mapping pilot l to the index of -l
-    r_matrix: np.ndarray | None  # MMSE regularization, None for ZF
-    r_floor: float        # its smallest eigenvalue, 0 for ZF (no certificate)
+    r_matrix: np.ndarray | None  # (..., 2m_t, 2m_t) MMSE regularization, None for ZF
+    r_floor: np.ndarray | float  # (...) its smallest eigenvalue, 0 for ZF (no certificate)
 
 
 def _frame_context(
     smap: SubcarrierMap, state: EstimatorState, options: EqualizerOptions
 ) -> _FrameContext:
     n = smap.n
-    data = smap.data_bins
-    pos = {k: i for i, k in enumerate(data)}
-    kpos = np.array([k for k in data if k > 0])
-    pilots = smap.pilot_bins
-    p_index = {k: i for i, k in enumerate(pilots)}
+    data, pilots = smap.data_bins, smap.pilot_bins
+    kpos = data[data > 0]
     r, r_floor = None, 0.0
     if options.detector == "mmse":
         r = mmse_r_matrix(state, state.m_t, options.mmse_r)
-        r_floor = np.linalg.eigvalsh(r)[0]
+        r_floor = np.linalg.eigvalsh(r)[..., 0]
     return _FrameContext(
         b_k=logical_to_bin(kpos, n),
         b_mk=logical_to_bin(-kpos, n),
-        i_k=np.array([pos[k] for k in kpos]),
-        i_mk=np.array([pos[-k] for k in kpos]),
+        i_k=np.searchsorted(data, kpos),
+        i_mk=np.searchsorted(data, -kpos),
         p_bins=logical_to_bin(pilots, n),
-        p_mirror=np.array([p_index[-k] for k in pilots]),
+        p_mirror=np.searchsorted(pilots, -pilots),
         r_matrix=r,
         r_floor=r_floor,
     )
 
 
 def _pilot_responses(state: EstimatorState, pilots: np.ndarray, ctx: _FrameContext):
-    """Predicted pilot responses ``y`` and mirror terms ``ym``, both (r, m_r)."""
-    y = np.einsum("lqp,pl->lq", state.h_pre[ctx.p_bins], pilots)
-    y_mk = np.einsum(
-        "lqp,pl->lq", state.h_pre[ctx.p_bins[ctx.p_mirror]], pilots[:, ctx.p_mirror]
-    )
+    """Predicted pilot responses ``y`` and mirror terms ``ym``, both (..., r, m_r)."""
+    h = np.take(state.h_pre, ctx.p_bins, axis=-3)
+    y = np.einsum("...lqp,pl->...lq", h, pilots)
+    y_mk = np.einsum("...lqp,pl->...lq", np.take(h, ctx.p_mirror, axis=-3), pilots[:, ctx.p_mirror])
     return y, np.conj(y_mk)
 
 
 def _tracking_matrices(
     y: np.ndarray, ym: np.ndarray, k1: np.ndarray, k2: np.ndarray, variant: str
 ) -> np.ndarray:
-    """Stacked (m_r, r, 2, 2) linear models mapping [Re, Im] of the update to z."""
-    m_r, r = y.shape[1], y.shape[0]
-    c = np.empty((m_r, r, 2, 2), dtype=np.complex128)
-    yt, ymt = y.T, ym.T  # (m_r, r)
+    """Stacked (..., m_r, r, 2, 2) linear models mapping [Re, Im] of the update to z."""
+    c = np.empty((*y.shape[:-2], y.shape[-1], y.shape[-2], 2, 2), dtype=np.complex128)
+    yt, ymt = np.swapaxes(y, -1, -2), np.swapaxes(ym, -1, -2)  # (..., m_r, r)
+    k1, k2 = k1[..., None], k2[..., None]
     if variant == "re-derived":
         # x(l)  = k1 y Ups + k2 ym conj(Ups); x#(l) = conj(k2) y Ups + conj(k1) ym conj(Ups)
-        c[:, :, 0, 0] = k1[:, None] * yt + k2[:, None] * ymt
-        c[:, :, 0, 1] = 1j * (k1[:, None] * yt - k2[:, None] * ymt)
-        c[:, :, 1, 0] = np.conj(k1)[:, None] * ymt + np.conj(k2)[:, None] * yt
-        c[:, :, 1, 1] = 1j * (np.conj(k2)[:, None] * yt - np.conj(k1)[:, None] * ymt)
+        c[..., 0, 0] = k1 * yt + k2 * ymt
+        c[..., 0, 1] = 1j * (k1 * yt - k2 * ymt)
+        c[..., 1, 0] = np.conj(k1) * ymt + np.conj(k2) * yt
+        c[..., 1, 1] = 1j * (np.conj(k2) * yt - np.conj(k1) * ymt)
     else:
         # Literal published construction: C = y X1 + y# X2.  Expanding the
         # stacked pilot model shows the second column needs the factor j
         # and the image coefficient; kept for comparison, known not to
         # recover the update even noiselessly.
-        c[:, :, 0, 0] = k1[:, None] * (yt + ymt)
-        c[:, :, 0, 1] = k1[:, None] * (yt - ymt)
-        c[:, :, 1, 0] = np.conj(k2)[:, None] * (yt + ymt)
-        c[:, :, 1, 1] = np.conj(k2)[:, None] * (yt - ymt)
+        c[..., 0, 0] = k1 * (yt + ymt)
+        c[..., 0, 1] = k1 * (yt - ymt)
+        c[..., 1, 0] = np.conj(k2) * (yt + ymt)
+        c[..., 1, 1] = np.conj(k2) * (yt - ymt)
     return c
 
 
@@ -140,43 +137,49 @@ def _track(
     variant: str,
     ceiling: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-symbol, per-branch common-phase updates of a frame.
+    """Per-symbol, per-branch common-phase updates of a frame or a stack of frames.
 
-    ``data`` is the ``(symbols, n, m_r)`` stack of data symbols.  Solves
+    ``data`` is the ``(..., symbols, n, m_r)`` stack of data symbols, its
+    leading axes frames that broadcast with those of ``state``.  Solves
     the regularized pilot model of every symbol and branch, averages over
     the pilot bins, and replaces an update whose branch system is rejected
     by the condition guard, or whose value is not finite or exceeds
-    ``ceiling``, by the last accepted update of its branch.  Returns the
-    ``(symbols, m_r)`` updates and the ``(symbols,)`` flags of symbols
-    with any rejected branch.
+    ``ceiling``, by the last accepted update of its branch in the same
+    frame.  Returns the ``(..., symbols, m_r)`` updates and the
+    ``(..., symbols)`` flags of symbols with any rejected branch.
     """
-    n_syms, m_r = data.shape[0], state.m_r
+    n_syms = data.shape[-3]
     y, ym = _pilot_responses(state, pilots, ctx)
-    c = _tracking_matrices(y, ym, state.k1, state.k2, variant)  # (m_r, r, 2, 2)
+    c = _tracking_matrices(y, ym, state.k1, state.k2, variant)  # (..., m_r, r, 2, 2)
     ch = c.conj().swapaxes(-1, -2)
-    lam = np.maximum(state.psi.diagonal().real, 0.0)[:, None]    # (m_r, 1)
+    lam = np.maximum(np.diagonal(state.psi, axis1=-2, axis2=-1).real, 0.0)[..., None]
     reg = ch @ c + lam[..., None, None] * np.eye(2, dtype=np.complex128)
-    branch_ok = well_conditioned(reg, lam).all(axis=1)           # (m_r,)
+    lead = np.broadcast_shapes(data.shape[:-3], reg.shape[:-4])
+    reg = np.broadcast_to(reg, (*lead, *reg.shape[-4:]))
+    branch_ok = well_conditioned(reg, lam).all(axis=-1)           # (..., m_r)
 
-    z = np.stack([data[:, ctx.p_bins], np.conj(data[:, ctx.p_bins[ctx.p_mirror]])], axis=2)
-    z_t = np.moveaxis(z, 3, 1)                                    # (S, m_r, r, 2)
-    rhs = (ch @ z_t[..., None])[..., 0]
-    est = np.full((n_syms, m_r), np.nan, dtype=np.complex128)
+    pb = np.take(data, ctx.p_bins, axis=-2)
+    z = np.stack([pb, np.conj(np.take(pb, ctx.p_mirror, axis=-2))], axis=-2)  # (..., S, r, 2, m_r)
+    z_t = np.moveaxis(z, -1, -3)                                  # (..., S, m_r, r, 2)
+    rhs = (ch[..., None, :, :, :, :] @ z_t[..., None])[..., 0]
+    est = np.full((*lead, n_syms, state.m_r), np.nan, dtype=np.complex128)
     if branch_ok.any():
-        phi = np.linalg.solve(reg[branch_ok], rhs[:, branch_ok, ..., None])[..., 0]
-        mean = phi.mean(axis=2)                                   # (S, ok, 2)
-        est[:, branch_ok] = mean[..., 0].real + 1j * mean[..., 1].real
+        # one system per accepted (frame, branch), solved for all its symbols
+        rhs_b = np.moveaxis(rhs, -3, -4)                          # (..., m_r, S, r, 2)
+        phi = np.linalg.solve(reg[branch_ok][:, None], rhs_b[branch_ok][..., None])[..., 0]
+        mean = phi.mean(axis=-2)                                  # (ok, S, 2)
+        np.moveaxis(est, -1, -2)[branch_ok] = mean[..., 0].real + 1j * mean[..., 1].real
     accepted = np.isfinite(est) & (np.abs(est) <= ceiling)
 
     last = np.where(accepted, np.arange(n_syms)[:, None], -1)
-    np.maximum.accumulate(last, axis=0, out=last)
-    filled = np.take_along_axis(est, np.maximum(last, 0), axis=0)
+    np.maximum.accumulate(last, axis=-2, out=last)
+    filled = np.take_along_axis(est, np.maximum(last, 0), axis=-2)
     upsilon = np.where(last >= 0, filled, 1.0 + 0j)
-    return upsilon, ~accepted.all(axis=1)
+    return upsilon, ~accepted.all(axis=-1)
 
 
 def mmse_r_matrix(state: EstimatorState, m_t: int, kind: str = "sigma") -> np.ndarray:
-    """Regularization for the MMSE detector.
+    """Regularization for the MMSE detector, one per frame (leading axes of ``psi``).
 
     ``sigma`` uses the average per-branch noise power from the measured
     correlation matrix; ``kron`` uses its Kronecker product with
@@ -185,13 +188,14 @@ def mmse_r_matrix(state: EstimatorState, m_t: int, kind: str = "sigma") -> np.nd
     """
     m_r = state.m_r
     if kind == "sigma":
-        sigma2 = max(float(np.trace(state.psi).real) / m_r, 0.0)
-        return sigma2 * np.eye(2 * m_t, dtype=np.complex128)
+        trace = np.trace(state.psi, axis1=-2, axis2=-1).real
+        sigma2 = np.maximum(trace / m_r, 0.0)
+        return sigma2[..., None, None] * np.eye(2 * m_t, dtype=np.complex128)
     if kind == "kron":
         r = np.kron(state.psi, np.eye(m_r, dtype=np.complex128))
-        if r.shape != (2 * m_t, 2 * m_t):
+        if r.shape[-2:] != (2 * m_t, 2 * m_t):
             raise ConfigurationError(
-                f"kron-form regularizer is {r.shape} but the detector needs {(2 * m_t, 2 * m_t)}"
+                f"kron-form regularizer is {r.shape[-2:]} but the detector needs {(2 * m_t, 2 * m_t)}"
             )
         return r
     raise ConfigurationError(f"unknown MMSE regularization {kind!r}")
@@ -199,50 +203,48 @@ def mmse_r_matrix(state: EstimatorState, m_t: int, kind: str = "sigma") -> np.nd
 
 @dataclass(frozen=True)
 class FrameDecisions:
-    bits: np.ndarray      # (n_data_syms, n_data, m_t, 4)
-    soft: np.ndarray      # (n_data_syms, n_data, m_t)
-    erased: np.ndarray    # (n_data_syms, n_data) bool
-    flagged_symbols: int
-    cpe_history: np.ndarray = field(repr=False, default=None)  # (n_data_syms, m_r)
+    bits: np.ndarray      # (..., n_data_syms, n_data, m_t, 4)
+    soft: np.ndarray      # (..., n_data_syms, n_data, m_t)
+    erased: np.ndarray    # (..., n_data_syms, n_data) bool
+    flagged_symbols: int  # over every frame of the stack
+    cpe_history: np.ndarray = field(repr=False, default=None)  # (..., n_data_syms, m_r)
 
 
 def _mixing_matrices(upsilon, state: EstimatorState, b_k, b_mk) -> np.ndarray:
-    """Stacked mirror-pair mixing matrices ``W``, ``(symbols, pairs, 2m_r, 2m_t)``.
+    """Stacked mirror-pair mixing matrices ``W``, ``(..., pairs, 2m_r, 2m_t)``.
 
-    ``upsilon`` holds the ``(symbols, m_r)`` phase updates, ``b_k`` the
+    ``upsilon`` holds the ``(..., m_r)`` phase updates, one per symbol, with
+    leading axes that broadcast with those of ``state``; ``b_k`` holds the
     storage bins of the pairs and ``b_mk`` those of their mirrors.
     """
-    h_k = upsilon[:, None, :, None] * state.h_pre[b_k]                 # (S, P, m_r, m_t)
-    h_mk = np.conj(upsilon)[:, None, :, None] * np.conj(state.h_pre[b_mk])
-    k1 = state.k1[:, None]
-    k2 = state.k2[:, None]
-    top = np.concatenate([k1 * h_k, k2 * h_mk], axis=3)
-    bot = np.concatenate([np.conj(k2) * h_k, np.conj(k1) * h_mk], axis=3)
-    return np.concatenate([top, bot], axis=2)
+    h_k = upsilon[..., None, :, None] * np.take(state.h_pre, b_k, axis=-3)   # (..., P, m_r, m_t)
+    h_mk = np.conj(upsilon)[..., None, :, None] * np.conj(np.take(state.h_pre, b_mk, axis=-3))
+    k1 = state.k1[..., None, :, None]
+    k2 = state.k2[..., None, :, None]
+    top = np.concatenate([k1 * h_k, k2 * h_mk], axis=-1)
+    bot = np.concatenate([np.conj(k2) * h_k, np.conj(k1) * h_mk], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
 
 
-def _solve_pairs(
-    w: np.ndarray, x_stack: np.ndarray, r: np.ndarray | None, r_floor: float = 0.0
-):
+def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray | None, r_floor=0.0):
     """ZF (``r`` None) or MMSE soft estimates for a stack of mirror pairs.
 
-    ``w`` is ``(..., 2m_r, 2m_t)`` and ``x_stack`` ``(..., 2m_r)``; ``r_floor``
-    is a lower bound on the smallest eigenvalue of ``r`` (0: none).  Returns
+    ``w`` is ``(..., 2m_r, 2m_t)`` and ``x_stack`` holds ``(..., 2m_r)``;
+    ``r`` broadcasts to ``(..., 2m_t, 2m_t)`` and ``r_floor``, a lower bound
+    on the smallest eigenvalue of ``r`` (0: none), to ``(...)``.  Returns
     the ``(..., 2m_t)`` estimates ``[s(k); s#(k)]``, zero where the guard
     rejects the pair's system, and the ``(...)`` guard verdicts.
     """
-    lead = w.shape[:-2]
-    w = w.reshape(-1, *w.shape[-2:])
     wh = w.conj().swapaxes(-1, -2)
     gram = wh @ w
     if r is not None:
-        gram = gram + r[None]
-    rhs = (wh @ x_stack.reshape(w.shape[0], -1, 1))[..., 0]
+        gram = gram + r
+    rhs = (wh @ x_stack.reshape(*w.shape[:-1], 1))[..., 0]
     good = well_conditioned(gram, r_floor)
     s_stack = np.zeros(rhs.shape, dtype=np.complex128)
     if good.any():
         s_stack[good] = np.linalg.solve(gram[good], rhs[good][..., None])[..., 0]
-    return s_stack.reshape(*lead, -1), good.reshape(lead)
+    return s_stack, good
 
 
 def equalize_frame(
@@ -254,16 +256,19 @@ def equalize_frame(
     options: EqualizerOptions = EqualizerOptions(),
     phase_updates: np.ndarray | None = None,
 ) -> FrameDecisions:
-    """Track the common phase and detect every data bin of a demodulated frame.
+    """Track the common phase and detect every data bin of a demodulated frame or frame stack.
 
-    ``rx_grids`` is the ``(symbols, n, m_r)`` stack including training
-    symbols; the first ``n_train`` are skipped.  With ``phase_updates``
-    None the per-symbol updates are tracked from the pilots; otherwise it
-    supplies them, ``(n_data_syms, m_r)`` (ones apply no update).
+    ``rx_grids`` is the ``(..., symbols, n, m_r)`` stack including training
+    symbols, leading axes being frames (a field of ``state`` has the same
+    leading axes or none); the first ``n_train`` symbols are skipped.  With
+    ``phase_updates`` None the per-symbol updates are tracked from the
+    pilots; otherwise it supplies them, ``(..., n_data_syms, m_r)`` (ones
+    apply no update).  Detection runs ``DETECT_CHUNK`` symbols at a time
+    over the frames' symbols in order.
     """
     ctx = _frame_context(smap, state, options)
-    data = rx_grids[n_train:]
-    n_syms, m_t = data.shape[0], state.m_t
+    data = rx_grids[..., n_train:, :, :]
+    lead, (n_syms, n, m_r), m_t = data.shape[:-3], data.shape[-3:], state.m_t
     if phase_updates is None:
         upsilon, flagged = _track(
             data, state, pilots, ctx, options.tracking_variant, UPSILON_CEILING
@@ -272,19 +277,38 @@ def equalize_frame(
         upsilon = np.asarray(phase_updates, dtype=np.complex128)
         flagged = np.zeros(n_syms, dtype=bool)
 
-    soft = np.zeros((n_syms, smap.n_data, m_t), dtype=np.complex128)
-    erased = np.zeros((n_syms, smap.n_data), dtype=bool)
-    for j in range(0, n_syms, DETECT_CHUNK):
+    # one row per (frame, symbol); each row's state is its frame's
+    frames = math.prod(lead)
+    rows = frames * n_syms
+    x = data.reshape(rows, n, m_r)
+    ups = np.broadcast_to(upsilon, (*lead, n_syms, m_r)).reshape(rows, m_r)
+    frame_of = np.repeat(np.arange(frames), n_syms)
+    h_pre = np.broadcast_to(state.h_pre, (*lead, n, m_r, m_t)).reshape(frames, n, m_r, m_t)
+    k1 = np.broadcast_to(state.k1, (*lead, m_r)).reshape(frames, m_r)
+    r = r_floor = None
+    if ctx.r_matrix is not None:
+        r = np.broadcast_to(ctx.r_matrix, (*lead, 2 * m_t, 2 * m_t)).reshape(frames, 2 * m_t, 2 * m_t)
+        r_floor = np.broadcast_to(ctx.r_floor, lead).reshape(frames)
+
+    soft = np.zeros((rows, smap.n_data, m_t), dtype=np.complex128)
+    erased = np.zeros((rows, smap.n_data), dtype=bool)
+    for j in range(0, rows, DETECT_CHUNK):
         sl = slice(j, j + DETECT_CHUNK)
-        w = _mixing_matrices(upsilon[sl], state, ctx.b_k, ctx.b_mk)
-        x_stack = np.concatenate([data[sl, ctx.b_k], np.conj(data[sl, ctx.b_mk])], axis=2)
-        s_stack, good = _solve_pairs(w, x_stack, ctx.r_matrix, ctx.r_floor)
+        f = frame_of[sl]
+        row_state = EstimatorState(h_pre=h_pre[f], k1=k1[f], psi=None)
+        w = _mixing_matrices(ups[sl], row_state, ctx.b_k, ctx.b_mk)
+        x_stack = np.concatenate([x[sl][:, ctx.b_k], np.conj(x[sl][:, ctx.b_mk])], axis=2)
+        if r is None:
+            s_stack, good = _solve_pairs(w, x_stack, None)
+        else:
+            s_stack, good = _solve_pairs(w, x_stack, r[f][:, None], r_floor[f][:, None])
         soft[sl, ctx.i_k] = s_stack[..., :m_t]
         soft[sl, ctx.i_mk] = np.conj(s_stack[..., m_t:])
         erased[sl, ctx.i_k] = ~good
         erased[sl, ctx.i_mk] = ~good
-    bits = qam16_demap(soft).reshape(n_syms, smap.n_data, m_t, 4)
+    shape = (*lead, n_syms, smap.n_data)
+    bits = qam16_demap(soft).reshape(*shape, m_t, 4)
     return FrameDecisions(
-        bits=bits, soft=soft, erased=erased, flagged_symbols=int(flagged.sum()),
-        cpe_history=upsilon,
+        bits=bits, soft=soft.reshape(*shape, m_t), erased=erased.reshape(shape),
+        flagged_symbols=int(flagged.sum()), cpe_history=upsilon,
     )

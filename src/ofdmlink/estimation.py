@@ -58,16 +58,16 @@ class EstimationError(RuntimeError):
 class PreambleEstimate:
     """Raw per-used-bin products of the two long training symbols."""
 
-    chi_a: np.ndarray  # (n_used, m_r)
-    chi_b: np.ndarray  # (n_used, m_r)
-    e: np.ndarray      # (n_used, m_r) per-bin effective-channel estimates
+    chi_a: np.ndarray  # (..., n_used, m_r)
+    chi_b: np.ndarray  # (..., n_used, m_r)
+    e: np.ndarray      # (..., n_used, m_r) per-bin effective-channel estimates
 
 
 @dataclass(frozen=True)
 class IqEstimate:
     """Per-branch IQ mismatch estimate ``g = eps e^{-j theta}``."""
 
-    g: np.ndarray      # (m_r,) complex eps*e^{-j theta}, averaged over bin pairs
+    g: np.ndarray      # (..., m_r) complex eps*e^{-j theta}, averaged over bin pairs
 
     @property
     def k1(self) -> np.ndarray:
@@ -84,12 +84,13 @@ class EstimatorState:
 
     ``h_pre`` is the effective channel (physical channel fused with the
     preamble-time common phase) on every used bin; ``k2`` is derived from
-    ``k1`` so the defining identity holds exactly.
+    ``k1`` so the defining identity holds exactly.  Leading axes, where
+    present, are frames; a field without them is shared by every frame.
     """
 
-    h_pre: np.ndarray       # (n, m_r, m_t)
-    k1: np.ndarray          # (m_r,) diagonal
-    psi: np.ndarray         # (m_r, m_r) noise + ICI correlation
+    h_pre: np.ndarray       # (..., n, m_r, m_t)
+    k1: np.ndarray          # (..., m_r) diagonal
+    psi: np.ndarray         # (..., m_r, m_r) noise + ICI correlation
 
     @property
     def k2(self) -> np.ndarray:
@@ -97,23 +98,24 @@ class EstimatorState:
 
     @property
     def m_r(self) -> int:
-        return self.h_pre.shape[1]
+        return self.h_pre.shape[-2]
 
     @property
     def m_t(self) -> int:
-        return self.h_pre.shape[2]
+        return self.h_pre.shape[-1]
 
 
 def estimate_noise_ici_corr(samples: np.ndarray) -> np.ndarray:
     """Sample correlation of null-bin observations: mean of ``x x^H``.
 
-    ``samples`` is ``(n_samples, m_r)`` with one row per (symbol, null
-    bin) observation.  Hermitian positive semidefinite by construction.
+    ``samples`` is ``(..., n_samples, m_r)`` with one row per (symbol,
+    null bin) observation and leading frame axes.  Hermitian positive
+    semidefinite by construction.
     """
-    x = np.asarray(samples, dtype=np.complex128)
-    if x.ndim != 2 or x.shape[0] == 0:
+    x = np.ascontiguousarray(samples, dtype=np.complex128)
+    if x.ndim < 2 or x.shape[-2] == 0:
         raise EstimationError("need at least one null-bin sample")
-    return x.T @ x.conj() / x.shape[0]
+    return np.swapaxes(x, -1, -2) @ x.conj() / x.shape[-2]
 
 
 def estimate_preamble(
@@ -121,19 +123,19 @@ def estimate_preamble(
 ) -> PreambleEstimate:
     """Combine the two received long-symbol grids into per-bin channel estimates.
 
-    ``psi1``/``psi2`` are the ``(n, m_r)`` demodulated grids of the first
-    and second long training symbols.
+    ``psi1``/``psi2`` are the ``(..., n, m_r)`` demodulated grids of the
+    first and second long training symbols, leading axes being frames.
     """
-    n = psi1.shape[0]
+    n = psi1.shape[-2]
     used = pre.used
     if not np.array_equal(used, -used[::-1]):
         raise ConfigurationError("used bins must be mirror-symmetric")
     b = logical_to_bin(used, n)
-    p1 = psi1[b] / pre.lambda1[:, None]
-    p2 = psi2[b] / pre.lambda2[:, None]
+    p1 = np.take(psi1, b, axis=-2) / pre.lambda1[:, None]
+    p2 = np.take(psi2, b, axis=-2) / pre.lambda2[:, None]
     chi_a = 0.5 * (p1 + p2)
     chi_b = 0.5 * (p1 - p2)
-    e = chi_a + np.conj(chi_b[::-1])
+    e = chi_a + np.conj(chi_b[..., ::-1, :])
     return PreambleEstimate(chi_a=chi_a, chi_b=chi_b, e=e)
 
 
@@ -148,28 +150,29 @@ def estimate_iq_params(
     For each pair of consecutive used bins owned by different antennas,
     ``2 (chi_a-diff / e-diff) - 1`` equals ``eps e^{-j theta}`` per
     branch; the complex values are averaged over all non-degenerate
-    pairs.
+    pairs.  A frame (leading axes) with a receive branch that has no
+    usable pair gets a NaN estimate on every branch.
     """
-    alpha = e[:-1] - e[1:]
-    beta = chi_a[:-1] - chi_a[1:]
+    alpha = e[..., :-1, :] - e[..., 1:, :]
+    beta = chi_a[..., :-1, :] - chi_a[..., 1:, :]
     cross = owner[:-1] != owner[1:]
     ok = cross[:, None] & (np.abs(alpha) > tol)
-    if not ok.any():
-        raise EstimationError("all adjacent-bin pairs degenerate; cannot estimate IQ mismatch")
     ratio = np.where(ok, 2.0 * np.divide(beta, np.where(ok, alpha, 1.0)) - 1.0, 0.0)
-    counts = ok.sum(axis=0)
-    if np.any(counts == 0):
-        raise EstimationError("a receive branch has no usable bin pair")
-    g = ratio.sum(axis=0) / counts
-    return IqEstimate(g=g)
+    counts = ok.sum(axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = ratio.sum(axis=-2) / counts
+    return IqEstimate(g=np.where((counts == 0).any(axis=-1)[..., None], np.nan, g))
 
 
-def _mixing_det(k1: np.ndarray) -> np.ndarray:
-    """``|K1|^2 - |K2|^2`` per branch; raises where the image cannot be separated."""
-    det = np.abs(k1) ** 2 - np.abs(1.0 - np.conj(k1)) ** 2
-    if np.any(np.abs(det) < 0.1):
-        raise EstimationError("IQ mixing too close to singular to separate the image")
-    return det
+def _mixing_det(k1: np.ndarray):
+    """``|K1|^2 - |K2|^2`` per branch, and whether each frame can separate the image.
+
+    A frame (leading axes of ``k1``) separates it when every branch's
+    determinant is at least 0.1 in magnitude; a non-finite one never does.
+    """
+    with np.errstate(invalid="ignore"):
+        det = np.abs(k1) ** 2 - np.abs(1.0 - np.conj(k1)) ** 2
+    return det, (np.abs(det) >= 0.1).all(axis=-1)
 
 
 def _demix(chi_a: np.ndarray, chi_b: np.ndarray, k1: np.ndarray):
@@ -181,19 +184,26 @@ def _demix(chi_a: np.ndarray, chi_b: np.ndarray, k1: np.ndarray):
         conj(chi_b(-k)) = conj(K2) u(k) + conj(K1) m(k)
 
     with ``m(k) = w conj(u(-k))`` the common-phase-difference leakage, so
-    both are recovered whenever ``|K1|^2 != |K2|^2``.
+    both are recovered whenever ``|K1|^2 != |K2|^2``.  Also returns which
+    frames are separable; the others carry meaningless values.
     """
-    det = _mixing_det(k1)
+    det, separable = _mixing_det(k1)
+    k1, det = k1[..., None, :], det[..., None, :]
     k2 = 1.0 - np.conj(k1)
-    cbm = np.conj(chi_b[::-1])
-    u = (np.conj(k1) * chi_a - k2 * cbm) / det
-    m = (k1 * cbm - np.conj(k2) * chi_a) / det
-    return u, m
+    cbm = np.conj(chi_b[..., ::-1, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = (np.conj(k1) * chi_a - k2 * cbm) / det
+        m = (k1 * cbm - np.conj(k2) * chi_a) / det
+    return u, m, separable
 
 
 def demix_channel(est: PreambleEstimate, k1: np.ndarray) -> np.ndarray:
-    """De-mixed per-bin channel estimate given the mismatch coefficients."""
-    return _demix(est.chi_a, est.chi_b, k1)[0]
+    """De-mixed per-bin channel estimate given the mismatch coefficients.
+
+    NaN for every frame whose ``k1`` cannot separate the image.
+    """
+    u, _, separable = _demix(est.chi_a, est.chi_b, k1)
+    return np.where(separable[..., None, None], u, np.nan)
 
 
 def _pair_regression(
@@ -209,12 +219,12 @@ def _pair_regression(
     variance is supplied the expected noise moments are subtracted.
     """
     cross = owner[:-1] != owner[1:]
-    alpha = (e[:-1] - e[1:])[cross]
-    beta = (chi_a[:-1] - chi_a[1:])[cross]
-    num = np.sum(np.conj(alpha) * beta, axis=0)
-    den = np.sum(np.abs(alpha) ** 2, axis=0)
+    alpha = np.compress(cross, e[..., :-1, :] - e[..., 1:, :], axis=-2)
+    beta = np.compress(cross, chi_a[..., :-1, :] - chi_a[..., 1:, :], axis=-2)
+    num = np.sum(np.conj(alpha) * beta, axis=-2)
+    den = np.sum(np.abs(alpha) ** 2, axis=-2)
     if noise_var is not None:
-        n_pairs = alpha.shape[0]
+        n_pairs = alpha.shape[-2]
         # Var(e) = psi_qq per bin, Var(chi_a) = psi_qq/2, fully correlated parts
         num = num - n_pairs * noise_var
         den_c = den - 2.0 * n_pairs * noise_var
@@ -229,7 +239,7 @@ def refine_iq_channel(
     psi: np.ndarray | None = None,
     n_iters: int = 3,
 ) -> np.ndarray:
-    """Refined ``(m_r,)`` mismatch ``g``: alternate image de-mixing and re-estimation.
+    """Refined ``(..., m_r)`` mismatch ``g``: alternate image de-mixing and re-estimation.
 
     The plain adjacent-bin estimate is polluted by the common-phase
     difference between the two training symbols (it leaks a mirrored
@@ -238,22 +248,29 @@ def refine_iq_channel(
     least squares over the bins, subtracts it, and re-fits the mismatch
     on the cleaned differences (noise-moment corrected when ``psi`` is
     given).  Exact in the noiseless regime, where the leakage is zero.
-    Raises :class:`EstimationError` when the result cannot de-mix the image.
+    Frames (leading axes) are independent; a frame whose estimate cannot
+    de-mix the image, in any iteration or at the end, gets NaN on every
+    branch.
     """
-    g = np.asarray(g0, dtype=np.complex128).copy()
-    noise_var = None if psi is None else np.maximum(np.real(np.diag(psi)), 0.0)
-    for _ in range(n_iters):
-        k1 = (1.0 + g) / 2.0
-        k2 = 1.0 - np.conj(k1)
-        u, m = _demix(est.chi_a, est.chi_b, k1)
-        um = u[::-1]
-        w = np.sum(m * um, axis=0) / np.sum(np.abs(um) ** 2, axis=0)
-        ca = est.chi_a - k2 * w * np.conj(um)
-        cb = est.chi_b - k1 * np.conj(w) * u
-        e2 = ca + np.conj(cb[::-1])
-        g = _pair_regression(ca, e2, owner, noise_var)
-    _mixing_det((1.0 + g) / 2.0)  # every receiver mode de-mixes with the final g
-    return g
+    g = np.asarray(g0, dtype=np.complex128)
+    noise_var = None
+    if psi is not None:
+        noise_var = np.maximum(np.real(np.diagonal(psi, axis1=-2, axis2=-1)), 0.0)
+    failed = np.zeros(g.shape[:-1], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(n_iters):
+            k1 = (1.0 + g) / 2.0
+            k2 = 1.0 - np.conj(k1)
+            u, m, separable = _demix(est.chi_a, est.chi_b, k1)
+            failed |= ~separable
+            um = u[..., ::-1, :]
+            w = np.sum(m * um, axis=-2) / np.sum(np.abs(um) ** 2, axis=-2)
+            ca = est.chi_a - (k2 * w)[..., None, :] * np.conj(um)
+            cb = est.chi_b - (k1 * np.conj(w))[..., None, :] * u
+            e2 = ca + np.conj(cb[..., ::-1, :])
+            g = _pair_regression(ca, e2, owner, noise_var)
+    failed |= ~_mixing_det((1.0 + g) / 2.0)[1]  # every receiver mode de-mixes with the final g
+    return np.where(failed[..., None], np.nan, g)
 
 
 def interpolate_channel(
@@ -261,25 +278,27 @@ def interpolate_channel(
 ) -> np.ndarray:
     """Complete the effective channel on all used bins by cubic splines.
 
-    One spline per transmit antenna runs over the logical bin index, with
-    every receive branch as a column of its values; trained bins pass
+    ``e`` is ``(..., n_used, m_r)`` with leading frame axes.  One spline
+    per transmit antenna runs over the logical bin index, with every frame
+    and receive branch as a column of its values; trained bins pass
     through unchanged.  With fewer than four trained bins for an antenna
     the method falls back to linear interpolation.
     """
-    n, m_r, m_t = smap.n, e.shape[1], pre.m_t
+    n, m_r, m_t = smap.n, e.shape[-1], pre.m_t
     used = pre.used
-    h = np.zeros((n, m_r, m_t), dtype=np.complex128)
+    h = np.zeros((*e.shape[:-2], n, m_r, m_t), dtype=np.complex128)
     ub = logical_to_bin(used, n)
     for p in range(m_t):
         sel = pre.owner == p
         x = used[sel]
+        cols = np.moveaxis(np.compress(sel, e, axis=-2), -2, 0)  # (knots, ..., m_r), the layout of h[..., ub, :, p]
         if x.size >= 4:
-            h[ub, :, p] = CubicSpline(x, e[sel])(used)
+            h[..., ub, :, p] = CubicSpline(x, cols)(used)
             continue
         log.warning("antenna %d has only %d trained bins; spline falls back to linear", p, x.size)
-        for q in range(m_r):
-            y = e[sel, q]
-            h[ub, q, p] = np.interp(used, x, y.real) + 1j * np.interp(used, x, y.imag)
+        flat = cols.reshape(x.size, -1)
+        lin = [np.interp(used, x, y.real) + 1j * np.interp(used, x, y.imag) for y in flat.T]
+        h[..., ub, :, p] = np.stack(lin, axis=-1).reshape(used.size, *cols.shape[1:])
     return h
 
 
@@ -293,10 +312,11 @@ def iterative_refine(
     """Complete the channel by transform-domain tap truncation.
 
     Starting from a nearest-trained-bin fill, each iteration transforms
-    the full-band estimate of every transmit antenna at once to the time
-    domain, zeroes taps beyond ``l_taps``, transforms back, and re-imposes
-    the measured values on the trained bins.  Deterministic; trained bins
-    always carry the measured values on output.
+    the full-band estimate of every frame (leading axes of ``e``) and
+    transmit antenna at once to the time domain, zeroes taps beyond
+    ``l_taps``, transforms back, and re-imposes the measured values on
+    the trained bins.  Deterministic; trained bins always carry the
+    measured values on output.
     """
     if n_iters < 1:
         raise ConfigurationError("need at least one refinement iteration")
@@ -309,12 +329,13 @@ def iterative_refine(
     own = pre.owner == np.arange(m_t)[:, None]
     dist = np.abs(logical_all[:, None, None] - used)
     nearest = np.argmin(np.where(own, dist, n), axis=-1)  # (n, m_t) into used
-    g = np.empty((n, e.shape[1], m_t), dtype=np.complex128)
-    g[logical_to_bin(logical_all, n)] = np.swapaxes(e[nearest], 1, 2)
+    g = np.empty((*e.shape[:-2], n, e.shape[-1], m_t), dtype=np.complex128)
+    g[..., logical_to_bin(logical_all, n), :, :] = np.swapaxes(np.take(e, nearest, axis=-2), -1, -2)
     ub = logical_to_bin(used, n)
+    trained = np.moveaxis(e, -2, 0)  # (n_used, ..., m_r), the layout of g[..., ub, :, owner]
     for _ in range(n_iters):
-        t = idft(g)
-        t[l_taps:] = 0.0
-        g = dft(t)
-        g[ub, :, pre.owner] = e
+        t = idft(g, axis=-3)
+        t[..., l_taps:, :, :] = 0.0
+        g = dft(t, axis=-3)
+        g[..., ub, :, pre.owner] = trained
     return g

@@ -43,6 +43,7 @@ _QAM16_LEVELS = np.array([-3.0, -1.0, 3.0, 1.0]) / np.sqrt(10.0)  # index = 2*b0
 _LEVELS_ASC = np.sort(_QAM16_LEVELS)
 _THRESHOLDS = (_LEVELS_ASC[:-1] + _LEVELS_ASC[1:]) / 2.0
 _GRAY_OF_ASC = np.argsort(_QAM16_LEVELS)  # ascending level -> Gray index
+MAX_FFT = 2**16  # the layout is built bin by bin, so a larger size only exhausts memory
 _HADAMARD4 = np.array(
     [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
 )
@@ -72,11 +73,16 @@ class SubcarrierMap:
 
 
 def build_subcarrier_map(n: int = 64) -> SubcarrierMap:
-    """802.11a layout for n = 64, proportionally scaled for other sizes."""
-    if n < 16 or (n & (n - 1)) != 0:
-        raise ConfigurationError(f"FFT size must be a power of two >= 16, got {n}")
+    """802.11a layout for n = 64, proportionally scaled for other sizes.
+
+    The preamble estimator needs mirror-symmetric used bins, so the high
+    guard band is one bin narrower than the low one, whose extra bin is
+    the unpaired ``-n/2`` (6 and 5 at n = 64).
+    """
+    if not 16 <= n <= MAX_FFT or (n & (n - 1)) != 0:
+        raise ConfigurationError(f"FFT size must be a power of two in 16..{MAX_FFT}, got {n}")
     g_lo = int(round(6 * n / 64))
-    g_hi = int(round(5 * n / 64))
+    g_hi = g_lo - 1
     p_in, p_out = int(round(7 * n / 64)), int(round(21 * n / 64))
     nulls = {0}
     nulls.update(range(-n // 2, -n // 2 + g_lo))
@@ -110,8 +116,8 @@ class FrameConfig:
             raise ConfigurationError("frame too short for training plus one data symbol")
         if self.m_t < 1 or self.m_r < 1:
             raise ConfigurationError("antenna counts must be positive")
-        if self.n_cp > self.n:
-            raise ConfigurationError("cyclic prefix must not exceed the FFT size")
+        if not 0 <= self.n_cp <= self.n:
+            raise ConfigurationError("cyclic prefix must be nonnegative and not exceed the FFT size")
 
     @property
     def n_train(self) -> int:
@@ -244,31 +250,35 @@ def pilot_matrix(m_t: int, n_pilots: int = 4) -> np.ndarray:
 
 
 def modulate_frame(grids: np.ndarray, n_cp: int) -> np.ndarray:
-    """Time-domain stream of a ``(s, n, m)`` grid stack, each symbol behind its cyclic prefix."""
-    t = np.moveaxis(idft(np.moveaxis(np.asarray(grids, dtype=np.complex128), 0, 1)), 1, 0)
-    s, n, m = t.shape
-    return np.concatenate([t[:, n - n_cp :], t], axis=1).reshape(s * (n + n_cp), m)
+    """Time-domain stream of a ``(..., s, n, m)`` grid stack, each symbol behind its cyclic prefix.
+
+    Leading axes are independent frames; the result is ``(..., s (n + n_cp), m)``.
+    """
+    t = idft(np.asarray(grids, dtype=np.complex128), axis=-2)
+    *lead, s, n, m = t.shape
+    return np.concatenate([t[..., n - n_cp :, :], t], axis=-2).reshape(*lead, s * (n + n_cp), m)
 
 
 def demodulate_frame(stream: np.ndarray, n: int, n_cp: int, n_symbols: int) -> np.ndarray:
-    """Split a stream back into ``(s, n, m)`` demodulated grids, prefixes stripped."""
+    """Split a ``(..., samples, m)`` stream back into ``(..., s, n, m)`` grids, prefixes stripped."""
     per = n + n_cp
     stream = np.asarray(stream, dtype=np.complex128)
-    if stream.shape[0] < n_symbols * per:
+    if stream.shape[-2] < n_symbols * per:
         raise ConfigurationError(
-            f"stream of {stream.shape[0]} samples too short for {n_symbols} symbols"
+            f"stream of {stream.shape[-2]} samples too short for {n_symbols} symbols"
         )
-    windows = stream[: n_symbols * per].reshape(n_symbols, per, -1)[:, n_cp:]
+    lead, m = stream.shape[:-2], stream.shape[-1]
+    windows = stream[..., : n_symbols * per, :].reshape(*lead, n_symbols, per, m)[..., n_cp:, :]
     # symbol-major memory: reductions over a strided view may sum in another order
-    return np.ascontiguousarray(np.moveaxis(dft(np.moveaxis(windows, 0, 1)), 1, 0))
+    return np.ascontiguousarray(dft(windows, axis=-2))
 
 
 @dataclass(frozen=True)
 class FrameGroundTruth:
     """Everything needed to score a frame after the receiver has run."""
 
-    bits: np.ndarray          # (n_data_syms, n_data, m_t, 4)
-    data_symbols: np.ndarray  # (n_data_syms, n_data, m_t)
+    bits: np.ndarray          # (..., n_data_syms, n_data, m_t, 4)
+    data_symbols: np.ndarray  # (..., n_data_syms, n_data, m_t)
     pilots: np.ndarray        # (m_t, n_pilots)
 
 
@@ -280,33 +290,35 @@ def assemble_frame(
     short_symbol: np.ndarray | None = None,
     pilots: np.ndarray | None = None,
 ) -> tuple[np.ndarray, FrameGroundTruth]:
-    """Build the per-antenna frequency grids of one frame.
+    """Build the per-antenna frequency grids of one frame, or of a stack of them.
 
     Layout: ``n_short`` short symbols, the two long training symbols,
-    then data symbols carrying payload plus pilots.  ``payload_bits``
-    must hold exactly ``n_data_symbols * n_data * m_t * 4`` bits; they
-    fill the frame symbol-major, then data bin (ascending logical), then
-    antenna, then bit position.
+    then data symbols carrying payload plus pilots.  The last axis of
+    ``payload_bits`` must hold exactly ``n_data_symbols * n_data * m_t * 4``
+    bits; they fill the frame symbol-major, then data bin (ascending
+    logical), then antenna, then bit position.  Leading axes are
+    independent frames and lead every output array.
     """
     n, m_t = config.n, config.m_t
     if short_symbol is None:
         short_symbol = build_short_symbol(smap, m_t)
     if pilots is None:
         pilots = pilot_matrix(m_t, smap.pilot_bins.size)
-    bits = np.asarray(payload_bits, dtype=np.int64).reshape(-1)
+    bits = np.asarray(payload_bits, dtype=np.int64)
     expected = config.n_data_symbols * smap.n_data * m_t * 4
-    if bits.size != expected:
+    if bits.ndim == 0 or bits.shape[-1] != expected:
         raise ConfigurationError(
-            f"payload must be {expected} bits, got {bits.size}"
+            f"payload must be {expected} bits per frame, got shape {bits.shape}"
         )
-    bits = bits.reshape(config.n_data_symbols, smap.n_data, m_t, 4)
-    data_syms = qam16_map(bits).reshape(config.n_data_symbols, smap.n_data, m_t)
+    lead = bits.shape[:-1]
+    bits = bits.reshape(*lead, config.n_data_symbols, smap.n_data, m_t, 4)
+    data_syms = qam16_map(bits).reshape(bits.shape[:-1])
 
-    grids = np.zeros((config.symbols_per_frame, n, m_t), dtype=np.complex128)
-    grids[: config.n_short] = short_symbol
-    grids[config.n_short] = preamble.t1
-    grids[config.n_short + 1] = preamble.t2
-    grids[config.n_train :, logical_to_bin(smap.data_bins, n)] = data_syms
-    grids[config.n_train :, logical_to_bin(smap.pilot_bins, n)] = pilots.T
+    grids = np.zeros((*lead, config.symbols_per_frame, n, m_t), dtype=np.complex128)
+    grids[..., : config.n_short, :, :] = short_symbol
+    grids[..., config.n_short, :, :] = preamble.t1
+    grids[..., config.n_short + 1, :, :] = preamble.t2
+    grids[..., config.n_train :, logical_to_bin(smap.data_bins, n), :] = data_syms
+    grids[..., config.n_train :, logical_to_bin(smap.pilot_bins, n), :] = pilots.T
     truth = FrameGroundTruth(bits=bits, data_symbols=data_syms, pilots=pilots)
     return grids, truth

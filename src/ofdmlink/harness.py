@@ -11,7 +11,8 @@ count or scheduling.
 The receiver modes differ only in the channel estimate they detect with
 (see :func:`receiver_state`) and the common-phase updates they apply:
 ``none`` (identity), ``tracked`` (from the pilots) or ``genie`` (ground
-truth).  Each estimate is built once per frame and shared by its modes.
+truth).  Each estimate is built once per chunk of frames and shared by its
+modes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 from .channel import apply_channel, draw_channel, exp_power_profile
 from .equalization import EqualizerOptions, equalize_frame
 from .estimation import (
-    EstimationError,
     EstimatorState,
     PreambleEstimate,
     demix_channel,
@@ -50,6 +50,7 @@ from .framing import (
 )
 from .impairments import (
     IqParams,
+    PhaseNoiseTrace,
     apply_iq_imbalance,
     apply_phase_noise,
     cpe_of,
@@ -85,6 +86,12 @@ RECEIVER_MODES = {
     "genie": ("genie", "genie"),
 }
 MODES = tuple(RECEIVER_MODES)
+
+# Beyond this the noise variance of a finite SNR point leaves the float range.
+MAX_SNR_DB = 300.0
+# Symbols per simulation chunk.  A chunk holds as many whole iq_frame_avg
+# blocks as fit (at least one), and every stage runs once per chunk.
+CHUNK_SYMBOLS = 512
 
 CSV_HEADER = (
     "snr_db,beta_hz,mode,detector,ce_method,m_t,m_r,frames_run,"
@@ -124,29 +131,36 @@ class ScenarioConfig:
             raise ConfigurationError("frames must be >= 1")
         if not self.snr_db:
             raise ConfigurationError("snr list must be nonempty")
-        if any(math.isnan(s) or s == -math.inf for s in self.snr_db):
-            raise ConfigurationError("SNR points must be finite or +inf")
+        if not all(s == math.inf or abs(s) <= MAX_SNR_DB for s in self.snr_db):
+            raise ConfigurationError(f"SNR points must be +inf or within +-{MAX_SNR_DB:g} dB")
         if not self.beta_hz:
             raise ConfigurationError("linewidth list must be nonempty")
         if not all(math.isfinite(b) and b >= 0 for b in self.beta_hz):
             raise ConfigurationError("linewidths must be finite and nonnegative")
         if not (math.isfinite(self.ts) and self.ts > 0):
             raise ConfigurationError("sample period must be finite and positive")
+        if not math.isfinite(4.0 * math.pi * max(self.beta_hz) * self.ts):
+            raise ConfigurationError("linewidth times sample period overflows the phase-noise variance")
+        if not (math.isfinite(self.iq_theta_deg) and -100.0 < self.iq_amp_pct <= 100.0):
+            raise ConfigurationError(
+                "IQ phase mismatch must be finite and the amplitude mismatch in (-100, 100] percent"
+            )
         for m in self.modes:
             if m not in MODES:
                 raise ConfigurationError(f"unknown mode {m!r}; choose from {MODES}")
-        # the frame, grid, pilot, channel and receiver checks, before any frame runs
+        # the frame, grid, pilot, channel and receiver checks, before any frame
+        # runs; each size is bounded before anything is allocated from it
         self.frame_config()
         build_subcarrier_map(self.n)
         pilot_matrix(self.m_t)
+        if self.l_taps > self.n_cp:
+            raise ConfigurationError("channel length must not exceed the cyclic prefix")
         exp_power_profile(self.l_taps, self.pdp_decay)
         self.equalizer_options()
         if self.detector == "mmse" and self.mmse_r == "kron" and self.m_r**2 != 2 * self.m_t:
             raise ConfigurationError("kron-form MMSE regularization needs m_r**2 == 2 m_t")
         if self.ce_method not in ("interp", "iterative"):
             raise ConfigurationError(f"unknown ce method {self.ce_method!r}")
-        if self.l_taps > self.n_cp:
-            raise ConfigurationError("channel length must not exceed the cyclic prefix")
         if self.iq_frame_avg < 1:
             raise ConfigurationError("iq_frame_avg must be >= 1")
         if self.workers < 1:
@@ -211,12 +225,13 @@ class CampaignResult:
         return out
 
 
-def compute_mse_ce(h_hat: np.ndarray, h_true_eff: np.ndarray, used_bins: np.ndarray, n: int) -> float:
-    """Normalized squared error of the effective-channel estimate on used bins."""
+def compute_mse_ce(h_hat: np.ndarray, h_true_eff: np.ndarray, used_bins: np.ndarray, n: int):
+    """Normalized squared error of the effective-channel estimate on used bins, per frame."""
     b = logical_to_bin(used_bins, n)
-    num = np.sum(np.abs(h_hat[b] - h_true_eff[b]) ** 2)
-    den = np.sum(np.abs(h_true_eff[b]) ** 2)
-    return float(num / den)
+    h_true = np.take(h_true_eff, b, axis=-3)
+    num = np.sum(np.abs(np.take(h_hat, b, axis=-3) - h_true) ** 2, axis=(-3, -2, -1))
+    den = np.sum(np.abs(h_true) ** 2, axis=(-3, -2, -1))
+    return num / den
 
 
 def compute_mse_k1(k1_hat: np.ndarray, k1_true: np.ndarray) -> float:
@@ -225,15 +240,15 @@ def compute_mse_k1(k1_hat: np.ndarray, k1_true: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class SimulatedFrame:
-    """One frame's physics, shared by every receiver mode at a grid point."""
+class SimulatedFrames:
+    """A chunk of frames' physics, shared by every receiver mode at a grid point."""
 
-    rx_grids: np.ndarray         # (symbols, n, m_r) demodulated with impairments
-    truth_bits: np.ndarray
-    h_eff: np.ndarray            # (n, m_r, m_t) channel fused with the preamble-time phase
+    rx_grids: np.ndarray         # (frames, symbols, n, m_r) demodulated with impairments
+    truth_bits: np.ndarray       # (frames, n_data_syms, n_data, m_t, 4)
+    h_eff: np.ndarray            # (frames, n, m_r, m_t) channel fused with the preamble-time phase
     iq: IqParams
     sigma2: float                # time-domain noise variance per branch
-    cpe_true: np.ndarray         # (n_data_syms, m_r) genie per-symbol updates
+    cpe_true: np.ndarray         # (frames, n_data_syms, m_r) genie per-symbol updates
 
 
 def simulate_frame(
@@ -245,20 +260,29 @@ def simulate_frame(
     pilots: np.ndarray,
     snr_db: float,
     beta: float,
-    rng: RandomSource,
-) -> SimulatedFrame:
-    """Transmit one frame through channel, noise, phase noise, and IQ mixing."""
+    rngs,
+) -> SimulatedFrames:
+    """Transmit a chunk of frames through channel, noise, phase noise, and IQ mixing.
+
+    ``rngs`` holds one source per frame; each frame draws its channel,
+    payload, noise and phase path from its own labelled children, so a
+    frame's draws do not depend on the chunk it runs in.
+    """
     iq = config.iq_params()
-    ch = draw_channel(
-        config.m_t, config.m_r, config.l_taps, config.pdp_decay,
-        rng.child("channel"), n_fft=config.n, n_cp=config.n_cp,
-    )
-    payload = rng.child("payload").integers(
-        0, 2, size=fc.n_data_symbols * smap.n_data * config.m_t * 4
-    )
+    channels = [
+        draw_channel(
+            config.m_t, config.m_r, config.l_taps, config.pdp_decay,
+            rng.child("channel"), n_fft=config.n, n_cp=config.n_cp,
+        )
+        for rng in rngs
+    ]
+    payload = np.stack([
+        rng.child("payload").integers(0, 2, size=fc.n_data_symbols * smap.n_data * config.m_t * 4)
+        for rng in rngs
+    ])
     grids, truth = assemble_frame(fc, smap, payload, pre, short_symbol=short, pilots=pilots)
     tx = modulate_frame(grids, config.n_cp)
-    rx = apply_channel(tx, ch)
+    rx = np.stack([apply_channel(t, ch) for t, ch in zip(tx, channels)])
 
     # SNR is referenced to the average received data-symbol power per branch
     # with unit-energy constellation and unit-energy channel.
@@ -267,12 +291,16 @@ def simulate_frame(
         sigma2 = 0.0
     else:
         sigma2 = p_rx / 10.0 ** (snr_db / 10.0)
-        rx = rx + rng.child("noise").complex_normal(var=sigma2, size=rx.shape)
+        noise = [rng.child("noise").complex_normal(var=sigma2, size=rx.shape[1:]) for rng in rngs]
+        rx = rx + np.stack(noise)
 
-    trace = gen_phase_noise(
-        beta, config.ts, rx.shape[0], config.m_r,
-        rng.child("phase"), shared_oscillator=config.shared_oscillator,
-    )
+    trace = PhaseNoiseTrace(np.stack([
+        gen_phase_noise(
+            beta, config.ts, rx.shape[1], config.m_r,
+            rng.child("phase"), shared_oscillator=config.shared_oscillator,
+        ).phi
+        for rng in rngs
+    ]))
     rx = apply_phase_noise(rx, trace)
     rx = apply_iq_imbalance(rx, iq)
     rx_grids = demodulate_frame(rx, config.n, config.n_cp, config.symbols_per_frame)
@@ -280,10 +308,11 @@ def simulate_frame(
     # The preamble-stage estimator targets the channel fused with the mean
     # common phase of the two long training symbols (rows 0 and 1).
     cpe = cpe_of(trace, fc.symbol_window(np.arange(fc.n_short, fc.symbols_per_frame)), config.n)
-    theta_pre = 0.5 * (cpe[0] + cpe[1])
-    return SimulatedFrame(
-        rx_grids=rx_grids, truth_bits=truth.bits, h_eff=theta_pre[None, :, None] * ch.freq,
-        iq=iq, sigma2=sigma2, cpe_true=cpe[2:] / theta_pre,
+    theta_pre = 0.5 * (cpe[:, 0] + cpe[:, 1])
+    freq = np.stack([ch.freq for ch in channels])
+    return SimulatedFrames(
+        rx_grids=rx_grids, truth_bits=truth.bits, h_eff=theta_pre[:, None, :, None] * freq,
+        iq=iq, sigma2=sigma2, cpe_true=cpe[:, 2:] / theta_pre[:, None],
     )
 
 
@@ -295,11 +324,11 @@ def _complete(e_vals, pre, smap, config) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrontEnd:
-    """One frame's preamble-stage estimates, shared by every receiver mode."""
+    """A chunk of frames' preamble-stage estimates, shared by every receiver mode."""
 
-    psi: np.ndarray          # (m_r, m_r) noise + ICI correlation from the short symbols
+    psi: np.ndarray          # (frames, m_r, m_r) noise + ICI correlation from the short symbols
     est: PreambleEstimate    # per-bin products of the two long training symbols
-    g: np.ndarray | None     # (m_r,) refined mismatch; None if not estimated or failed
+    g: np.ndarray | None     # (frames, m_r) refined mismatch, NaN where it failed; None if not estimated
 
 
 def _estimates_mismatch(mode: str) -> bool:
@@ -308,32 +337,31 @@ def _estimates_mismatch(mode: str) -> bool:
 
 
 def front_end(
-    frame: SimulatedFrame,
+    frames: SimulatedFrames,
     config: ScenarioConfig,
     fc: FrameConfig,
     smap: SubcarrierMap,
     pre: PreambleSet,
 ) -> FrontEnd:
-    """Estimate one frame's preamble stage once for all receiver modes.
+    """Estimate a chunk of frames' preamble stage once for all receiver modes.
 
     The mismatch (adjacent-bin stage then de-mixing) is refined only when
     a configured mode detects with the de-mixed channel.
     """
+    rx = frames.rx_grids
     nulls = logical_to_bin(smap.null_bins, config.n)
-    psi = estimate_noise_ici_corr(frame.rx_grids[: fc.n_short, nulls].reshape(-1, config.m_r))
-    est = estimate_preamble(frame.rx_grids[fc.n_short], frame.rx_grids[fc.n_short + 1], pre)
+    samples = np.take(rx[:, : fc.n_short], nulls, axis=2).reshape(rx.shape[0], -1, config.m_r)
+    psi = estimate_noise_ici_corr(samples)
+    est = estimate_preamble(rx[:, fc.n_short], rx[:, fc.n_short + 1], pre)
     g = None
     if any(_estimates_mismatch(m) for m in config.modes):
-        try:
-            g0 = estimate_iq_params(est.chi_a, est.e, pre.owner).g
-            g = refine_iq_channel(est, pre.owner, g0, psi=psi)
-        except EstimationError:
-            pass  # the frame does not join its block's mismatch average
+        g0 = estimate_iq_params(est.chi_a, est.e, pre.owner).g
+        g = refine_iq_channel(est, pre.owner, g0, psi=psi)
     return FrontEnd(psi=psi, est=est, g=g)
 
 
 def receiver_state(
-    frame: SimulatedFrame,
+    frames: SimulatedFrames,
     fe: FrontEnd,
     config: ScenarioConfig,
     fc: FrameConfig,
@@ -341,29 +369,35 @@ def receiver_state(
     pre: PreambleSet,
     estimate: str,
     k1: np.ndarray | None,
-) -> EstimatorState:
-    """The receiver-side state of one channel estimate, built from the frame's front end.
+) -> tuple[EstimatorState, np.ndarray]:
+    """The receiver-side state of one channel estimate for the frames that can use it.
 
     ``ls`` is least squares from the first long symbol; ``direct`` is the
     direct preamble product ``chi_a``, which is the two-symbol least-squares
     estimate when there is no IQ mismatch; ``demixed`` is the channel
-    de-mixed with ``k1``, the block-averaged mismatch estimate; ``genie`` is
-    the ground-truth channel, mismatch and noise power.
+    de-mixed with ``k1``, the ``(frames, m_r)`` block-averaged mismatch
+    estimates (NaN for a block without one); ``genie`` is the ground-truth
+    channel, mismatch and noise power.  Returns the state of the frames
+    that run, and the ``(frames,)`` mask of them: a de-mixed frame runs
+    only when its ``k1`` separates the image.
     """
+    ran = np.ones(frames.rx_grids.shape[0], dtype=bool)
     if estimate == "genie":
-        gain = np.abs(frame.iq.k1) ** 2 + np.abs(frame.iq.k2) ** 2
-        psi = np.diag(gain * config.n * frame.sigma2).astype(np.complex128)
-        return EstimatorState(h_pre=frame.h_eff, k1=frame.iq.k1, psi=psi)
+        gain = np.abs(frames.iq.k1) ** 2 + np.abs(frames.iq.k2) ** 2
+        psi = np.diag(gain * config.n * frames.sigma2).astype(np.complex128)
+        return EstimatorState(h_pre=frames.h_eff, k1=frames.iq.k1, psi=psi), ran
     if estimate == "demixed":
-        h = _complete(demix_channel(fe.est, k1), pre, smap, config)
-        return EstimatorState(h_pre=h, k1=k1, psi=fe.psi)
+        u = demix_channel(fe.est, k1)
+        ran = ~np.isnan(u).any(axis=(-2, -1))
+        h = _complete(u[ran], pre, smap, config)
+        return EstimatorState(h_pre=h, k1=k1[ran], psi=fe.psi[ran]), ran
     if estimate == "direct":
         e = fe.est.chi_a
     else:  # "ls"
         b = logical_to_bin(pre.used, config.n)
-        e = frame.rx_grids[fc.n_short][b] / pre.lambda1[:, None]
+        e = np.take(frames.rx_grids[:, fc.n_short], b, axis=-2) / pre.lambda1[:, None]
     h = _complete(e, pre, smap, config)
-    return EstimatorState(h_pre=h, k1=np.ones(config.m_r, dtype=np.complex128), psi=fe.psi)
+    return EstimatorState(h_pre=h, k1=np.ones(config.m_r, dtype=np.complex128), psi=fe.psi), ran
 
 
 @dataclass
@@ -376,15 +410,23 @@ class _Accumulator:
     k1_mse_terms: list = field(default_factory=list)
 
 
+def _chunk_frames(config: ScenarioConfig) -> int:
+    """Frames per chunk: whole ``iq_frame_avg`` blocks within CHUNK_SYMBOLS, at least one block."""
+    blocks = max(1, CHUNK_SYMBOLS // (config.iq_frame_avg * config.symbols_per_frame))
+    return blocks * config.iq_frame_avg
+
+
 def run_point(
     config: ScenarioConfig, snr_idx: int, beta_idx: int
 ) -> list[CampaignRow]:
     """Run all frames of one (snr, beta) grid point and score every mode.
 
-    Frames are processed in blocks of ``iq_frame_avg``: the mismatch
-    estimates of a block are averaged (the mismatch is static hardware)
-    and the block estimate drives detection and the mismatch-MSE metric
-    for its frames.  All modes see the same physical realizations.
+    Frames run in chunks, each stage once per chunk on a leading frame
+    axis.  A chunk holds whole blocks of ``iq_frame_avg`` frames: the
+    mismatch estimates of a block are averaged (the mismatch is static
+    hardware) and the block estimate drives detection and the
+    mismatch-MSE metric for its frames.  All modes see the same physical
+    realizations.
     """
     snr_db = float(config.snr_db[snr_idx])
     beta = float(config.beta_hz[beta_idx])
@@ -399,57 +441,51 @@ def run_point(
     no_updates = np.ones((fc.n_data_symbols, config.m_r), dtype=np.complex128)
     estimates = tuple(dict.fromkeys(RECEIVER_MODES[m][0] for m in config.modes))
     estimating = [m for m in config.modes if _estimates_mismatch(m)]
+    per_bin_bits = config.m_t * 4
 
     acc = {mode: _Accumulator() for mode in config.modes}
     step = config.iq_frame_avg
-    for start in range(0, config.frames, step):
-        block = range(start, min(start + step, config.frames))
-        frames = [
-            simulate_frame(
-                config, fc, smap, pre, short, pilots, snr_db, beta,
-                point_rng.child("frame", f),
-            )
-            for f in block
-        ]
-        fronts = [front_end(frame, config, fc, smap, pre) for frame in frames]
-        g_frames = [fe.g for fe in fronts if fe.g is not None]
-        k1_block = None
-        if g_frames:
-            k1_block = (1.0 + np.mean(g_frames, axis=0)) / 2.0
-            for mode in estimating:
-                acc[mode].k1_mse_terms.append(compute_mse_k1(k1_block, k1_true))
+    chunk = _chunk_frames(config)
+    for start in range(0, config.frames, chunk):
+        rngs = [point_rng.child("frame", f) for f in range(start, min(start + chunk, config.frames))]
+        frames = simulate_frame(config, fc, smap, pre, short, pilots, snr_db, beta, rngs)
+        fe = front_end(frames, config, fc, smap, pre)
+        k1 = np.full((len(rngs), config.m_r), np.nan, dtype=np.complex128)
+        if fe.g is not None:
+            usable = np.isfinite(fe.g).all(axis=-1)
+            for b in range(0, len(rngs), step):
+                g_block = fe.g[b : b + step][usable[b : b + step]]
+                if len(g_block):
+                    k1[b : b + step] = k1_block = (1.0 + np.mean(g_block, axis=0)) / 2.0
+                    for mode in estimating:
+                        acc[mode].k1_mse_terms.append(compute_mse_k1(k1_block, k1_true))
 
-        for frame, fe in zip(frames, fronts):
-            states = {}  # estimate -> (receiver state, its mse_ce)
-            for estimate in estimates:
-                if estimate == "demixed" and k1_block is None:
-                    continue  # no usable mismatch estimate in this block
-                try:
-                    state = receiver_state(frame, fe, config, fc, smap, pre, estimate, k1_block)
-                except EstimationError:
-                    continue  # frame recorded as not run for the modes of this estimate
-                mse_ce = compute_mse_ce(state.h_pre, frame.h_eff, pre.used, config.n)
-                states[estimate] = (state, mse_ce)
-            updates = {"none": no_updates, "tracked": None, "genie": frame.cpe_true}
-            for mode in config.modes:
-                estimate, phase = RECEIVER_MODES[mode]
-                if estimate not in states:
-                    continue
-                state, mse_ce = states[estimate]
-                dec = equalize_frame(
-                    frame.rx_grids, state, smap, pilots, fc.n_train,
-                    options=options, phase_updates=updates[phase],
-                )
-                a = acc[mode]
-                per_bin_bits = config.m_t * 4
-                wrong = (dec.bits != frame.truth_bits) & ~dec.erased[:, :, None, None]
-                a.bit_errors += int(wrong.sum()) + int(dec.erased.sum()) * per_bin_bits
-                a.bits_total += frame.truth_bits.size
-                a.mse_ce_sum += mse_ce
-                a.flagged += dec.flagged_symbols
-                a.frames_run += 1
-                if not _estimates_mismatch(mode):
-                    a.k1_mse_terms.append(compute_mse_k1(state.k1, frame.iq.k1))
+        states = {}  # estimate -> (state of the frames run, their mask, their mse_ce)
+        for estimate in estimates:
+            state, ran = receiver_state(frames, fe, config, fc, smap, pre, estimate, k1)
+            mse_ce = compute_mse_ce(state.h_pre, frames.h_eff[ran], pre.used, config.n)
+            states[estimate] = (state, ran, mse_ce)
+        for mode in config.modes:
+            estimate, phase = RECEIVER_MODES[mode]
+            state, ran, mse_ce = states[estimate]
+            if not ran.any():
+                continue
+            updates = {"none": no_updates, "tracked": None, "genie": frames.cpe_true[ran]}
+            dec = equalize_frame(
+                frames.rx_grids[ran], state, smap, pilots, fc.n_train,
+                options=options, phase_updates=updates[phase],
+            )
+            truth = frames.truth_bits[ran]
+            a = acc[mode]
+            wrong = (dec.bits != truth) & ~dec.erased[..., None, None]
+            a.bit_errors += int(wrong.sum()) + int(dec.erased.sum()) * per_bin_bits
+            a.bits_total += truth.size
+            for value in mse_ce:  # frame by frame, in order
+                a.mse_ce_sum += float(value)
+            a.flagged += dec.flagged_symbols
+            a.frames_run += len(mse_ce)
+            if not _estimates_mismatch(mode):
+                a.k1_mse_terms += [compute_mse_k1(state.k1, frames.iq.k1)] * len(mse_ce)
 
     rows = []
     for mode in config.modes:

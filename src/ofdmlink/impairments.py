@@ -75,22 +75,22 @@ class IqParams:
 
 @dataclass(frozen=True)
 class PhaseNoiseTrace:
-    """Per-branch sampled oscillator phase path over one frame.
+    """Per-branch sampled oscillator phase path over one frame, or a stack of them.
 
-    ``phi[n, q]`` is the phase (radians) of branch ``q`` at sample ``n``;
+    ``phi[..., n, q]`` is the phase (radians) of branch ``q`` at sample ``n``;
     :func:`gen_phase_noise` draws i.i.d. Gaussian increments with variance
     ``4 pi beta ts`` for linewidth ``beta`` and sample period ``ts``.
     """
 
-    phi: np.ndarray   # (n_samples, m_r)
+    phi: np.ndarray   # (..., n_samples, m_r)
 
     @property
     def n_samples(self) -> int:
-        return self.phi.shape[0]
+        return self.phi.shape[-2]
 
     @property
     def m_r(self) -> int:
-        return self.phi.shape[1]
+        return self.phi.shape[-1]
 
 
 def gen_phase_noise(
@@ -118,13 +118,13 @@ def gen_phase_noise(
 
 
 def apply_phase_noise(rx_time: np.ndarray, trace: PhaseNoiseTrace) -> np.ndarray:
-    """Rotate each sample of each branch by its oscillator phase."""
+    """Rotate each sample of each branch by its oscillator phase (leading axes are frames)."""
     rx_time = np.asarray(rx_time, dtype=np.complex128)
-    if rx_time.shape[0] > trace.n_samples:
+    if rx_time.shape[-2] > trace.n_samples:
         raise ConfigurationError(
-            f"stream of {rx_time.shape[0]} samples exceeds trace length {trace.n_samples}"
+            f"stream of {rx_time.shape[-2]} samples exceeds trace length {trace.n_samples}"
         )
-    return rx_time * np.exp(1j * trace.phi[: rx_time.shape[0]])
+    return rx_time * np.exp(1j * trace.phi[..., : rx_time.shape[-2], :])
 
 
 def apply_iq_imbalance(rx_time: np.ndarray, iq: IqParams) -> np.ndarray:
@@ -137,12 +137,15 @@ def cpe_of(trace: PhaseNoiseTrace, start, n_fft: int) -> np.ndarray:
     """Common phase error over symbol windows: ``(1/N) sum e^{j phi}`` per branch.
 
     ``start`` indexes the first post-prefix sample of a symbol within the
-    trace; a scalar gives ``(m_r,)``, an array of ``s`` starts ``(s, m_r)``.
+    trace; a scalar gives ``(..., m_r)``, an array of ``s`` starts
+    ``(..., s, m_r)``, where ``...`` are the leading (frame) axes of the trace.
     """
     start = np.asarray(start)
     if np.any(start < 0) or np.any(start + n_fft > trace.n_samples):
         raise ConfigurationError("symbol window out of trace range")
-    return np.mean(np.exp(1j * trace.phi[start[..., None] + np.arange(n_fft)]), axis=-2)
+    # take, not phi[..., idx, :]: the mean must see C order to sum as for one frame
+    windows = np.take(trace.phi, start[..., None] + np.arange(n_fft), axis=-2)
+    return np.mean(np.exp(1j * windows), axis=-2)
 
 
 def phase_noise_coeffs(phi_window: np.ndarray) -> np.ndarray:

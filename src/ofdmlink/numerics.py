@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 * Frequency grids are ``(N, M)`` complex128 arrays: axis 0 is the subcarrier
   in FFT storage order (logical subcarrier ``k`` in ``-N/2 .. N/2-1`` lives
-  at storage bin ``k mod N``), axis 1 is the antenna.
+  at storage bin ``k mod N``), axis 1 is the antenna.  A stack of frames
+  adds leading axes: ``(frames, N, M)``.
 * The forward transform is unnormalized, ``X(k) = sum_n x(n) e^{-j2pi kn/N}``;
   the inverse carries the ``1/N`` factor.  Under this pairing the frequency
   response of a tap vector is its zero-padded forward transform, with no
@@ -41,18 +42,18 @@ def _require_pow2(n: int) -> None:
         raise ConfigurationError(f"FFT size must be a power of two, got {n}")
 
 
-def dft(v: np.ndarray) -> np.ndarray:
-    """Forward transform along axis 0 (unnormalized)."""
+def dft(v: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Forward transform along ``axis`` (unnormalized)."""
     v = np.asarray(v)
-    _require_pow2(v.shape[0])
-    return np.fft.fft(v, axis=0)
+    _require_pow2(v.shape[axis])
+    return np.fft.fft(v, axis=axis)
 
 
-def idft(v: np.ndarray) -> np.ndarray:
-    """Inverse transform along axis 0 (carries the 1/N factor)."""
+def idft(v: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Inverse transform along ``axis`` (carries the 1/N factor)."""
     v = np.asarray(v)
-    _require_pow2(v.shape[0])
-    return np.fft.ifft(v, axis=0)
+    _require_pow2(v.shape[axis])
+    return np.fft.ifft(v, axis=axis)
 
 
 def conj_mirror(g: np.ndarray) -> np.ndarray:

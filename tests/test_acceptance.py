@@ -201,28 +201,26 @@ def test_criterion_06_genie_zf_exactness():
     pilots = pilot_matrix(2)
     from ofdmlink.harness import front_end, receiver_state, simulate_frame
 
-    same = True
-    for f in range(2):
-        frame = simulate_frame(
-            config, fc, smap, pre, short, pilots, float("inf"), 0.0,
-            RandomSource(3600).child("frame", f),
-        )
-        fe = front_end(frame, config, fc, smap, pre)
-        state = receiver_state(frame, fe, config, fc, smap, pre, "genie", None)
-        state_eps = EstimatorState(
-            h_pre=state.h_pre, k1=state.k1, psi=1e-12 * np.eye(2, dtype=complex)
-        )
-        zf = equalize_frame(
-            frame.rx_grids, state, smap, pilots, fc.n_train,
-            options=EqualizerOptions(detector="zf"),
-            phase_updates=frame.cpe_true,
-        )
-        mmse = equalize_frame(
-            frame.rx_grids, state_eps, smap, pilots, fc.n_train,
-            options=EqualizerOptions(detector="mmse"),
-            phase_updates=frame.cpe_true,
-        )
-        same = same and np.array_equal(zf.bits, mmse.bits)
+    frames = simulate_frame(
+        config, fc, smap, pre, short, pilots, float("inf"), 0.0,
+        [RandomSource(3600).child("frame", f) for f in range(2)],
+    )
+    fe = front_end(frames, config, fc, smap, pre)
+    state, _ = receiver_state(frames, fe, config, fc, smap, pre, "genie", None)
+    state_eps = EstimatorState(
+        h_pre=state.h_pre, k1=state.k1, psi=1e-12 * np.eye(2, dtype=complex)
+    )
+    zf = equalize_frame(
+        frames.rx_grids, state, smap, pilots, fc.n_train,
+        options=EqualizerOptions(detector="zf"),
+        phase_updates=frames.cpe_true,
+    )
+    mmse = equalize_frame(
+        frames.rx_grids, state_eps, smap, pilots, fc.n_train,
+        options=EqualizerOptions(detector="mmse"),
+        phase_updates=frames.cpe_true,
+    )
+    same = np.array_equal(zf.bits, mmse.bits)
     elapsed = time.time() - t0
     ok = bers[2] == 0.0 and bers[4] == 0.0 and same and elapsed < 10.0
     report(

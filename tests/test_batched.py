@@ -1,0 +1,193 @@
+"""The chunked receiver path against an inline frame-by-frame oracle, with exact equality.
+
+``run_point`` runs every stage once per chunk of frames on a leading
+frame axis.  The oracle below is the same chain one frame at a time (the
+package functions also take a single frame), so every array the chunked
+path produces must equal it bit for bit: the received grids, the
+effective channel and the genie phase, the noise correlation, the
+mismatch estimates and their block averages, every completed channel,
+the phase updates and the decisions.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ofdmlink import harness
+from ofdmlink.channel import apply_channel, draw_channel
+from ofdmlink.equalization import equalize_frame
+from ofdmlink.estimation import (
+    EstimatorState,
+    demix_channel,
+    estimate_iq_params,
+    estimate_noise_ici_corr,
+    estimate_preamble,
+    refine_iq_channel,
+)
+from ofdmlink.framing import (
+    assemble_frame,
+    build_preamble,
+    build_short_symbol,
+    build_subcarrier_map,
+    demodulate_frame,
+    modulate_frame,
+    pilot_matrix,
+)
+from ofdmlink.harness import MODES, RECEIVER_MODES, ScenarioConfig
+from ofdmlink.impairments import apply_iq_imbalance, apply_phase_noise, cpe_of, gen_phase_noise
+from ofdmlink.numerics import RandomSource, logical_to_bin
+
+
+def oracle_frame(config, fc, smap, pre, short, pilots, snr_db, beta, rng):
+    """One frame through the transmit chain, as the frame-by-frame simulator did."""
+    iq = config.iq_params()
+    ch = draw_channel(
+        config.m_t, config.m_r, config.l_taps, config.pdp_decay,
+        rng.child("channel"), n_fft=config.n, n_cp=config.n_cp,
+    )
+    payload = rng.child("payload").integers(
+        0, 2, size=fc.n_data_symbols * smap.n_data * config.m_t * 4
+    )
+    grids, truth = assemble_frame(fc, smap, payload, pre, short_symbol=short, pilots=pilots)
+    rx = apply_channel(modulate_frame(grids, config.n_cp), ch)
+    sigma2 = 0.0
+    if not math.isinf(snr_db):
+        sigma2 = config.m_t * smap.n_used / config.n**2 / 10.0 ** (snr_db / 10.0)
+        rx = rx + rng.child("noise").complex_normal(var=sigma2, size=rx.shape)
+    trace = gen_phase_noise(
+        beta, config.ts, rx.shape[0], config.m_r,
+        rng.child("phase"), shared_oscillator=config.shared_oscillator,
+    )
+    rx = apply_iq_imbalance(apply_phase_noise(rx, trace), iq)
+    rx_grids = demodulate_frame(rx, config.n, config.n_cp, config.symbols_per_frame)
+    cpe = cpe_of(trace, fc.symbol_window(np.arange(fc.n_short, fc.symbols_per_frame)), config.n)
+    theta_pre = 0.5 * (cpe[0] + cpe[1])
+    return dict(
+        rx_grids=rx_grids, truth_bits=truth.bits, h_eff=theta_pre[None, :, None] * ch.freq,
+        sigma2=sigma2, cpe_true=cpe[2:] / theta_pre,
+    )
+
+
+def oracle_front_end(rx_grids, config, fc, smap, pre):
+    nulls = logical_to_bin(smap.null_bins, config.n)
+    psi = estimate_noise_ici_corr(rx_grids[: fc.n_short, nulls].reshape(-1, config.m_r))
+    est = estimate_preamble(rx_grids[fc.n_short], rx_grids[fc.n_short + 1], pre)
+    g0 = estimate_iq_params(est.chi_a, est.e, pre.owner).g
+    return psi, est, refine_iq_channel(est, pre.owner, g0, psi=psi)
+
+
+def _setup(config):
+    smap = build_subcarrier_map(config.n)
+    pre = build_preamble(config.m_t, smap)
+    return (
+        config.frame_config(), smap, pre,
+        build_short_symbol(smap, config.m_t), pilot_matrix(config.m_t),
+    )
+
+
+# (m_t = m_r, completion, iq_frame_avg, detector, linewidth, frames)
+CASES = [
+    (1, "interp", 1, "zf", 5e3, 4),
+    (1, "iterative", 2, "mmse", 5e3, 4),
+    (2, "interp", 2, "mmse", 5e3, 6),
+    (2, "iterative", 1, "zf", 5e3, 4),
+    (4, "interp", 1, "mmse", 5e3, 3),
+    (4, "iterative", 2, "zf", 5e3, 4),
+    # 100 kHz: some frames' mismatch estimates fail inside a chunk
+    (2, "interp", 2, "mmse", 1e5, 12),
+]
+
+
+@pytest.mark.parametrize("m, ce_method, avg, detector, beta, n_frames", CASES)
+def test_chunk_equals_frame_by_frame(m, ce_method, avg, detector, beta, n_frames):
+    config = ScenarioConfig(
+        m_t=m, m_r=m, frames=n_frames, snr_db=(20.0,), beta_hz=(beta,), modes=MODES,
+        detector=detector, ce_method=ce_method, iq_frame_avg=avg, symbols_per_frame=7,
+        master_seed=7100,
+    )
+    fc, smap, pre, short, pilots = _setup(config)
+    rngs = [RandomSource(config.master_seed).child("frame", f) for f in range(n_frames)]
+    frames = harness.simulate_frame(config, fc, smap, pre, short, pilots, 20.0, beta, rngs)
+    fe = harness.front_end(frames, config, fc, smap, pre)
+
+    ones = [oracle_frame(config, fc, smap, pre, short, pilots, 20.0, beta, r) for r in rngs]
+    for key in ("rx_grids", "truth_bits", "h_eff", "cpe_true"):
+        np.testing.assert_array_equal(getattr(frames, key), np.stack([o[key] for o in ones]))
+    fronts = [oracle_front_end(o["rx_grids"], config, fc, smap, pre) for o in ones]
+    np.testing.assert_array_equal(fe.psi, np.stack([psi for psi, _, _ in fronts]))
+    for key in ("chi_a", "chi_b", "e"):
+        one_est = np.stack([getattr(est, key) for _, est, _ in fronts])
+        np.testing.assert_array_equal(getattr(fe.est, key), one_est)
+    g_one = np.stack([g for _, _, g in fronts])
+    np.testing.assert_array_equal(fe.g, g_one)  # NaN rows where a frame's estimate failed
+
+    usable = np.isfinite(g_one).all(axis=-1)
+    if beta == 1e5:
+        assert 0 < usable.sum() < n_frames, "the chunk must hold failing and usable frames"
+    k1 = np.full((n_frames, m), np.nan, dtype=complex)
+    for b in range(0, n_frames, avg):
+        good = [g_one[f] for f in range(b, min(b + avg, n_frames)) if usable[f]]
+        if good:
+            k1[b : b + avg] = (1.0 + np.mean(good, axis=0)) / 2.0
+
+    options = config.equalizer_options()
+    for mode in MODES:
+        estimate, phase = RECEIVER_MODES[mode]
+        state, ran = harness.receiver_state(frames, fe, config, fc, smap, pre, estimate, k1)
+        none = np.ones((fc.n_data_symbols, m))
+        updates = {"none": none, "tracked": None, "genie": frames.cpe_true[ran]}
+        dec = equalize_frame(
+            frames.rx_grids[ran], state, smap, pilots, fc.n_train,
+            options=options, phase_updates=updates[phase],
+        )
+        row = 0
+        for f, one in enumerate(ones):
+            psi, est, _ = fronts[f]
+            if estimate == "genie":
+                gain = np.abs(frames.iq.k1) ** 2 + np.abs(frames.iq.k2) ** 2
+                one_state = EstimatorState(
+                    h_pre=one["h_eff"], k1=frames.iq.k1,
+                    psi=np.diag(gain * config.n * one["sigma2"]).astype(complex),
+                )
+            else:
+                k1_f = np.ones(m, dtype=complex)
+                if estimate == "demixed":
+                    e = demix_channel(est, k1[f])
+                    k1_f = k1[f]
+                elif estimate == "direct":
+                    e = est.chi_a
+                else:
+                    b = logical_to_bin(pre.used, config.n)
+                    e = one["rx_grids"][fc.n_short][b] / pre.lambda1[:, None]
+                if np.isnan(e).any():
+                    assert not ran[f]
+                    continue
+                one_state = EstimatorState(
+                    h_pre=harness._complete(e, pre, smap, config), k1=k1_f, psi=psi
+                )
+            assert ran[f]
+            np.testing.assert_array_equal(state.h_pre[row], one_state.h_pre)
+            one_updates = {"none": none, "tracked": None, "genie": one["cpe_true"]}
+            one_dec = equalize_frame(
+                one["rx_grids"], one_state, smap, pilots, fc.n_train,
+                options=options, phase_updates=one_updates[phase],
+            )
+            for key in ("bits", "soft", "erased"):
+                np.testing.assert_array_equal(getattr(dec, key)[row], getattr(one_dec, key))
+            if phase == "tracked":
+                np.testing.assert_array_equal(dec.cpe_history[row], one_dec.cpe_history)
+            row += 1
+        assert row == ran.sum()
+
+
+@pytest.mark.parametrize("chunk_symbols", [1, 14, 10**6])
+def test_rows_do_not_depend_on_chunk_size(monkeypatch, chunk_symbols):
+    # 1: one 2-frame block per chunk; 14: one block; 10**6: the whole point
+    config = ScenarioConfig(
+        frames=6, snr_db=(20.0,), beta_hz=(5e4,), modes=MODES, iq_frame_avg=2,
+        symbols_per_frame=7, ce_method="iterative", master_seed=31,
+    )
+    want = harness.run_point(config, 0, 0)
+    monkeypatch.setattr(harness, "CHUNK_SYMBOLS", chunk_symbols)
+    assert harness.run_point(config, 0, 0) == want

@@ -9,6 +9,7 @@ from scipy.interpolate import CubicSpline
 from conftest import make_channel, owned_channel_columns, transmit_preamble
 from ofdmlink.estimation import (
     EstimationError,
+    _mixing_det,
     estimate_iq_params,
     estimate_noise_ici_corr,
     estimate_preamble,
@@ -142,11 +143,17 @@ class TestPreambleEstimation:
             ratios, np.broadcast_to(g_true, ratios.shape), atol=1e-9
         )
 
-    def test_degenerate_pairs_raise(self, smap64):
+    def test_degenerate_pairs_refused(self, smap64):
+        # a frame without a usable pair gets NaN; the other frames of the stack do not
+        ch = make_channel(seed=74)
         pre = build_preamble(2, smap64)
+        iq = IqParams.uniform(2, 5.0, 10.0)
+        est = estimate_preamble(*transmit_preamble(ch, pre, iq=iq), pre)
         flat = np.ones((52, 2), dtype=complex)
-        with pytest.raises(EstimationError):
-            estimate_iq_params(flat, flat, pre.owner)
+        got = estimate_iq_params(np.stack([flat, est.chi_a]), np.stack([flat, est.e]), pre.owner)
+        assert np.isnan(got.g[0]).all()
+        np.testing.assert_array_equal(got.g[1], estimate_iq_params(est.chi_a, est.e, pre.owner).g)
+        assert np.isnan(estimate_iq_params(flat, flat, pre.owner).g).all()
 
 
 class TestRefinement:
@@ -203,14 +210,31 @@ class TestRefinement:
         u = demix_channel(est, (1.0 + refined) / 2.0)
         np.testing.assert_allclose(u, owned_channel_columns(ch, pre), atol=1e-9)
 
-    def test_unseparable_final_estimate_raises(self, smap64):
+    def test_unseparable_final_estimate_refused(self, smap64):
         # Re(g) = |K1|^2 - |K2|^2 below 0.1 cannot de-mix the image, so the
-        # estimate is refused even when no iteration runs.
+        # estimate is refused (NaN) even when no iteration runs.
         ch = make_channel(seed=84)
         pre = build_preamble(2, smap64)
         est = estimate_preamble(*transmit_preamble(ch, pre), pre)
-        with pytest.raises(EstimationError, match="separate the image"):
-            refine_iq_channel(est, pre.owner, np.array([0.05 + 1.1j, 1.0]), n_iters=0)
+        got = refine_iq_channel(est, pre.owner, np.array([0.05 + 1.1j, 1.0]), n_iters=0)
+        assert np.isnan(got).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0), complex(1.0, np.inf)])
+    def test_non_finite_mismatch_cannot_separate(self, bad):
+        # |nan| < 0.1 is False, so a plain threshold test let NaN through
+        _, separable = _mixing_det(np.array([bad, 1.5 + 0j]))
+        assert not separable
+        _, separable = _mixing_det(np.array([[1.5 + 0j, 1.5 + 0j], [1.5 + 0j, bad]]))
+        np.testing.assert_array_equal(separable, [True, False])
+
+    def test_refinement_refuses_a_non_finite_leakage_fit(self, smap64):
+        # All-zero long symbols give sum |um|^2 = 0 in the leakage fit, so g is NaN
+        pre = build_preamble(2, smap64)
+        zero = np.zeros((64, 2), dtype=complex)
+        est = estimate_preamble(zero, zero, pre)
+        got = refine_iq_channel(est, pre.owner, np.array([1.1 + 0j, 1.1 + 0j]))
+        assert np.isnan(got).all()
+        assert np.isnan(demix_channel(est, (1.0 + got) / 2.0)).all()
 
 
 class TestChannelCompletion:

@@ -131,6 +131,14 @@ class TestRunPoint:
         assert rows[0].ber == 0.0
         assert rows[0].mse_k1 < 1e-18
 
+    def test_fft_size_128_runs(self):
+        # the scaled guard bands used to be asymmetric above 64 (12 low, 10
+        # high at 128), so the preamble estimator raised mid-run
+        config = ScenarioConfig(
+            frames=1, snr_db=(20.0,), modes=MODES, n=128, n_cp=32, symbols_per_frame=5,
+        )
+        assert all(r.frames_run == 1 for r in run_point(config, 0, 0))
+
     def test_row_for_each_mode(self):
         config = ScenarioConfig(
             frames=1, snr_db=(20.0,), modes=("uncompensated", "full", "genie"),
@@ -141,7 +149,7 @@ class TestRunPoint:
 
 
 class TestReceiverState:
-    def _frame(self, config):
+    def _frames(self, config, n_frames=1):
         fc = config.frame_config()
         smap = build_subcarrier_map(config.n)
         pre = build_preamble(config.m_t, smap)
@@ -149,53 +157,67 @@ class TestReceiverState:
 
         short = build_short_symbol(smap, config.m_t)
         pilots = pilot_matrix(config.m_t)
-        frame = simulate_frame(
-            config, fc, smap, pre, short, pilots, 25.0, 5e3, RandomSource(1).child("f")
-        )
-        return frame, fc, smap, pre
+        rngs = [RandomSource(1).child("f", f) for f in range(n_frames)]
+        frames = simulate_frame(config, fc, smap, pre, short, pilots, 25.0, 5e3, rngs)
+        return frames, fc, smap, pre
 
     def test_modes_produce_consistent_states(self):
         config = ScenarioConfig(frames=1, symbols_per_frame=6)
-        frame, fc, smap, pre = self._frame(config)
-        fe = front_end(frame, config, fc, smap, pre)
+        frames, fc, smap, pre = self._frames(config, n_frames=2)
+        fe = front_end(frames, config, fc, smap, pre)
         k1 = (1.0 + fe.g) / 2.0
         for mode in MODES:
             estimate, _ = RECEIVER_MODES[mode]
-            state = receiver_state(frame, fe, config, fc, smap, pre, estimate, k1)
-            assert state.h_pre.shape == (64, 2, 2)
+            state, ran = receiver_state(frames, fe, config, fc, smap, pre, estimate, k1)
+            np.testing.assert_array_equal(ran, [True, True])
+            assert state.h_pre.shape == (2, 64, 2, 2)
             np.testing.assert_array_equal(state.k2, 1 - np.conj(state.k1))
             if mode in ("pn-only", "uncompensated"):
                 np.testing.assert_array_equal(state.k1, np.ones(2))
             if mode in ("iq-only", "full"):
                 np.testing.assert_array_equal(state.k1, k1)
             if mode == "genie":
-                np.testing.assert_allclose(state.k1, frame.iq.k1)
-                np.testing.assert_array_equal(state.h_pre, frame.h_eff)
+                np.testing.assert_allclose(state.k1, frames.iq.k1)
+                np.testing.assert_array_equal(state.h_pre, frames.h_eff)
+
+    def test_demixed_state_skips_frames_without_a_separable_k1(self):
+        config = ScenarioConfig(frames=1, symbols_per_frame=6)
+        frames, fc, smap, pre = self._frames(config, n_frames=3)
+        fe = front_end(frames, config, fc, smap, pre)
+        k1 = (1.0 + fe.g) / 2.0
+        k1[0] = np.nan          # a block without a usable estimate
+        k1[2] = 0.5             # |K1|^2 - |K2|^2 = 0: cannot separate the image
+        state, ran = receiver_state(frames, fe, config, fc, smap, pre, "demixed", k1)
+        np.testing.assert_array_equal(ran, [False, True, False])
+        assert state.h_pre.shape == (1, 64, 2, 2)
+        np.testing.assert_array_equal(state.k1, k1[1:2])
 
     def test_preamble_estimated_once_per_frame(self, monkeypatch):
-        calls = []
+        # one call per chunk, covering every frame of it once
+        frames_per_call = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return estimate_preamble(*args, **kwargs)
+        def counted(psi1, psi2, pre):
+            frames_per_call.append(psi1.shape[0])
+            return estimate_preamble(psi1, psi2, pre)
 
         monkeypatch.setattr(harness, "estimate_preamble", counted)
         config = ScenarioConfig(
             frames=3, snr_db=(20.0,), modes=MODES, iq_frame_avg=2, symbols_per_frame=6,
         )
         rows = run_point(config, 0, 0)
-        assert len(calls) == 3
+        assert frames_per_call == [3]
         assert all(r.frames_run == 3 for r in rows)
 
     @pytest.mark.parametrize("ce_method", ["interp", "iterative"])
     def test_each_estimate_completed_once_per_frame(self, monkeypatch, ce_method):
-        # full and iq-only share the de-mixed channel; genie completes nothing
-        calls = []
+        # full and iq-only share the de-mixed channel; genie completes nothing.
+        # One completion per estimate and chunk, covering each frame once.
+        frames_per_call = []
         complete = harness._complete
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return complete(*args, **kwargs)
+        def counted(e_vals, *args, **kwargs):
+            frames_per_call.append(e_vals.shape[0])
+            return complete(e_vals, *args, **kwargs)
 
         monkeypatch.setattr(harness, "_complete", counted)
         config = ScenarioConfig(
@@ -203,13 +225,14 @@ class TestReceiverState:
             ce_method=ce_method,
         )
         rows = run_point(config, 0, 0)
-        assert len(calls) == 4 * 3
+        assert frames_per_call == [4, 4, 4]
         assert all(r.frames_run == 4 for r in rows)
 
 
 def test_run_campaign_reaches_module_level_names(monkeypatch):
     # Wrappers installed on the module (as the benchmark's probes are) must
-    # see every grid point and frame, so neither name may be bound locally.
+    # see every grid point and every chunk of frames, so neither name may be
+    # bound locally.
     seen = []
     point, simulate = harness.run_point, harness.simulate_frame
 
@@ -218,13 +241,14 @@ def test_run_campaign_reaches_module_level_names(monkeypatch):
         return point(*args, **kwargs)
 
     def simulate_spy(*args, **kwargs):
-        seen.append("simulate_frame")
+        seen.append(("simulate_frame", len(args[-1])))
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run_point", point_spy)
     monkeypatch.setattr(harness, "simulate_frame", simulate_spy)
-    run_campaign(ScenarioConfig(frames=2, snr_db=(20.0,), modes=("genie",), symbols_per_frame=6))
-    assert seen == ["run_point", "simulate_frame", "simulate_frame"]
+    monkeypatch.setattr(harness, "CHUNK_SYMBOLS", 12)  # two 6-symbol frames per chunk
+    run_campaign(ScenarioConfig(frames=3, snr_db=(20.0,), modes=("genie",), symbols_per_frame=6))
+    assert seen == ["run_point", ("simulate_frame", 2), ("simulate_frame", 1)]
 
 
 @pytest.fixture(scope="module")
@@ -311,3 +335,20 @@ class TestConfigValidation:
     def test_rejects_bad_detector(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(detector="ml")
+
+    @pytest.mark.parametrize("fields", [
+        dict(snr_db=(1e300,)),             # OverflowError in the noise power
+        dict(snr_db=(-1e300,)),            # ZeroDivisionError in the noise power
+        dict(snr_db=(5000.0,)),
+        dict(beta_hz=(1e300,), ts=1e300),  # infinite phase-noise variance
+        dict(iq_amp_pct=float("nan")),     # the spline refuses the non-finite channel
+        dict(iq_amp_pct=1e300),            # eigvalsh does not converge
+        dict(iq_amp_pct=-100.0),           # zero amplitude ratio
+        dict(iq_theta_deg=float("inf")),
+        dict(pdp_decay=float("nan")),      # a nan profile passed the sum check
+        dict(n=2**40),                     # a size this large would exhaust memory
+        dict(l_taps=2**31, n_cp=16),       # allocated the profile before the prefix check
+    ])
+    def test_rejects_values_that_broke_a_run(self, fields):
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig(**fields)
