@@ -277,12 +277,13 @@ def equalize_frame(
         upsilon = np.asarray(phase_updates, dtype=np.complex128)
         flagged = np.zeros(n_syms, dtype=bool)
 
-    # one row per (frame, symbol); each row's state is its frame's
+    # one row per (frame, symbol), gathered a stack at a time; each row's
+    # state is its frame's
     frames = math.prod(lead)
     rows = frames * n_syms
-    x = data.reshape(rows, n, m_r)
-    ups = np.broadcast_to(upsilon, (*lead, n_syms, m_r)).reshape(rows, m_r)
-    frame_of = np.repeat(np.arange(frames), n_syms)
+    x = data.reshape(frames, n_syms, n, m_r)
+    ups = np.broadcast_to(upsilon, (*lead, n_syms, m_r)).reshape(frames, n_syms, m_r)
+    frame_of, symbol_of = np.divmod(np.arange(rows), n_syms)
     h_pre = np.broadcast_to(state.h_pre, (*lead, n, m_r, m_t)).reshape(frames, n, m_r, m_t)
     k1 = np.broadcast_to(state.k1, (*lead, m_r)).reshape(frames, m_r)
     r = r_floor = None
@@ -294,10 +295,11 @@ def equalize_frame(
     erased = np.zeros((rows, smap.n_data), dtype=bool)
     for j in range(0, rows, DETECT_CHUNK):
         sl = slice(j, j + DETECT_CHUNK)
-        f = frame_of[sl]
+        f, s = frame_of[sl], symbol_of[sl]
         row_state = EstimatorState(h_pre=h_pre[f], k1=k1[f], psi=None)
-        w = _mixing_matrices(ups[sl], row_state, ctx.b_k, ctx.b_mk)
-        x_stack = np.concatenate([x[sl][:, ctx.b_k], np.conj(x[sl][:, ctx.b_mk])], axis=2)
+        w = _mixing_matrices(ups[f, s], row_state, ctx.b_k, ctx.b_mk)
+        x_rows = x[f, s]
+        x_stack = np.concatenate([x_rows[:, ctx.b_k], np.conj(x_rows[:, ctx.b_mk])], axis=2)
         if r is None:
             s_stack, good = _solve_pairs(w, x_stack, None)
         else:

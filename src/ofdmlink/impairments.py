@@ -118,19 +118,28 @@ def gen_phase_noise(
 
 
 def apply_phase_noise(rx_time: np.ndarray, trace: PhaseNoiseTrace) -> np.ndarray:
-    """Rotate each sample of each branch by its oscillator phase (leading axes are frames)."""
+    """Rotate each sample of each branch by its oscillator phase.
+
+    Leading axes are frames; the trace has one path per frame of the stream.
+    """
     rx_time = np.asarray(rx_time, dtype=np.complex128)
     if rx_time.shape[-2] > trace.n_samples:
         raise ConfigurationError(
             f"stream of {rx_time.shape[-2]} samples exceeds trace length {trace.n_samples}"
         )
-    return rx_time * np.exp(1j * trace.phi[..., : rx_time.shape[-2], :])
+    rotation = 1j * trace.phi[..., : rx_time.shape[-2], :]
+    np.exp(rotation, out=rotation)  # in place: a chunk of streams is large
+    return np.multiply(rx_time, rotation, out=rotation)
 
 
 def apply_iq_imbalance(rx_time: np.ndarray, iq: IqParams) -> np.ndarray:
     """Mix each branch with its own conjugate: ``y = k1 r + k2 conj(r)``."""
     rx_time = np.asarray(rx_time, dtype=np.complex128)
-    return iq.k1[None, :] * rx_time + iq.k2[None, :] * np.conj(rx_time)
+    image = np.conj(rx_time)
+    np.multiply(iq.k2[None, :], image, out=image)
+    out = iq.k1[None, :] * rx_time
+    out += image
+    return out
 
 
 def cpe_of(trace: PhaseNoiseTrace, start, n_fft: int) -> np.ndarray:
