@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .harness import ScenarioConfig, emit_csv, emit_plots, run_campaign
+from .harness import MAX_SNR_DB, ScenarioConfig, emit_csv, emit_plots, run_campaign
 from .numerics import ConfigurationError
 
 __all__ = ["main", "parse_config_file", "build_config"]
@@ -22,6 +22,8 @@ __all__ = ["main", "parse_config_file", "build_config"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+MAX_SNR_POINTS = 10_000  # an a:b:step range is refused beyond this, before it is expanded
 
 _CONFIG_KEYS = {
     "snr", "beta", "mimo", "iq", "mode", "detector", "ce", "frames", "seed",
@@ -64,6 +66,10 @@ def _parse_snr(text: str) -> tuple:
         a, b, step = parts
         if step <= 0:
             raise ConfigurationError("SNR step must be positive")
+        if max(abs(a), abs(b)) > MAX_SNR_DB:
+            raise ConfigurationError(f"SNR range endpoints must be within +-{MAX_SNR_DB:g} dB, got {text!r}")
+        if (b + 1e-9 - a) / step >= MAX_SNR_POINTS:
+            raise ConfigurationError(f"SNR range {text!r} has more than {MAX_SNR_POINTS} points")
         vals = []
         v = a
         while v <= b + 1e-9:

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .framing import PreambleSet, SubcarrierMap
 from .numerics import ConfigurationError, dft, idft, logical_to_bin
@@ -273,11 +273,123 @@ def refine_iq_channel(
     return np.where(failed[..., None], np.nan, g)
 
 
+@dataclass(frozen=True)
+class _SplinePlan:
+    """The knot- and point-only part of a not-a-knot spline: its pivoted system and evaluation grid."""
+
+    dx: np.ndarray       # (knots - 1, 1) knot spacings
+    ends: tuple          # (w0, q0, d0, qm, wm, dm): factors of the two not-a-knot rows
+    steps: tuple         # (swap, mult) per elimination step of the forward sweep
+    back: tuple          # (d, du, dl) of the eliminated system for the back substitution
+    interval: np.ndarray  # (points,) polynomial piece of each evaluation point
+    z: tuple             # (z, z^2, z^3), each (points, 1): offsets into the piece
+
+
+@lru_cache(maxsize=64)
+def _spline_plan(knots: tuple, points: tuple) -> _SplinePlan:
+    """Factor ``CubicSpline``'s not-a-knot system once per knot set.
+
+    The banded matrix is the one ``CubicSpline.__init__`` builds, and its
+    elimination replays LAPACK ``?gtsv`` as ``solve_banded((1, 1), ...)``
+    runs it: no row swap when ``|d_k| >= |dl_k|``, otherwise a swap.
+    (``?gtsv`` skips a step whose ``dl_k`` is zero; here every ``dl_k``
+    is a positive knot spacing.)
+    """
+    x = np.array(knots, dtype=np.float64)
+    n = x.size
+    dx = np.diff(x)
+    d = np.empty(n)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    d[0], d[-1] = dx[1], dx[-2]
+    du = np.concatenate(([x[2] - x[0]], dx[:-1]))
+    dl = np.concatenate((dx[1:], [x[-1] - x[-3]]))
+    d, du, dl, h = d.tolist(), du.tolist(), dl.tolist(), dx.tolist()
+    d0, dm = du[0], dl[-1]  # x[2] - x[0] and x[-1] - x[-3]
+    ends = ((h[0] + 2 * d0) * h[1], h[0] * h[0], d0, h[-1] * h[-1], (2 * dm + h[-1]) * h[-2], dm)
+    steps = []
+    for k in range(n - 1):
+        if abs(d[k]) >= abs(dl[k]):
+            mult = dl[k] / d[k]
+            d[k + 1] = d[k + 1] - mult * du[k]
+            if k < n - 2:
+                dl[k] = 0.0
+            steps.append((False, mult))
+        else:
+            mult = d[k] / dl[k]
+            d[k] = dl[k]
+            temp = d[k + 1]
+            d[k + 1] = du[k] - mult * temp
+            if k < n - 2:
+                dl[k] = du[k + 1]
+                du[k + 1] = -mult * dl[k]
+            du[k] = temp
+            steps.append((True, mult))
+    xi = np.array(points, dtype=np.float64)
+    # half-open pieces, the last one closed, the end pieces extrapolating
+    interval = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, n - 2)
+    z = (xi - x[interval])[:, None]
+    z2 = z * z
+    plan = _SplinePlan(dx[:, None], ends, tuple(steps), (d, du, dl), interval, (z, z2, z2 * z))
+    for a in (plan.dx, plan.interval, *plan.z):
+        a.flags.writeable = False  # shared by every caller through the cache
+    return plan
+
+
+def _not_a_knot(knots: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``CubicSpline(knots, values)(points)`` along axis 0, bit for bit.
+
+    ``values`` is complex ``(knots, ...)`` with at least one column axis
+    (a 1-D ``y`` sends ``CubicSpline``'s end rows through numpy scalar
+    arithmetic instead); the result is ``(points, ...)``.
+    Only the right-hand side's sweep and the evaluation run per call.  The
+    sweep works on real and imaginary parts as separate real columns,
+    because ``zgtsv`` divides by its real pivots where numpy's
+    complex-by-real division multiplies by the reciprocal.  Non-finite
+    values raise ``ValueError``, as ``CubicSpline`` does.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError("spline values must be finite")
+    plan = _spline_plan(tuple(knots.tolist()), tuple(points.tolist()))
+    y = np.ascontiguousarray(values, dtype=np.complex128).reshape(len(knots), -1)
+    dxr = plan.dx
+    w0, q0, d0, qm, wm, dm = plan.ends
+    slope = np.diff(y, axis=0) / dxr
+    s = np.empty_like(y)
+    s[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    s[0] = (w0 * slope[0] + q0 * slope[1]) / d0
+    s[-1] = (qm * slope[-2] + wm * slope[-1]) / dm
+    r = s.view(np.float64)
+    for k, (swap, mult) in enumerate(plan.steps):
+        if swap:
+            top = r[k].copy()
+            r[k] = r[k + 1]
+            r[k + 1] = top - mult * r[k]
+        else:
+            r[k + 1] -= mult * r[k]
+    d, du, dl = plan.back
+    r[-1] /= d[-1]
+    r[-2] = (r[-2] - du[-1] * r[-1]) / d[-2]
+    for i in range(len(d) - 3, -1, -1):
+        if dl[i]:
+            r[i] = (r[i] - du[i] * r[i + 1] - dl[i] * r[i + 2]) / d[i]
+        else:
+            r[i] = (r[i] - du[i] * r[i + 1]) / d[i]
+    # CubicHermiteSpline's coefficients, evaluated as PPoly does
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    c = (t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])
+    i = plan.interval
+    z, z2, z3 = plan.z
+    out = c[3][i] + c[2][i] * z + c[1][i] * z2 + c[0][i] * z3
+    return out.reshape(len(points), *values.shape[1:])
+
+
 def interpolate_channel(
     e: np.ndarray, pre: PreambleSet, smap: SubcarrierMap
 ) -> np.ndarray:
-    """Complete the effective channel on all used bins by cubic splines.
+    """Complete the effective channel on all used bins by not-a-knot cubic splines.
 
+    The splines equal scipy's ``CubicSpline`` bit for bit (see
+    ``_not_a_knot``); a non-finite estimate raises ``ValueError``.
     ``e`` is ``(..., n_used, m_r)`` with leading frame axes.  One spline
     per transmit antenna runs over the logical bin index, with every frame
     and receive branch as a column of its values; trained bins pass
@@ -293,7 +405,7 @@ def interpolate_channel(
         x = used[sel]
         cols = np.moveaxis(np.compress(sel, e, axis=-2), -2, 0)  # (knots, ..., m_r), the layout of h[..., ub, :, p]
         if x.size >= 4:
-            h[..., ub, :, p] = CubicSpline(x, cols)(used)
+            h[..., ub, :, p] = _not_a_knot(x, cols, used)
             continue
         log.warning("antenna %d has only %d trained bins; spline falls back to linear", p, x.size)
         flat = cols.reshape(x.size, -1)

@@ -1,12 +1,14 @@
 """Tests for the campaign command line and config file parsing."""
 
 import math
+import time
 
 import pytest
 
 from ofdmlink.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    MAX_SNR_POINTS,
     _parse_iq,
     _parse_mimo,
     _parse_snr,
@@ -20,6 +22,20 @@ from ofdmlink.numerics import ConfigurationError
 class TestParsers:
     def test_snr_range(self):
         assert _parse_snr("10:35:5") == (10.0, 15.0, 20.0, 25.0, 30.0, 35.0)
+
+    def test_snr_fractional_range_keeps_its_points(self):
+        # the accumulated step still lands on the endpoint, as before ranges were bounded
+        assert _parse_snr("0:1:0.1") == tuple(round(0.1 * i, 9) for i in range(11))
+        assert _parse_snr("-300:300:150") == (-300.0, -150.0, 0.0, 150.0, 300.0)
+        step = 2.0**-6  # exact in binary, so the count is exact too
+        assert len(_parse_snr(f"0:{(MAX_SNR_POINTS - 1) * step}:{step}")) == MAX_SNR_POINTS
+        with pytest.raises(ConfigurationError):
+            _parse_snr(f"0:{MAX_SNR_POINTS * step}:{step}")
+
+    def test_snr_range_bounded_before_expansion(self):
+        for text in ("0:1:1e-6", "0:40:1e-9", "0:1:5e-324", "-301:0:1", "0:1e300:1e299"):
+            with pytest.raises(ConfigurationError):
+                _parse_snr(text)
 
     def test_snr_list(self):
         assert _parse_snr("10,20,30") == (10.0, 20.0, 30.0)
@@ -158,6 +174,15 @@ class TestMain:
         cfg.write_text(f"snr = 20\nbeta = 0\nframes = 1\nmode = genie,full\n{line}\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("snr", ["0:40:1e-9", "0:1:1e-6", "-400:0:10"])
+    def test_oversized_snr_range_exits_config_at_once(self, tmp_path, snr):
+        # unbounded, 0:40:1e-9 would be expanded point by point for minutes
+        start = time.perf_counter()
+        rc = main([f"--snr={snr}", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert time.perf_counter() - start < 5.0
         assert not (tmp_path / "out").exists()
 
     def test_bad_snr_exits_config(self, tmp_path):

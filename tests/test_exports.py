@@ -1,9 +1,12 @@
-"""Every public name the package declares resolves to an object."""
+"""Every public name the package declares resolves to an object; importing it loads no scipy."""
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -33,3 +36,15 @@ def test_public_names_resolve(module):
     mod = importlib.import_module(f"ofdmlink.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, missing
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so that modules the test suite imported do not count
+    src = str(pathlib.Path(ofdmlink.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, ofdmlink, ofdmlink.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
