@@ -39,7 +39,7 @@ from .impairments import (
     apply_phase_noise,
     combined_freq_model,
     cpe_of,
-    gen_phase_noise,
+    wiener_phase,
 )
 from .numerics import (
     ConfigurationError,

@@ -174,8 +174,35 @@ def _arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _is_snr_spec(text: str) -> bool:
+    """Whether ``text`` reads as an SNR range or list, valid or not."""
+    try:
+        _parse_snr(text)
+    except ConfigurationError:
+        return True  # refused later, as a configuration error
+    except ValueError:
+        return False
+    return True
+
+
+def _join_snr_values(argv: list) -> list:
+    """``--snr -5:20:5`` as ``--snr=-5:20:5``.
+
+    argparse reads a separate value that starts with a minus and holds a
+    ``:`` or ``,`` as an option, and would exit before the config check.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--snr" and arg.startswith("-") and _is_snr_spec(arg):
+            out[-1] = f"--snr={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _arg_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _arg_parser().parse_args(_join_snr_values(argv))
     try:
         values = parse_config_file(args.config) if args.config else {}
         for key in ("snr", "beta", "mimo", "iq", "mode", "detector", "ce",

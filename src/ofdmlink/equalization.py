@@ -203,7 +203,7 @@ def mmse_r_matrix(state: EstimatorState, m_t: int, kind: str = "sigma") -> np.nd
 
 @dataclass(frozen=True)
 class FrameDecisions:
-    bits: np.ndarray      # (..., n_data_syms, n_data, m_t, 4)
+    bits: np.ndarray      # (..., n_data_syms, n_data, m_t, 4) uint8
     soft: np.ndarray      # (..., n_data_syms, n_data, m_t)
     erased: np.ndarray    # (..., n_data_syms, n_data) bool
     flagged_symbols: int  # over every frame of the stack

@@ -162,7 +162,7 @@ def qam16_demap(symbols: np.ndarray) -> np.ndarray:
     s = np.asarray(symbols).reshape(-1)
     gi = _axis_demap(s.real)
     gq = _axis_demap(s.imag)
-    out = np.empty((s.size, 4), dtype=np.int64)
+    out = np.empty((s.size, 4), dtype=np.uint8)
     out[:, 0] = gi // 2
     out[:, 1] = gi % 2
     out[:, 2] = gq // 2
@@ -277,7 +277,7 @@ def demodulate_frame(stream: np.ndarray, n: int, n_cp: int, n_symbols: int) -> n
 class FrameGroundTruth:
     """Everything needed to score a frame after the receiver has run."""
 
-    bits: np.ndarray          # (..., n_data_syms, n_data, m_t, 4)
+    bits: np.ndarray          # (..., n_data_syms, n_data, m_t, 4) uint8
     data_symbols: np.ndarray  # (..., n_data_syms, n_data, m_t)
     pilots: np.ndarray        # (m_t, n_pilots)
 
@@ -304,7 +304,7 @@ def assemble_frame(
         short_symbol = build_short_symbol(smap, m_t)
     if pilots is None:
         pilots = pilot_matrix(m_t, smap.pilot_bins.size)
-    bits = np.asarray(payload_bits, dtype=np.int64)
+    bits = np.asarray(payload_bits, dtype=np.uint8)
     expected = config.n_data_symbols * smap.n_data * m_t * 4
     if bits.ndim == 0 or bits.shape[-1] != expected:
         raise ConfigurationError(

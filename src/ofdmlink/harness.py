@@ -5,8 +5,11 @@ share the same per-frame channel, noise, payload, and phase-path draws at
 that point, so mode comparisons are paired.  Frame randomness is derived
 from the master seed through the frame index alone, so every grid point
 sees the same draws (common random numbers) and cross-point comparisons
-are paired too; every result is byte-reproducible regardless of worker
-count or scheduling.
+are paired too.  A campaign splits the grid into ``min(workers, points)``
+interleaved groups, one task each; a task simulates each chunk of frames
+once (:func:`simulate_frame`) and impairs it per point (:func:`impair`).
+Every result is byte-reproducible regardless of worker count or
+scheduling.
 
 The receiver modes differ only in the channel estimate they detect with
 (see :func:`receiver_state`) and the common-phase updates they apply:
@@ -54,7 +57,7 @@ from .impairments import (
     apply_iq_imbalance,
     apply_phase_noise,
     cpe_of,
-    gen_phase_noise,
+    wiener_phase,
 )
 from .numerics import ConfigurationError, RandomSource, logical_to_bin
 from .svgplot import line_chart
@@ -68,6 +71,7 @@ __all__ = [
     "compute_mse_ce",
     "compute_mse_k1",
     "simulate_frame",
+    "impair",
     "FrontEnd",
     "front_end",
     "receiver_state",
@@ -242,8 +246,19 @@ def compute_mse_k1(k1_hat: np.ndarray, k1_true: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
+class FrameDraws:
+    """A chunk of frames' point-invariant part, shared by every grid point of a task."""
+
+    clean: np.ndarray            # (frames, samples, m_r) channel output before noise
+    noise: np.ndarray | None     # (frames, samples, m_r) standard normal per real dimension
+    steps: np.ndarray | None     # (frames, samples - 1, paths) standard-normal phase steps
+    truth_bits: np.ndarray       # (frames, n_data_syms, n_data, m_t, 4) uint8
+    freq: np.ndarray             # (frames, n, m_r, m_t) channel responses
+
+
+@dataclass(frozen=True)
 class SimulatedFrames:
-    """A chunk of frames' physics, shared by every receiver mode at a grid point."""
+    """A chunk of frames' physics at one grid point, shared by every receiver mode."""
 
     rx_grids: np.ndarray         # (frames, symbols, n, m_r) demodulated with impairments
     truth_bits: np.ndarray       # (frames, n_data_syms, n_data, m_t, 4)
@@ -260,17 +275,21 @@ def simulate_frame(
     pre: PreambleSet,
     short: np.ndarray,
     pilots: np.ndarray,
-    snr_db: float,
-    beta: float,
     rngs,
-) -> SimulatedFrames:
-    """Transmit a chunk of frames through channel, noise, phase noise, and IQ mixing.
+    draw_noise: bool = True,
+    draw_phase: bool = True,
+) -> FrameDraws:
+    """Transmit a chunk of frames through the channel and draw their noise and phase steps.
 
+    This is the part of a frame that no SNR or linewidth changes.
     ``rngs`` holds one source per frame; each frame draws its channel,
-    payload, noise and phase path from its own labelled children, so a
-    frame's draws do not depend on the chunk it runs in.
+    payload, noise and phase steps from its own labelled children, so a
+    frame's draws depend neither on the chunk it runs in nor on the grid
+    point.  The noise and the steps are standard normal and
+    :func:`impair` scales them per point.  ``draw_noise=False`` (no
+    finite SNR) and ``draw_phase=False`` (no positive linewidth) skip a
+    draw; it comes from its own child, so no other stream moves.
     """
-    iq = config.iq_params()
     channels = [
         draw_channel(
             config.m_t, config.m_r, config.l_taps, config.pdp_decay,
@@ -284,25 +303,53 @@ def simulate_frame(
     ])
     grids, truth = assemble_frame(fc, smap, payload, pre, short_symbol=short, pilots=pilots)
     tx = modulate_frame(grids, config.n_cp)
+    # one stream array for the chunk, filled frame by frame: the convolution
+    # is per frame, and the chunk holds no second copy of it
+    clean = np.empty((len(rngs), tx.shape[1] + config.l_taps - 1, config.m_r), dtype=np.complex128)
+    for f, ch in enumerate(channels):
+        clean[f] = apply_channel(tx[f], ch)
+    noise = steps = None
+    if draw_noise:  # complex_normal's two draws, unscaled
+        noise = np.empty_like(clean)
+        for f, rng in enumerate(rngs):
+            gen = rng.child("noise").rng
+            noise[f].real = gen.standard_normal(clean.shape[1:])
+            noise[f].imag = gen.standard_normal(clean.shape[1:])
+    if draw_phase:
+        shape = (clean.shape[1] - 1, 1 if config.shared_oscillator else config.m_r)
+        steps = np.stack([rng.child("phase").rng.standard_normal(shape) for rng in rngs])
+    return FrameDraws(
+        clean=clean, noise=noise, steps=steps, truth_bits=truth.bits,
+        freq=np.stack([ch.freq for ch in channels]),
+    )
 
+
+def impair(
+    draws: FrameDraws,
+    config: ScenarioConfig,
+    fc: FrameConfig,
+    smap: SubcarrierMap,
+    snr_db: float,
+    beta: float,
+) -> SimulatedFrames:
+    """Add one grid point's noise, phase noise and IQ mixing to a chunk's shared draws.
+
+    Scaling a standard-normal draw equals drawing at that scale bit for
+    bit, so the result does not depend on which points share the draws.
+    """
+    iq = config.iq_params()
     # SNR is referenced to the average received data-symbol power per branch
     # with unit-energy constellation and unit-energy channel.
     p_rx = config.m_t * smap.n_used / config.n**2
     sigma2 = 0.0 if math.isinf(snr_db) else p_rx / 10.0 ** (snr_db / 10.0)
-    # one stream array for the chunk, filled frame by frame: the convolution
-    # and the draws are per frame, and the chunk holds no second copy of them
-    rx = np.empty((len(rngs), tx.shape[1] + config.l_taps - 1, config.m_r), dtype=np.complex128)
-    phi = np.empty(rx.shape)
-    for f, (rng, ch) in enumerate(zip(rngs, channels)):
-        rx[f] = apply_channel(tx[f], ch)
-        if not math.isinf(snr_db):
-            rx[f] += rng.child("noise").complex_normal(var=sigma2, size=rx.shape[1:])
-        phi[f] = gen_phase_noise(
-            beta, config.ts, rx.shape[1], config.m_r,
-            rng.child("phase"), shared_oscillator=config.shared_oscillator,
-        ).phi
-    del grids, tx  # not needed below, where the chunk's memory peaks
-    trace = PhaseNoiseTrace(phi)
+    rx = draws.clean
+    if not math.isinf(snr_db):
+        rx = np.multiply(draws.noise, np.sqrt(sigma2 / 2.0))
+        rx += draws.clean
+    if beta > 0:
+        trace = wiener_phase(beta, config.ts, draws.steps, config.m_r)
+    else:
+        trace = PhaseNoiseTrace(np.zeros(rx.shape))
     rx = apply_phase_noise(rx, trace)
     rx = apply_iq_imbalance(rx, iq)
     rx_grids = demodulate_frame(rx, config.n, config.n_cp, config.symbols_per_frame)
@@ -311,9 +358,9 @@ def simulate_frame(
     # common phase of the two long training symbols (rows 0 and 1).
     cpe = cpe_of(trace, fc.symbol_window(np.arange(fc.n_short, fc.symbols_per_frame)), config.n)
     theta_pre = 0.5 * (cpe[:, 0] + cpe[:, 1])
-    freq = np.stack([ch.freq for ch in channels])
     return SimulatedFrames(
-        rx_grids=rx_grids, truth_bits=truth.bits, h_eff=theta_pre[:, None, :, None] * freq,
+        rx_grids=rx_grids, truth_bits=draws.truth_bits,
+        h_eff=theta_pre[:, None, :, None] * draws.freq,
         iq=iq, sigma2=sigma2, cpe_true=cpe[:, 2:] / theta_pre[:, None],
     )
 
@@ -418,119 +465,157 @@ def _chunk_frames(config: ScenarioConfig) -> int:
     return blocks * config.iq_frame_avg
 
 
-def run_point(
-    config: ScenarioConfig, snr_idx: int, beta_idx: int
-) -> list[CampaignRow]:
-    """Run all frames of one (snr, beta) grid point and score every mode.
+def _score_chunk(
+    frames: SimulatedFrames,
+    config: ScenarioConfig,
+    fc: FrameConfig,
+    smap: SubcarrierMap,
+    pre: PreambleSet,
+    pilots: np.ndarray,
+    acc: dict,
+) -> None:
+    """Run every mode on one point's chunk of frames and add the scores to ``acc``.
 
-    Frames run in chunks, each stage once per chunk on a leading frame
-    axis.  A chunk holds whole blocks of ``iq_frame_avg`` frames: the
+    A helper of its own, so that none of the point's arrays outlive it.
+    """
+    k1_true = config.iq_params().k1
+    estimating = [m for m in config.modes if _estimates_mismatch(m)]
+    step = config.iq_frame_avg
+    n_frames = frames.rx_grids.shape[0]
+    fe = front_end(frames, config, fc, smap, pre)
+    k1 = np.full((n_frames, config.m_r), np.nan, dtype=np.complex128)
+    if fe.g is not None:
+        usable = np.isfinite(fe.g).all(axis=-1)
+        for b in range(0, n_frames, step):
+            g_block = fe.g[b : b + step][usable[b : b + step]]
+            if len(g_block):
+                k1[b : b + step] = k1_block = (1.0 + np.mean(g_block, axis=0)) / 2.0
+                for mode in estimating:
+                    acc[mode].k1_mse_terms.append(compute_mse_k1(k1_block, k1_true))
+
+    states = {}  # estimate -> (state of the frames run, their mask, their mse_ce)
+    for estimate in dict.fromkeys(RECEIVER_MODES[m][0] for m in config.modes):
+        state, ran = receiver_state(frames, fe, config, fc, smap, pre, estimate, k1)
+        mse_ce = compute_mse_ce(state.h_pre, frames.h_eff[ran], pre.used, config.n)
+        states[estimate] = (state, ran, mse_ce)
+    options = config.equalizer_options()
+    no_updates = np.ones((fc.n_data_symbols, config.m_r), dtype=np.complex128)
+    per_bin_bits = config.m_t * 4
+    for mode in config.modes:
+        estimate, phase = RECEIVER_MODES[mode]
+        state, ran, mse_ce = states[estimate]
+        if not ran.any():
+            continue
+        run = slice(None) if ran.all() else ran  # no copy of the chunk when all frames run
+        updates = {"none": no_updates, "tracked": None, "genie": frames.cpe_true[run]}
+        dec = equalize_frame(
+            frames.rx_grids[run], state, smap, pilots, fc.n_train,
+            options=options, phase_updates=updates[phase],
+        )
+        truth = frames.truth_bits[run]
+        a = acc[mode]
+        wrong = (dec.bits != truth) & ~dec.erased[..., None, None]
+        a.bit_errors += int(wrong.sum()) + int(dec.erased.sum()) * per_bin_bits
+        a.bits_total += truth.size
+        for value in mse_ce:  # frame by frame, in order
+            a.mse_ce_sum += float(value)
+        a.flagged += dec.flagged_symbols
+        a.frames_run += len(mse_ce)
+        if not _estimates_mismatch(mode):
+            a.k1_mse_terms += [compute_mse_k1(state.k1, frames.iq.k1)] * len(mse_ce)
+
+
+def run_point(config: ScenarioConfig, points) -> list[CampaignRow]:
+    """Run all frames of a group of grid points and score every mode at each.
+
+    ``points`` is a sequence of ``(snr_idx, beta_idx)`` pairs; the rows come
+    back point by point in that order, one per mode.  Frames run in
+    chunks, each stage once per chunk on a leading frame axis.  A chunk's
+    channels, payload, noise-free streams and standard-normal draws are
+    simulated once and shared by every point of the group; each point
+    then adds its own noise, phase noise and IQ mixing and runs the
+    receivers.  A chunk holds whole blocks of ``iq_frame_avg`` frames: the
     mismatch estimates of a block are averaged (the mismatch is static
     hardware) and the block estimate drives detection and the
     mismatch-MSE metric for its frames.  All modes see the same physical
     realizations.
     """
-    snr_db = float(config.snr_db[snr_idx])
-    beta = float(config.beta_hz[beta_idx])
+    coords = [(float(config.snr_db[i]), float(config.beta_hz[j])) for i, j in points]
     fc = config.frame_config()
     smap = build_subcarrier_map(config.n)
     pre = build_preamble(config.m_t, smap)
     short = build_short_symbol(smap, config.m_t)
     pilots = pilot_matrix(config.m_t, smap.pilot_bins.size)
-    point_rng = RandomSource(config.master_seed)
-    k1_true = config.iq_params().k1
-    options = config.equalizer_options()
-    no_updates = np.ones((fc.n_data_symbols, config.m_r), dtype=np.complex128)
-    estimates = tuple(dict.fromkeys(RECEIVER_MODES[m][0] for m in config.modes))
-    estimating = [m for m in config.modes if _estimates_mismatch(m)]
-    per_bin_bits = config.m_t * 4
+    root = RandomSource(config.master_seed)
+    draw_noise = any(not math.isinf(snr) for snr, _ in coords)
+    draw_phase = any(beta > 0 for _, beta in coords)
 
-    acc = {mode: _Accumulator() for mode in config.modes}
-    step = config.iq_frame_avg
+    accs = [{mode: _Accumulator() for mode in config.modes} for _ in coords]
     chunk = _chunk_frames(config)
     for start in range(0, config.frames, chunk):
-        rngs = [point_rng.child("frame", f) for f in range(start, min(start + chunk, config.frames))]
-        frames = simulate_frame(config, fc, smap, pre, short, pilots, snr_db, beta, rngs)
-        fe = front_end(frames, config, fc, smap, pre)
-        k1 = np.full((len(rngs), config.m_r), np.nan, dtype=np.complex128)
-        if fe.g is not None:
-            usable = np.isfinite(fe.g).all(axis=-1)
-            for b in range(0, len(rngs), step):
-                g_block = fe.g[b : b + step][usable[b : b + step]]
-                if len(g_block):
-                    k1[b : b + step] = k1_block = (1.0 + np.mean(g_block, axis=0)) / 2.0
-                    for mode in estimating:
-                        acc[mode].k1_mse_terms.append(compute_mse_k1(k1_block, k1_true))
-
-        states = {}  # estimate -> (state of the frames run, their mask, their mse_ce)
-        for estimate in estimates:
-            state, ran = receiver_state(frames, fe, config, fc, smap, pre, estimate, k1)
-            mse_ce = compute_mse_ce(state.h_pre, frames.h_eff[ran], pre.used, config.n)
-            states[estimate] = (state, ran, mse_ce)
-        for mode in config.modes:
-            estimate, phase = RECEIVER_MODES[mode]
-            state, ran, mse_ce = states[estimate]
-            if not ran.any():
-                continue
-            run = slice(None) if ran.all() else ran  # no copy of the chunk when all frames run
-            updates = {"none": no_updates, "tracked": None, "genie": frames.cpe_true[run]}
-            dec = equalize_frame(
-                frames.rx_grids[run], state, smap, pilots, fc.n_train,
-                options=options, phase_updates=updates[phase],
-            )
-            truth = frames.truth_bits[run]
-            a = acc[mode]
-            wrong = (dec.bits != truth) & ~dec.erased[..., None, None]
-            a.bit_errors += int(wrong.sum()) + int(dec.erased.sum()) * per_bin_bits
-            a.bits_total += truth.size
-            for value in mse_ce:  # frame by frame, in order
-                a.mse_ce_sum += float(value)
-            a.flagged += dec.flagged_symbols
-            a.frames_run += len(mse_ce)
-            if not _estimates_mismatch(mode):
-                a.k1_mse_terms += [compute_mse_k1(state.k1, frames.iq.k1)] * len(mse_ce)
+        rngs = [root.child("frame", f) for f in range(start, min(start + chunk, config.frames))]
+        draws = simulate_frame(
+            config, fc, smap, pre, short, pilots, rngs,
+            draw_noise=draw_noise, draw_phase=draw_phase,
+        )
+        for (snr_db, beta), acc in zip(coords, accs):
+            frames = impair(draws, config, fc, smap, snr_db, beta)
+            _score_chunk(frames, config, fc, smap, pre, pilots, acc)
+            del frames  # freed before the next point is impaired
+        del draws  # not held while the next chunk is drawn
 
     rows = []
-    for mode in config.modes:
-        a = acc[mode]
-        rows.append(
-            CampaignRow(
-                snr_db=snr_db,
-                beta_hz=beta,
-                mode=mode,
-                detector=config.detector,
-                ce_method=config.ce_method,
-                m_t=config.m_t,
-                m_r=config.m_r,
-                frames_run=a.frames_run,
-                ber=a.bit_errors / a.bits_total if a.bits_total else float("nan"),
-                mse_ce=a.mse_ce_sum / a.frames_run if a.frames_run else float("nan"),
-                mse_k1=float(np.mean(a.k1_mse_terms)) if a.k1_mse_terms else float("nan"),
-                flagged_symbols=a.flagged,
-                seed=config.master_seed,
+    for (snr_db, beta), acc in zip(coords, accs):
+        for mode in config.modes:
+            a = acc[mode]
+            rows.append(
+                CampaignRow(
+                    snr_db=snr_db,
+                    beta_hz=beta,
+                    mode=mode,
+                    detector=config.detector,
+                    ce_method=config.ce_method,
+                    m_t=config.m_t,
+                    m_r=config.m_r,
+                    frames_run=a.frames_run,
+                    ber=a.bit_errors / a.bits_total if a.bits_total else float("nan"),
+                    mse_ce=a.mse_ce_sum / a.frames_run if a.frames_run else float("nan"),
+                    mse_k1=float(np.mean(a.k1_mse_terms)) if a.k1_mse_terms else float("nan"),
+                    flagged_symbols=a.flagged,
+                    seed=config.master_seed,
+                )
             )
-        )
     return rows
 
 
 def _point_task(args) -> list[CampaignRow]:
-    config, snr_idx, beta_idx = args
-    return run_point(config, snr_idx, beta_idx)
+    config, points = args
+    return run_point(config, points)
+
+
+def _point_groups(config: ScenarioConfig) -> list[list[tuple[int, int]]]:
+    """The grid in ``min(workers, points)`` interleaved groups, one task each."""
+    points = [(i, j) for i in range(len(config.snr_db)) for j in range(len(config.beta_hz))]
+    w = min(config.workers, len(points))
+    return [points[k::w] for k in range(w)]
 
 
 def run_campaign(config: ScenarioConfig) -> CampaignResult:
     """Sweep the whole grid; results are identical for any worker count."""
-    tasks = [
-        (config, i, j)
-        for i in range(len(config.snr_db))
-        for j in range(len(config.beta_hz))
-    ]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            per_point = list(pool.map(_point_task, tasks))
+    groups = _point_groups(config)
+    tasks = [(config, group) for group in groups]
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            per_group = list(pool.map(_point_task, tasks))
     else:
-        per_point = [_point_task(t) for t in tasks]
-    rows = tuple(row for point_rows in per_point for row in point_rows)
+        per_group = [_point_task(t) for t in tasks]
+    m = len(config.modes)
+    by_point = {
+        point: group_rows[k * m : (k + 1) * m]
+        for group, group_rows in zip(groups, per_group)
+        for k, point in enumerate(group)
+    }
+    rows = tuple(row for point in sorted(by_point) for row in by_point[point])
     return CampaignResult(config=config, rows=rows)
 
 

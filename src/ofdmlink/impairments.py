@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .numerics import ConfigurationError, RandomSource, conj_mirror, dft
+from .numerics import ConfigurationError, conj_mirror, dft
 
 __all__ = [
     "IqParams",
     "PhaseNoiseTrace",
-    "gen_phase_noise",
+    "wiener_phase",
     "apply_phase_noise",
     "apply_iq_imbalance",
     "cpe_of",
@@ -78,7 +78,7 @@ class PhaseNoiseTrace:
     """Per-branch sampled oscillator phase path over one frame, or a stack of them.
 
     ``phi[..., n, q]`` is the phase (radians) of branch ``q`` at sample ``n``;
-    :func:`gen_phase_noise` draws i.i.d. Gaussian increments with variance
+    :func:`wiener_phase` sums i.i.d. Gaussian increments with variance
     ``4 pi beta ts`` for linewidth ``beta`` and sample period ``ts``.
     """
 
@@ -93,27 +93,24 @@ class PhaseNoiseTrace:
         return self.phi.shape[-1]
 
 
-def gen_phase_noise(
-    beta: float,
-    ts: float,
-    n_samples: int,
-    m_r: int,
-    rng: RandomSource,
-    shared_oscillator: bool = False,
-) -> PhaseNoiseTrace:
-    """Sample Wiener phase paths, one per branch, starting at phi(0) = 0."""
+def wiener_phase(beta: float, ts: float, steps: np.ndarray, m_r: int) -> PhaseNoiseTrace:
+    """Wiener phase paths from standard-normal increments, starting at phi(0) = 0.
+
+    ``steps`` is ``(..., n_samples - 1, paths)``, with one path per branch
+    or a single path (one oscillator shared by all ``m_r`` branches).
+    Each step is scaled to variance ``4 pi beta ts``, so steps drawn once
+    serve every linewidth; leading axes are frames.
+    """
     if beta < 0:
         raise ConfigurationError("linewidth must be nonnegative")
     if ts <= 0:
         raise ConfigurationError("sample period must be positive")
-    if beta == 0.0:
-        phi = np.zeros((n_samples, m_r))
-    else:
-        n_paths = 1 if shared_oscillator else m_r
-        inc = rng.normal(scale=np.sqrt(4.0 * np.pi * beta * ts), size=(n_samples - 1, n_paths))
-        phi = np.vstack([np.zeros((1, n_paths)), np.cumsum(inc, axis=0)])
-        if shared_oscillator:
-            phi = np.repeat(phi, m_r, axis=1)
+    phi = np.zeros((*steps.shape[:-2], steps.shape[-2] + 1, steps.shape[-1]))
+    inc = phi[..., 1:, :]
+    np.multiply(np.sqrt(4.0 * np.pi * beta * ts), steps, out=inc)
+    np.cumsum(inc, axis=-2, out=inc)
+    if phi.shape[-1] != m_r:
+        phi = np.repeat(phi, m_r, axis=-1)
     return PhaseNoiseTrace(phi=phi)
 
 

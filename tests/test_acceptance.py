@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_channel, owned_channel_columns, transmit_preamble
+from conftest import gen_phase_noise, make_channel, owned_channel_columns, transmit_preamble
 from ofdmlink.channel import apply_channel, draw_channel
 from ofdmlink.equalization import EqualizerOptions, equalize_frame
 from ofdmlink.estimation import (
@@ -32,7 +32,7 @@ from ofdmlink.impairments import (
     apply_iq_imbalance,
     apply_phase_noise,
     combined_freq_model,
-    gen_phase_noise,
+    wiener_phase,
 )
 from ofdmlink.numerics import RandomSource, logical_to_bin
 
@@ -137,13 +137,13 @@ def test_criterion_04_wiener_law():
     """Increment variance and linear variance growth of the phase path."""
     t0 = time.time()
     target_step = 4 * np.pi * 5e3 * 5e-8
-    tr = gen_phase_noise(5e3, 5e-8, 100_001, 1, RandomSource(3400).child("pn"))
+    tr = wiener_phase(5e3, 5e-8, RandomSource(3400).child("pn").normal(size=(100_000, 1)), 1)
     step_var = np.diff(tr.phi[:, 0]).var()
     root = RandomSource(3401)
     # 10_000 traces in batches: the path variance at sample 80
     endpoints = np.concatenate(
         [
-            gen_phase_noise(5e3, 5e-8, 81, 100, root.child("batch", i)).phi[80]
+            wiener_phase(5e3, 5e-8, root.child("batch", i).normal(size=(80, 100)), 100).phi[80]
             for i in range(100)
         ]
     )
@@ -185,7 +185,7 @@ def test_criterion_06_genie_zf_exactness():
             m_t=m, m_r=m, frames=10, snr_db=(float("inf"),), beta_hz=(0.0,),
             modes=("genie",), detector="zf", symbols_per_frame=10,
         )
-        bers[m] = run_point(config, 0, 0)[0].ber
+        bers[m] = run_point(config, [(0, 0)])[0].ber
 
     # MMSE with a vanishing regularizer must reproduce the ZF decisions.
     config = ScenarioConfig(
@@ -199,12 +199,13 @@ def test_criterion_06_genie_zf_exactness():
     pre = build_preamble(2, smap)
     short = build_short_symbol(smap, 2)
     pilots = pilot_matrix(2)
-    from ofdmlink.harness import front_end, receiver_state, simulate_frame
+    from ofdmlink.harness import front_end, impair, receiver_state, simulate_frame
 
-    frames = simulate_frame(
-        config, fc, smap, pre, short, pilots, float("inf"), 0.0,
+    draws = simulate_frame(
+        config, fc, smap, pre, short, pilots,
         [RandomSource(3600).child("frame", f) for f in range(2)],
     )
+    frames = impair(draws, config, fc, smap, float("inf"), 0.0)
     fe = front_end(frames, config, fc, smap, pre)
     state, _ = receiver_state(frames, fe, config, fc, smap, pre, "genie", None)
     state_eps = EstimatorState(
@@ -337,7 +338,7 @@ def test_criterion_08_channel_mse_shape(mse_campaigns):
         iq_frame_avg=50, master_seed=7200,
     )
     per_method = {
-        method: run_point(dataclasses.replace(base, ce_method=method), 0, 0)[0].mse_ce
+        method: run_point(dataclasses.replace(base, ce_method=method), [(0, 0)])[0].mse_ce
         for method in ("interp", "iterative")
     }
     ok = ok and per_method["iterative"] <= per_method["interp"]

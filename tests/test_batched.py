@@ -1,12 +1,14 @@
 """The chunked receiver path against an inline frame-by-frame oracle, with exact equality.
 
 ``run_point`` runs every stage once per chunk of frames on a leading
-frame axis.  The oracle below is the same chain one frame at a time (the
-package functions also take a single frame), so every array the chunked
-path produces must equal it bit for bit: the received grids, the
-effective channel and the genie phase, the noise correlation, the
+frame axis, and simulates each chunk once for a whole group of grid
+points.  The oracle below is the same chain one frame and one point at a
+time (the package functions also take a single frame), so every array
+the chunked path produces must equal it bit for bit: the received grids,
+the effective channel and the genie phase, the noise correlation, the
 mismatch estimates and their block averages, every completed channel,
-the phase updates and the decisions.
+the phase updates and the decisions.  A group of points must give the
+rows of its points run one by one.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import gen_phase_noise
 from ofdmlink import harness
 from ofdmlink.channel import apply_channel, draw_channel
 from ofdmlink.equalization import equalize_frame
@@ -35,7 +38,7 @@ from ofdmlink.framing import (
     pilot_matrix,
 )
 from ofdmlink.harness import MODES, RECEIVER_MODES, ScenarioConfig
-from ofdmlink.impairments import apply_iq_imbalance, apply_phase_noise, cpe_of, gen_phase_noise
+from ofdmlink.impairments import apply_iq_imbalance, apply_phase_noise, cpe_of, wiener_phase
 from ofdmlink.numerics import RandomSource, logical_to_bin
 
 
@@ -108,7 +111,8 @@ def test_chunk_equals_frame_by_frame(m, ce_method, avg, detector, beta, n_frames
     )
     fc, smap, pre, short, pilots = _setup(config)
     rngs = [RandomSource(config.master_seed).child("frame", f) for f in range(n_frames)]
-    frames = harness.simulate_frame(config, fc, smap, pre, short, pilots, 20.0, beta, rngs)
+    draws = harness.simulate_frame(config, fc, smap, pre, short, pilots, rngs)
+    frames = harness.impair(draws, config, fc, smap, 20.0, beta)
     fe = harness.front_end(frames, config, fc, smap, pre)
 
     ones = [oracle_frame(config, fc, smap, pre, short, pilots, 20.0, beta, r) for r in rngs]
@@ -188,6 +192,81 @@ def test_rows_do_not_depend_on_chunk_size(monkeypatch, chunk_symbols):
         frames=6, snr_db=(20.0,), beta_hz=(5e4,), modes=MODES, iq_frame_avg=2,
         symbols_per_frame=7, ce_method="iterative", master_seed=31,
     )
-    want = harness.run_point(config, 0, 0)
+    want = harness.run_point(config, [(0, 0)])
     monkeypatch.setattr(harness, "CHUNK_SYMBOLS", chunk_symbols)
-    assert harness.run_point(config, 0, 0) == want
+    assert harness.run_point(config, [(0, 0)]) == want
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("shared_oscillator", [False, True])
+def test_shared_draws_replay_each_frame_draw(m, shared_oscillator):
+    # the unit draws, scaled for a point, equal complex_normal(var) and the
+    # phase path drawn at its own scale, frame by frame
+    config = ScenarioConfig(
+        m_t=m, m_r=m, frames=3, symbols_per_frame=5, shared_oscillator=shared_oscillator,
+    )
+    fc, smap, pre, short, pilots = _setup(config)
+
+    def sources():
+        return [RandomSource(41).child("frame", f) for f in range(3)]
+
+    draws = harness.simulate_frame(config, fc, smap, pre, short, pilots, sources())
+    sigma2 = 0.37
+    for f, rng in enumerate(sources()):
+        want = rng.child("noise").complex_normal(var=sigma2, size=draws.clean.shape[1:])
+        assert np.array_equal(np.multiply(draws.noise[f], np.sqrt(sigma2 / 2.0)), want)
+        for beta in (1e3, 1e5):
+            want = gen_phase_noise(
+                beta, config.ts, draws.clean.shape[1], m, rng.child("phase"), shared_oscillator,
+            )
+            got = wiener_phase(beta, config.ts, draws.steps[f], m)
+            assert np.array_equal(got.phi, want.phi)
+            rng = sources()[f]  # a fresh phase source for the next linewidth
+
+    # skipping one draw moves no other stream
+    no_noise = harness.simulate_frame(
+        config, fc, smap, pre, short, pilots, sources(), draw_noise=False,
+    )
+    no_phase = harness.simulate_frame(
+        config, fc, smap, pre, short, pilots, sources(), draw_phase=False,
+    )
+    assert no_noise.noise is None and no_phase.steps is None
+    assert np.array_equal(no_noise.steps, draws.steps)
+    assert np.array_equal(no_phase.noise, draws.noise)
+    for other in (no_noise, no_phase):
+        for key in ("clean", "truth_bits", "freq"):
+            assert np.array_equal(getattr(other, key), getattr(draws, key))
+
+
+# (m_t = m_r, snr points, linewidths, shared oscillator, frames, iq_frame_avg)
+GROUPS = [
+    (1, (15.0, float("inf")), (0.0, 5e3), False, 4, 1),
+    (2, (20.0, float("inf")), (0.0, 1e4), True, 4, 2),
+    (4, (float("inf"), 25.0), (5e3, 0.0), False, 3, 1),
+    # 100 kHz: some frames' mismatch estimates fail inside a chunk
+    (2, (20.0,), (1e5, 5e3, 0.0), False, 12, 2),
+    # no finite SNR and no positive linewidth: both draws skipped
+    (2, (float("inf"),), (0.0,), False, 2, 1),
+]
+
+
+def exact(rows):
+    """Rows as text that tells every float apart: ``==`` fails on NaN fields."""
+    return [repr(row) for row in rows]
+
+
+@pytest.mark.parametrize("m, snrs, betas, shared, n_frames, avg", GROUPS)
+def test_group_equals_points_one_by_one(m, snrs, betas, shared, n_frames, avg):
+    config = ScenarioConfig(
+        m_t=m, m_r=m, frames=n_frames, snr_db=snrs, beta_hz=betas, modes=MODES,
+        iq_frame_avg=avg, symbols_per_frame=7, shared_oscillator=shared, master_seed=7100,
+    )
+    points = [(i, j) for i in range(len(snrs)) for j in range(len(betas))]
+    one_by_one = [row for p in points for row in harness.run_point(config, [p])]
+    assert exact(harness.run_point(config, points)) == exact(one_by_one)
+    assert exact(harness.run_point(config, points[::-1])) == exact(
+        row for p in points[::-1] for row in harness.run_point(config, [p])
+    )
+    if 1e5 in betas:
+        full = [r for r in one_by_one if r.beta_hz == 1e5 and r.mode == "full"]
+        assert 0 < full[0].frames_run < n_frames, "the 100 kHz point must lose some frames"

@@ -55,6 +55,6 @@ def test_genie_zf_matches_closed_form(m):
         symbols_per_frame=4,
     )
     for i, snr in enumerate(SNRS):
-        ratio = run_point(config, i, 0)[0].ber / zf_rayleigh_ber(snr, 64, 52, m)
+        ratio = run_point(config, [(i, 0)])[0].ber / zf_rayleigh_ber(snr, 64, 52, m)
         lo, hi = BOUNDS[(m, snr)]
         assert lo <= ratio <= hi, f"{m}x{m} at {snr:g} dB: simulated/theory {ratio:.3f}"

@@ -185,6 +185,26 @@ class TestMain:
         assert time.perf_counter() - start < 5.0
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "snr, points",
+        [("-5:20:5", (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0)), ("-10,0,inf", (-10.0, 0.0, math.inf))],
+    )
+    def test_negative_snr_as_separate_argument(self, tmp_path, snr, points):
+        out = tmp_path / "out"
+        rc = main([
+            "--snr", snr, "--beta", "0", "--mode", "genie", "--frames", "1",
+            "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert tuple(float(r.split(",")[0]) for r in rows) == points
+
+    def test_negative_snr_out_of_range_exits_config(self, tmp_path):
+        # joined to --snr and refused by the range check, not by argparse
+        rc = main(["--snr", "-400:0:10", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_bad_snr_exits_config(self, tmp_path):
         rc = main(["--snr", "10:35", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG

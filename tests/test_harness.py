@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -26,6 +27,7 @@ from ofdmlink.harness import (
     emit_csv,
     emit_plots,
     front_end,
+    impair,
     receiver_state,
     run_campaign,
     run_point,
@@ -114,7 +116,7 @@ class TestRunPoint:
             iq_theta_deg=0.0, iq_amp_pct=0.0, modes=("genie",),
             detector="zf", symbols_per_frame=8,
         )
-        rows = run_point(config, 0, 0)
+        rows = run_point(config, [(0, 0)])
         assert rows[0].ber == 0.0
         assert rows[0].mse_ce == pytest.approx(0.0, abs=1e-20)
 
@@ -127,7 +129,7 @@ class TestRunPoint:
             modes=("full",), detector="zf", symbols_per_frame=8,
             ce_method="iterative",
         )
-        rows = run_point(config, 0, 0)
+        rows = run_point(config, [(0, 0)])
         assert rows[0].ber == 0.0
         assert rows[0].mse_k1 < 1e-18
 
@@ -137,14 +139,14 @@ class TestRunPoint:
         config = ScenarioConfig(
             frames=1, snr_db=(20.0,), modes=MODES, n=128, n_cp=32, symbols_per_frame=5,
         )
-        assert all(r.frames_run == 1 for r in run_point(config, 0, 0))
+        assert all(r.frames_run == 1 for r in run_point(config, [(0, 0)]))
 
     def test_row_for_each_mode(self):
         config = ScenarioConfig(
             frames=1, snr_db=(20.0,), modes=("uncompensated", "full", "genie"),
             symbols_per_frame=6,
         )
-        rows = run_point(config, 0, 0)
+        rows = run_point(config, [(0, 0)])
         assert [r.mode for r in rows] == ["uncompensated", "full", "genie"]
 
 
@@ -158,8 +160,8 @@ class TestReceiverState:
         short = build_short_symbol(smap, config.m_t)
         pilots = pilot_matrix(config.m_t)
         rngs = [RandomSource(1).child("f", f) for f in range(n_frames)]
-        frames = simulate_frame(config, fc, smap, pre, short, pilots, 25.0, 5e3, rngs)
-        return frames, fc, smap, pre
+        draws = simulate_frame(config, fc, smap, pre, short, pilots, rngs)
+        return impair(draws, config, fc, smap, 25.0, 5e3), fc, smap, pre
 
     def test_modes_produce_consistent_states(self):
         config = ScenarioConfig(frames=1, symbols_per_frame=6)
@@ -204,7 +206,7 @@ class TestReceiverState:
         config = ScenarioConfig(
             frames=3, snr_db=(20.0,), modes=MODES, iq_frame_avg=2, symbols_per_frame=6,
         )
-        rows = run_point(config, 0, 0)
+        rows = run_point(config, [(0, 0)])
         assert frames_per_call == [3]
         assert all(r.frames_run == 3 for r in rows)
 
@@ -224,20 +226,36 @@ class TestReceiverState:
             frames=4, snr_db=(20.0,), modes=MODES, iq_frame_avg=2, symbols_per_frame=6,
             ce_method=ce_method,
         )
-        rows = run_point(config, 0, 0)
+        rows = run_point(config, [(0, 0)])
         assert frames_per_call == [4, 4, 4]
         assert all(r.frames_run == 4 for r in rows)
 
 
+class _SerialPool:
+    """Runs the pool's tasks in this process, so that spies see them."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
 def test_run_campaign_reaches_module_level_names(monkeypatch):
     # Wrappers installed on the module (as the benchmark's probes are) must
-    # see every grid point and every chunk of frames, so neither name may be
-    # bound locally.
+    # see every task and every chunk of frames, so neither name may be bound
+    # locally.  A task simulates each chunk once for all of its grid points.
     seen = []
     point, simulate = harness.run_point, harness.simulate_frame
 
     def point_spy(*args, **kwargs):
-        seen.append("run_point")
+        seen.append(("run_point", list(args[1])))
         return point(*args, **kwargs)
 
     def simulate_spy(*args, **kwargs):
@@ -246,9 +264,55 @@ def test_run_campaign_reaches_module_level_names(monkeypatch):
 
     monkeypatch.setattr(harness, "run_point", point_spy)
     monkeypatch.setattr(harness, "simulate_frame", simulate_spy)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(harness, "CHUNK_SYMBOLS", 12)  # two 6-symbol frames per chunk
-    run_campaign(ScenarioConfig(frames=3, snr_db=(20.0,), modes=("genie",), symbols_per_frame=6))
-    assert seen == ["run_point", ("simulate_frame", 2), ("simulate_frame", 1)]
+    chunks = [("simulate_frame", 2), ("simulate_frame", 1)]
+    for workers, want in (
+        (1, [("run_point", [(0, 0), (0, 1), (1, 0), (1, 1)]), *chunks]),
+        (2, [("run_point", [(0, 0), (1, 0)]), *chunks, ("run_point", [(0, 1), (1, 1)]), *chunks]),
+    ):
+        seen.clear()
+        config = ScenarioConfig(
+            frames=3, snr_db=(20.0, 30.0), beta_hz=(0.0, 5e3), modes=("genie",),
+            symbols_per_frame=6, workers=workers,
+        )
+        result = run_campaign(config)
+        assert seen == want
+        assert [(r.snr_db, r.beta_hz) for r in result.rows] == [
+            (20.0, 0.0), (20.0, 5e3), (30.0, 0.0), (30.0, 5e3),
+        ]
+
+
+@pytest.mark.parametrize("workers", [1, 3, 4, 10**6])
+def test_point_groups_cover_the_grid_once(workers):
+    # never more groups than grid points, whatever the worker count; no pool starts here
+    config = ScenarioConfig(snr_db=(10.0, 20.0), beta_hz=(0.0, 5e3), workers=workers)
+    groups = harness._point_groups(config)
+    assert len(groups) == min(workers, 4)
+    assert all(groups)
+    assert sorted(p for g in groups for p in g) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert groups[0][0] == (0, 0)
+
+
+def test_point_arrays_freed_before_the_next_point():
+    # The peak of six points stays near the peak of one: each point's frames,
+    # front end, states and decisions are freed before the next point is
+    # impaired.  Measured ratios: 1.013-1.017 (seeds 1-6); 1.082-1.086 when
+    # the previous point's frames stay alive.
+    config = ScenarioConfig(
+        frames=2, snr_db=(10.0, 15.0, 20.0, 25.0, 30.0, 35.0), beta_hz=(5e3,), modes=MODES,
+        symbols_per_frame=30, iq_frame_avg=2, master_seed=3,
+    )
+    run_point(config, [(0, 0)])  # first-call caches outside the measurement
+    peaks = []
+    for points in ([(0, 0)], [(i, 0) for i in range(6)]):
+        tracemalloc.start()
+        try:
+            run_point(config, points)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.04 * peaks[0], peaks
 
 
 @pytest.fixture(scope="module")

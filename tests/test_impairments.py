@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import gen_phase_noise
 from ofdmlink.channel import apply_channel, draw_channel
 from ofdmlink.framing import demodulate_frame, modulate_frame
 from ofdmlink.impairments import (
@@ -12,8 +13,8 @@ from ofdmlink.impairments import (
     apply_phase_noise,
     combined_freq_model,
     cpe_of,
-    gen_phase_noise,
     phase_noise_coeffs,
+    wiener_phase,
 )
 from ofdmlink.numerics import ConfigurationError, RandomSource, dft
 
@@ -46,14 +47,19 @@ class TestIqParams:
             IqParams(eps=np.ones(2), theta=np.zeros(3))
 
 
+def _wiener(beta, n_samples, m_r, rng, shared_oscillator=False):
+    steps = rng.normal(size=(n_samples - 1, 1 if shared_oscillator else m_r))
+    return wiener_phase(beta, 5e-8, steps, m_r)
+
+
 class TestPhaseNoiseGeneration:
     def test_zero_linewidth_is_silent(self):
-        tr = gen_phase_noise(0.0, 5e-8, 500, 2, RandomSource(1).child("pn"))
+        tr = _wiener(0.0, 500, 2, RandomSource(1).child("pn"))
         assert not tr.phi.any()
 
     def test_step_variance(self):
         # 4 pi beta Ts at beta = 5 kHz, Ts = 0.05 us is pi * 1e-3.
-        tr = gen_phase_noise(5e3, 5e-8, 100_001, 1, RandomSource(2).child("pn"))
+        tr = _wiener(5e3, 100_001, 1, RandomSource(2).child("pn"))
         steps = np.diff(tr.phi[:, 0])
         assert steps.var() == pytest.approx(4 * np.pi * 5e3 * 5e-8, rel=0.03)
         assert abs(steps.mean()) < 3e-4
@@ -61,26 +67,40 @@ class TestPhaseNoiseGeneration:
     def test_linear_variance_growth(self):
         root = RandomSource(3)
         phis = np.stack(
-            [gen_phase_noise(5e3, 5e-8, 81, 1, root.child("t", i)).phi[80, 0] for i in range(10_000)]
+            [_wiener(5e3, 81, 1, root.child("t", i)).phi[80, 0] for i in range(10_000)]
         )
         assert phis.var() == pytest.approx(80 * 4 * np.pi * 5e3 * 5e-8, rel=0.05)
 
     def test_branches_independent(self):
-        tr = gen_phase_noise(5e3, 5e-8, 5000, 2, RandomSource(4).child("pn"))
+        tr = _wiener(5e3, 5000, 2, RandomSource(4).child("pn"))
         d = np.diff(tr.phi, axis=0)
         corr = np.corrcoef(d[:, 0], d[:, 1])[0, 1]
         assert abs(corr) < 0.05
 
     def test_shared_oscillator_switch(self):
-        tr = gen_phase_noise(5e3, 5e-8, 100, 3, RandomSource(5).child("pn"), shared_oscillator=True)
+        tr = _wiener(5e3, 100, 3, RandomSource(5).child("pn"), shared_oscillator=True)
         np.testing.assert_array_equal(tr.phi[:, 0], tr.phi[:, 1])
         np.testing.assert_array_equal(tr.phi[:, 0], tr.phi[:, 2])
 
     def test_bad_args(self):
+        steps = np.zeros((9, 1))
         with pytest.raises(ConfigurationError):
-            gen_phase_noise(-1.0, 5e-8, 10, 1, RandomSource(6).child("pn"))
+            wiener_phase(-1.0, 5e-8, steps, 1)
         with pytest.raises(ConfigurationError):
-            gen_phase_noise(1.0, 0.0, 10, 1, RandomSource(6).child("pn"))
+            wiener_phase(1.0, 0.0, steps, 1)
+
+    @pytest.mark.parametrize("shared_oscillator", [False, True])
+    @pytest.mark.parametrize("beta", [0.0, 1e3, 1e5])
+    def test_steps_replay_the_per_frame_draw(self, beta, shared_oscillator):
+        # stacked frames scaled once equal each frame drawn at its own scale
+        def sources():
+            return [RandomSource(21).child("phase", f) for f in range(3)]
+
+        paths = 1 if shared_oscillator else 4
+        steps = np.stack([rng.normal(size=(299, paths)) for rng in sources()])
+        got = wiener_phase(beta, 5e-8, steps, 4).phi
+        want = [gen_phase_noise(beta, 5e-8, 300, 4, rng, shared_oscillator) for rng in sources()]
+        assert np.array_equal(got, np.stack([tr.phi for tr in want]))
 
 
 class TestApplyPhaseNoise:
