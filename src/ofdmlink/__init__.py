@@ -34,7 +34,6 @@ from .harness import (
 )
 from .impairments import (
     IqParams,
-    PhaseNoiseTrace,
     apply_iq_imbalance,
     apply_phase_noise,
     combined_freq_model,

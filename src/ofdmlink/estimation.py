@@ -34,7 +34,6 @@ from .numerics import ConfigurationError, dft, idft, logical_to_bin
 __all__ = [
     "EstimationError",
     "PreambleEstimate",
-    "IqEstimate",
     "EstimatorState",
     "estimate_noise_ici_corr",
     "estimate_preamble",
@@ -61,21 +60,6 @@ class PreambleEstimate:
     chi_a: np.ndarray  # (..., n_used, m_r)
     chi_b: np.ndarray  # (..., n_used, m_r)
     e: np.ndarray      # (..., n_used, m_r) per-bin effective-channel estimates
-
-
-@dataclass(frozen=True)
-class IqEstimate:
-    """Per-branch IQ mismatch estimate ``g = eps e^{-j theta}``."""
-
-    g: np.ndarray      # (..., m_r) complex eps*e^{-j theta}, averaged over bin pairs
-
-    @property
-    def k1(self) -> np.ndarray:
-        return (1.0 + self.g) / 2.0
-
-    @property
-    def k2(self) -> np.ndarray:
-        return 1.0 - np.conj(self.k1)
 
 
 @dataclass
@@ -144,14 +128,14 @@ def estimate_iq_params(
     e: np.ndarray,
     owner: np.ndarray,
     tol: float = DEGENERATE_PAIR_TOL,
-) -> IqEstimate:
-    """IQ mismatch from adjacent used-bin differences.
+) -> np.ndarray:
+    """IQ mismatch ``g = eps e^{-j theta}``, ``(..., m_r)``, from adjacent used-bin differences.
 
     For each pair of consecutive used bins owned by different antennas,
-    ``2 (chi_a-diff / e-diff) - 1`` equals ``eps e^{-j theta}`` per
-    branch; the complex values are averaged over all non-degenerate
-    pairs.  A frame (leading axes) with a receive branch that has no
-    usable pair gets a NaN estimate on every branch.
+    ``2 (chi_a-diff / e-diff) - 1`` equals ``g`` per branch; the complex
+    values are averaged over all non-degenerate pairs, and
+    ``K1 = (1 + g) / 2``.  A frame (leading axes) with a receive branch
+    that has no usable pair gets a NaN estimate on every branch.
     """
     alpha = e[..., :-1, :] - e[..., 1:, :]
     beta = chi_a[..., :-1, :] - chi_a[..., 1:, :]
@@ -161,7 +145,7 @@ def estimate_iq_params(
     counts = ok.sum(axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = ratio.sum(axis=-2) / counts
-    return IqEstimate(g=np.where((counts == 0).any(axis=-1)[..., None], np.nan, g))
+    return np.where((counts == 0).any(axis=-1)[..., None], np.nan, g)
 
 
 def _mixing_det(k1: np.ndarray):

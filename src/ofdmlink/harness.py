@@ -9,7 +9,11 @@ are paired too.  A campaign splits the grid into ``min(workers, points)``
 interleaved groups, one task each; a task simulates each chunk of frames
 once (:func:`simulate_frame`) and impairs it per point (:func:`impair`).
 Every result is byte-reproducible regardless of worker count or
-scheduling.
+scheduling.  Each stage runs on every frame: all frames draw their noise
+and phase steps, and the front end always estimates the mismatch.  The
+layout a config implies (frame, subcarrier map, training symbols,
+pilots) is built once, on first use, as properties of
+:class:`ScenarioConfig`.
 
 The receiver modes differ only in the channel estimate they detect with
 (see :func:`receiver_state`) and the common-phase updates they apply:
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +58,6 @@ from .framing import (
 )
 from .impairments import (
     IqParams,
-    PhaseNoiseTrace,
     apply_iq_imbalance,
     apply_phase_noise,
     cpe_of,
@@ -155,14 +159,13 @@ class ScenarioConfig:
             if m not in MODES:
                 raise ConfigurationError(f"unknown mode {m!r}; choose from {MODES}")
         # the frame, grid, pilot, channel and receiver checks, before any frame
-        # runs; each size is bounded before anything is allocated from it
-        self.frame_config()
-        build_subcarrier_map(self.n)
-        pilot_matrix(self.m_t)
+        # runs; each size is bounded before anything is allocated from it, and
+        # reading a layout property builds it (and raises on a bad one)
+        self.frame, self.pilots
         if self.l_taps > self.n_cp:
             raise ConfigurationError("channel length must not exceed the cyclic prefix")
         exp_power_profile(self.l_taps, self.pdp_decay)
-        self.equalizer_options()
+        self.equalizer
         if self.detector == "mmse" and self.mmse_r == "kron" and self.m_r**2 != 2 * self.m_t:
             raise ConfigurationError("kron-form MMSE regularization needs m_r**2 == 2 m_t")
         if self.ce_method not in ("interp", "iterative"):
@@ -172,19 +175,41 @@ class ScenarioConfig:
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
 
-    def frame_config(self) -> FrameConfig:
+    # The layout and receiver settings the fields imply, built on first use
+    # and then shared by every frame of the campaign.
+
+    @cached_property
+    def frame(self) -> FrameConfig:
         return FrameConfig(
             m_t=self.m_t, m_r=self.m_r, n=self.n, n_cp=self.n_cp,
             symbols_per_frame=self.symbols_per_frame,
         )
 
-    def equalizer_options(self) -> EqualizerOptions:
+    @cached_property
+    def smap(self) -> SubcarrierMap:
+        return build_subcarrier_map(self.n)
+
+    @cached_property
+    def preamble(self) -> PreambleSet:
+        return build_preamble(self.m_t, self.smap)
+
+    @cached_property
+    def short_symbol(self) -> np.ndarray:
+        return build_short_symbol(self.smap, self.m_t)
+
+    @cached_property
+    def pilots(self) -> np.ndarray:
+        return pilot_matrix(self.m_t, self.smap.pilot_bins.size)
+
+    @cached_property
+    def iq(self) -> IqParams:
+        return IqParams.uniform(self.m_r, self.iq_theta_deg, self.iq_amp_pct)
+
+    @cached_property
+    def equalizer(self) -> EqualizerOptions:
         return EqualizerOptions(
             detector=self.detector, tracking_variant=self.tracking_variant, mmse_r=self.mmse_r
         )
-
-    def iq_params(self) -> IqParams:
-        return IqParams.uniform(self.m_r, self.iq_theta_deg, self.iq_amp_pct)
 
 
 @dataclass(frozen=True)
@@ -250,8 +275,8 @@ class FrameDraws:
     """A chunk of frames' point-invariant part, shared by every grid point of a task."""
 
     clean: np.ndarray            # (frames, samples, m_r) channel output before noise
-    noise: np.ndarray | None     # (frames, samples, m_r) standard normal per real dimension
-    steps: np.ndarray | None     # (frames, samples - 1, paths) standard-normal phase steps
+    noise: np.ndarray            # (frames, samples, m_r) standard normal per real dimension
+    steps: np.ndarray            # (frames, samples - 1, paths) standard-normal phase steps
     truth_bits: np.ndarray       # (frames, n_data_syms, n_data, m_t, 4) uint8
     freq: np.ndarray             # (frames, n, m_r, m_t) channel responses
 
@@ -263,22 +288,11 @@ class SimulatedFrames:
     rx_grids: np.ndarray         # (frames, symbols, n, m_r) demodulated with impairments
     truth_bits: np.ndarray       # (frames, n_data_syms, n_data, m_t, 4)
     h_eff: np.ndarray            # (frames, n, m_r, m_t) channel fused with the preamble-time phase
-    iq: IqParams
     sigma2: float                # time-domain noise variance per branch
     cpe_true: np.ndarray         # (frames, n_data_syms, m_r) genie per-symbol updates
 
 
-def simulate_frame(
-    config: ScenarioConfig,
-    fc: FrameConfig,
-    smap: SubcarrierMap,
-    pre: PreambleSet,
-    short: np.ndarray,
-    pilots: np.ndarray,
-    rngs,
-    draw_noise: bool = True,
-    draw_phase: bool = True,
-) -> FrameDraws:
+def simulate_frame(config: ScenarioConfig, rngs) -> FrameDraws:
     """Transmit a chunk of frames through the channel and draw their noise and phase steps.
 
     This is the part of a frame that no SNR or linewidth changes.
@@ -286,10 +300,10 @@ def simulate_frame(
     payload, noise and phase steps from its own labelled children, so a
     frame's draws depend neither on the chunk it runs in nor on the grid
     point.  The noise and the steps are standard normal and
-    :func:`impair` scales them per point.  ``draw_noise=False`` (no
-    finite SNR) and ``draw_phase=False`` (no positive linewidth) skip a
-    draw; it comes from its own child, so no other stream moves.
+    :func:`impair` scales them per point; a point without noise or phase
+    noise leaves its draw unused.
     """
+    fc, smap = config.frame, config.smap
     channels = [
         draw_channel(
             config.m_t, config.m_r, config.l_taps, config.pdp_decay,
@@ -301,23 +315,22 @@ def simulate_frame(
         rng.child("payload").integers(0, 2, size=fc.n_data_symbols * smap.n_data * config.m_t * 4)
         for rng in rngs
     ])
-    grids, truth = assemble_frame(fc, smap, payload, pre, short_symbol=short, pilots=pilots)
+    grids, truth = assemble_frame(
+        fc, smap, payload, config.preamble, short_symbol=config.short_symbol, pilots=config.pilots
+    )
     tx = modulate_frame(grids, config.n_cp)
     # one stream array for the chunk, filled frame by frame: the convolution
     # is per frame, and the chunk holds no second copy of it
     clean = np.empty((len(rngs), tx.shape[1] + config.l_taps - 1, config.m_r), dtype=np.complex128)
     for f, ch in enumerate(channels):
         clean[f] = apply_channel(tx[f], ch)
-    noise = steps = None
-    if draw_noise:  # complex_normal's two draws, unscaled
-        noise = np.empty_like(clean)
-        for f, rng in enumerate(rngs):
-            gen = rng.child("noise").rng
-            noise[f].real = gen.standard_normal(clean.shape[1:])
-            noise[f].imag = gen.standard_normal(clean.shape[1:])
-    if draw_phase:
-        shape = (clean.shape[1] - 1, 1 if config.shared_oscillator else config.m_r)
-        steps = np.stack([rng.child("phase").rng.standard_normal(shape) for rng in rngs])
+    noise = np.empty_like(clean)
+    for f, rng in enumerate(rngs):  # complex_normal's two draws, unscaled
+        gen = rng.child("noise").rng
+        noise[f].real = gen.standard_normal(clean.shape[1:])
+        noise[f].imag = gen.standard_normal(clean.shape[1:])
+    shape = (clean.shape[1] - 1, 1 if config.shared_oscillator else config.m_r)
+    steps = np.stack([rng.child("phase").rng.standard_normal(shape) for rng in rngs])
     return FrameDraws(
         clean=clean, noise=noise, steps=steps, truth_bits=truth.bits,
         freq=np.stack([ch.freq for ch in channels]),
@@ -325,50 +338,45 @@ def simulate_frame(
 
 
 def impair(
-    draws: FrameDraws,
-    config: ScenarioConfig,
-    fc: FrameConfig,
-    smap: SubcarrierMap,
-    snr_db: float,
-    beta: float,
+    draws: FrameDraws, config: ScenarioConfig, snr_db: float, beta: float
 ) -> SimulatedFrames:
     """Add one grid point's noise, phase noise and IQ mixing to a chunk's shared draws.
 
     Scaling a standard-normal draw equals drawing at that scale bit for
     bit, so the result does not depend on which points share the draws.
     """
-    iq = config.iq_params()
     # SNR is referenced to the average received data-symbol power per branch
     # with unit-energy constellation and unit-energy channel.
-    p_rx = config.m_t * smap.n_used / config.n**2
+    p_rx = config.m_t * config.smap.n_used / config.n**2
     sigma2 = 0.0 if math.isinf(snr_db) else p_rx / 10.0 ** (snr_db / 10.0)
     rx = draws.clean
     if not math.isinf(snr_db):
         rx = np.multiply(draws.noise, np.sqrt(sigma2 / 2.0))
         rx += draws.clean
     if beta > 0:
-        trace = wiener_phase(beta, config.ts, draws.steps, config.m_r)
+        phi = wiener_phase(beta, config.ts, draws.steps, config.m_r)
     else:
-        trace = PhaseNoiseTrace(np.zeros(rx.shape))
-    rx = apply_phase_noise(rx, trace)
-    rx = apply_iq_imbalance(rx, iq)
+        phi = np.zeros(rx.shape)
+    rx = apply_phase_noise(rx, phi)
+    rx = apply_iq_imbalance(rx, config.iq)
     rx_grids = demodulate_frame(rx, config.n, config.n_cp, config.symbols_per_frame)
 
     # The preamble-stage estimator targets the channel fused with the mean
     # common phase of the two long training symbols (rows 0 and 1).
-    cpe = cpe_of(trace, fc.symbol_window(np.arange(fc.n_short, fc.symbols_per_frame)), config.n)
+    fc = config.frame
+    cpe = cpe_of(phi, fc.symbol_window(np.arange(fc.n_short, fc.symbols_per_frame)), config.n)
     theta_pre = 0.5 * (cpe[:, 0] + cpe[:, 1])
     return SimulatedFrames(
         rx_grids=rx_grids, truth_bits=draws.truth_bits,
         h_eff=theta_pre[:, None, :, None] * draws.freq,
-        iq=iq, sigma2=sigma2, cpe_true=cpe[:, 2:] / theta_pre[:, None],
+        sigma2=sigma2, cpe_true=cpe[:, 2:] / theta_pre[:, None],
     )
 
 
-def _complete(e_vals, pre, smap, config) -> np.ndarray:
+def _complete(e_vals, config: ScenarioConfig) -> np.ndarray:
     if config.ce_method == "iterative":
-        return iterative_refine(e_vals, pre, smap, config.l_taps)
-    return interpolate_channel(e_vals, pre, smap)
+        return iterative_refine(e_vals, config.preamble, config.smap, config.l_taps)
+    return interpolate_channel(e_vals, config.preamble, config.smap)
 
 
 @dataclass(frozen=True)
@@ -377,7 +385,7 @@ class FrontEnd:
 
     psi: np.ndarray          # (frames, m_r, m_r) noise + ICI correlation from the short symbols
     est: PreambleEstimate    # per-bin products of the two long training symbols
-    g: np.ndarray | None     # (frames, m_r) refined mismatch, NaN where it failed; None if not estimated
+    g: np.ndarray            # (frames, m_r) refined mismatch, NaN where it failed
 
 
 def _estimates_mismatch(mode: str) -> bool:
@@ -385,37 +393,25 @@ def _estimates_mismatch(mode: str) -> bool:
     return estimate == "demixed"
 
 
-def front_end(
-    frames: SimulatedFrames,
-    config: ScenarioConfig,
-    fc: FrameConfig,
-    smap: SubcarrierMap,
-    pre: PreambleSet,
-) -> FrontEnd:
+def front_end(frames: SimulatedFrames, config: ScenarioConfig) -> FrontEnd:
     """Estimate a chunk of frames' preamble stage once for all receiver modes.
 
-    The mismatch (adjacent-bin stage then de-mixing) is refined only when
-    a configured mode detects with the de-mixed channel.
+    The mismatch is the adjacent-bin estimate refined by de-mixing; only
+    the modes that detect with the de-mixed channel read it.
     """
-    rx = frames.rx_grids
-    nulls = logical_to_bin(smap.null_bins, config.n)
-    samples = np.take(rx[:, : fc.n_short], nulls, axis=2).reshape(rx.shape[0], -1, config.m_r)
+    rx, n_short, pre = frames.rx_grids, config.frame.n_short, config.preamble
+    nulls = logical_to_bin(config.smap.null_bins, config.n)
+    samples = np.take(rx[:, :n_short], nulls, axis=2).reshape(rx.shape[0], -1, config.m_r)
     psi = estimate_noise_ici_corr(samples)
-    est = estimate_preamble(rx[:, fc.n_short], rx[:, fc.n_short + 1], pre)
-    g = None
-    if any(_estimates_mismatch(m) for m in config.modes):
-        g0 = estimate_iq_params(est.chi_a, est.e, pre.owner).g
-        g = refine_iq_channel(est, pre.owner, g0, psi=psi)
-    return FrontEnd(psi=psi, est=est, g=g)
+    est = estimate_preamble(rx[:, n_short], rx[:, n_short + 1], pre)
+    g0 = estimate_iq_params(est.chi_a, est.e, pre.owner)
+    return FrontEnd(psi=psi, est=est, g=refine_iq_channel(est, pre.owner, g0, psi=psi))
 
 
 def receiver_state(
     frames: SimulatedFrames,
     fe: FrontEnd,
     config: ScenarioConfig,
-    fc: FrameConfig,
-    smap: SubcarrierMap,
-    pre: PreambleSet,
     estimate: str,
     k1: np.ndarray | None,
 ) -> tuple[EstimatorState, np.ndarray]:
@@ -432,20 +428,21 @@ def receiver_state(
     """
     ran = np.ones(frames.rx_grids.shape[0], dtype=bool)
     if estimate == "genie":
-        gain = np.abs(frames.iq.k1) ** 2 + np.abs(frames.iq.k2) ** 2
+        gain = np.abs(config.iq.k1) ** 2 + np.abs(config.iq.k2) ** 2
         psi = np.diag(gain * config.n * frames.sigma2).astype(np.complex128)
-        return EstimatorState(h_pre=frames.h_eff, k1=frames.iq.k1, psi=psi), ran
+        return EstimatorState(h_pre=frames.h_eff, k1=config.iq.k1, psi=psi), ran
     if estimate == "demixed":
         u = demix_channel(fe.est, k1)
         ran = ~np.isnan(u).any(axis=(-2, -1))
-        h = _complete(u[ran], pre, smap, config)
+        h = _complete(u[ran], config)
         return EstimatorState(h_pre=h, k1=k1[ran], psi=fe.psi[ran]), ran
     if estimate == "direct":
         e = fe.est.chi_a
     else:  # "ls"
+        pre = config.preamble
         b = logical_to_bin(pre.used, config.n)
-        e = np.take(frames.rx_grids[:, fc.n_short], b, axis=-2) / pre.lambda1[:, None]
-    h = _complete(e, pre, smap, config)
+        e = np.take(frames.rx_grids[:, config.frame.n_short], b, axis=-2) / pre.lambda1[:, None]
+    h = _complete(e, config)
     return EstimatorState(h_pre=h, k1=np.ones(config.m_r, dtype=np.complex128), psi=fe.psi), ran
 
 
@@ -465,40 +462,30 @@ def _chunk_frames(config: ScenarioConfig) -> int:
     return blocks * config.iq_frame_avg
 
 
-def _score_chunk(
-    frames: SimulatedFrames,
-    config: ScenarioConfig,
-    fc: FrameConfig,
-    smap: SubcarrierMap,
-    pre: PreambleSet,
-    pilots: np.ndarray,
-    acc: dict,
-) -> None:
+def _score_chunk(frames: SimulatedFrames, config: ScenarioConfig, acc: dict) -> None:
     """Run every mode on one point's chunk of frames and add the scores to ``acc``.
 
     A helper of its own, so that none of the point's arrays outlive it.
     """
-    k1_true = config.iq_params().k1
+    fc = config.frame
     estimating = [m for m in config.modes if _estimates_mismatch(m)]
     step = config.iq_frame_avg
     n_frames = frames.rx_grids.shape[0]
-    fe = front_end(frames, config, fc, smap, pre)
+    fe = front_end(frames, config)
     k1 = np.full((n_frames, config.m_r), np.nan, dtype=np.complex128)
-    if fe.g is not None:
-        usable = np.isfinite(fe.g).all(axis=-1)
-        for b in range(0, n_frames, step):
-            g_block = fe.g[b : b + step][usable[b : b + step]]
-            if len(g_block):
-                k1[b : b + step] = k1_block = (1.0 + np.mean(g_block, axis=0)) / 2.0
-                for mode in estimating:
-                    acc[mode].k1_mse_terms.append(compute_mse_k1(k1_block, k1_true))
+    usable = np.isfinite(fe.g).all(axis=-1)
+    for b in range(0, n_frames, step):
+        g_block = fe.g[b : b + step][usable[b : b + step]]
+        if len(g_block):
+            k1[b : b + step] = k1_block = (1.0 + np.mean(g_block, axis=0)) / 2.0
+            for mode in estimating:
+                acc[mode].k1_mse_terms.append(compute_mse_k1(k1_block, config.iq.k1))
 
     states = {}  # estimate -> (state of the frames run, their mask, their mse_ce)
     for estimate in dict.fromkeys(RECEIVER_MODES[m][0] for m in config.modes):
-        state, ran = receiver_state(frames, fe, config, fc, smap, pre, estimate, k1)
-        mse_ce = compute_mse_ce(state.h_pre, frames.h_eff[ran], pre.used, config.n)
+        state, ran = receiver_state(frames, fe, config, estimate, k1)
+        mse_ce = compute_mse_ce(state.h_pre, frames.h_eff[ran], config.preamble.used, config.n)
         states[estimate] = (state, ran, mse_ce)
-    options = config.equalizer_options()
     no_updates = np.ones((fc.n_data_symbols, config.m_r), dtype=np.complex128)
     per_bin_bits = config.m_t * 4
     for mode in config.modes:
@@ -509,8 +496,8 @@ def _score_chunk(
         run = slice(None) if ran.all() else ran  # no copy of the chunk when all frames run
         updates = {"none": no_updates, "tracked": None, "genie": frames.cpe_true[run]}
         dec = equalize_frame(
-            frames.rx_grids[run], state, smap, pilots, fc.n_train,
-            options=options, phase_updates=updates[phase],
+            frames.rx_grids[run], state, config.smap, config.pilots, fc.n_train,
+            options=config.equalizer, phase_updates=updates[phase],
         )
         truth = frames.truth_bits[run]
         a = acc[mode]
@@ -522,7 +509,7 @@ def _score_chunk(
         a.flagged += dec.flagged_symbols
         a.frames_run += len(mse_ce)
         if not _estimates_mismatch(mode):
-            a.k1_mse_terms += [compute_mse_k1(state.k1, frames.iq.k1)] * len(mse_ce)
+            a.k1_mse_terms += [compute_mse_k1(state.k1, config.iq.k1)] * len(mse_ce)
 
 
 def run_point(config: ScenarioConfig, points) -> list[CampaignRow]:
@@ -541,26 +528,16 @@ def run_point(config: ScenarioConfig, points) -> list[CampaignRow]:
     realizations.
     """
     coords = [(float(config.snr_db[i]), float(config.beta_hz[j])) for i, j in points]
-    fc = config.frame_config()
-    smap = build_subcarrier_map(config.n)
-    pre = build_preamble(config.m_t, smap)
-    short = build_short_symbol(smap, config.m_t)
-    pilots = pilot_matrix(config.m_t, smap.pilot_bins.size)
     root = RandomSource(config.master_seed)
-    draw_noise = any(not math.isinf(snr) for snr, _ in coords)
-    draw_phase = any(beta > 0 for _, beta in coords)
 
     accs = [{mode: _Accumulator() for mode in config.modes} for _ in coords]
     chunk = _chunk_frames(config)
     for start in range(0, config.frames, chunk):
         rngs = [root.child("frame", f) for f in range(start, min(start + chunk, config.frames))]
-        draws = simulate_frame(
-            config, fc, smap, pre, short, pilots, rngs,
-            draw_noise=draw_noise, draw_phase=draw_phase,
-        )
+        draws = simulate_frame(config, rngs)
         for (snr_db, beta), acc in zip(coords, accs):
-            frames = impair(draws, config, fc, smap, snr_db, beta)
-            _score_chunk(frames, config, fc, smap, pre, pilots, acc)
+            frames = impair(draws, config, snr_db, beta)
+            _score_chunk(frames, config, acc)
             del frames  # freed before the next point is impaired
         del draws  # not held while the next chunk is drawn
 

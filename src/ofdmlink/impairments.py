@@ -23,7 +23,6 @@ from .numerics import ConfigurationError, conj_mirror, dft
 
 __all__ = [
     "IqParams",
-    "PhaseNoiseTrace",
     "wiener_phase",
     "apply_phase_noise",
     "apply_iq_imbalance",
@@ -73,33 +72,15 @@ class IqParams:
         return 1.0 - np.conj(self.k1)
 
 
-@dataclass(frozen=True)
-class PhaseNoiseTrace:
-    """Per-branch sampled oscillator phase path over one frame, or a stack of them.
-
-    ``phi[..., n, q]`` is the phase (radians) of branch ``q`` at sample ``n``;
-    :func:`wiener_phase` sums i.i.d. Gaussian increments with variance
-    ``4 pi beta ts`` for linewidth ``beta`` and sample period ``ts``.
-    """
-
-    phi: np.ndarray   # (..., n_samples, m_r)
-
-    @property
-    def n_samples(self) -> int:
-        return self.phi.shape[-2]
-
-    @property
-    def m_r(self) -> int:
-        return self.phi.shape[-1]
-
-
-def wiener_phase(beta: float, ts: float, steps: np.ndarray, m_r: int) -> PhaseNoiseTrace:
+def wiener_phase(beta: float, ts: float, steps: np.ndarray, m_r: int) -> np.ndarray:
     """Wiener phase paths from standard-normal increments, starting at phi(0) = 0.
 
     ``steps`` is ``(..., n_samples - 1, paths)``, with one path per branch
     or a single path (one oscillator shared by all ``m_r`` branches).
     Each step is scaled to variance ``4 pi beta ts``, so steps drawn once
-    serve every linewidth; leading axes are frames.
+    serve every linewidth; leading axes are frames.  Returns ``phi``,
+    ``(..., n_samples, m_r)``: the phase (radians) of branch ``q`` at
+    sample ``n`` is ``phi[..., n, q]``.
     """
     if beta < 0:
         raise ConfigurationError("linewidth must be nonnegative")
@@ -111,20 +92,21 @@ def wiener_phase(beta: float, ts: float, steps: np.ndarray, m_r: int) -> PhaseNo
     np.cumsum(inc, axis=-2, out=inc)
     if phi.shape[-1] != m_r:
         phi = np.repeat(phi, m_r, axis=-1)
-    return PhaseNoiseTrace(phi=phi)
+    return phi
 
 
-def apply_phase_noise(rx_time: np.ndarray, trace: PhaseNoiseTrace) -> np.ndarray:
+def apply_phase_noise(rx_time: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Rotate each sample of each branch by its oscillator phase.
 
-    Leading axes are frames; the trace has one path per frame of the stream.
+    ``phi`` is ``(..., n_samples, m_r)``; leading axes are frames, one
+    path per frame of the stream.
     """
     rx_time = np.asarray(rx_time, dtype=np.complex128)
-    if rx_time.shape[-2] > trace.n_samples:
+    if rx_time.shape[-2] > phi.shape[-2]:
         raise ConfigurationError(
-            f"stream of {rx_time.shape[-2]} samples exceeds trace length {trace.n_samples}"
+            f"stream of {rx_time.shape[-2]} samples exceeds phase path length {phi.shape[-2]}"
         )
-    rotation = 1j * trace.phi[..., : rx_time.shape[-2], :]
+    rotation = 1j * phi[..., : rx_time.shape[-2], :]
     np.exp(rotation, out=rotation)  # in place: a chunk of streams is large
     return np.multiply(rx_time, rotation, out=rotation)
 
@@ -139,18 +121,19 @@ def apply_iq_imbalance(rx_time: np.ndarray, iq: IqParams) -> np.ndarray:
     return out
 
 
-def cpe_of(trace: PhaseNoiseTrace, start, n_fft: int) -> np.ndarray:
+def cpe_of(phi: np.ndarray, start, n_fft: int) -> np.ndarray:
     """Common phase error over symbol windows: ``(1/N) sum e^{j phi}`` per branch.
 
-    ``start`` indexes the first post-prefix sample of a symbol within the
-    trace; a scalar gives ``(..., m_r)``, an array of ``s`` starts
-    ``(..., s, m_r)``, where ``...`` are the leading (frame) axes of the trace.
+    ``phi`` is a ``(..., n_samples, m_r)`` phase path and ``start`` indexes
+    the first post-prefix sample of a symbol within it; a scalar gives
+    ``(..., m_r)``, an array of ``s`` starts ``(..., s, m_r)``, where
+    ``...`` are the leading (frame) axes of ``phi``.
     """
     start = np.asarray(start)
-    if np.any(start < 0) or np.any(start + n_fft > trace.n_samples):
-        raise ConfigurationError("symbol window out of trace range")
+    if np.any(start < 0) or np.any(start + n_fft > phi.shape[-2]):
+        raise ConfigurationError("symbol window out of phase path range")
     # take, not phi[..., idx, :]: the mean must see C order to sum as for one frame
-    windows = np.take(trace.phi, start[..., None] + np.arange(n_fft), axis=-2)
+    windows = np.take(phi, start[..., None] + np.arange(n_fft), axis=-2)
     return np.mean(np.exp(1j * windows), axis=-2)
 
 
@@ -170,7 +153,7 @@ def phase_noise_coeffs(phi_window: np.ndarray) -> np.ndarray:
 def combined_freq_model(
     s: np.ndarray,
     ch: ChannelRealization,
-    trace: PhaseNoiseTrace,
+    phi: np.ndarray,
     iq: IqParams,
     window_start: int,
 ) -> np.ndarray:
@@ -179,7 +162,8 @@ def combined_freq_model(
     Includes the exact inter-carrier mixing of the phase path over the
     symbol window (not just the common rotation), followed by the IQ
     image mixing of the complete phase-noised spectrum.  ``s`` is the
-    ``(n, m_t)`` transmitted grid; the result is ``(n, m_r)``.
+    ``(n, m_t)`` transmitted grid and ``phi`` the ``(n_samples, m_r)``
+    phase path; the result is ``(n, m_r)``.
     """
     n = ch.n_fft
     if s.shape[0] != n:
@@ -188,6 +172,6 @@ def combined_freq_model(
     shifts = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # [k, i] -> i-k
     r_pn = np.empty_like(faded)
     for q in range(ch.m_r):
-        theta = phase_noise_coeffs(trace.phi[window_start : window_start + n, q])
+        theta = phase_noise_coeffs(phi[window_start : window_start + n, q])
         r_pn[:, q] = theta[shifts] @ faded[:, q]
     return iq.k1[None, :] * r_pn + iq.k2[None, :] * conj_mirror(r_pn)

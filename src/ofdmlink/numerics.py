@@ -83,23 +83,17 @@ def well_conditioned(a: np.ndarray, floor=0.0) -> np.ndarray:
     True exactly where every entry is finite and ``condition_number(a) <=
     CONDITION_LIMIT``.  ``floor`` is a lower bound on the smallest
     eigenvalue of each matrix, broadcast to ``a.shape[:-2]``; 0 means none.
-    Most matrices are accepted without an eigendecomposition, by one of
-    two certificates that each prove ``cond_2(A) <= CONDITION_LIMIT`` with
-    a factor of 100 to spare for rounding:
-
-    * Regularizer: for ``A = W^H W + R`` with ``R`` Hermitian and
-      ``lambda_min(R) >= floor > 0``, Weyl's inequality gives
-      ``lambda_min(A) >= floor`` (``W^H W`` is positive semidefinite), and
-      ``lambda_max(A) <= trace(A)`` for any such ``A``.  So
-      ``trace(A) <= floor * CONDITION_LIMIT / 100`` certifies the matrix
-      at the cost of a trace.  It also bounds ``cond_2(R)`` by
-      ``CONDITION_LIMIT / 100``, so a ``floor`` read off ``eigvalsh(R)``
-      is accurate to far better than the factor of 100.
-    * Inverse: for Hermitian ``A``, ``cond_2(A) <= ||A||_inf ||A^-1||_F``,
-      and a bound of at most ``CONDITION_LIMIT / 100`` certifies it.
-
-    The inverse runs only on the matrices the regularizer does not
-    certify, and ``eigvalsh`` decides what neither certifies.
+    Most matrices are accepted without an eigendecomposition, by a
+    certificate that proves ``cond_2(A) <= CONDITION_LIMIT`` with a factor
+    of 100 to spare for rounding.  For ``A = W^H W + R`` with ``R``
+    Hermitian and ``lambda_min(R) >= floor > 0``, Weyl's inequality gives
+    ``lambda_min(A) >= floor`` (``W^H W`` is positive semidefinite), and
+    ``lambda_max(A) <= trace(A)`` for any such ``A``.  So ``trace(A) <=
+    floor * CONDITION_LIMIT / 100`` certifies the matrix at the cost of a
+    trace.  It also bounds ``cond_2(R)`` by ``CONDITION_LIMIT / 100``, so
+    a ``floor`` read off ``eigvalsh(R)`` is accurate to far better than
+    the factor of 100.  ``eigvalsh`` decides every finite matrix the
+    certificate leaves.
     """
     a = np.asarray(a)
     ok = np.array(np.isfinite(a).all(axis=(-2, -1)))
@@ -109,22 +103,7 @@ def well_conditioned(a: np.ndarray, floor=0.0) -> np.ndarray:
         certified = (floor > 0) & np.isfinite(floor) & (trace <= floor * (CONDITION_LIMIT / 100))
     rest = ok & ~certified
     if rest.any():
-        ok[rest] = _inverse_certified_or_eigvalsh(a[rest])
-    return ok
-
-
-def _inverse_certified_or_eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Verdicts for a stack of finite matrices: the inverse bound, then ``eigvalsh``."""
-    with np.errstate(all="ignore"):
-        try:
-            inv = np.linalg.inv(a)
-        except np.linalg.LinAlgError:  # one exactly singular matrix stops the whole stack
-            bound = np.full(a.shape[:-2], np.inf)
-        else:
-            bound = np.linalg.norm(a, np.inf, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
-    ok = bound <= CONDITION_LIMIT / 100
-    if not ok.all():
-        ok[~ok] = condition_number(a[~ok]) <= CONDITION_LIMIT
+        ok[rest] = condition_number(a[rest]) <= CONDITION_LIMIT
     return ok
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from ofdmlink.channel import apply_channel, draw_channel
 from ofdmlink.framing import build_subcarrier_map, demodulate_frame, modulate_frame
-from ofdmlink.impairments import PhaseNoiseTrace, apply_iq_imbalance
+from ofdmlink.impairments import apply_iq_imbalance
 from ofdmlink.numerics import CONDITION_LIMIT, RandomSource, condition_number, logical_to_bin
 
 
@@ -55,17 +55,17 @@ def eigvalsh_verdicts(stack):
 
 
 def gen_phase_noise(beta, ts, n_samples, m_r, rng, shared_oscillator=False):
-    """One frame's Wiener phase paths, each increment drawn at its own scale.
+    """One frame's ``(n_samples, m_r)`` Wiener phase paths, each increment drawn at its own scale.
 
     The reference for ``wiener_phase`` on shared standard-normal steps: for
     the same source, ``normal(scale=s)`` gives ``s`` times the standard
     normals bit for bit, so both paths must be equal.
     """
     if beta == 0.0:
-        return PhaseNoiseTrace(phi=np.zeros((n_samples, m_r)))
+        return np.zeros((n_samples, m_r))
     n_paths = 1 if shared_oscillator else m_r
     inc = rng.normal(scale=np.sqrt(4.0 * np.pi * beta * ts), size=(n_samples - 1, n_paths))
     phi = np.vstack([np.zeros((1, n_paths)), np.cumsum(inc, axis=0)])
     if shared_oscillator:
         phi = np.repeat(phi, m_r, axis=1)
-    return PhaseNoiseTrace(phi=phi)
+    return phi

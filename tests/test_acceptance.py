@@ -22,7 +22,6 @@ from ofdmlink.estimation import (
 )
 from ofdmlink.framing import (
     build_preamble,
-    build_subcarrier_map,
     demodulate_frame,
     modulate_frame,
 )
@@ -89,8 +88,8 @@ def test_criterion_02_noiseless_estimator_exactness(smap64):
         psi1, psi2 = transmit_preamble(ch, pre, iq=iq)
         est = estimate_preamble(psi1, psi2, pre)
         got = estimate_iq_params(est.chi_a, est.e, pre.owner)
-        worst_eps = max(worst_eps, np.abs(np.abs(got.g) - 1.1).max())
-        worst_theta = max(worst_theta, np.abs(-np.angle(got.g) - np.deg2rad(5.0)).max())
+        worst_eps = max(worst_eps, np.abs(np.abs(got) - 1.1).max())
+        worst_theta = max(worst_theta, np.abs(-np.angle(got) - np.deg2rad(5.0)).max())
         worst_h = max(worst_h, np.abs(est.e - owned_channel_columns(ch, pre)).max())
     elapsed = time.time() - t0
     ok = worst_eps < 1e-9 and worst_theta < 1e-9 and worst_h < 1e-9 and elapsed < 1.0
@@ -137,13 +136,13 @@ def test_criterion_04_wiener_law():
     """Increment variance and linear variance growth of the phase path."""
     t0 = time.time()
     target_step = 4 * np.pi * 5e3 * 5e-8
-    tr = wiener_phase(5e3, 5e-8, RandomSource(3400).child("pn").normal(size=(100_000, 1)), 1)
-    step_var = np.diff(tr.phi[:, 0]).var()
+    phi = wiener_phase(5e3, 5e-8, RandomSource(3400).child("pn").normal(size=(100_000, 1)), 1)
+    step_var = np.diff(phi[:, 0]).var()
     root = RandomSource(3401)
     # 10_000 traces in batches: the path variance at sample 80
     endpoints = np.concatenate(
         [
-            wiener_phase(5e3, 5e-8, root.child("batch", i).normal(size=(80, 100)), 100).phi[80]
+            wiener_phase(5e3, 5e-8, root.child("batch", i).normal(size=(80, 100)), 100)[80]
             for i in range(100)
         ]
     )
@@ -192,22 +191,13 @@ def test_criterion_06_genie_zf_exactness():
         m_t=2, m_r=2, frames=2, snr_db=(float("inf"),), beta_hz=(0.0,),
         modes=("genie",), detector="zf", symbols_per_frame=10,
     )
-    from ofdmlink.framing import build_short_symbol, pilot_matrix
-
-    fc = config.frame_config()
-    smap = build_subcarrier_map(64)
-    pre = build_preamble(2, smap)
-    short = build_short_symbol(smap, 2)
-    pilots = pilot_matrix(2)
     from ofdmlink.harness import front_end, impair, receiver_state, simulate_frame
 
-    draws = simulate_frame(
-        config, fc, smap, pre, short, pilots,
-        [RandomSource(3600).child("frame", f) for f in range(2)],
-    )
-    frames = impair(draws, config, fc, smap, float("inf"), 0.0)
-    fe = front_end(frames, config, fc, smap, pre)
-    state, _ = receiver_state(frames, fe, config, fc, smap, pre, "genie", None)
+    fc, smap, pilots = config.frame, config.smap, config.pilots
+    draws = simulate_frame(config, [RandomSource(3600).child("frame", f) for f in range(2)])
+    frames = impair(draws, config, float("inf"), 0.0)
+    fe = front_end(frames, config)
+    state, _ = receiver_state(frames, fe, config, "genie", None)
     state_eps = EstimatorState(
         h_pre=state.h_pre, k1=state.k1, psi=1e-12 * np.eye(2, dtype=complex)
     )

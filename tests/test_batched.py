@@ -11,6 +11,7 @@ the phase updates and the decisions.  A group of points must give the
 rows of its points run one by one.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,23 +29,15 @@ from ofdmlink.estimation import (
     estimate_preamble,
     refine_iq_channel,
 )
-from ofdmlink.framing import (
-    assemble_frame,
-    build_preamble,
-    build_short_symbol,
-    build_subcarrier_map,
-    demodulate_frame,
-    modulate_frame,
-    pilot_matrix,
-)
+from ofdmlink.framing import assemble_frame, demodulate_frame, modulate_frame
 from ofdmlink.harness import MODES, RECEIVER_MODES, ScenarioConfig
 from ofdmlink.impairments import apply_iq_imbalance, apply_phase_noise, cpe_of, wiener_phase
 from ofdmlink.numerics import RandomSource, logical_to_bin
 
 
-def oracle_frame(config, fc, smap, pre, short, pilots, snr_db, beta, rng):
+def oracle_frame(config, snr_db, beta, rng):
     """One frame through the transmit chain, as the frame-by-frame simulator did."""
-    iq = config.iq_params()
+    fc, smap = config.frame, config.smap
     ch = draw_channel(
         config.m_t, config.m_r, config.l_taps, config.pdp_decay,
         rng.child("channel"), n_fft=config.n, n_cp=config.n_cp,
@@ -52,19 +45,21 @@ def oracle_frame(config, fc, smap, pre, short, pilots, snr_db, beta, rng):
     payload = rng.child("payload").integers(
         0, 2, size=fc.n_data_symbols * smap.n_data * config.m_t * 4
     )
-    grids, truth = assemble_frame(fc, smap, payload, pre, short_symbol=short, pilots=pilots)
+    grids, truth = assemble_frame(
+        fc, smap, payload, config.preamble, short_symbol=config.short_symbol, pilots=config.pilots
+    )
     rx = apply_channel(modulate_frame(grids, config.n_cp), ch)
     sigma2 = 0.0
     if not math.isinf(snr_db):
         sigma2 = config.m_t * smap.n_used / config.n**2 / 10.0 ** (snr_db / 10.0)
         rx = rx + rng.child("noise").complex_normal(var=sigma2, size=rx.shape)
-    trace = gen_phase_noise(
+    phi = gen_phase_noise(
         beta, config.ts, rx.shape[0], config.m_r,
         rng.child("phase"), shared_oscillator=config.shared_oscillator,
     )
-    rx = apply_iq_imbalance(apply_phase_noise(rx, trace), iq)
+    rx = apply_iq_imbalance(apply_phase_noise(rx, phi), config.iq)
     rx_grids = demodulate_frame(rx, config.n, config.n_cp, config.symbols_per_frame)
-    cpe = cpe_of(trace, fc.symbol_window(np.arange(fc.n_short, fc.symbols_per_frame)), config.n)
+    cpe = cpe_of(phi, fc.symbol_window(np.arange(fc.n_short, fc.symbols_per_frame)), config.n)
     theta_pre = 0.5 * (cpe[0] + cpe[1])
     return dict(
         rx_grids=rx_grids, truth_bits=truth.bits, h_eff=theta_pre[None, :, None] * ch.freq,
@@ -72,21 +67,13 @@ def oracle_frame(config, fc, smap, pre, short, pilots, snr_db, beta, rng):
     )
 
 
-def oracle_front_end(rx_grids, config, fc, smap, pre):
-    nulls = logical_to_bin(smap.null_bins, config.n)
-    psi = estimate_noise_ici_corr(rx_grids[: fc.n_short, nulls].reshape(-1, config.m_r))
-    est = estimate_preamble(rx_grids[fc.n_short], rx_grids[fc.n_short + 1], pre)
-    g0 = estimate_iq_params(est.chi_a, est.e, pre.owner).g
+def oracle_front_end(rx_grids, config):
+    n_short, pre = config.frame.n_short, config.preamble
+    nulls = logical_to_bin(config.smap.null_bins, config.n)
+    psi = estimate_noise_ici_corr(rx_grids[:n_short, nulls].reshape(-1, config.m_r))
+    est = estimate_preamble(rx_grids[n_short], rx_grids[n_short + 1], pre)
+    g0 = estimate_iq_params(est.chi_a, est.e, pre.owner)
     return psi, est, refine_iq_channel(est, pre.owner, g0, psi=psi)
-
-
-def _setup(config):
-    smap = build_subcarrier_map(config.n)
-    pre = build_preamble(config.m_t, smap)
-    return (
-        config.frame_config(), smap, pre,
-        build_short_symbol(smap, config.m_t), pilot_matrix(config.m_t),
-    )
 
 
 # (m_t = m_r, completion, iq_frame_avg, detector, linewidth, frames)
@@ -109,16 +96,16 @@ def test_chunk_equals_frame_by_frame(m, ce_method, avg, detector, beta, n_frames
         detector=detector, ce_method=ce_method, iq_frame_avg=avg, symbols_per_frame=7,
         master_seed=7100,
     )
-    fc, smap, pre, short, pilots = _setup(config)
+    fc, smap, pre, pilots, iq = config.frame, config.smap, config.preamble, config.pilots, config.iq
     rngs = [RandomSource(config.master_seed).child("frame", f) for f in range(n_frames)]
-    draws = harness.simulate_frame(config, fc, smap, pre, short, pilots, rngs)
-    frames = harness.impair(draws, config, fc, smap, 20.0, beta)
-    fe = harness.front_end(frames, config, fc, smap, pre)
+    draws = harness.simulate_frame(config, rngs)
+    frames = harness.impair(draws, config, 20.0, beta)
+    fe = harness.front_end(frames, config)
 
-    ones = [oracle_frame(config, fc, smap, pre, short, pilots, 20.0, beta, r) for r in rngs]
+    ones = [oracle_frame(config, 20.0, beta, r) for r in rngs]
     for key in ("rx_grids", "truth_bits", "h_eff", "cpe_true"):
         np.testing.assert_array_equal(getattr(frames, key), np.stack([o[key] for o in ones]))
-    fronts = [oracle_front_end(o["rx_grids"], config, fc, smap, pre) for o in ones]
+    fronts = [oracle_front_end(o["rx_grids"], config) for o in ones]
     np.testing.assert_array_equal(fe.psi, np.stack([psi for psi, _, _ in fronts]))
     for key in ("chi_a", "chi_b", "e"):
         one_est = np.stack([getattr(est, key) for _, est, _ in fronts])
@@ -135,10 +122,10 @@ def test_chunk_equals_frame_by_frame(m, ce_method, avg, detector, beta, n_frames
         if good:
             k1[b : b + avg] = (1.0 + np.mean(good, axis=0)) / 2.0
 
-    options = config.equalizer_options()
+    options = config.equalizer
     for mode in MODES:
         estimate, phase = RECEIVER_MODES[mode]
-        state, ran = harness.receiver_state(frames, fe, config, fc, smap, pre, estimate, k1)
+        state, ran = harness.receiver_state(frames, fe, config, estimate, k1)
         none = np.ones((fc.n_data_symbols, m))
         updates = {"none": none, "tracked": None, "genie": frames.cpe_true[ran]}
         dec = equalize_frame(
@@ -149,9 +136,9 @@ def test_chunk_equals_frame_by_frame(m, ce_method, avg, detector, beta, n_frames
         for f, one in enumerate(ones):
             psi, est, _ = fronts[f]
             if estimate == "genie":
-                gain = np.abs(frames.iq.k1) ** 2 + np.abs(frames.iq.k2) ** 2
+                gain = np.abs(iq.k1) ** 2 + np.abs(iq.k2) ** 2
                 one_state = EstimatorState(
-                    h_pre=one["h_eff"], k1=frames.iq.k1,
+                    h_pre=one["h_eff"], k1=iq.k1,
                     psi=np.diag(gain * config.n * one["sigma2"]).astype(complex),
                 )
             else:
@@ -168,7 +155,7 @@ def test_chunk_equals_frame_by_frame(m, ce_method, avg, detector, beta, n_frames
                     assert not ran[f]
                     continue
                 one_state = EstimatorState(
-                    h_pre=harness._complete(e, pre, smap, config), k1=k1_f, psi=psi
+                    h_pre=harness._complete(e, config), k1=k1_f, psi=psi
                 )
             assert ran[f]
             np.testing.assert_array_equal(state.h_pre[row], one_state.h_pre)
@@ -205,12 +192,11 @@ def test_shared_draws_replay_each_frame_draw(m, shared_oscillator):
     config = ScenarioConfig(
         m_t=m, m_r=m, frames=3, symbols_per_frame=5, shared_oscillator=shared_oscillator,
     )
-    fc, smap, pre, short, pilots = _setup(config)
 
     def sources():
         return [RandomSource(41).child("frame", f) for f in range(3)]
 
-    draws = harness.simulate_frame(config, fc, smap, pre, short, pilots, sources())
+    draws = harness.simulate_frame(config, sources())
     sigma2 = 0.37
     for f, rng in enumerate(sources()):
         want = rng.child("noise").complex_normal(var=sigma2, size=draws.clean.shape[1:])
@@ -220,22 +206,8 @@ def test_shared_draws_replay_each_frame_draw(m, shared_oscillator):
                 beta, config.ts, draws.clean.shape[1], m, rng.child("phase"), shared_oscillator,
             )
             got = wiener_phase(beta, config.ts, draws.steps[f], m)
-            assert np.array_equal(got.phi, want.phi)
+            assert np.array_equal(got, want)
             rng = sources()[f]  # a fresh phase source for the next linewidth
-
-    # skipping one draw moves no other stream
-    no_noise = harness.simulate_frame(
-        config, fc, smap, pre, short, pilots, sources(), draw_noise=False,
-    )
-    no_phase = harness.simulate_frame(
-        config, fc, smap, pre, short, pilots, sources(), draw_phase=False,
-    )
-    assert no_noise.noise is None and no_phase.steps is None
-    assert np.array_equal(no_noise.steps, draws.steps)
-    assert np.array_equal(no_phase.noise, draws.noise)
-    for other in (no_noise, no_phase):
-        for key in ("clean", "truth_bits", "freq"):
-            assert np.array_equal(getattr(other, key), getattr(draws, key))
 
 
 # (m_t = m_r, snr points, linewidths, shared oscillator, frames, iq_frame_avg)
@@ -245,7 +217,7 @@ GROUPS = [
     (4, (float("inf"), 25.0), (5e3, 0.0), False, 3, 1),
     # 100 kHz: some frames' mismatch estimates fail inside a chunk
     (2, (20.0,), (1e5, 5e3, 0.0), False, 12, 2),
-    # no finite SNR and no positive linewidth: both draws skipped
+    # no finite SNR and no positive linewidth: both draws unused
     (2, (float("inf"),), (0.0,), False, 2, 1),
 ]
 
@@ -270,3 +242,17 @@ def test_group_equals_points_one_by_one(m, snrs, betas, shared, n_frames, avg):
     if 1e5 in betas:
         full = [r for r in one_by_one if r.beta_hz == 1e5 and r.mode == "full"]
         assert 0 < full[0].frames_run < n_frames, "the 100 kHz point must lose some frames"
+
+
+def test_mode_rows_do_not_depend_on_the_other_modes():
+    # A mode that never reads the mismatch estimate, run alone, gives its
+    # rows of the all-mode run; the 100 kHz point loses some frames.
+    config = ScenarioConfig(
+        frames=12, snr_db=(20.0,), beta_hz=(1e5,), modes=MODES, iq_frame_avg=2,
+        symbols_per_frame=7, master_seed=7100,
+    )
+    rows = {row.mode: row for row in harness.run_point(config, [(0, 0)])}
+    assert 0 < rows["full"].frames_run < config.frames, "the 100 kHz point must lose some frames"
+    for mode in ("pn-only", "uncompensated", "genie"):
+        alone = harness.run_point(dataclasses.replace(config, modes=(mode,)), [(0, 0)])
+        assert exact(alone) == exact([rows[mode]])

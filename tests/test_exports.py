@@ -1,4 +1,7 @@
-"""Every public name the package declares resolves to an object; importing it loads no scipy."""
+"""Every public name the package declares resolves to an object; importing it loads no scipy.
+
+No module imports a name it never reads, so a removal leaves no stale import behind.
+"""
 
 import ast
 import importlib
@@ -36,6 +39,34 @@ def test_public_names_resolve(module):
     mod = importlib.import_module(f"ofdmlink.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, missing
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports and never reads; an ``__all__`` entry counts as a read."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_unused_import_check_sees_one():
+    assert _unused_imports("import os\nfrom math import pi, tau\nprint(tau)\n") == ["os", "pi"]
+    assert _unused_imports("from math import pi\n__all__ = ['pi']\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_only_what_it_uses(module):
+    # __init__ is exempt: importing a name there is how the package exports it
+    source = pathlib.Path(ofdmlink.__file__).with_name(f"{module}.py").read_text()
+    assert _unused_imports(source) == []
 
 
 def test_import_loads_no_scipy():

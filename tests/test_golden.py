@@ -78,26 +78,26 @@ def test_mmse_guard_verdicts_equal_eigvalsh(monkeypatch):
     # Every tracker and detector system of the 4x4 MMSE campaign: the
     # guard, with the floors the receiver passes, gives the eigvalsh
     # verdict, and the regularizer certificate spares most of them the
-    # inverse.
-    stacks, reached_inverse = [], []
+    # eigendecomposition.
+    stacks, reached_eigvalsh = [], []
 
     def guard_spy(a, floor=0.0):
         verdicts = numerics.well_conditioned(a, floor)
         stacks.append((np.array(a), verdicts))
         return verdicts
 
-    def inverse_spy(a):
-        reached_inverse.append(a.shape[0])
-        return inverse_stage(a)
+    def eigvalsh_spy(a):
+        reached_eigvalsh.append(a.shape[0])
+        return eigvalsh_stage(a)
 
-    inverse_stage = numerics._inverse_certified_or_eigvalsh
+    eigvalsh_stage = numerics.condition_number
     monkeypatch.setattr(equalization, "well_conditioned", guard_spy)
-    monkeypatch.setattr(numerics, "_inverse_certified_or_eigvalsh", inverse_spy)
+    monkeypatch.setattr(numerics, "condition_number", eigvalsh_spy)
     run_campaign(CAMPAIGNS[1])
     for a, verdicts in stacks:
         np.testing.assert_array_equal(verdicts, eigvalsh_verdicts(a))
     total = sum(verdicts.size for _, verdicts in stacks)
-    assert total > 0 and sum(reached_inverse) < total / 2
+    assert total > 0 and sum(reached_eigvalsh) < total / 2
 
 
 if __name__ == "__main__":

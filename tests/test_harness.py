@@ -13,8 +13,6 @@ from ofdmlink.channel import apply_channel, draw_channel
 from ofdmlink.estimation import estimate_preamble
 from ofdmlink.framing import (
     assemble_frame,
-    build_preamble,
-    build_subcarrier_map,
     modulate_frame,
 )
 from ofdmlink.harness import (
@@ -85,9 +83,7 @@ class TestSnrCalibration:
         # unconditioned, the channel-energy spread would need thousands
         # of draws to resolve 2 percent).
         config = ScenarioConfig(frames=1, symbols_per_frame=20)
-        fc = config.frame_config()
-        smap = build_subcarrier_map(64)
-        pre = build_preamble(2, smap)
+        fc, smap, pre = config.frame, config.smap, config.preamble
         root = RandomSource(7)
         p_sig, p_expected = [], []
         for i in range(500):  # 8500 data symbols
@@ -152,25 +148,17 @@ class TestRunPoint:
 
 class TestReceiverState:
     def _frames(self, config, n_frames=1):
-        fc = config.frame_config()
-        smap = build_subcarrier_map(config.n)
-        pre = build_preamble(config.m_t, smap)
-        from ofdmlink.framing import build_short_symbol, pilot_matrix
-
-        short = build_short_symbol(smap, config.m_t)
-        pilots = pilot_matrix(config.m_t)
         rngs = [RandomSource(1).child("f", f) for f in range(n_frames)]
-        draws = simulate_frame(config, fc, smap, pre, short, pilots, rngs)
-        return impair(draws, config, fc, smap, 25.0, 5e3), fc, smap, pre
+        return impair(simulate_frame(config, rngs), config, 25.0, 5e3)
 
     def test_modes_produce_consistent_states(self):
         config = ScenarioConfig(frames=1, symbols_per_frame=6)
-        frames, fc, smap, pre = self._frames(config, n_frames=2)
-        fe = front_end(frames, config, fc, smap, pre)
+        frames = self._frames(config, n_frames=2)
+        fe = front_end(frames, config)
         k1 = (1.0 + fe.g) / 2.0
         for mode in MODES:
             estimate, _ = RECEIVER_MODES[mode]
-            state, ran = receiver_state(frames, fe, config, fc, smap, pre, estimate, k1)
+            state, ran = receiver_state(frames, fe, config, estimate, k1)
             np.testing.assert_array_equal(ran, [True, True])
             assert state.h_pre.shape == (2, 64, 2, 2)
             np.testing.assert_array_equal(state.k2, 1 - np.conj(state.k1))
@@ -179,17 +167,17 @@ class TestReceiverState:
             if mode in ("iq-only", "full"):
                 np.testing.assert_array_equal(state.k1, k1)
             if mode == "genie":
-                np.testing.assert_allclose(state.k1, frames.iq.k1)
+                np.testing.assert_allclose(state.k1, config.iq.k1)
                 np.testing.assert_array_equal(state.h_pre, frames.h_eff)
 
     def test_demixed_state_skips_frames_without_a_separable_k1(self):
         config = ScenarioConfig(frames=1, symbols_per_frame=6)
-        frames, fc, smap, pre = self._frames(config, n_frames=3)
-        fe = front_end(frames, config, fc, smap, pre)
+        frames = self._frames(config, n_frames=3)
+        fe = front_end(frames, config)
         k1 = (1.0 + fe.g) / 2.0
         k1[0] = np.nan          # a block without a usable estimate
         k1[2] = 0.5             # |K1|^2 - |K2|^2 = 0: cannot separate the image
-        state, ran = receiver_state(frames, fe, config, fc, smap, pre, "demixed", k1)
+        state, ran = receiver_state(frames, fe, config, "demixed", k1)
         np.testing.assert_array_equal(ran, [False, True, False])
         assert state.h_pre.shape == (1, 64, 2, 2)
         np.testing.assert_array_equal(state.k1, k1[1:2])

@@ -8,7 +8,6 @@ from ofdmlink.channel import apply_channel, draw_channel
 from ofdmlink.framing import demodulate_frame, modulate_frame
 from ofdmlink.impairments import (
     IqParams,
-    PhaseNoiseTrace,
     apply_iq_imbalance,
     apply_phase_noise,
     combined_freq_model,
@@ -54,33 +53,33 @@ def _wiener(beta, n_samples, m_r, rng, shared_oscillator=False):
 
 class TestPhaseNoiseGeneration:
     def test_zero_linewidth_is_silent(self):
-        tr = _wiener(0.0, 500, 2, RandomSource(1).child("pn"))
-        assert not tr.phi.any()
+        phi = _wiener(0.0, 500, 2, RandomSource(1).child("pn"))
+        assert not phi.any()
 
     def test_step_variance(self):
         # 4 pi beta Ts at beta = 5 kHz, Ts = 0.05 us is pi * 1e-3.
-        tr = _wiener(5e3, 100_001, 1, RandomSource(2).child("pn"))
-        steps = np.diff(tr.phi[:, 0])
+        phi = _wiener(5e3, 100_001, 1, RandomSource(2).child("pn"))
+        steps = np.diff(phi[:, 0])
         assert steps.var() == pytest.approx(4 * np.pi * 5e3 * 5e-8, rel=0.03)
         assert abs(steps.mean()) < 3e-4
 
     def test_linear_variance_growth(self):
         root = RandomSource(3)
         phis = np.stack(
-            [_wiener(5e3, 81, 1, root.child("t", i)).phi[80, 0] for i in range(10_000)]
+            [_wiener(5e3, 81, 1, root.child("t", i))[80, 0] for i in range(10_000)]
         )
         assert phis.var() == pytest.approx(80 * 4 * np.pi * 5e3 * 5e-8, rel=0.05)
 
     def test_branches_independent(self):
-        tr = _wiener(5e3, 5000, 2, RandomSource(4).child("pn"))
-        d = np.diff(tr.phi, axis=0)
+        phi = _wiener(5e3, 5000, 2, RandomSource(4).child("pn"))
+        d = np.diff(phi, axis=0)
         corr = np.corrcoef(d[:, 0], d[:, 1])[0, 1]
         assert abs(corr) < 0.05
 
     def test_shared_oscillator_switch(self):
-        tr = _wiener(5e3, 100, 3, RandomSource(5).child("pn"), shared_oscillator=True)
-        np.testing.assert_array_equal(tr.phi[:, 0], tr.phi[:, 1])
-        np.testing.assert_array_equal(tr.phi[:, 0], tr.phi[:, 2])
+        phi = _wiener(5e3, 100, 3, RandomSource(5).child("pn"), shared_oscillator=True)
+        np.testing.assert_array_equal(phi[:, 0], phi[:, 1])
+        np.testing.assert_array_equal(phi[:, 0], phi[:, 2])
 
     def test_bad_args(self):
         steps = np.zeros((9, 1))
@@ -98,35 +97,35 @@ class TestPhaseNoiseGeneration:
 
         paths = 1 if shared_oscillator else 4
         steps = np.stack([rng.normal(size=(299, paths)) for rng in sources()])
-        got = wiener_phase(beta, 5e-8, steps, 4).phi
+        got = wiener_phase(beta, 5e-8, steps, 4)
         want = [gen_phase_noise(beta, 5e-8, 300, 4, rng, shared_oscillator) for rng in sources()]
-        assert np.array_equal(got, np.stack([tr.phi for tr in want]))
+        assert np.array_equal(got, np.stack(want))
 
 
 class TestApplyPhaseNoise:
     def test_zero_trace_identity(self):
         x = np.arange(6, dtype=complex).reshape(3, 2)
-        tr = PhaseNoiseTrace(phi=np.zeros((3, 2)))
-        np.testing.assert_array_equal(apply_phase_noise(x, tr), x)
+        phi = np.zeros((3, 2))
+        np.testing.assert_array_equal(apply_phase_noise(x, phi), x)
 
     def test_magnitude_preserved(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
-        tr = gen_phase_noise(1e4, 5e-8, 50, 2, RandomSource(8).child("pn"))
-        np.testing.assert_allclose(np.abs(apply_phase_noise(x, tr)), np.abs(x))
+        phi = gen_phase_noise(1e4, 5e-8, 50, 2, RandomSource(8).child("pn"))
+        np.testing.assert_allclose(np.abs(apply_phase_noise(x, phi)), np.abs(x))
 
     def test_constant_phase_is_pure_cpe(self):
         rng = np.random.default_rng(9)
         grid = rng.normal(size=(64, 1)) + 1j * rng.normal(size=(64, 1))
         tx = modulate_frame(grid[None], 16)
-        tr = PhaseNoiseTrace(phi=np.full((80, 1), 0.37))
-        out = demodulate_frame(apply_phase_noise(tx, tr), 64, 16, 1)[0]
+        phi = np.full((80, 1), 0.37)
+        out = demodulate_frame(apply_phase_noise(tx, phi), 64, 16, 1)[0]
         np.testing.assert_allclose(out, np.exp(0.37j) * grid, atol=1e-12)
 
     def test_short_trace_rejected(self):
-        tr = PhaseNoiseTrace(phi=np.zeros((10, 1)))
+        phi = np.zeros((10, 1))
         with pytest.raises(ConfigurationError):
-            apply_phase_noise(np.zeros((11, 1), dtype=complex), tr)
+            apply_phase_noise(np.zeros((11, 1), dtype=complex), phi)
 
 
 class TestApplyIqImbalance:
@@ -160,55 +159,55 @@ class TestApplyIqImbalance:
 
 class TestCpe:
     def test_zero_phase(self):
-        tr = PhaseNoiseTrace(phi=np.zeros((100, 2)))
-        np.testing.assert_allclose(cpe_of(tr, 10, 64), [1.0, 1.0])
+        phi = np.zeros((100, 2))
+        np.testing.assert_allclose(cpe_of(phi, 10, 64), [1.0, 1.0])
 
     def test_constant_phase(self):
-        tr = PhaseNoiseTrace(phi=np.full((100, 1), -0.81))
-        assert cpe_of(tr, 0, 64)[0] == pytest.approx(np.exp(-0.81j))
+        phi = np.full((100, 1), -0.81)
+        assert cpe_of(phi, 0, 64)[0] == pytest.approx(np.exp(-0.81j))
 
     def test_matches_transform_bin_zero(self):
-        tr = gen_phase_noise(1e4, 5e-8, 96, 2, RandomSource(11).child("pn"))
-        got = cpe_of(tr, 16, 64)
-        expected = dft(np.exp(1j * tr.phi[16:80]))[0] / 64
+        phi = gen_phase_noise(1e4, 5e-8, 96, 2, RandomSource(11).child("pn"))
+        got = cpe_of(phi, 16, 64)
+        expected = dft(np.exp(1j * phi[16:80]))[0] / 64
         np.testing.assert_allclose(got, expected, atol=1e-13)
 
     def test_window_bounds(self):
-        tr = PhaseNoiseTrace(phi=np.zeros((64, 1)))
+        phi = np.zeros((64, 1))
         with pytest.raises(ConfigurationError):
-            cpe_of(tr, 1, 64)
+            cpe_of(phi, 1, 64)
         with pytest.raises(ConfigurationError):
-            cpe_of(tr, np.array([0, 1]), 64)
+            cpe_of(phi, np.array([0, 1]), 64)
 
     @pytest.mark.parametrize("m_r", [1, 2, 4])
     def test_array_of_starts_equals_scalar_calls(self, m_r):
-        tr = gen_phase_noise(1e5, 5e-8, 12 * 80 + 6, m_r, RandomSource(14).child("pn", m_r))
+        phi = gen_phase_noise(1e5, 5e-8, 12 * 80 + 6, m_r, RandomSource(14).child("pn", m_r))
         starts = np.arange(12) * 80 + 16
-        got = cpe_of(tr, starts, 64)
+        got = cpe_of(phi, starts, 64)
         assert got.shape == (12, m_r)
-        scalar = np.stack([cpe_of(tr, int(s), 64) for s in starts])
-        window_means = np.stack([np.mean(np.exp(1j * tr.phi[s : s + 64]), axis=0) for s in starts])
+        scalar = np.stack([cpe_of(phi, int(s), 64) for s in starts])
+        window_means = np.stack([np.mean(np.exp(1j * phi[s : s + 64]), axis=0) for s in starts])
         assert np.array_equal(got, scalar)
         assert np.array_equal(got, window_means)
 
     def test_coefficient_power_is_unity(self):
         # Parseval: the mixing coefficients of any window carry unit power.
-        tr = gen_phase_noise(1e5, 5e-8, 64, 1, RandomSource(12).child("pn"))
-        theta = phase_noise_coeffs(tr.phi[:, 0])
+        phi = gen_phase_noise(1e5, 5e-8, 64, 1, RandomSource(12).child("pn"))
+        theta = phase_noise_coeffs(phi[:, 0])
         assert np.sum(np.abs(theta) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_cpe_magnitude_bounded_by_one(self):
         # Average of unit-modulus samples.
         for i, beta in enumerate((1e3, 1e4, 1e5)):
-            tr = gen_phase_noise(beta, 5e-8, 200, 2, RandomSource(13).child("pn", i))
-            assert np.abs(cpe_of(tr, 50, 64)).max() <= 1.0 + 1e-12
+            phi = gen_phase_noise(beta, 5e-8, 200, 2, RandomSource(13).child("pn", i))
+            assert np.abs(cpe_of(phi, 50, 64)).max() <= 1.0 + 1e-12
 
 
 class TestCombinedModel:
-    def _chain(self, grids, ch, trace, iq, n_cp):
+    def _chain(self, grids, ch, phi, iq, n_cp):
         tx = modulate_frame(grids, n_cp)
         rx = apply_channel(tx, ch)
-        rx = apply_phase_noise(rx, trace)
+        rx = apply_phase_noise(rx, phi)
         rx = apply_iq_imbalance(rx, iq)
         return demodulate_frame(rx, grids.shape[1], n_cp, grids.shape[0])
 
@@ -217,8 +216,8 @@ class TestCombinedModel:
         ch = draw_channel(2, 2, 7, 2.0, root.child("ch"))
         rng = np.random.default_rng(14)
         s = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
-        tr = PhaseNoiseTrace(phi=np.zeros((200, 2)))
-        out = combined_freq_model(s, ch, tr, IqParams.ideal(2), 16)
+        phi = np.zeros((200, 2))
+        out = combined_freq_model(s, ch, phi, IqParams.ideal(2), 16)
         np.testing.assert_allclose(out, np.einsum("kqp,kp->kq", ch.freq, s), atol=1e-12)
 
     def test_iq_only_specialization(self):
@@ -227,11 +226,11 @@ class TestCombinedModel:
         rng = np.random.default_rng(16)
         s = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
         iq = IqParams.uniform(2, 5.0, 10.0)
-        tr = PhaseNoiseTrace(phi=np.zeros((200, 2)))
+        phi = np.zeros((200, 2))
         faded = np.einsum("kqp,kp->kq", ch.freq, s)
         mirror = np.conj(faded[(-np.arange(64)) % 64])
         expected = iq.k1 * faded + iq.k2 * mirror
-        np.testing.assert_allclose(combined_freq_model(s, ch, tr, iq, 16), expected, atol=1e-12)
+        np.testing.assert_allclose(combined_freq_model(s, ch, phi, iq, 16), expected, atol=1e-12)
 
     def test_time_domain_chain_equivalence(self):
         # The module's central oracle: sample-level pipeline vs the
@@ -242,12 +241,12 @@ class TestCombinedModel:
         rng = np.random.default_rng(18)
         grids = rng.normal(size=(n_sym, n, 2)) + 1j * rng.normal(size=(n_sym, n, 2))
         stream_len = n_sym * (n + n_cp) + 6
-        trace = gen_phase_noise(5e3, 5e-8, stream_len, 2, root.child("pn"))
+        phi = gen_phase_noise(5e3, 5e-8, stream_len, 2, root.child("pn"))
         iq = IqParams.uniform(2, 5.0, 10.0)
-        got = self._chain(grids, ch, trace, iq, n_cp)
+        got = self._chain(grids, ch, phi, iq, n_cp)
         for m in range(n_sym):
             window = m * (n + n_cp) + n_cp
-            expected = combined_freq_model(grids[m], ch, trace, iq, window)
+            expected = combined_freq_model(grids[m], ch, phi, iq, window)
             err = np.abs(got[m] - expected).max() / np.abs(expected).max()
             assert err < 1e-10
 
@@ -256,14 +255,14 @@ class TestCombinedModel:
         # projection on average over random symbol loads.
         root = RandomSource(19)
         ch = draw_channel(1, 1, 7, 2.0, root.child("ch"))
-        trace = gen_phase_noise(2e4, 5e-8, 80, 1, root.child("pn"))
-        theta0 = cpe_of(trace, 16, 64)[0]
+        phi = gen_phase_noise(2e4, 5e-8, 80, 1, root.child("pn"))
+        theta0 = cpe_of(phi, 16, 64)[0]
         rng = np.random.default_rng(20)
         ratios = []
         for _ in range(400):
             s = rng.normal(size=(64, 1)) + 1j * rng.normal(size=(64, 1))
             faded = np.einsum("kqp,kp->kq", ch.freq, s)
-            out = combined_freq_model(s, ch, trace, IqParams.ideal(1), 16)
+            out = combined_freq_model(s, ch, phi, IqParams.ideal(1), 16)
             zeta = out - theta0 * faded
             ratios.append(np.sum(np.abs(zeta) ** 2) / np.sum(np.abs(faded) ** 2))
         assert np.mean(ratios) == pytest.approx(1.0 - np.abs(theta0) ** 2, rel=0.05)
