@@ -12,8 +12,8 @@ Every result is byte-reproducible regardless of worker count or
 scheduling.  Each stage runs on every frame: all frames draw their noise
 and phase steps, and the front end always estimates the mismatch.  The
 layout a config implies (frame, subcarrier map, training symbols,
-pilots) is built once, on first use, as properties of
-:class:`ScenarioConfig`.
+pilots) and its channel completion, one matrix per transmit antenna, are
+built once, on first use, as properties of :class:`ScenarioConfig`.
 
 The receiver modes differ only in the channel estimate they detect with
 (see :func:`receiver_state`) and the common-phase updates they apply:
@@ -34,6 +34,7 @@ import numpy as np
 from .channel import apply_channel, draw_channel, exp_power_profile
 from .equalization import EqualizerOptions, equalize_frame
 from .estimation import (
+    EstimationError,
     EstimatorState,
     PreambleEstimate,
     demix_channel,
@@ -211,6 +212,11 @@ class ScenarioConfig:
             detector=self.detector, tracking_variant=self.tracking_variant, mmse_r=self.mmse_r
         )
 
+    @cached_property
+    def completion(self) -> tuple:
+        """Each transmit antenna's knot mask and completion matrix (:func:`_completion_operator`)."""
+        return _completion_operator(self)
+
 
 @dataclass(frozen=True)
 class CampaignRow:
@@ -373,10 +379,52 @@ def impair(
     )
 
 
-def _complete(e_vals, config: ScenarioConfig) -> np.ndarray:
+def _completion_operator(config: ScenarioConfig) -> tuple:
+    """Each transmit antenna's completion as a matrix on its own trained values.
+
+    Both completions are linear in the trained values and their map
+    depends only on the config, so one run of the configured builder on
+    the unit basis (each used bin a frame, one receive branch) gives them
+    all.  Antenna ``p`` gets the mask ``sel_p`` of its knots among the
+    used bins and the read-only ``(n, k_p)`` matrix ``A_p``, whose column
+    ``j`` completes a unit value on its ``j``-th knot.  A unit value on
+    one antenna's knot must leave every other antenna's channel exactly
+    zero, or the build raises :class:`EstimationError`.
+    """
+    pre, smap = config.preamble, config.smap
+    basis = np.eye(pre.used.size, dtype=np.complex128)[:, :, None]  # (frames, n_used, m_r = 1)
+    # called through the module's names, so that a wrapper installed on them sees the build
     if config.ce_method == "iterative":
-        return iterative_refine(e_vals, config.preamble, config.smap, config.l_taps)
-    return interpolate_channel(e_vals, config.preamble, config.smap)
+        out = iterative_refine(basis, pre, smap, config.l_taps)
+    else:
+        out = interpolate_channel(basis, pre, smap)
+    operators = []
+    for p in range(config.m_t):
+        sel = pre.owner == p
+        cols = out[sel, :, 0, :]  # (k_p, n, m_t): the completions of each of p's unit knots
+        if np.delete(cols, p, axis=-1).any():
+            raise EstimationError(f"the completion of antenna {p}'s knots leaks into other antennas")
+        a = np.ascontiguousarray(cols[..., p].T)
+        sel.flags.writeable = a.flags.writeable = False  # shared by every chunk of the campaign
+        operators.append((sel, a))
+    return tuple(operators)
+
+
+def _complete(e_vals, config: ScenarioConfig) -> np.ndarray:
+    """Complete ``(..., n_used, m_r)`` trained values into the ``(..., n, m_r, m_t)`` channel.
+
+    One product with the config's precomputed operator per transmit
+    antenna and frame (see :func:`_completion_operator`), the receive
+    branches its columns, so a frame's channel does not depend on the
+    frames stacked with it.  Non-finite values raise ``ValueError``: the
+    product would spread them over the whole band.
+    """
+    if not np.isfinite(e_vals).all():
+        raise ValueError("channel estimates to complete must be finite")
+    h = np.zeros((*e_vals.shape[:-2], config.n, e_vals.shape[-1], config.m_t), dtype=np.complex128)
+    for p, (sel, a) in enumerate(config.completion):
+        h[..., p] = a @ np.compress(sel, e_vals, axis=-2)
+    return h
 
 
 @dataclass(frozen=True)
