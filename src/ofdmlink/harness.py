@@ -12,8 +12,9 @@ Every result is byte-reproducible regardless of worker count or
 scheduling.  Each stage runs on every frame: all frames draw their noise
 and phase steps, and the front end always estimates the mismatch.  The
 layout a config implies (frame, subcarrier map, training symbols,
-pilots) and its channel completion, one matrix per transmit antenna, are
-built once, on first use, as properties of :class:`ScenarioConfig`.
+pilots) and its channel completion, one matrix per transmit antenna up to
+:data:`COMPLETION_OPERATOR_BYTES`, are built once, on first use, as
+properties of :class:`ScenarioConfig`.
 
 The receiver modes differ only in the channel estimate they detect with
 (see :func:`receiver_state`) and the common-phase updates they apply:
@@ -103,6 +104,13 @@ MAX_SNR_DB = 300.0
 # its arrays are live at once: 512 (30 frames of preamble-mse) raised that
 # workload's peak RSS by about 5%, 64 (10 frames) by under 2%.
 CHUNK_SYMBOLS = 64
+
+# Bytes of the completion operators, n * n_used complex values in all.  Their
+# build holds m_t times as much, a few times over inside iterative_refine (about
+# 45 MB at n = 512, m_t = 4), and a product costs n_used multiplies per bin
+# where the spline costs a few; above this, from n = 1024, _complete runs the
+# configured builder on each chunk's values instead.
+COMPLETION_OPERATOR_BYTES = 2**22
 
 CSV_HEADER = (
     "snr_db,beta_hz,mode,detector,ce_method,m_t,m_r,frames_run,"
@@ -213,7 +221,7 @@ class ScenarioConfig:
         )
 
     @cached_property
-    def completion(self) -> tuple:
+    def completion(self) -> tuple | None:
         """Each transmit antenna's knot mask and completion matrix (:func:`_completion_operator`)."""
         return _completion_operator(self)
 
@@ -379,7 +387,19 @@ def impair(
     )
 
 
-def _completion_operator(config: ScenarioConfig) -> tuple:
+def _run_builder(e_vals, config: ScenarioConfig) -> np.ndarray:
+    """The configured completion of ``(..., n_used, m_r)`` trained values.
+
+    Called through this module's names, so that a wrapper installed on
+    them sees every build.
+    """
+    pre = config.preamble
+    if config.ce_method == "iterative":
+        return iterative_refine(e_vals, pre, config.smap, config.l_taps)
+    return interpolate_channel(e_vals, pre, config.smap)
+
+
+def _completion_operator(config: ScenarioConfig) -> tuple | None:
     """Each transmit antenna's completion as a matrix on its own trained values.
 
     Both completions are linear in the trained values and their map
@@ -389,15 +409,14 @@ def _completion_operator(config: ScenarioConfig) -> tuple:
     used bins and the read-only ``(n, k_p)`` matrix ``A_p``, whose column
     ``j`` completes a unit value on its ``j``-th knot.  A unit value on
     one antenna's knot must leave every other antenna's channel exactly
-    zero, or the build raises :class:`EstimationError`.
+    zero, or the build raises :class:`EstimationError`.  ``None`` when the
+    operators would exceed :data:`COMPLETION_OPERATOR_BYTES`.
     """
-    pre, smap = config.preamble, config.smap
+    pre = config.preamble
+    if config.n * pre.used.size * 16 > COMPLETION_OPERATOR_BYTES:
+        return None
     basis = np.eye(pre.used.size, dtype=np.complex128)[:, :, None]  # (frames, n_used, m_r = 1)
-    # called through the module's names, so that a wrapper installed on them sees the build
-    if config.ce_method == "iterative":
-        out = iterative_refine(basis, pre, smap, config.l_taps)
-    else:
-        out = interpolate_channel(basis, pre, smap)
+    out = _run_builder(basis, config)
     operators = []
     for p in range(config.m_t):
         sel = pre.owner == p
@@ -416,13 +435,17 @@ def _complete(e_vals, config: ScenarioConfig) -> np.ndarray:
     One product with the config's precomputed operator per transmit
     antenna and frame (see :func:`_completion_operator`), the receive
     branches its columns, so a frame's channel does not depend on the
-    frames stacked with it.  Non-finite values raise ``ValueError``: the
-    product would spread them over the whole band.
+    frames stacked with it; without an operator, the configured builder.
+    Non-finite values raise ``ValueError``: the completion would spread
+    them over the whole band.
     """
     if not np.isfinite(e_vals).all():
         raise ValueError("channel estimates to complete must be finite")
+    operators = config.completion
+    if operators is None:
+        return _run_builder(e_vals, config)
     h = np.zeros((*e_vals.shape[:-2], config.n, e_vals.shape[-1], config.m_t), dtype=np.complex128)
-    for p, (sel, a) in enumerate(config.completion):
+    for p, (sel, a) in enumerate(operators):
         h[..., p] = a @ np.compress(sel, e_vals, axis=-2)
     return h
 

@@ -9,6 +9,7 @@ antenna's own knots.
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,9 @@ def test_operator_equals_builder(grid, ce_method, frames):
         assert np.array_equal(h[..., p][..., ub[sel], :], e[..., sel, :])
     # the spline leaves the bins off the used set at zero, as it always has
     assert np.array_equal(h == 0, want == 0)
+    # a frame's channel does not depend on the frames stacked with it
+    for i in range(frames[0] if frames else 0):
+        assert np.array_equal(h[i], harness._complete(e[i], config))
 
 
 @pytest.mark.parametrize("ce_method", METHODS)
@@ -108,6 +112,33 @@ def test_non_finite_values_raise(ce_method, bad):
     e[1, 9, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         harness._complete(e, config)
+
+
+@pytest.mark.parametrize("ce_method", METHODS)
+def test_large_fft_completes_with_the_builder(ce_method):
+    # n = 1024 is the first size whose operators exceed the byte budget
+    config = _config((1024, 4, 16, 7), ce_method)
+    assert config.n * config.preamble.used.size * 16 > harness.COMPLETION_OPERATOR_BYTES
+    assert config.completion is None
+    e = _values(config, (2,), seed=8)
+    assert np.array_equal(harness._complete(e, config), _reference(e, config))
+
+
+def test_large_fft_campaign_memory_is_bounded():
+    # the operators of n = 4096, m_t = 4 would take about 0.9 GB to build; the
+    # spline completes each chunk in a few MB (iterative_refine's own
+    # nearest-knot table grows as n * m_t * n_used, so it is not bounded here)
+    config = ScenarioConfig(
+        n=4096, m_t=4, m_r=4, frames=2, symbols_per_frame=6, snr_db=(20.0,), ce_method="interp",
+    )
+    tracemalloc.start()
+    try:
+        result = run_campaign(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert result.rows[0].frames_run >= 1
 
 
 def test_operators_are_read_only():
