@@ -15,8 +15,13 @@ branch (1 before any), which is a forward fill along the symbols.
 Detection: each pair of mirror bins ``{k, -k}`` is detected jointly.
 Stacking the received vector with its mirror conjugate gives
 ``x_stack = W(k) s_stack`` where ``W`` has the 2x2 block structure of the
-IQ mixing applied to the tracked channel, solved by ZF or MMSE for a
-stack of symbols and pairs at a time.
+IQ mixing applied to the tracked channel, solved by ZF or MMSE.  A
+system is one ``W`` per pair with its Gram matrix, guard verdict and LU
+factorization.  When the phase updates vary from symbol to symbol, each
+(frame, symbol) has its own system; when a frame applies one update row
+to all of its symbols (no phase compensation), the frame has one system
+per pair and every data symbol is one right-hand-side column of it.
+Systems are detected a stack at a time.
 """
 
 from __future__ import annotations
@@ -38,9 +43,10 @@ __all__ = [
 ]
 
 UPSILON_CEILING = 4.0
-# Symbols per detection stack.  Stacking all 47 data symbols of a 4x4
-# frame raised the peak memory of a 2x2 + 4x4 all-mode campaign by about
-# 5 MB (5%) without a measurable gain in speed; 8 keeps it at the level of
+# Data symbols per detection stack (a system with more columns is a stack
+# of its own).  Stacking all 47 per-symbol systems of a 4x4 frame raised
+# the peak memory of a 2x2 + 4x4 all-mode campaign by about 5 MB (5%)
+# without a measurable gain in speed; 8 keeps it at the level of
 # symbol-by-symbol detection.
 DETECT_CHUNK = 8
 
@@ -227,23 +233,26 @@ def _mixing_matrices(upsilon, state: EstimatorState, b_k, b_mk) -> np.ndarray:
 
 
 def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray | None, r_floor=0.0):
-    """ZF (``r`` None) or MMSE soft estimates for a stack of mirror pairs.
+    """ZF (``r`` None) or MMSE soft estimates for a stack of mirror-pair systems.
 
-    ``w`` is ``(..., 2m_r, 2m_t)`` and ``x_stack`` holds ``(..., 2m_r)``;
-    ``r`` broadcasts to ``(..., 2m_t, 2m_t)`` and ``r_floor``, a lower bound
-    on the smallest eigenvalue of ``r`` (0: none), to ``(...)``.  Returns
-    the ``(..., 2m_t)`` estimates ``[s(k); s#(k)]``, zero where the guard
-    rejects the pair's system, and the ``(...)`` guard verdicts.
+    ``w`` is ``(..., 2m_r, 2m_t)`` and ``x_stack`` holds the ``(..., c,
+    2m_r)`` right-hand sides, ``c`` of them per system; ``r`` broadcasts to
+    ``(..., 2m_t, 2m_t)`` and ``r_floor``, a lower bound on the smallest
+    eigenvalue of ``r`` (0: none), to ``(...)``.  Returns the ``(..., c,
+    2m_t)`` estimates ``[s(k); s#(k)]``, zero where the guard rejects the
+    system, and the ``(...)`` guard verdicts.  Each right-hand side is its
+    own matrix-vector product; only the solve takes every column at once.
     """
     wh = w.conj().swapaxes(-1, -2)
     gram = wh @ w
     if r is not None:
         gram = gram + r
-    rhs = (wh @ x_stack.reshape(*w.shape[:-1], 1))[..., 0]
+    rhs = (wh[..., None, :, :] @ x_stack[..., None])[..., 0]
     good = well_conditioned(gram, r_floor)
     s_stack = np.zeros(rhs.shape, dtype=np.complex128)
     if good.any():
-        s_stack[good] = np.linalg.solve(gram[good], rhs[good][..., None])[..., 0]
+        cols = np.linalg.solve(gram[good], rhs[good].swapaxes(-1, -2))
+        s_stack[good] = cols.swapaxes(-1, -2)
     return s_stack, good
 
 
@@ -263,8 +272,10 @@ def equalize_frame(
     leading axes or none); the first ``n_train`` symbols are skipped.  With
     ``phase_updates`` None the per-symbol updates are tracked from the
     pilots; otherwise it supplies them, ``(..., n_data_syms, m_r)`` (ones
-    apply no update).  Detection runs ``DETECT_CHUNK`` symbols at a time
-    over the frames' symbols in order.
+    apply no update), or ``(..., 1, m_r)``: one row for every symbol of a
+    frame, so that the frame has one system per pair.  Detection runs a
+    stack of systems at a time, at most ``DETECT_CHUNK`` data symbols
+    unless one system has more, over the frames' symbols in order.
     """
     ctx = _frame_context(smap, state, options)
     data = rx_grids[..., n_train:, :, :]
@@ -277,13 +288,17 @@ def equalize_frame(
         upsilon = np.asarray(phase_updates, dtype=np.complex128)
         flagged = np.zeros(n_syms, dtype=bool)
 
-    # one row per (frame, symbol), gathered a stack at a time; each row's
-    # state is its frame's
+    history = np.broadcast_to(upsilon, (*lead, n_syms, m_r))  # update rows: 1 or n_syms
+
+    # one system per (frame, update row), each carrying the data symbols its
+    # row applies to as right-hand-side columns; a system's state is its frame's
+    n_rows = upsilon.shape[-2]
+    cols = n_syms // n_rows
     frames = math.prod(lead)
-    rows = frames * n_syms
-    x = data.reshape(frames, n_syms, n, m_r)
-    ups = np.broadcast_to(upsilon, (*lead, n_syms, m_r)).reshape(frames, n_syms, m_r)
-    frame_of, symbol_of = np.divmod(np.arange(rows), n_syms)
+    systems = frames * n_rows
+    x = data.reshape(frames, n_rows, cols, n, m_r)
+    ups = np.broadcast_to(upsilon, (*lead, n_rows, m_r)).reshape(systems, m_r)
+    frame_of, row_of = np.divmod(np.arange(systems), n_rows)
     h_pre = np.broadcast_to(state.h_pre, (*lead, n, m_r, m_t)).reshape(frames, n, m_r, m_t)
     k1 = np.broadcast_to(state.k1, (*lead, m_r)).reshape(frames, m_r)
     r = r_floor = None
@@ -291,26 +306,32 @@ def equalize_frame(
         r = np.broadcast_to(ctx.r_matrix, (*lead, 2 * m_t, 2 * m_t)).reshape(frames, 2 * m_t, 2 * m_t)
         r_floor = np.broadcast_to(ctx.r_floor, lead).reshape(frames)
 
-    soft = np.zeros((rows, smap.n_data, m_t), dtype=np.complex128)
-    erased = np.zeros((rows, smap.n_data), dtype=bool)
-    for j in range(0, rows, DETECT_CHUNK):
-        sl = slice(j, j + DETECT_CHUNK)
-        f, s = frame_of[sl], symbol_of[sl]
-        row_state = EstimatorState(h_pre=h_pre[f], k1=k1[f], psi=None)
-        w = _mixing_matrices(ups[f, s], row_state, ctx.b_k, ctx.b_mk)
-        x_rows = x[f, s]
-        x_stack = np.concatenate([x_rows[:, ctx.b_k], np.conj(x_rows[:, ctx.b_mk])], axis=2)
+    soft = np.zeros((systems, cols, smap.n_data, m_t), dtype=np.complex128)
+    erased = np.zeros((systems, smap.n_data), dtype=bool)
+    stack = max(1, DETECT_CHUNK // cols)
+    for j in range(0, systems, stack):
+        sl = slice(j, j + stack)
+        f = frame_of[sl]
+        sys_state = EstimatorState(h_pre=h_pre[f], k1=k1[f], psi=None)
+        w = _mixing_matrices(ups[sl], sys_state, ctx.b_k, ctx.b_mk)  # (sys, P, 2m_r, 2m_t)
+        fr, rw = f[:, None], row_of[sl][:, None]
+        x_stack = np.concatenate(  # (sys, P, cols, 2m_r): index arrays split by a slice lead
+            [x[fr, rw, :, ctx.b_k], np.conj(x[fr, rw, :, ctx.b_mk])], axis=-1
+        )
         if r is None:
             s_stack, good = _solve_pairs(w, x_stack, None)
         else:
             s_stack, good = _solve_pairs(w, x_stack, r[f][:, None], r_floor[f][:, None])
-        soft[sl, ctx.i_k] = s_stack[..., :m_t]
-        soft[sl, ctx.i_mk] = np.conj(s_stack[..., m_t:])
+        s_stack = s_stack.swapaxes(1, 2)                                # (sys, cols, P, 2m_t)
+        soft[sl, :, ctx.i_k] = s_stack[..., :m_t]
+        soft[sl, :, ctx.i_mk] = np.conj(s_stack[..., m_t:])
         erased[sl, ctx.i_k] = ~good
         erased[sl, ctx.i_mk] = ~good
     shape = (*lead, n_syms, smap.n_data)
     bits = qam16_demap(soft).reshape(*shape, m_t, 4)
     return FrameDecisions(
-        bits=bits, soft=soft.reshape(*shape, m_t), erased=erased.reshape(shape),
-        flagged_symbols=int(flagged.sum()), cpe_history=upsilon,
+        bits=bits, soft=soft.reshape(*shape, m_t),
+        erased=np.broadcast_to(erased[:, None], (systems, cols, smap.n_data)).reshape(shape),
+        flagged_symbols=int(flagged.sum()),
+        cpe_history=history,
     )

@@ -398,6 +398,20 @@ def interpolate_channel(
     return h
 
 
+def _nearest_knots(pre: PreambleSet, logical: np.ndarray) -> np.ndarray:
+    """Index into ``pre.used`` of each antenna's nearest trained bin, ``(len(logical), m_t)``.
+
+    Ties go to the lower knot: a point exactly between two knots is not
+    above their midpoint.  Memory is linear in the number of points.
+    """
+    nearest = np.empty((len(logical), pre.m_t), dtype=np.intp)
+    for p in range(pre.m_t):
+        knots = np.flatnonzero(pre.owner == p)
+        at = pre.used[knots]
+        nearest[:, p] = knots[np.searchsorted((at[:-1] + at[1:]) / 2.0, logical)]
+    return nearest
+
+
 def iterative_refine(
     e: np.ndarray,
     pre: PreambleSet,
@@ -419,12 +433,7 @@ def iterative_refine(
     n, m_t = smap.n, pre.m_t
     used = pre.used
     logical_all = np.arange(-n // 2, n // 2)
-    # nearest trained bin of each antenna per logical index, ties toward the
-    # lower knot (argmin keeps the first of equal distances); n exceeds every
-    # real distance, so it masks the bins of the other antennas
-    own = pre.owner == np.arange(m_t)[:, None]
-    dist = np.abs(logical_all[:, None, None] - used)
-    nearest = np.argmin(np.where(own, dist, n), axis=-1)  # (n, m_t) into used
+    nearest = _nearest_knots(pre, logical_all)
     g = np.empty((*e.shape[:-2], n, e.shape[-1], m_t), dtype=np.complex128)
     g[..., logical_to_bin(logical_all, n), :, :] = np.swapaxes(np.take(e, nearest, axis=-2), -1, -2)
     ub = logical_to_bin(used, n)

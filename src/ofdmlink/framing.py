@@ -153,8 +153,17 @@ def qam16_map(bits: np.ndarray) -> np.ndarray:
 
 
 def _axis_demap(x: np.ndarray) -> np.ndarray:
-    """Nearest level per axis (midpoint slicing), returned as the Gray index."""
-    return _GRAY_OF_ASC[np.digitize(x, _THRESHOLDS)]
+    """Nearest level per axis (midpoint slicing), returned as the Gray index.
+
+    The ascending level is the number of thresholds at or below ``x``, as
+    ``np.digitize`` counts it; each test is written ``~(x < t)`` so that
+    NaN lands above every threshold, where ``digitize`` puts it.
+    """
+    t0, t1, t2 = _THRESHOLDS
+    asc = (~(x < t0)).astype(np.intp)
+    asc += ~(x < t1)
+    asc += ~(x < t2)
+    return _GRAY_OF_ASC[asc]
 
 
 def qam16_demap(symbols: np.ndarray) -> np.ndarray:

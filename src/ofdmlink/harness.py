@@ -557,7 +557,7 @@ def _score_chunk(frames: SimulatedFrames, config: ScenarioConfig, acc: dict) -> 
         state, ran = receiver_state(frames, fe, config, estimate, k1)
         mse_ce = compute_mse_ce(state.h_pre, frames.h_eff[ran], config.preamble.used, config.n)
         states[estimate] = (state, ran, mse_ce)
-    no_updates = np.ones((fc.n_data_symbols, config.m_r), dtype=np.complex128)
+    no_updates = np.ones((1, config.m_r), dtype=np.complex128)  # one system per frame and pair
     per_bin_bits = config.m_t * 4
     for mode in config.modes:
         estimate, phase = RECEIVER_MODES[mode]

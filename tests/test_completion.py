@@ -126,11 +126,28 @@ def test_large_fft_completes_with_the_builder(ce_method):
 
 def test_large_fft_campaign_memory_is_bounded():
     # the operators of n = 4096, m_t = 4 would take about 0.9 GB to build; the
-    # spline completes each chunk in a few MB (iterative_refine's own
-    # nearest-knot table grows as n * m_t * n_used, so it is not bounded here)
+    # spline completes each chunk in a few MB
     config = ScenarioConfig(
         n=4096, m_t=4, m_r=4, frames=2, symbols_per_frame=6, snr_db=(20.0,), ce_method="interp",
     )
+    tracemalloc.start()
+    try:
+        result = run_campaign(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert result.rows[0].frames_run >= 1
+
+
+def test_large_fft_iterative_campaign_memory_is_bounded():
+    # above the operator bound iterative_refine completes each chunk; its
+    # nearest-knot fill is linear in n (a table of n * m_t * n_used
+    # distances took this campaign's traced peak to 538 MiB)
+    config = ScenarioConfig(
+        n=4096, m_t=4, m_r=4, frames=2, symbols_per_frame=6, snr_db=(20.0,), ce_method="iterative",
+    )
+    assert config.completion is None
     tracemalloc.start()
     try:
         result = run_campaign(config)

@@ -75,8 +75,8 @@ def build_w(k, state, upsilon):
 
 def detect(x_stack, w, r=None):
     """Soft estimate and guard verdict of one stacked mirror pair."""
-    s, good = _solve_pairs(w[None], np.asarray(x_stack, dtype=complex)[None], r)
-    return s[0], bool(good[0])
+    s, good = _solve_pairs(w[None], np.asarray(x_stack, dtype=complex)[None, None], r)
+    return s[0, 0], bool(good[0])
 
 
 class TestTrackCpe:
@@ -389,7 +389,8 @@ class TestDetect:
         w = np.stack([build_w(k, state, np.ones(2, dtype=complex)) for k in (3, 5, 9)])
         w[1] = 0.0
         s = np.array([1 - 1j, -3 + 1j, 1 + 1j, -3 - 1j]) / np.sqrt(10)
-        got, good = _solve_pairs(w, w @ s, None)
+        got, good = _solve_pairs(w, (w @ s)[:, None], None)
+        got = got[:, 0]
         np.testing.assert_array_equal(good, [True, False, True])
         np.testing.assert_allclose(got[[0, 2]], np.stack([s, s]), atol=1e-9)
         np.testing.assert_array_equal(got[1], 0.0)
@@ -524,3 +525,42 @@ class TestEqualizeFrame:
             rx, state, smap, pilots, config.n_train, phase_updates=override
         )
         np.testing.assert_array_equal(dec.bits, truth.bits)
+
+
+class TestStaticSystems:
+    """One system per (frame, pair) for a single update row equals one per symbol."""
+
+    @pytest.mark.parametrize(
+        "m, detector, mmse_r",
+        [(1, "zf", "sigma"), (2, "zf", "sigma"), (4, "zf", "sigma"),
+         (1, "mmse", "sigma"), (2, "mmse", "sigma"), (4, "mmse", "sigma"), (2, "mmse", "kron")],
+    )
+    def test_one_row_equals_per_symbol_rows(self, smap64, m, detector, mmse_r):
+        # Every symbol's right-hand side is its own product and the LU solve
+        # takes them all at once; LAPACK's getrs then gives each column as a
+        # single-column solve does, bit for bit.  Frame 1 has no noise and
+        # one pair without channel, so its guard rejects that pair.
+        frames, n_train, n_data_syms = 3, 2, 11
+        rng = np.random.default_rng(150 + m)
+
+        def cnormal(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        h_pre = cnormal(frames, 64, m, m)
+        k = smap64.data_bins[smap64.data_bins > 0][5]
+        h_pre[1, logical_to_bin(k, 64)] = 0.0
+        psi = np.einsum("f,ij->fij", [0.05, 0.0, 0.2], np.eye(m)).astype(complex)
+        state = EstimatorState(h_pre=h_pre, k1=1.0 + 0.1 * cnormal(frames, m), psi=psi)
+        rx = cnormal(frames, n_train + n_data_syms, 64, m)
+        options = EqualizerOptions(detector=detector, mmse_r=mmse_r)
+        decs = [
+            equalize_frame(rx, state, smap64, pilot_matrix(m), n_train, options=options,
+                           phase_updates=np.ones((rows, m), dtype=complex))
+            for rows in (1, n_data_syms)
+        ]
+        static, per_symbol = decs
+        for key in ("soft", "erased", "bits", "cpe_history"):
+            assert np.array_equal(getattr(static, key), getattr(per_symbol, key)), key
+        assert static.flagged_symbols == per_symbol.flagged_symbols == 0
+        assert static.erased[1].any() and not static.erased[[0, 2]].any()
+        assert static.cpe_history.shape == (frames, n_data_syms, m)

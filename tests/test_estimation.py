@@ -10,6 +10,7 @@ from conftest import make_channel, owned_channel_columns, transmit_preamble
 from ofdmlink.estimation import (
     EstimationError,
     _mixing_det,
+    _nearest_knots,
     estimate_iq_params,
     estimate_noise_ici_corr,
     estimate_preamble,
@@ -18,7 +19,7 @@ from ofdmlink.estimation import (
     iterative_refine,
     refine_iq_channel,
 )
-from ofdmlink.framing import build_preamble
+from ofdmlink.framing import build_preamble, build_subcarrier_map
 from ofdmlink.impairments import IqParams
 from ofdmlink.numerics import RandomSource, logical_to_bin
 
@@ -332,6 +333,18 @@ class TestChannelCompletion:
                 g[logical_to_bin(kt, 64)] = e[sel]
             expected[:, :, p] = g
         assert np.array_equal(iterative_refine(e, pre, smap64, l_taps=7), expected)
+
+    @pytest.mark.parametrize("m_t", [1, 2, 4])
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_nearest_knots_equal_argmin_table(self, n, m_t):
+        # the (n, m_t, n_used) distance table with n masking the other
+        # antennas' bins, argmin keeping the first (lower) of equal distances
+        pre = build_preamble(m_t, build_subcarrier_map(n))
+        logical_all = np.arange(-n // 2, n // 2)
+        own = pre.owner == np.arange(m_t)[:, None]
+        dist = np.abs(logical_all[:, None, None] - pre.used)
+        want = np.argmin(np.where(own, dist, n), axis=-1)
+        assert np.array_equal(_nearest_knots(pre, logical_all), want)
 
     def test_iterative_beats_spline_for_sparse_training(self, smap64):
         # With four transmit antennas each antenna trains only 13 bins;

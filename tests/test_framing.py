@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from ofdmlink.framing import (
+    _GRAY_OF_ASC,
+    _THRESHOLDS,
     FrameConfig,
+    _axis_demap,
     assemble_frame,
     build_preamble,
     build_short_symbol,
@@ -92,6 +95,17 @@ class TestQam16:
         target = 0.9 + 0.2j
         expected = bits[np.argmin(np.abs(pts - target))]
         np.testing.assert_array_equal(qam16_demap(np.array([target])), expected)
+
+    def test_axis_demap_equals_digitize(self):
+        # the threshold sum gives digitize's bin everywhere: on finite values,
+        # at and next to each threshold, on +-inf and on NaN (the top bin)
+        rng = np.random.default_rng(4)
+        edges = np.concatenate([_THRESHOLDS, np.nextafter(_THRESHOLDS, -np.inf),
+                                np.nextafter(_THRESHOLDS, np.inf)])
+        x = np.concatenate([rng.normal(size=500), edges, -edges, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        want = _GRAY_OF_ASC[np.digitize(x, _THRESHOLDS)]
+        np.testing.assert_array_equal(_axis_demap(x), want)
+        assert _axis_demap(np.array([np.nan]))[0] == _GRAY_OF_ASC[-1]
 
     def test_bit_count_validated(self):
         with pytest.raises(ConfigurationError):

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ofdmlink import harness
+from ofdmlink import equalization, harness
 from ofdmlink.channel import apply_channel, draw_channel
 from ofdmlink.estimation import estimate_preamble
 from ofdmlink.framing import (
@@ -217,6 +217,36 @@ class TestReceiverState:
         rows = run_point(config, [(0, 0)])
         assert frames_per_call == [4, 4, 4]
         assert all(r.frames_run == 4 for r in rows)
+
+    def test_static_modes_detect_one_system_per_frame(self, monkeypatch):
+        # no phase update (uncompensated, iq-only): one system per (frame,
+        # pair) carrying every data symbol; tracked and genie updates: one
+        # system per (frame, symbol, pair) with one column
+        calls = []
+        equalize, solve = harness.equalize_frame, equalization._solve_pairs
+
+        def per_frame(rx_grids, *args, **kwargs):
+            calls.append((len(rx_grids), []))
+            return equalize(rx_grids, *args, **kwargs)
+
+        def counted(w, x_stack, *args):
+            calls[-1][1].append((math.prod(w.shape[:-2]), x_stack.shape[-2]))
+            return solve(w, x_stack, *args)
+
+        monkeypatch.setattr(harness, "equalize_frame", per_frame)
+        monkeypatch.setattr(equalization, "_solve_pairs", counted)
+        config = ScenarioConfig(
+            frames=4, snr_db=(20.0,), modes=MODES, iq_frame_avg=2, symbols_per_frame=12,
+        )
+        rows = run_point(config, [(0, 0)])
+        assert all(r.frames_run == 4 for r in rows)
+        assert len(calls) == len(MODES)
+        pairs, n_syms = config.smap.n_data // 2, config.frame.n_data_symbols
+        for mode, (frames, solves) in zip(config.modes, calls):
+            static = RECEIVER_MODES[mode][1] == "none"
+            systems = frames * pairs * (1 if static else n_syms)
+            assert sum(n for n, _ in solves) == systems, mode
+            assert {cols for _, cols in solves} == {n_syms if static else 1}, mode
 
 
 class _SerialPool:
