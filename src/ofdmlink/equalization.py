@@ -8,8 +8,9 @@ observation stacked with its mirror conjugate into a linear model with a
 2x2 complex matrix per pilot; the normal equations are regularized by the
 measured noise-plus-interference power and the per-pilot solutions are
 averaged.  The model matrices depend only on the preamble-stage state, so
-they are built and guarded once per frame and every symbol is solved in
-one call.  A rejected update falls back to the last accepted one of its
+they are built once per frame and handed to the detector's guarded solver,
+every symbol one right-hand-side column of its (frame, branch, pilot)
+system.  A rejected update falls back to the last accepted one of its
 branch (1 before any), which is a forward fill along the symbols.
 
 Detection: each pair of mirror bins ``{k, -k}`` is detected jointly.
@@ -21,7 +22,8 @@ factorization.  When the phase updates vary from symbol to symbol, each
 (frame, symbol) has its own system; when a frame applies one update row
 to all of its symbols (no phase compensation), the frame has one system
 per pair and every data symbol is one right-hand-side column of it.
-Systems are detected a stack at a time.
+Systems are detected a stack at a time.  Tracking and detection share one
+guarded solver, :func:`_solve_pairs`.
 """
 
 from __future__ import annotations
@@ -148,8 +150,8 @@ def _track(
     ``data`` is the ``(..., symbols, n, m_r)`` stack of data symbols, its
     leading axes frames that broadcast with those of ``state``.  Solves
     the regularized pilot model of every symbol and branch, averages over
-    the pilot bins, and replaces an update whose branch system is rejected
-    by the condition guard, or whose value is not finite or exceeds
+    the pilot bins, and replaces an update whose branch has a pilot system
+    the condition guard rejects, or whose value is not finite or exceeds
     ``ceiling``, by the last accepted update of its branch in the same
     frame.  Returns the ``(..., symbols, m_r)`` updates and the
     ``(..., symbols)`` flags of symbols with any rejected branch.
@@ -157,24 +159,18 @@ def _track(
     n_syms = data.shape[-3]
     y, ym = _pilot_responses(state, pilots, ctx)
     c = _tracking_matrices(y, ym, state.k1, state.k2, variant)  # (..., m_r, r, 2, 2)
-    ch = c.conj().swapaxes(-1, -2)
+    lead = np.broadcast_shapes(data.shape[:-3], c.shape[:-4])
+    c = np.broadcast_to(c, (*lead, *c.shape[-4:]))
     lam = np.maximum(np.diagonal(state.psi, axis1=-2, axis2=-1).real, 0.0)[..., None]
-    reg = ch @ c + lam[..., None, None] * np.eye(2, dtype=np.complex128)
-    lead = np.broadcast_shapes(data.shape[:-3], reg.shape[:-4])
-    reg = np.broadcast_to(reg, (*lead, *reg.shape[-4:]))
-    branch_ok = well_conditioned(reg, lam).all(axis=-1)           # (..., m_r)
 
     pb = np.take(data, ctx.p_bins, axis=-2)
     z = np.stack([pb, np.conj(np.take(pb, ctx.p_mirror, axis=-2))], axis=-2)  # (..., S, r, 2, m_r)
-    z_t = np.moveaxis(z, -1, -3)                                  # (..., S, m_r, r, 2)
-    rhs = (ch[..., None, :, :, :, :] @ z_t[..., None])[..., 0]
-    est = np.full((*lead, n_syms, state.m_r), np.nan, dtype=np.complex128)
-    if branch_ok.any():
-        # one system per accepted (frame, branch), solved for all its symbols
-        rhs_b = np.moveaxis(rhs, -3, -4)                          # (..., m_r, S, r, 2)
-        phi = np.linalg.solve(reg[branch_ok][:, None], rhs_b[branch_ok][..., None])[..., 0]
-        mean = phi.mean(axis=-2)                                  # (ok, S, 2)
-        np.moveaxis(est, -1, -2)[branch_ok] = mean[..., 0].real + 1j * mean[..., 1].real
+    z = np.moveaxis(z, -1, -4).swapaxes(-3, -2)                  # (..., m_r, r, S, 2)
+    # one system per (frame, branch, pilot), solved for all the symbols
+    phi, ok = _solve_pairs(c, z, lam[..., None, None] * np.eye(2, dtype=np.complex128), lam)
+    mean = phi.mean(axis=-3)                                      # (..., m_r, S, 2)
+    est = np.where(ok.all(axis=-1)[..., None], mean[..., 0].real + 1j * mean[..., 1].real, np.nan)
+    est = np.swapaxes(est, -1, -2)                                # (..., S, m_r)
     accepted = np.isfinite(est) & (np.abs(est) <= ceiling)
 
     last = np.where(accepted, np.arange(n_syms)[:, None], -1)
@@ -216,32 +212,35 @@ class FrameDecisions:
     cpe_history: np.ndarray = field(repr=False, default=None)  # (..., n_data_syms, m_r)
 
 
-def _mixing_matrices(upsilon, state: EstimatorState, b_k, b_mk) -> np.ndarray:
+def _mixing_matrices(upsilon, h_k, h_mk, k1) -> np.ndarray:
     """Stacked mirror-pair mixing matrices ``W``, ``(..., pairs, 2m_r, 2m_t)``.
 
-    ``upsilon`` holds the ``(..., m_r)`` phase updates, one per symbol, with
-    leading axes that broadcast with those of ``state``; ``b_k`` holds the
-    storage bins of the pairs and ``b_mk`` those of their mirrors.
+    ``upsilon`` holds the ``(..., m_r)`` phase updates, one per symbol,
+    ``h_k`` the ``(..., pairs, m_r, m_t)`` channel on the pairs' positive
+    bins, ``h_mk`` the conjugated channel on their mirrors and ``k1`` the
+    ``(..., m_r)`` mismatch; their leading axes broadcast.
     """
-    h_k = upsilon[..., None, :, None] * np.take(state.h_pre, b_k, axis=-3)   # (..., P, m_r, m_t)
-    h_mk = np.conj(upsilon)[..., None, :, None] * np.conj(np.take(state.h_pre, b_mk, axis=-3))
-    k1 = state.k1[..., None, :, None]
-    k2 = state.k2[..., None, :, None]
+    h_k = upsilon[..., None, :, None] * h_k
+    h_mk = np.conj(upsilon)[..., None, :, None] * h_mk
+    k1 = k1[..., None, :, None]
+    k2 = 1.0 - np.conj(k1)
     top = np.concatenate([k1 * h_k, k2 * h_mk], axis=-1)
     bot = np.concatenate([np.conj(k2) * h_k, np.conj(k1) * h_mk], axis=-1)
     return np.concatenate([top, bot], axis=-2)
 
 
 def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray | None, r_floor=0.0):
-    """ZF (``r`` None) or MMSE soft estimates for a stack of mirror-pair systems.
+    """Guarded regularized least squares ``(W^H W + R) s = W^H x`` for a stack of systems.
 
-    ``w`` is ``(..., 2m_r, 2m_t)`` and ``x_stack`` holds the ``(..., c,
-    2m_r)`` right-hand sides, ``c`` of them per system; ``r`` broadcasts to
-    ``(..., 2m_t, 2m_t)`` and ``r_floor``, a lower bound on the smallest
-    eigenvalue of ``r`` (0: none), to ``(...)``.  Returns the ``(..., c,
-    2m_t)`` estimates ``[s(k); s#(k)]``, zero where the guard rejects the
-    system, and the ``(...)`` guard verdicts.  Each right-hand side is its
-    own matrix-vector product; only the solve takes every column at once.
+    Detection solves its mirror-pair systems with it (ZF: ``r`` None, or
+    MMSE), tracking its pilot systems (``R = lam I``).  ``w`` is ``(...,
+    rows, cols)`` and ``x_stack`` holds the ``(..., c, rows)`` right-hand
+    sides, ``c`` of them per system; ``r`` broadcasts to ``(..., cols,
+    cols)`` and ``r_floor``, a lower bound on the smallest eigenvalue of
+    ``r`` (0: none), to ``(...)``.  Returns the ``(..., c, cols)``
+    solutions, zero where the condition guard rejects the system, and the
+    ``(...)`` guard verdicts.  Each right-hand side is its own
+    matrix-vector product; only the solve takes every column at once.
     """
     wh = w.conj().swapaxes(-1, -2)
     gram = wh @ w
@@ -299,12 +298,18 @@ def equalize_frame(
     x = data.reshape(frames, n_rows, cols, n, m_r)
     ups = np.broadcast_to(upsilon, (*lead, n_rows, m_r)).reshape(systems, m_r)
     frame_of, row_of = np.divmod(np.arange(systems), n_rows)
-    h_pre = np.broadcast_to(state.h_pre, (*lead, n, m_r, m_t)).reshape(frames, n, m_r, m_t)
-    k1 = np.broadcast_to(state.k1, (*lead, m_r)).reshape(frames, m_r)
+
+    def per_frame(a, core):
+        return np.broadcast_to(a, (*lead, *core)).reshape(frames, *core)
+
+    pair_shape = (ctx.b_k.size, m_r, m_t)  # a frame's pair channels and conjugated mirrors
+    h_k = per_frame(np.take(state.h_pre, ctx.b_k, axis=-3), pair_shape)
+    h_mk = per_frame(np.conj(np.take(state.h_pre, ctx.b_mk, axis=-3)), pair_shape)
+    k1 = per_frame(state.k1, (m_r,))
     r = r_floor = None
     if ctx.r_matrix is not None:
-        r = np.broadcast_to(ctx.r_matrix, (*lead, 2 * m_t, 2 * m_t)).reshape(frames, 2 * m_t, 2 * m_t)
-        r_floor = np.broadcast_to(ctx.r_floor, lead).reshape(frames)
+        r = per_frame(ctx.r_matrix, (2 * m_t, 2 * m_t))
+        r_floor = per_frame(ctx.r_floor, ())
 
     soft = np.zeros((systems, cols, smap.n_data, m_t), dtype=np.complex128)
     erased = np.zeros((systems, smap.n_data), dtype=bool)
@@ -312,8 +317,7 @@ def equalize_frame(
     for j in range(0, systems, stack):
         sl = slice(j, j + stack)
         f = frame_of[sl]
-        sys_state = EstimatorState(h_pre=h_pre[f], k1=k1[f], psi=None)
-        w = _mixing_matrices(ups[sl], sys_state, ctx.b_k, ctx.b_mk)  # (sys, P, 2m_r, 2m_t)
+        w = _mixing_matrices(ups[sl], h_k[f], h_mk[f], k1[f])  # (sys, P, 2m_r, 2m_t)
         fr, rw = f[:, None], row_of[sl][:, None]
         x_stack = np.concatenate(  # (sys, P, cols, 2m_r): index arrays split by a slice lead
             [x[fr, rw, :, ctx.b_k], np.conj(x[fr, rw, :, ctx.b_mk])], axis=-1

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,6 +59,7 @@ class PreambleEstimate:
     chi_a: np.ndarray  # (..., n_used, m_r)
     chi_b: np.ndarray  # (..., n_used, m_r)
     e: np.ndarray      # (..., n_used, m_r) per-bin effective-channel estimates
+    ls: np.ndarray     # (..., n_used, m_r) least squares from the first long symbol alone
 
 
 @dataclass
@@ -120,7 +120,7 @@ def estimate_preamble(
     chi_a = 0.5 * (p1 + p2)
     chi_b = 0.5 * (p1 - p2)
     e = chi_a + np.conj(chi_b[..., ::-1, :])
-    return PreambleEstimate(chi_a=chi_a, chi_b=chi_b, e=e)
+    return PreambleEstimate(chi_a=chi_a, chi_b=chi_b, e=e, ls=p1)
 
 
 def estimate_iq_params(
@@ -257,47 +257,22 @@ def refine_iq_channel(
     return np.where(failed[..., None], np.nan, g)
 
 
-@dataclass(frozen=True)
-class _SplinePlan:
-    """The knot- and point-only part of a not-a-knot spline: its pivoted system and evaluation grid."""
+def _gtsv(d: list, du: list, dl: list, r: np.ndarray) -> None:
+    """Solve the tridiagonal system ``(dl, d, du)`` on the rows of ``r`` in place, as ``?gtsv``.
 
-    dx: np.ndarray       # (knots - 1, 1) knot spacings
-    ends: tuple          # (w0, q0, d0, qm, wm, dm): factors of the two not-a-knot rows
-    steps: tuple         # (swap, mult) per elimination step of the forward sweep
-    back: tuple          # (d, du, dl) of the eliminated system for the back substitution
-    interval: np.ndarray  # (points,) polynomial piece of each evaluation point
-    z: tuple             # (z, z^2, z^3), each (points, 1): offsets into the piece
-
-
-@lru_cache(maxsize=64)
-def _spline_plan(knots: tuple, points: tuple) -> _SplinePlan:
-    """Factor ``CubicSpline``'s not-a-knot system once per knot set.
-
-    The banded matrix is the one ``CubicSpline.__init__`` builds, and its
-    elimination replays LAPACK ``?gtsv`` as ``solve_banded((1, 1), ...)``
-    runs it: no row swap when ``|d_k| >= |dl_k|``, otherwise a swap.
-    (``?gtsv`` skips a step whose ``dl_k`` is zero; here every ``dl_k``
-    is a positive knot spacing.)
+    One pass eliminates the system and sweeps ``r``, in the order and with
+    the pivoting of ``?gtsv``: no row swap when ``|d_k| >= |dl_k|``,
+    otherwise a swap (``?gtsv`` also skips a step whose ``dl_k`` is zero;
+    a spline's ``dl_k`` are positive knot spacings).  Overwrites the lists.
     """
-    x = np.array(knots, dtype=np.float64)
-    n = x.size
-    dx = np.diff(x)
-    d = np.empty(n)
-    d[1:-1] = 2 * (dx[:-1] + dx[1:])
-    d[0], d[-1] = dx[1], dx[-2]
-    du = np.concatenate(([x[2] - x[0]], dx[:-1]))
-    dl = np.concatenate((dx[1:], [x[-1] - x[-3]]))
-    d, du, dl, h = d.tolist(), du.tolist(), dl.tolist(), dx.tolist()
-    d0, dm = du[0], dl[-1]  # x[2] - x[0] and x[-1] - x[-3]
-    ends = ((h[0] + 2 * d0) * h[1], h[0] * h[0], d0, h[-1] * h[-1], (2 * dm + h[-1]) * h[-2], dm)
-    steps = []
+    n = len(d)
     for k in range(n - 1):
         if abs(d[k]) >= abs(dl[k]):
             mult = dl[k] / d[k]
             d[k + 1] = d[k + 1] - mult * du[k]
             if k < n - 2:
                 dl[k] = 0.0
-            steps.append((False, mult))
+            r[k + 1] -= mult * r[k]
         else:
             mult = d[k] / dl[k]
             d[k] = dl[k]
@@ -307,16 +282,16 @@ def _spline_plan(knots: tuple, points: tuple) -> _SplinePlan:
                 dl[k] = du[k + 1]
                 du[k + 1] = -mult * dl[k]
             du[k] = temp
-            steps.append((True, mult))
-    xi = np.array(points, dtype=np.float64)
-    # half-open pieces, the last one closed, the end pieces extrapolating
-    interval = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, n - 2)
-    z = (xi - x[interval])[:, None]
-    z2 = z * z
-    plan = _SplinePlan(dx[:, None], ends, tuple(steps), (d, du, dl), interval, (z, z2, z2 * z))
-    for a in (plan.dx, plan.interval, *plan.z):
-        a.flags.writeable = False  # shared by every caller through the cache
-    return plan
+            top = r[k].copy()
+            r[k] = r[k + 1]
+            r[k + 1] = top - mult * r[k]
+    r[-1] /= d[-1]
+    r[-2] = (r[-2] - du[-1] * r[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        if dl[i]:
+            r[i] = (r[i] - du[i] * r[i + 1] - dl[i] * r[i + 2]) / d[i]
+        else:
+            r[i] = (r[i] - du[i] * r[i + 1]) / d[i]
 
 
 def _not_a_knot(knots: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -324,46 +299,38 @@ def _not_a_knot(knots: np.ndarray, values: np.ndarray, points: np.ndarray) -> np
 
     ``values`` is complex ``(knots, ...)`` with at least one column axis
     (a 1-D ``y`` sends ``CubicSpline``'s end rows through numpy scalar
-    arithmetic instead); the result is ``(points, ...)``.
-    Only the right-hand side's sweep and the evaluation run per call.  The
-    sweep works on real and imaginary parts as separate real columns,
-    because ``zgtsv`` divides by its real pivots where numpy's
-    complex-by-real division multiplies by the reciprocal.  Non-finite
-    values raise ``ValueError``, as ``CubicSpline`` does.
+    arithmetic instead); the result is ``(points, ...)``.  The banded
+    matrix is the one ``CubicSpline.__init__`` builds, solved as
+    ``solve_banded((1, 1), ...)`` runs ``?gtsv``, on real and imaginary
+    parts as separate real columns, because ``zgtsv`` divides by its real
+    pivots where numpy's complex-by-real division multiplies by the
+    reciprocal.  Non-finite values raise ``ValueError``, as
+    ``CubicSpline`` does.
     """
     if not np.isfinite(values).all():
         raise ValueError("spline values must be finite")
-    plan = _spline_plan(tuple(knots.tolist()), tuple(points.tolist()))
-    y = np.ascontiguousarray(values, dtype=np.complex128).reshape(len(knots), -1)
-    dxr = plan.dx
-    w0, q0, d0, qm, wm, dm = plan.ends
+    x = np.asarray(knots, dtype=np.float64)
+    n = x.size
+    dxr = np.diff(x)[:, None]
+    h = dxr[:, 0].tolist()
+    d0, dm = float(x[2] - x[0]), float(x[-1] - x[-3])
+    d = [h[1], *[2 * (a + b) for a, b in zip(h, h[1:])], h[-2]]
+    y = np.ascontiguousarray(values, dtype=np.complex128).reshape(n, -1)
     slope = np.diff(y, axis=0) / dxr
     s = np.empty_like(y)
     s[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    s[0] = (w0 * slope[0] + q0 * slope[1]) / d0
-    s[-1] = (qm * slope[-2] + wm * slope[-1]) / dm
-    r = s.view(np.float64)
-    for k, (swap, mult) in enumerate(plan.steps):
-        if swap:
-            top = r[k].copy()
-            r[k] = r[k + 1]
-            r[k + 1] = top - mult * r[k]
-        else:
-            r[k + 1] -= mult * r[k]
-    d, du, dl = plan.back
-    r[-1] /= d[-1]
-    r[-2] = (r[-2] - du[-1] * r[-1]) / d[-2]
-    for i in range(len(d) - 3, -1, -1):
-        if dl[i]:
-            r[i] = (r[i] - du[i] * r[i + 1] - dl[i] * r[i + 2]) / d[i]
-        else:
-            r[i] = (r[i] - du[i] * r[i + 1]) / d[i]
-    # CubicHermiteSpline's coefficients, evaluated as PPoly does
+    s[0] = ((h[0] + 2 * d0) * h[1] * slope[0] + h[0] * h[0] * slope[1]) / d0
+    s[-1] = (h[-1] * h[-1] * slope[-2] + (2 * dm + h[-1]) * h[-2] * slope[-1]) / dm
+    _gtsv(d, [d0, *h[:-1]], [*h[1:], dm], s.view(np.float64))
+    # CubicHermiteSpline's coefficients, evaluated as PPoly does on
+    # half-open pieces, the last one closed, the end pieces extrapolating
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     c = (t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])
-    i = plan.interval
-    z, z2, z3 = plan.z
-    out = c[3][i] + c[2][i] * z + c[1][i] * z2 + c[0][i] * z3
+    xi = np.asarray(points, dtype=np.float64)
+    i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, n - 2)
+    z = (xi - x[i])[:, None]
+    z2 = z * z
+    out = c[3][i] + c[2][i] * z + c[1][i] * z2 + c[0][i] * (z2 * z)
     return out.reshape(len(points), *values.shape[1:])
 
 

@@ -167,6 +167,8 @@ class ScenarioConfig:
         for m in self.modes:
             if m not in MODES:
                 raise ConfigurationError(f"unknown mode {m!r}; choose from {MODES}")
+        if not self.modes or len(set(self.modes)) < len(self.modes):
+            raise ConfigurationError("mode list must be nonempty and name each mode once")
         # the frame, grid, pilot, channel and receiver checks, before any frame
         # runs; each size is bounded before anything is allocated from it, and
         # reading a layout property builds it (and raises on a bad one)
@@ -507,13 +509,7 @@ def receiver_state(
         ran = ~np.isnan(u).any(axis=(-2, -1))
         h = _complete(u[ran], config)
         return EstimatorState(h_pre=h, k1=k1[ran], psi=fe.psi[ran]), ran
-    if estimate == "direct":
-        e = fe.est.chi_a
-    else:  # "ls"
-        pre = config.preamble
-        b = logical_to_bin(pre.used, config.n)
-        e = np.take(frames.rx_grids[:, config.frame.n_short], b, axis=-2) / pre.lambda1[:, None]
-    h = _complete(e, config)
+    h = _complete(fe.est.chi_a if estimate == "direct" else fe.est.ls, config)
     return EstimatorState(h_pre=h, k1=np.ones(config.m_r, dtype=np.complex128), psi=fe.psi), ran
 
 
@@ -636,8 +632,8 @@ def run_point(config: ScenarioConfig, points) -> list[CampaignRow]:
     return rows
 
 
-def _point_task(args) -> list[CampaignRow]:
-    config, points = args
+def _point_task(config: ScenarioConfig, points) -> list[CampaignRow]:
+    """:func:`run_point` looked up in the worker: a wrapper installed on it need not pickle."""
     return run_point(config, points)
 
 
@@ -651,12 +647,11 @@ def _point_groups(config: ScenarioConfig) -> list[list[tuple[int, int]]]:
 def run_campaign(config: ScenarioConfig) -> CampaignResult:
     """Sweep the whole grid; results are identical for any worker count."""
     groups = _point_groups(config)
-    tasks = [(config, group) for group in groups]
-    if len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            per_group = list(pool.map(_point_task, tasks))
+    if len(groups) > 1:
+        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+            per_group = list(pool.map(_point_task, [config] * len(groups), groups))
     else:
-        per_group = [_point_task(t) for t in tasks]
+        per_group = [run_point(config, groups[0])]
     m = len(config.modes)
     by_point = {
         point: group_rows[k * m : (k + 1) * m]

@@ -141,6 +141,10 @@ class TestMain:
         rc = main(["--mode", "warp", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
 
+    def test_repeated_mode_exits_config(self, tmp_path):
+        rc = main(["--mode", "full,full", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+
     def test_missing_config_file_exits_config(self, tmp_path):
         rc = main(["--config", str(tmp_path / "nope.cfg")])
         assert rc == EXIT_CONFIG

@@ -70,7 +70,12 @@ def build_w(k, state, upsilon):
     n = state.h_pre.shape[0]
     b_k = logical_to_bin(np.array([k]), n)
     b_mk = logical_to_bin(np.array([-k]), n)
-    return _mixing_matrices(np.asarray(upsilon)[None], state, b_k, b_mk)[0, 0]
+    return _mixing_matrices(np.asarray(upsilon)[None], *pair_channels(state, b_k, b_mk))[0, 0]
+
+
+def pair_channels(state, b_k, b_mk):
+    """``_mixing_matrices``' channel arguments: pair bins, conjugated mirrors, mismatch."""
+    return state.h_pre[b_k], np.conj(state.h_pre[b_mk]), state.k1
 
 
 def detect(x_stack, w, r=None):
@@ -321,7 +326,7 @@ class TestBuildW:
         state = genie_state(ch, iq=IqParams.uniform(2, 5.0, 10.0))
         ups = np.exp(1j * np.array([[0.1, -0.2], [0.3, 0.05], [-0.4, 0.2]]))
         bins = np.array([1, 5, 26])
-        stack = _mixing_matrices(ups, state, bins, (-bins) % 64)
+        stack = _mixing_matrices(ups, *pair_channels(state, bins, (-bins) % 64))
         for j in range(3):
             for p, k in enumerate(bins):
                 np.testing.assert_array_equal(stack[j, p], build_w(k, state, ups[j]))

@@ -68,6 +68,7 @@ class TestPreambleEstimation:
         est = estimate_preamble(psi1, psi2, pre)
         truth = owned_channel_columns(ch, pre)
         assert np.abs(est.e - truth).max() < 1e-12
+        assert np.abs(est.ls - truth).max() < 1e-12  # the first symbol alone
 
     def test_iq_mixing_cancels_exactly(self, smap64):
         # The non-inverting combination removes the mismatch coefficients

@@ -1,5 +1,6 @@
 """Tests for the campaign driver, metrics, CSV and SVG emission."""
 
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -219,9 +220,11 @@ class TestReceiverState:
         assert all(r.frames_run == 4 for r in rows)
 
     def test_static_modes_detect_one_system_per_frame(self, monkeypatch):
-        # no phase update (uncompensated, iq-only): one system per (frame,
-        # pair) carrying every data symbol; tracked and genie updates: one
-        # system per (frame, symbol, pair) with one column
+        # no phase update (uncompensated, iq-only): one detection system per
+        # (frame, pair) carrying every data symbol; tracked and genie updates:
+        # one per (frame, symbol, pair) with one column.  The tracker (pn-only,
+        # full) shares the solver: one 2x2 system per (frame, branch, pilot),
+        # every data symbol one of its columns.
         calls = []
         equalize, solve = harness.equalize_frame, equalization._solve_pairs
 
@@ -230,7 +233,7 @@ class TestReceiverState:
             return equalize(rx_grids, *args, **kwargs)
 
         def counted(w, x_stack, *args):
-            calls[-1][1].append((math.prod(w.shape[:-2]), x_stack.shape[-2]))
+            calls[-1][1].append((w.shape[-2:], math.prod(w.shape[:-2]), x_stack.shape[-2]))
             return solve(w, x_stack, *args)
 
         monkeypatch.setattr(harness, "equalize_frame", per_frame)
@@ -242,11 +245,18 @@ class TestReceiverState:
         assert all(r.frames_run == 4 for r in rows)
         assert len(calls) == len(MODES)
         pairs, n_syms = config.smap.n_data // 2, config.frame.n_data_symbols
+        pilots = config.smap.pilot_bins.size
+        assert pilots == 4
         for mode, (frames, solves) in zip(config.modes, calls):
             static = RECEIVER_MODES[mode][1] == "none"
+            detect = [(n, cols) for shape, n, cols in solves if shape == (4, 4)]
+            track = [(n, cols) for shape, n, cols in solves if shape == (2, 2)]
+            assert len(detect) + len(track) == len(solves), mode
             systems = frames * pairs * (1 if static else n_syms)
-            assert sum(n for n, _ in solves) == systems, mode
-            assert {cols for _, cols in solves} == {n_syms if static else 1}, mode
+            assert sum(n for n, _ in detect) == systems, mode
+            assert {cols for _, cols in detect} == {n_syms if static else 1}, mode
+            tracked = RECEIVER_MODES[mode][1] == "tracked"
+            assert track == ([(frames * config.m_r * pilots, n_syms)] if tracked else []), mode
 
 
 class _SerialPool:
@@ -261,8 +271,8 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def test_run_campaign_reaches_module_level_names(monkeypatch):
@@ -299,6 +309,22 @@ def test_run_campaign_reaches_module_level_names(monkeypatch):
         assert [(r.snr_db, r.beta_hz) for r in result.rows] == [
             (20.0, 0.0), (20.0, 5e3), (30.0, 0.0), (30.0, 5e3),
         ]
+
+
+def test_pool_runs_a_locally_wrapped_run_point(monkeypatch):
+    # a wrapper that cannot be pickled (a local function) stays in the parent:
+    # the pool sends the task by name, and the results do not change
+    point = harness.run_point
+
+    def run_point(*args, **kwargs):
+        return point(*args, **kwargs)
+
+    config = ScenarioConfig(
+        frames=1, snr_db=(20.0, 30.0), modes=("genie",), symbols_per_frame=6, workers=2,
+    )
+    serial = run_campaign(dataclasses.replace(config, workers=1)).rows
+    monkeypatch.setattr(harness, "run_point", run_point)
+    assert run_campaign(config).rows == serial
 
 
 @pytest.mark.parametrize("workers", [1, 3, 4, 10**6])
@@ -403,6 +429,12 @@ class TestConfigValidation:
     def test_rejects_bad_modes(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(modes=("sideways",))
+
+    @pytest.mark.parametrize("modes", [(), ("full", "full"), ("genie", "full", "genie")])
+    def test_rejects_empty_or_repeated_modes(self, modes):
+        # a repeated mode would add two runs into one row and print it twice
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig(frames=1, modes=modes)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ConfigurationError):
