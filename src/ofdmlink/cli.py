@@ -1,7 +1,8 @@
 """Campaign command line: ``simulate --config run.cfg [overrides...]``.
 
 The config file is flat ``key = value`` text (``#`` starts a comment);
-every command-line flag overrides the corresponding file key.  Outputs
+every command-line flag overrides the corresponding file key and is
+parsed and checked as the file value would be (:data:`SETTINGS`).  Outputs
 are ``results.csv`` plus the BER and MSE charts in the chosen directory.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
@@ -25,12 +26,6 @@ EXIT_RUNTIME = 3
 
 MAX_SNR_POINTS = 10_000  # an a:b:step range is refused beyond this, before it is expanded
 
-_CONFIG_KEYS = {
-    "snr", "beta", "mimo", "iq", "mode", "detector", "ce", "frames", "seed",
-    "out", "workers", "symbols_per_frame", "l_taps", "pdp_decay", "n", "n_cp",
-    "ts", "iq_frame_avg", "tracking_variant", "mmse_r", "shared_oscillator",
-}
-
 
 def parse_config_file(path: str) -> dict:
     """Read flat ``key = value`` lines; unknown keys are rejected."""
@@ -43,16 +38,10 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigurationError(f"{path}:{ln}: expected 'key = value'")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in SETTINGS:
                 raise ConfigurationError(f"{path}:{ln}: unknown key {key!r}")
             out[key] = val
     return out
-
-
-def _parse_float(text: str) -> float:
-    if text.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(text)
 
 
 def _parse_snr(text: str) -> tuple:
@@ -76,11 +65,11 @@ def _parse_snr(text: str) -> tuple:
             vals.append(round(v, 9))
             v += step
         return tuple(vals)
-    return tuple(_parse_float(p) for p in text.split(","))
+    return _parse_list(text)
 
 
 def _parse_list(text: str) -> tuple:
-    return tuple(_parse_float(p) for p in text.split(","))
+    return tuple(float(p) for p in text.split(","))
 
 
 def _parse_mimo(text: str) -> tuple[int, int]:
@@ -115,43 +104,55 @@ def _parse_bool(text: str) -> bool:
     raise ConfigurationError(f"expected a boolean, got {text!r}")
 
 
+def _parse_words(text: str) -> tuple:
+    return tuple(p.strip() for p in text.split(","))
+
+
+# config key -> (ScenarioConfig field, or fields for a key that sets several,
+# or None for the output directory; parser of the value text; help of the
+# key's command-line flag, or None for a key that only the file sets)
+SETTINGS = {
+    "snr": ("snr_db", _parse_snr, "SNR points in dB: a:b:step or comma list (inf allowed)"),
+    "beta": ("beta_hz", _parse_list, "phase-noise linewidths in Hz, comma list"),
+    "mimo": (("m_t", "m_r"), _parse_mimo, "antenna counts, e.g. 2x2 or 4x4"),
+    "iq": (("iq_theta_deg", "iq_amp_pct"), _parse_iq, "IQ mismatch, e.g. 5deg,10pct"),
+    "mode": ("modes", _parse_words, "comma list of receiver modes"),
+    "detector": ("detector", str.strip, "zf or mmse"),
+    "ce": ("ce_method", str.strip, "channel completion method: interp or iterative"),
+    "frames": ("frames", int, "Monte-Carlo frames per grid point"),
+    "seed": ("master_seed", int, "master seed"),
+    "workers": ("workers", int, "parallel worker processes"),
+    "out": (None, str, "output directory (created if missing)"),
+    "symbols_per_frame": ("symbols_per_frame", int, None),
+    "l_taps": ("l_taps", int, None),
+    "pdp_decay": ("pdp_decay", float, None),
+    "n": ("n", int, None),
+    "n_cp": ("n_cp", int, None),
+    "ts": ("ts", float, None),
+    "iq_frame_avg": ("iq_frame_avg", int, None),
+    "tracking_variant": ("tracking_variant", str.strip, None),
+    "mmse_r": ("mmse_r", str.strip, None),
+    "shared_oscillator": ("shared_oscillator", _parse_bool, None),
+}
+
+
 def build_config(values: dict) -> tuple[ScenarioConfig, str]:
     """Merge parsed key/value strings into a ScenarioConfig and output dir."""
     kw = {}
-    if "snr" in values:
-        kw["snr_db"] = _parse_snr(values["snr"])
-    if "beta" in values:
-        kw["beta_hz"] = _parse_list(values["beta"])
-    if "mimo" in values:
-        kw["m_t"], kw["m_r"] = _parse_mimo(values["mimo"])
-    if "iq" in values:
-        kw["iq_theta_deg"], kw["iq_amp_pct"] = _parse_iq(values["iq"])
-    if "mode" in values:
-        kw["modes"] = tuple(p.strip() for p in values["mode"].split(","))
-    if "detector" in values:
-        kw["detector"] = values["detector"].strip()
-    if "ce" in values:
-        kw["ce_method"] = values["ce"].strip()
-    if "frames" in values:
-        kw["frames"] = int(values["frames"])
-    if "seed" in values:
-        kw["master_seed"] = int(values["seed"])
-    if "workers" in values:
-        kw["workers"] = int(values["workers"])
-    for key in ("symbols_per_frame", "l_taps", "n", "n_cp", "iq_frame_avg"):
-        if key in values:
-            kw[key] = int(values[key])
-    for key in ("pdp_decay", "ts"):
-        if key in values:
-            kw[key] = float(values[key])
-    if "tracking_variant" in values:
-        kw["tracking_variant"] = values["tracking_variant"].strip()
-    if "mmse_r" in values:
-        kw["mmse_r"] = values["mmse_r"].strip()
-    if "shared_oscillator" in values:
-        kw["shared_oscillator"] = _parse_bool(values["shared_oscillator"])
-    out_dir = values.get("out", ".")
+    for key, text in values.items():
+        fields, parse, _ = SETTINGS[key]
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise ConfigurationError(f"{key}: {exc}") from None
+        kw.update(zip(fields, value) if isinstance(fields, tuple) else [(fields, value)])
+    out_dir = kw.pop(None, ".")
     return ScenarioConfig(**kw), out_dir
+
+
+def _flags() -> dict:
+    """The help of each command-line flag, e.g. ``--snr``, by flag."""
+    return {f"--{key}": help_text for key, (_, _, help_text) in SETTINGS.items() if help_text}
 
 
 def _arg_parser() -> argparse.ArgumentParser:
@@ -160,41 +161,22 @@ def _arg_parser() -> argparse.ArgumentParser:
         description="Run a seeded MIMO-OFDM link campaign and write CSV plus SVG charts.",
     )
     ap.add_argument("--config", help="flat key=value config file")
-    ap.add_argument("--snr", help="SNR points in dB: a:b:step or comma list (inf allowed)")
-    ap.add_argument("--beta", help="phase-noise linewidths in Hz, comma list")
-    ap.add_argument("--mimo", help="antenna counts, e.g. 2x2 or 4x4")
-    ap.add_argument("--iq", help="IQ mismatch, e.g. 5deg,10pct")
-    ap.add_argument("--mode", help="comma list of receiver modes")
-    ap.add_argument("--detector", choices=["zf", "mmse"])
-    ap.add_argument("--ce", choices=["interp", "iterative"], help="channel completion method")
-    ap.add_argument("--frames", type=int, help="Monte-Carlo frames per grid point")
-    ap.add_argument("--seed", type=int, help="master seed")
-    ap.add_argument("--workers", type=int, help="parallel worker processes")
-    ap.add_argument("--out", help="output directory (created if missing)")
+    for flag, help_text in _flags().items():
+        ap.add_argument(flag, help=help_text)
     return ap
 
 
-def _is_snr_spec(text: str) -> bool:
-    """Whether ``text`` reads as an SNR range or list, valid or not."""
-    try:
-        _parse_snr(text)
-    except ConfigurationError:
-        return True  # refused later, as a configuration error
-    except ValueError:
-        return False
-    return True
+def _join_flag_values(argv: list) -> list:
+    """``--snr -5:20:5`` as ``--snr=-5:20:5``, for every setting flag.
 
-
-def _join_snr_values(argv: list) -> list:
-    """``--snr -5:20:5`` as ``--snr=-5:20:5``.
-
-    argparse reads a separate value that starts with a minus and holds a
-    ``:`` or ``,`` as an option, and would exit before the config check.
+    argparse reads a separate value that starts with a single minus and is
+    not a plain number (a range or a list) as an option, and would exit
+    before the config check.
     """
-    out = []
+    flags, out = _flags(), []
     for arg in argv:
-        if out and out[-1] == "--snr" and arg.startswith("-") and _is_snr_spec(arg):
-            out[-1] = f"--snr={arg}"
+        if out and out[-1] in flags and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -202,14 +184,10 @@ def _join_snr_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _arg_parser().parse_args(_join_snr_values(argv))
+    args = _arg_parser().parse_args(_join_flag_values(argv))
     try:
         values = parse_config_file(args.config) if args.config else {}
-        for key in ("snr", "beta", "mimo", "iq", "mode", "detector", "ce",
-                    "frames", "seed", "workers", "out"):
-            val = getattr(args, key)
-            if val is not None:
-                values[key] = str(val)
+        values.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
         config, out_dir = build_config(values)
     except (ConfigurationError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -46,6 +46,7 @@ __all__ = [
 log = logging.getLogger("ofdmlink")
 
 DEGENERATE_PAIR_TOL = 1e-9
+ITERATIVE_REFINE_ITERS = 50  # tap-truncation passes of iterative_refine
 
 
 class EstimationError(RuntimeError):
@@ -194,25 +195,24 @@ def _pair_regression(
     chi_a: np.ndarray,
     e: np.ndarray,
     owner: np.ndarray,
-    noise_var: np.ndarray | None,
+    noise_var: np.ndarray,
 ) -> np.ndarray:
     """Least-squares fit of ``2 beta = (1 + g) alpha`` over cross-antenna pairs.
 
     Both differences carry the same per-bin disturbance, which biases the
-    plain regression toward smaller ``g``; when the per-branch noise+ICI
-    variance is supplied the expected noise moments are subtracted.
+    plain regression toward smaller ``g``, so the expected noise moments
+    of the per-branch noise+ICI variance are subtracted (none at zero
+    variance, where the fit is the plain one bit for bit).
     """
     cross = owner[:-1] != owner[1:]
     alpha = np.compress(cross, e[..., :-1, :] - e[..., 1:, :], axis=-2)
     beta = np.compress(cross, chi_a[..., :-1, :] - chi_a[..., 1:, :], axis=-2)
     num = np.sum(np.conj(alpha) * beta, axis=-2)
     den = np.sum(np.abs(alpha) ** 2, axis=-2)
-    if noise_var is not None:
-        n_pairs = alpha.shape[-2]
-        # Var(e) = psi_qq per bin, Var(chi_a) = psi_qq/2, fully correlated parts
-        num = num - n_pairs * noise_var
-        den_c = den - 2.0 * n_pairs * noise_var
-        den = np.maximum(den_c, 0.2 * den)
+    n_pairs = alpha.shape[-2]
+    # Var(e) = psi_qq per bin, Var(chi_a) = psi_qq/2, fully correlated parts
+    num = num - n_pairs * noise_var
+    den = np.maximum(den - 2.0 * n_pairs * noise_var, 0.2 * den)
     return 2.0 * num / den - 1.0
 
 
@@ -220,7 +220,7 @@ def refine_iq_channel(
     est: PreambleEstimate,
     owner: np.ndarray,
     g0: np.ndarray,
-    psi: np.ndarray | None = None,
+    psi: np.ndarray,
     n_iters: int = 3,
 ) -> np.ndarray:
     """Refined ``(..., m_r)`` mismatch ``g``: alternate image de-mixing and re-estimation.
@@ -230,16 +230,14 @@ def refine_iq_channel(
     channel term into every bin).  Each iteration de-mixes the leakage
     with the current mismatch estimate, fits its per-branch ratio by
     least squares over the bins, subtracts it, and re-fits the mismatch
-    on the cleaned differences (noise-moment corrected when ``psi`` is
-    given).  Exact in the noiseless regime, where the leakage is zero.
-    Frames (leading axes) are independent; a frame whose estimate cannot
-    de-mix the image, in any iteration or at the end, gets NaN on every
-    branch.
+    on the cleaned differences, noise-moment corrected with the
+    ``(..., m_r, m_r)`` noise+ICI correlation ``psi``.  Exact in the
+    noiseless regime, where the leakage is zero.  Frames (leading axes)
+    are independent; a frame whose estimate cannot de-mix the image, in
+    any iteration or at the end, gets NaN on every branch.
     """
     g = np.asarray(g0, dtype=np.complex128)
-    noise_var = None
-    if psi is not None:
-        noise_var = np.maximum(np.real(np.diagonal(psi, axis1=-2, axis2=-1)), 0.0)
+    noise_var = np.maximum(np.real(np.diagonal(psi, axis1=-2, axis2=-1)), 0.0)
     failed = np.zeros(g.shape[:-1], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(n_iters):
@@ -384,19 +382,17 @@ def iterative_refine(
     pre: PreambleSet,
     smap: SubcarrierMap,
     l_taps: int,
-    n_iters: int = 50,
 ) -> np.ndarray:
     """Complete the channel by transform-domain tap truncation.
 
-    Starting from a nearest-trained-bin fill, each iteration transforms
-    the full-band estimate of every frame (leading axes of ``e``) and
-    transmit antenna at once to the time domain, zeroes taps beyond
+    Starting from a nearest-trained-bin fill, each of the
+    :data:`ITERATIVE_REFINE_ITERS` iterations transforms the full-band
+    estimate of every frame (leading axes of ``e``) and transmit antenna
+    at once to the time domain, zeroes taps beyond
     ``l_taps``, transforms back, and re-imposes the measured values on
     the trained bins.  Deterministic; trained bins always carry the
     measured values on output.
     """
-    if n_iters < 1:
-        raise ConfigurationError("need at least one refinement iteration")
     n, m_t = smap.n, pre.m_t
     used = pre.used
     logical_all = np.arange(-n // 2, n // 2)
@@ -405,7 +401,7 @@ def iterative_refine(
     g[..., logical_to_bin(logical_all, n), :, :] = np.swapaxes(np.take(e, nearest, axis=-2), -1, -2)
     ub = logical_to_bin(used, n)
     trained = np.moveaxis(e, -2, 0)  # (n_used, ..., m_r), the layout of g[..., ub, :, owner]
-    for _ in range(n_iters):
+    for _ in range(ITERATIVE_REFINE_ITERS):
         t = idft(g, axis=-3)
         t[..., l_taps:, :, :] = 0.0
         g = dft(t, axis=-3)

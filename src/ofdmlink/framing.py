@@ -109,7 +109,7 @@ class FrameConfig:
     n: int = 64
     n_cp: int = 16
     symbols_per_frame: int = 50
-    n_short: int = 1
+    n_short = 1  # short training symbols, a constant of the layout (not a field)
 
     def __post_init__(self):
         if self.symbols_per_frame < 2 + self.n_short + 1:

@@ -26,8 +26,9 @@ modes.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -111,11 +112,6 @@ CHUNK_SYMBOLS = 64
 # where the spline costs a few; above this, from n = 1024, _complete runs the
 # configured builder on each chunk's values instead.
 COMPLETION_OPERATOR_BYTES = 2**22
-
-CSV_HEADER = (
-    "snr_db,beta_hz,mode,detector,ce_method,m_t,m_r,frames_run,"
-    "ber,mse_ce,mse_k1,flagged_symbols,seed"
-)
 
 
 @dataclass(frozen=True)
@@ -230,6 +226,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class CampaignRow:
+    """One row of ``results.csv``: the columns are the fields, in order."""
+
     snr_db: float
     beta_hz: float
     mode: str
@@ -245,11 +243,10 @@ class CampaignRow:
     seed: int
 
     def csv(self) -> str:
-        return (
-            f"{_fmt(self.snr_db)},{_fmt(self.beta_hz)},{self.mode},{self.detector},"
-            f"{self.ce_method},{self.m_t},{self.m_r},{self.frames_run},"
-            f"{_fmt(self.ber)},{_fmt(self.mse_ce)},{_fmt(self.mse_k1)},"
-            f"{self.flagged_symbols},{self.seed}"
+        """The row's CSV line; the ``float`` fields in :func:`_fmt`'s fixed format."""
+        return ",".join(
+            _fmt(getattr(self, f.name)) if f.type == "float" else str(getattr(self, f.name))
+            for f in fields(self)
         )
 
 
@@ -645,10 +642,13 @@ def _point_groups(config: ScenarioConfig) -> list[list[tuple[int, int]]]:
 
 
 def run_campaign(config: ScenarioConfig) -> CampaignResult:
-    """Sweep the whole grid; results are identical for any worker count."""
+    """Sweep the whole grid; results are identical for any worker count.
+
+    The groups run on at most ``os.cpu_count()`` processes.
+    """
     groups = _point_groups(config)
     if len(groups) > 1:
-        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(groups), os.cpu_count() or 1)) as pool:
             per_group = list(pool.map(_point_task, [config] * len(groups), groups))
     else:
         per_group = [run_point(config, groups[0])]
@@ -663,7 +663,7 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
 
 
 def emit_csv(result: CampaignResult, path) -> None:
-    lines = [CSV_HEADER] + [r.csv() for r in result.rows]
+    lines = [",".join(f.name for f in fields(CampaignRow))] + [r.csv() for r in result.rows]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -680,8 +680,6 @@ def _series_by(result: CampaignResult, metric: str) -> list:
 
 def emit_plots(result: CampaignResult, out_dir) -> list[str]:
     """Write the BER and channel-MSE versus SNR charts; returns the paths."""
-    import os
-
     paths = []
     for metric, fname, ylabel in (
         ("ber", "ber_vs_snr.svg", "bit error rate"),
@@ -693,7 +691,6 @@ def emit_plots(result: CampaignResult, out_dir) -> list[str]:
             title=f"{ylabel} vs SNR",
             xlabel="SNR (dB)",
             ylabel=ylabel,
-            log_y=True,
         )
         with open(path, "w") as fh:
             fh.write(svg)

@@ -37,17 +37,18 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return out or [lo]
 
 
-def line_chart(series, title: str, xlabel: str, ylabel: str, log_y: bool = True) -> str:
+def _drawable(y: float) -> bool:
+    """Whether ``y`` has a place on the log axis: finite and positive."""
+    return 0.0 < y < math.inf
+
+
+def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     """Render one chart; ``series`` is a list of (label, xs, ys) triples.
 
-    With ``log_y`` the y axis is decimal-log scaled and nonpositive
-    points are dropped from their polyline (gaps are not bridged).
+    The y axis is decimal-log scaled; points that are not finite and
+    positive are dropped from their polyline (gaps are not bridged).
     """
-    pts = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if not (math.isnan(y) or math.isinf(y)) and (not log_y or y > 0):
-                pts.append((x, y))
+    pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys) if _drawable(y)]
     if pts:
         x_lo, x_hi = min(p[0] for p in pts), max(p[0] for p in pts)
         y_lo, y_hi = min(p[1] for p in pts), max(p[1] for p in pts)
@@ -55,13 +56,9 @@ def line_chart(series, title: str, xlabel: str, ylabel: str, log_y: bool = True)
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.1, 1.0
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if log_y:
-        y_lo, y_hi = math.log10(y_lo), math.log10(y_hi)
-        y_lo, y_hi = math.floor(y_lo), math.ceil(y_hi)
-        if y_hi == y_lo:
-            y_hi = y_lo + 1
-    elif y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    y_lo, y_hi = math.floor(math.log10(y_lo)), math.ceil(math.log10(y_hi))  # whole decades
+    if y_hi == y_lo:
+        y_hi = y_lo + 1
 
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
@@ -70,8 +67,7 @@ def line_chart(series, title: str, xlabel: str, ylabel: str, log_y: bool = True)
         return _ML + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y):
-        v = math.log10(y) if log_y else y
-        return _MT + (y_hi - v) / (y_hi - y_lo) * plot_h
+        return _MT + (y_hi - math.log10(y)) / (y_hi - y_lo) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -91,15 +87,12 @@ def line_chart(series, title: str, xlabel: str, ylabel: str, log_y: bool = True)
                    f'y2="{_MT + plot_h + 5}" stroke="black"/>')
         out.append(f'<text x="{px:.1f}" y="{_MT + plot_h + 18}" '
                    f'text-anchor="middle">{t:g}</text>')
-    y_ticks = range(int(y_lo), int(y_hi) + 1) if log_y else _ticks(y_lo, y_hi)
-    for t in y_ticks:
-        y_val = 10.0**t if log_y else t
-        py = sy(y_val)
+    for t in range(y_lo, y_hi + 1):
+        py = sy(10.0**t)
         out.append(f'<line x1="{_ML - 5}" y1="{py:.1f}" x2="{_ML}" '
                    f'y2="{py:.1f}" stroke="black"/>')
-        label = f"1e{t}" if log_y else f"{t:g}"
         out.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" '
-                   f'text-anchor="end">{label}</text>')
+                   f'text-anchor="end">1e{t}</text>')
     out.append(
         f'<text x="{_ML + plot_w / 2:.1f}" y="{_H - 10}" '
         f'text-anchor="middle">{xlabel}</text>'
@@ -110,11 +103,7 @@ def line_chart(series, title: str, xlabel: str, ylabel: str, log_y: bool = True)
     )
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = [
-            f"{sx(x):.2f},{sy(y):.2f}"
-            for x, y in zip(xs, ys)
-            if not (math.isnan(y) or math.isinf(y)) and (not log_y or y > 0)
-        ]
+        coords = [f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys) if _drawable(y)]
         # one polyline per series, empty when no drawable points
         out.append(
             f'<polyline points="{" ".join(coords)}" fill="none" '

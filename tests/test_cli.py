@@ -1,7 +1,9 @@
 """Tests for the campaign command line and config file parsing."""
 
 import math
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from ofdmlink.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     MAX_SNR_POINTS,
+    SETTINGS,
+    _arg_parser,
     _parse_iq,
     _parse_mimo,
     _parse_snr,
@@ -105,6 +109,16 @@ symbols_per_frame = 6
         with pytest.raises(ConfigurationError):
             parse_config_file(cfg)
 
+    def test_readme_config_block_lists_every_key(self):
+        # the README's config block names each key once, the flagged keys first
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("The config file is flat", 1)[1].split("```")[1]
+        flagged, file_only = block.split("# file only:")
+        keys = [re.match(r"(\w+) = ", ln) for ln in (flagged + file_only).splitlines()]
+        assert [m[1] for m in keys if m] == list(SETTINGS)
+        flags = set(re.findall(r"--(\w+)", _arg_parser().format_help())) - {"help", "config"}
+        assert set(re.findall(r"^(\w+) = ", flagged, re.M)) == flags
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just words\n")
@@ -136,6 +150,18 @@ class TestMain:
         assert rc == EXIT_OK
         text = (out / "results.csv").read_text()
         assert "3.0000000000e+01" in text
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--detector", "warp"), ("--frames", "x"), ("--workers", "two"), ("--beta", "-1,0")],
+    )
+    def test_bad_flag_value_exits_config(self, tmp_path, capsys, flag, value):
+        # parsed and checked as the same key in a config file would be; a
+        # value with a leading minus is the flag's value, not an option
+        rc = main([flag, value, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert "configuration error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_mode_exits_config(self, tmp_path):
         rc = main(["--mode", "warp", "--out", str(tmp_path)])

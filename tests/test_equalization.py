@@ -478,7 +478,7 @@ class TestEqualizeFrame:
         config, smap, pre, pilots, truth, ch, rx = self._loopback_frame(iq=iq)
         est = estimate_preamble(rx[1], rx[2], pre)
         g0 = estimate_iq_params(est.chi_a, est.e, pre.owner)
-        k1 = (1.0 + refine_iq_channel(est, pre.owner, g0)) / 2.0
+        k1 = (1.0 + refine_iq_channel(est, pre.owner, g0, np.zeros((2, 2)))) / 2.0
         h = iterative_refine(demix_channel(est, k1), pre, smap, l_taps=7)
         state = EstimatorState(h_pre=h, k1=k1, psi=np.zeros((2, 2), dtype=complex))
         dec = equalize_frame(rx, state, smap, pilots, config.n_train)

@@ -7,6 +7,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from conftest import make_channel, owned_channel_columns, transmit_preamble
+from ofdmlink import estimation
 from ofdmlink.estimation import (
     EstimationError,
     _mixing_det,
@@ -194,7 +195,7 @@ class TestRefinement:
         _, pre, est, _ = self._synthetic_cpe_difference(smap64, 82, theta1, theta2, iq)
         g_true = iq.eps * np.exp(-1j * iq.theta)
         plain = estimate_iq_params(est.chi_a, est.e, pre.owner)
-        refined = refine_iq_channel(est, pre.owner, plain, n_iters=30)
+        refined = refine_iq_channel(est, pre.owner, plain, np.zeros((2, 2)), n_iters=30)
         err_plain = np.abs(plain - g_true).max()
         err_refined = np.abs(refined - g_true).max()
         assert err_plain > 1e-3  # the leakage visibly pollutes the one-shot estimate
@@ -207,7 +208,7 @@ class TestRefinement:
         psi1, psi2 = transmit_preamble(ch, pre, iq=iq)
         est = estimate_preamble(psi1, psi2, pre)
         plain = estimate_iq_params(est.chi_a, est.e, pre.owner)
-        refined = refine_iq_channel(est, pre.owner, plain)
+        refined = refine_iq_channel(est, pre.owner, plain, np.zeros((2, 2)))
         g_true = iq.eps * np.exp(-1j * iq.theta)
         np.testing.assert_allclose(refined, g_true, atol=1e-9)
         u = demix_channel(est, (1.0 + refined) / 2.0)
@@ -219,7 +220,9 @@ class TestRefinement:
         ch = make_channel(seed=84)
         pre = build_preamble(2, smap64)
         est = estimate_preamble(*transmit_preamble(ch, pre), pre)
-        got = refine_iq_channel(est, pre.owner, np.array([0.05 + 1.1j, 1.0]), n_iters=0)
+        got = refine_iq_channel(
+            est, pre.owner, np.array([0.05 + 1.1j, 1.0]), np.zeros((2, 2)), n_iters=0
+        )
         assert np.isnan(got).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0), complex(1.0, np.inf)])
@@ -235,7 +238,7 @@ class TestRefinement:
         pre = build_preamble(2, smap64)
         zero = np.zeros((64, 2), dtype=complex)
         est = estimate_preamble(zero, zero, pre)
-        got = refine_iq_channel(est, pre.owner, np.array([1.1 + 0j, 1.1 + 0j]))
+        got = refine_iq_channel(est, pre.owner, np.array([1.1 + 0j, 1.1 + 0j]), np.zeros((2, 2)))
         assert np.isnan(got).all()
         assert np.isnan(demix_channel(est, (1.0 + got) / 2.0)).all()
 
@@ -296,19 +299,21 @@ class TestChannelCompletion:
             interpolate_channel(e, pre, smap64)
         assert any("linear" in r.message for r in caplog.records)
 
-    def test_iterative_single_tap_one_iteration(self, smap64):
+    def test_iterative_single_tap_one_iteration(self, smap64, monkeypatch):
+        monkeypatch.setattr(estimation, "ITERATIVE_REFINE_ITERS", 1)
         ch = make_channel(l_taps=1, seed=94)
         pre = build_preamble(2, smap64)
         psi1, psi2 = transmit_preamble(ch, pre)
         est = estimate_preamble(psi1, psi2, pre)
-        h = iterative_refine(est.e, pre, smap64, l_taps=1, n_iters=1)
+        h = iterative_refine(est.e, pre, smap64, l_taps=1)
         used_b = logical_to_bin(smap64.used_bins, 64)
         expected = np.broadcast_to(ch.freq[0], (52, 2, 2))
         np.testing.assert_allclose(h[used_b], expected, atol=1e-9)
 
-    def test_iterative_reimposes_trained_bins(self, smap64):
+    def test_iterative_reimposes_trained_bins(self, smap64, monkeypatch):
+        monkeypatch.setattr(estimation, "ITERATIVE_REFINE_ITERS", 5)
         ch, pre, est = self._estimate(2, 95, smap64)
-        h = iterative_refine(est.e, pre, smap64, l_taps=7, n_iters=5)
+        h = iterative_refine(est.e, pre, smap64, l_taps=7)
         for i, k in enumerate(pre.used):
             p = pre.owner[i]
             np.testing.assert_allclose(h[logical_to_bin(k, 64), :, p], est.e[i], atol=1e-12)

@@ -327,6 +327,29 @@ def test_pool_runs_a_locally_wrapped_run_point(monkeypatch):
     assert run_campaign(config).rows == serial
 
 
+@pytest.mark.parametrize("cpus, workers, processes", [(2, 5, 2), (1, 10**6, 1), (None, 3, 1), (8, 3, 3)])
+def test_pool_starts_at_most_one_process_per_cpu(monkeypatch, cpus, workers, processes):
+    # the groups stay as the worker count makes them, the rows do not change,
+    # and the pool never asks for more processes than there are CPUs
+    pools = []
+
+    class RecordingPool(_SerialPool):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            pools.append(max_workers)
+
+    config = ScenarioConfig(
+        frames=1, snr_db=(10.0, 20.0, 30.0, 40.0, 50.0), modes=("genie",), symbols_per_frame=6,
+    )
+    serial = run_campaign(config).rows
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    config = dataclasses.replace(config, workers=workers)
+    assert len(harness._point_groups(config)) == min(workers, 5)
+    assert run_campaign(config).rows == serial
+    assert pools == [processes]
+
+
 @pytest.mark.parametrize("workers", [1, 3, 4, 10**6])
 def test_point_groups_cover_the_grid_once(workers):
     # never more groups than grid points, whatever the worker count; no pool starts here
