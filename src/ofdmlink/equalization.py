@@ -208,6 +208,7 @@ class FrameDecisions:
     bits: np.ndarray      # (..., n_data_syms, n_data, m_t, 4) uint8
     soft: np.ndarray      # (..., n_data_syms, n_data, m_t)
     erased: np.ndarray    # (..., n_data_syms, n_data) bool
+    flagged: np.ndarray   # (..., n_data_syms) bool: a tracked update was rejected
     flagged_symbols: int  # over every frame of the stack
     cpe_history: np.ndarray = field(repr=False, default=None)  # (..., n_data_syms, m_r)
 
@@ -285,7 +286,7 @@ def equalize_frame(
         )
     else:
         upsilon = np.asarray(phase_updates, dtype=np.complex128)
-        flagged = np.zeros(n_syms, dtype=bool)
+        flagged = np.zeros((*lead, n_syms), dtype=bool)
 
     history = np.broadcast_to(upsilon, (*lead, n_syms, m_r))  # update rows: 1 or n_syms
 
@@ -336,6 +337,6 @@ def equalize_frame(
     return FrameDecisions(
         bits=bits, soft=soft.reshape(*shape, m_t),
         erased=np.broadcast_to(erased[:, None], (systems, cols, smap.n_data)).reshape(shape),
-        flagged_symbols=int(flagged.sum()),
+        flagged=flagged, flagged_symbols=int(flagged.sum()),
         cpe_history=history,
     )

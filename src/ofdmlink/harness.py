@@ -7,20 +7,23 @@ from the master seed through the frame index alone, so every grid point
 sees the same draws (common random numbers) and cross-point comparisons
 are paired too.  A campaign splits the grid into ``min(workers, points)``
 interleaved groups, one task each; a task simulates each chunk of frames
-once (:func:`simulate_frame`) and impairs it per point (:func:`impair`).
-Every result is byte-reproducible regardless of worker count or
-scheduling.  Each stage runs on every frame: all frames draw their noise
-and phase steps, and the front end always estimates the mismatch.  The
-layout a config implies (frame, subcarrier map, training symbols,
-pilots) and its channel completion, one matrix per transmit antenna up to
+once (:func:`simulate_frame`), impairs it per point (:func:`impair`) and
+runs the receiver once per stack of points, their frames one point after
+another on the frame axis (see :data:`STACK_SYMBOLS`).  A frame's results
+do not depend on the frames stacked with it, so every result is
+byte-reproducible regardless of worker count, stacking or scheduling.
+Each stage runs on every frame: all frames draw their noise and phase
+steps, and the front end always estimates the mismatch.  The layout a
+config implies (frame, subcarrier map, training symbols, pilots) and its
+channel completion, one matrix per transmit antenna up to
 :data:`COMPLETION_OPERATOR_BYTES`, are built once, on first use, as
 properties of :class:`ScenarioConfig`.
 
 The receiver modes differ only in the channel estimate they detect with
 (see :func:`receiver_state`) and the common-phase updates they apply:
 ``none`` (identity), ``tracked`` (from the pilots) or ``genie`` (ground
-truth).  Each estimate is built once per chunk of frames and shared by its
-modes.
+truth).  Each estimate is built once per chunk and stack of points and
+shared by its modes.
 """
 
 from __future__ import annotations
@@ -101,10 +104,18 @@ MODES = tuple(RECEIVER_MODES)
 # Beyond this the noise variance of a finite SNR point leaves the float range.
 MAX_SNR_DB = 300.0
 # Symbols per chunk of frames.  A chunk holds as many whole iq_frame_avg
-# blocks as fit (at least one), every stage runs once per chunk, and all of
-# its arrays are live at once: 512 (30 frames of preamble-mse) raised that
-# workload's peak RSS by about 5%, 64 (10 frames) by under 2%.
+# blocks as fit (at least one) and is simulated once for a whole group of
+# grid points: 512 (30 frames of preamble-mse) raised that workload's peak
+# RSS by about 5%, 64 (10 frames) by under 2%.
 CHUNK_SYMBOLS = 64
+# Symbols per stack of grid points.  A stack holds as many points' whole
+# chunks as fit (at least one point), every receiver stage runs once per
+# stack, and all of its arrays are live at once.  Most of a short frame's
+# scoring time is per call, not per frame: 160 scores 4 of preamble-mse's
+# 40-symbol chunks per call.  192 (3 of cli-sweep's 64-symbol chunks) raised
+# that workload's peak RSS by 2.4%; a CHUNK_SYMBOLS of 192 would instead
+# triple the chunk of a one-point campaign.
+STACK_SYMBOLS = 160
 
 # Bytes of the completion operators, n * n_used complex values in all.  Their
 # build holds m_t times as much, a few times over inside iterative_refine (about
@@ -152,6 +163,10 @@ class ScenarioConfig:
             raise ConfigurationError("linewidth list must be nonempty")
         if not all(math.isfinite(b) and b >= 0 for b in self.beta_hz):
             raise ConfigurationError("linewidths must be finite and nonnegative")
+        # a repeated value would run and print the same grid points twice
+        for name, values in (("SNR", self.snr_db), ("linewidth", self.beta_hz)):
+            if len(set(values)) < len(values):
+                raise ConfigurationError(f"{name} list must name each value once")
         if not (math.isfinite(self.ts) and self.ts > 0):
             raise ConfigurationError("sample period must be finite and positive")
         if not math.isfinite(4.0 * math.pi * max(self.beta_hz) * self.ts):
@@ -296,12 +311,12 @@ class FrameDraws:
 
 @dataclass(frozen=True)
 class SimulatedFrames:
-    """A chunk of frames' physics at one grid point, shared by every receiver mode."""
+    """A chunk of frames' physics at one or more grid points, shared by every receiver mode."""
 
     rx_grids: np.ndarray         # (frames, symbols, n, m_r) demodulated with impairments
     truth_bits: np.ndarray       # (frames, n_data_syms, n_data, m_t, 4)
     h_eff: np.ndarray            # (frames, n, m_r, m_t) channel fused with the preamble-time phase
-    sigma2: float                # time-domain noise variance per branch
+    sigma2: np.ndarray           # (frames,) time-domain noise variance per branch
     cpe_true: np.ndarray         # (frames, n_data_syms, m_r) genie per-symbol updates
 
 
@@ -382,7 +397,7 @@ def impair(
     return SimulatedFrames(
         rx_grids=rx_grids, truth_bits=draws.truth_bits,
         h_eff=theta_pre[:, None, :, None] * draws.freq,
-        sigma2=sigma2, cpe_true=cpe[:, 2:] / theta_pre[:, None],
+        sigma2=np.full(rx_grids.shape[0], sigma2), cpe_true=cpe[:, 2:] / theta_pre[:, None],
     )
 
 
@@ -492,14 +507,15 @@ def receiver_state(
     estimate when there is no IQ mismatch; ``demixed`` is the channel
     de-mixed with ``k1``, the ``(frames, m_r)`` block-averaged mismatch
     estimates (NaN for a block without one); ``genie`` is the ground-truth
-    channel, mismatch and noise power.  Returns the state of the frames
-    that run, and the ``(frames,)`` mask of them: a de-mixed frame runs
-    only when its ``k1`` separates the image.
+    channel, mismatch and each frame's noise power.  Returns the state of
+    the frames that run, and the ``(frames,)`` mask of them: a de-mixed
+    frame runs only when its ``k1`` separates the image.
     """
     ran = np.ones(frames.rx_grids.shape[0], dtype=bool)
     if estimate == "genie":
         gain = np.abs(config.iq.k1) ** 2 + np.abs(config.iq.k2) ** 2
-        psi = np.diag(gain * config.n * frames.sigma2).astype(np.complex128)
+        noise = gain * config.n * frames.sigma2[:, None]  # (frames, m_r)
+        psi = (noise[..., None] * np.eye(config.m_r)).astype(np.complex128)
         return EstimatorState(h_pre=frames.h_eff, k1=config.iq.k1, psi=psi), ran
     if estimate == "demixed":
         u = demix_channel(fe.est, k1)
@@ -526,54 +542,79 @@ def _chunk_frames(config: ScenarioConfig) -> int:
     return blocks * config.iq_frame_avg
 
 
-def _score_chunk(frames: SimulatedFrames, config: ScenarioConfig, acc: dict) -> None:
-    """Run every mode on one point's chunk of frames and add the scores to ``acc``.
+def _stack_points(config: ScenarioConfig) -> int:
+    """Grid points per stack: whole chunks within STACK_SYMBOLS, at least one point."""
+    chunk = min(_chunk_frames(config), config.frames)
+    return max(1, STACK_SYMBOLS // (chunk * config.symbols_per_frame))
 
-    A helper of its own, so that none of the point's arrays outlive it.
+
+def _score_chunk(frames: SimulatedFrames, config: ScenarioConfig, accs: list) -> None:
+    """Run every mode on a stack of points' chunks and add each point's scores to its accumulators.
+
+    ``frames`` holds ``len(accs)`` points' chunks of equal length one
+    after another on the frame axis, and ``accs[p]`` maps each mode to
+    point ``p``'s accumulator.  Every stage runs once for the whole stack;
+    a frame's results do not depend on the frames stacked with it.  The
+    ``iq_frame_avg`` blocks restart at each point's first frame.  A helper
+    of its own, so that none of the stack's arrays outlive it.
     """
     fc = config.frame
     estimating = [m for m in config.modes if _estimates_mismatch(m)]
     step = config.iq_frame_avg
     n_frames = frames.rx_grids.shape[0]
+    per_point = n_frames // len(accs)
     fe = front_end(frames, config)
     k1 = np.full((n_frames, config.m_r), np.nan, dtype=np.complex128)
     usable = np.isfinite(fe.g).all(axis=-1)
-    for b in range(0, n_frames, step):
-        g_block = fe.g[b : b + step][usable[b : b + step]]
-        if len(g_block):
-            k1[b : b + step] = k1_block = (1.0 + np.mean(g_block, axis=0)) / 2.0
-            for mode in estimating:
-                acc[mode].k1_mse_terms.append(compute_mse_k1(k1_block, config.iq.k1))
+    for p, acc in enumerate(accs):
+        end = (p + 1) * per_point
+        for b in range(p * per_point, end, step):
+            block = slice(b, min(b + step, end))
+            g_block = fe.g[block][usable[block]]
+            if len(g_block):
+                k1[block] = k1_block = (1.0 + np.mean(g_block, axis=0)) / 2.0
+                for mode in estimating:
+                    acc[mode].k1_mse_terms.append(compute_mse_k1(k1_block, config.iq.k1))
 
     states = {}  # estimate -> (state of the frames run, their mask, their mse_ce)
     for estimate in dict.fromkeys(RECEIVER_MODES[m][0] for m in config.modes):
         state, ran = receiver_state(frames, fe, config, estimate, k1)
         mse_ce = compute_mse_ce(state.h_pre, frames.h_eff[ran], config.preamble.used, config.n)
         states[estimate] = (state, ran, mse_ce)
+    del fe  # the preamble products are not held while the modes detect
     no_updates = np.ones((1, config.m_r), dtype=np.complex128)  # one system per frame and pair
     per_bin_bits = config.m_t * 4
+    frame_bits = frames.truth_bits[0].size
     for mode in config.modes:
         estimate, phase = RECEIVER_MODES[mode]
         state, ran, mse_ce = states[estimate]
         if not ran.any():
             continue
-        run = slice(None) if ran.all() else ran  # no copy of the chunk when all frames run
+        run = slice(None) if ran.all() else ran  # no copy of the stack when all frames run
         updates = {"none": no_updates, "tracked": None, "genie": frames.cpe_true[run]}
         dec = equalize_frame(
             frames.rx_grids[run], state, config.smap, config.pilots, fc.n_train,
             options=config.equalizer, phase_updates=updates[phase],
         )
-        truth = frames.truth_bits[run]
-        a = acc[mode]
-        wrong = (dec.bits != truth) & ~dec.erased[..., None, None]
-        a.bit_errors += int(wrong.sum()) + int(dec.erased.sum()) * per_bin_bits
-        a.bits_total += truth.size
-        for value in mse_ce:  # frame by frame, in order
-            a.mse_ce_sum += float(value)
-        a.flagged += dec.flagged_symbols
-        a.frames_run += len(mse_ce)
-        if not _estimates_mismatch(mode):
-            a.k1_mse_terms += [compute_mse_k1(state.k1, config.iq.k1)] * len(mse_ce)
+        n_run = len(mse_ce)
+        wrong = (dec.bits != frames.truth_bits[run]) & ~dec.erased[..., None, None]
+        errors = (
+            wrong.reshape(n_run, -1).sum(axis=1)
+            + dec.erased.reshape(n_run, -1).sum(axis=1) * per_bin_bits
+        )
+        flagged = dec.flagged.reshape(n_run, -1).sum(axis=1)
+        # each point's frames that ran: a run of rows in point order
+        bounds = [0, *np.cumsum(ran.reshape(len(accs), per_point).sum(axis=1)).tolist()]
+        for acc, lo, hi in zip(accs, bounds[:-1], bounds[1:]):
+            a = acc[mode]
+            a.bit_errors += int(errors[lo:hi].sum())
+            a.bits_total += (hi - lo) * frame_bits
+            for value in mse_ce[lo:hi]:  # frame by frame, in order
+                a.mse_ce_sum += float(value)
+            a.flagged += int(flagged[lo:hi].sum())
+            a.frames_run += hi - lo
+            if not _estimates_mismatch(mode):
+                a.k1_mse_terms += [compute_mse_k1(state.k1, config.iq.k1)] * (hi - lo)
 
 
 def run_point(config: ScenarioConfig, points) -> list[CampaignRow]:
@@ -581,28 +622,34 @@ def run_point(config: ScenarioConfig, points) -> list[CampaignRow]:
 
     ``points`` is a sequence of ``(snr_idx, beta_idx)`` pairs; the rows come
     back point by point in that order, one per mode.  Frames run in
-    chunks, each stage once per chunk on a leading frame axis.  A chunk's
-    channels, payload, noise-free streams and standard-normal draws are
-    simulated once and shared by every point of the group; each point
-    then adds its own noise, phase noise and IQ mixing and runs the
-    receivers.  A chunk holds whole blocks of ``iq_frame_avg`` frames: the
-    mismatch estimates of a block are averaged (the mismatch is static
-    hardware) and the block estimate drives detection and the
-    mismatch-MSE metric for its frames.  All modes see the same physical
-    realizations.
+    chunks of whole ``iq_frame_avg`` blocks.  A chunk's channels, payload,
+    noise-free streams and standard-normal draws are simulated once and
+    shared by every point of the group.  The points then go in stacks of
+    :func:`_stack_points`: each point of a stack adds its own noise, phase
+    noise and IQ mixing to the chunk, the stack's frames are put one point
+    after another on a leading frame axis, and every receiver stage runs
+    once for the stack.  The mismatch estimates of a block are averaged
+    (the mismatch is static hardware) and the block estimate drives
+    detection and the mismatch-MSE metric for its frames.  All modes see
+    the same physical realizations.
     """
     coords = [(float(config.snr_db[i]), float(config.beta_hz[j])) for i, j in points]
     root = RandomSource(config.master_seed)
 
     accs = [{mode: _Accumulator() for mode in config.modes} for _ in coords]
-    chunk = _chunk_frames(config)
+    chunk, stack = _chunk_frames(config), _stack_points(config)
     for start in range(0, config.frames, chunk):
         rngs = [root.child("frame", f) for f in range(start, min(start + chunk, config.frames))]
         draws = simulate_frame(config, rngs)
-        for (snr_db, beta), acc in zip(coords, accs):
-            frames = impair(draws, config, snr_db, beta)
-            _score_chunk(frames, config, acc)
-            del frames  # freed before the next point is impaired
+        for s in range(0, len(coords), stack):
+            parts = [impair(draws, config, snr_db, beta) for snr_db, beta in coords[s : s + stack]]
+            frames = SimulatedFrames(**{
+                f.name: np.concatenate([getattr(part, f.name) for part in parts])
+                for f in fields(SimulatedFrames)
+            })
+            del parts  # only the stacked copy is held while the stack is scored
+            _score_chunk(frames, config, accs[s : s + stack])
+            del frames  # freed before the next stack is impaired
         del draws  # not held while the next chunk is drawn
 
     rows = []

@@ -7,8 +7,8 @@ time (the package functions also take a single frame), so every array
 the chunked path produces must equal it bit for bit: the received grids,
 the effective channel and the genie phase, the noise correlation, the
 mismatch estimates and their block averages, every completed channel,
-the phase updates and the decisions.  A group of points must give the
-rows of its points run one by one.
+the phase updates and the decisions.  A group of points, scored in
+stacks of points, must give the rows of its points run one by one.
 """
 
 import dataclasses
@@ -164,7 +164,7 @@ def test_chunk_equals_frame_by_frame(m, ce_method, avg, detector, beta, n_frames
                 one["rx_grids"], one_state, smap, pilots, fc.n_train,
                 options=options, phase_updates=one_updates[phase],
             )
-            for key in ("bits", "soft", "erased"):
+            for key in ("bits", "soft", "erased", "flagged"):
                 np.testing.assert_array_equal(getattr(dec, key)[row], getattr(one_dec, key))
             if phase == "tracked":
                 np.testing.assert_array_equal(dec.cpe_history[row], one_dec.cpe_history)
@@ -219,6 +219,10 @@ GROUPS = [
     (2, (20.0,), (1e5, 5e3, 0.0), False, 12, 2),
     # no finite SNR and no positive linewidth: both draws unused
     (2, (float("inf"),), (0.0,), False, 2, 1),
+    # chunks that are not whole iq_frame_avg blocks: the blocks of a stack
+    # restart at each point's first frame
+    (2, (20.0, float("inf")), (0.0, 5e3), False, 3, 2),
+    (2, (20.0, float("inf")), (0.0, 5e3), False, 2, 50),
 ]
 
 
@@ -228,19 +232,21 @@ def exact(rows):
 
 
 @pytest.mark.parametrize("m, snrs, betas, shared, n_frames, avg", GROUPS)
-def test_group_equals_points_one_by_one(m, snrs, betas, shared, n_frames, avg):
+def test_group_equals_points_one_by_one(monkeypatch, m, snrs, betas, shared, n_frames, avg):
     config = ScenarioConfig(
         m_t=m, m_r=m, frames=n_frames, snr_db=snrs, beta_hz=betas, modes=MODES,
         iq_frame_avg=avg, symbols_per_frame=7, shared_oscillator=shared, master_seed=7100,
     )
     points = [(i, j) for i in range(len(snrs)) for j in range(len(betas))]
-    one_by_one = [row for p in points for row in harness.run_point(config, [p])]
-    assert exact(harness.run_point(config, points)) == exact(one_by_one)
-    assert exact(harness.run_point(config, points[::-1])) == exact(
-        row for p in points[::-1] for row in harness.run_point(config, [p])
-    )
+    alone = {p: harness.run_point(config, [p]) for p in points}  # a stack of one
+    # 1: one point per stack; 10**6: the whole group in one stack
+    for stack_symbols in (1, harness.STACK_SYMBOLS, 10**6):
+        monkeypatch.setattr(harness, "STACK_SYMBOLS", stack_symbols)
+        for order in (points, points[::-1]):
+            want = [row for p in order for row in alone[p]]
+            assert exact(harness.run_point(config, order)) == exact(want), stack_symbols
     if 1e5 in betas:
-        full = [r for r in one_by_one if r.beta_hz == 1e5 and r.mode == "full"]
+        full = [r for p in points for r in alone[p] if r.beta_hz == 1e5 and r.mode == "full"]
         assert 0 < full[0].frames_run < n_frames, "the 100 kHz point must lose some frames"
 
 

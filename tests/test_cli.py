@@ -171,6 +171,15 @@ class TestMain:
         rc = main(["--mode", "full,full", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("snr, beta", [("10,10", "0"), ("10", "0,0"), ("10,10", "0,0")])
+    def test_repeated_grid_value_exits_config(self, tmp_path, snr, beta):
+        # each would write the same rows twice and draw two series per chart
+        rc = main([
+            "--snr", snr, "--beta", beta, "--frames", "1", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exits_config(self, tmp_path):
         rc = main(["--config", str(tmp_path / "nope.cfg")])
         assert rc == EXIT_CONFIG

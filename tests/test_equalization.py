@@ -191,7 +191,7 @@ def per_symbol_tracker(data, state, smap, pilots, variant, ceiling=UPSILON_CEILI
     ch = c.conj().swapaxes(-1, -2)
     gram = ch @ c
     prev = np.ones(state.m_r, dtype=complex)
-    history, flagged = [], 0
+    history, flagged = [], []
     for x in data:
         z = np.stack([x[ctx.p_bins], np.conj(x[ctx.p_bins[ctx.p_mirror]])], axis=1)
         rhs = (ch @ np.moveaxis(z, 2, 0)[..., None])[..., 0]
@@ -211,9 +211,9 @@ def per_symbol_tracker(data, state, smap, pilots, variant, ceiling=UPSILON_CEILI
             else:
                 ups[q] = est
         history.append(ups)
-        flagged += rejected
+        flagged.append(rejected)
         prev = ups
-    return np.array(history), flagged
+    return np.array(history), np.array(flagged)
 
 
 class TestForwardFillTracker:
@@ -236,12 +236,13 @@ class TestForwardFillTracker:
         return data, state, pilots
 
     def _compare(self, smap, data, state, pilots, variant="re-derived"):
-        want_hist, want_flagged = per_symbol_tracker(data, state, smap, pilots, variant)
+        want_hist, want_flags = per_symbol_tracker(data, state, smap, pilots, variant)
         options = EqualizerOptions(tracking_variant=variant)
         dec = equalize_frame(data, state, smap, pilots, 0, options=options)
         np.testing.assert_array_equal(dec.cpe_history, want_hist)
-        assert dec.flagged_symbols == want_flagged
-        return dec, want_flagged
+        np.testing.assert_array_equal(dec.flagged, want_flags)
+        assert dec.flagged_symbols == want_flags.sum()
+        return dec, int(want_flags.sum())
 
     def test_rejection_on_first_symbol(self, smap64):
         data, state, pilots = self._frame(smap64, [[50, 1], 1, 1, 1, 1])
@@ -564,8 +565,9 @@ class TestStaticSystems:
             for rows in (1, n_data_syms)
         ]
         static, per_symbol = decs
-        for key in ("soft", "erased", "bits", "cpe_history"):
+        for key in ("soft", "erased", "bits", "cpe_history", "flagged"):
             assert np.array_equal(getattr(static, key), getattr(per_symbol, key)), key
         assert static.flagged_symbols == per_symbol.flagged_symbols == 0
+        assert static.flagged.shape == (frames, n_data_syms)
         assert static.erased[1].any() and not static.erased[[0, 2]].any()
         assert static.cpe_history.shape == (frames, n_data_syms, m)
