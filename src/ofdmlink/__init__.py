@@ -1,6 +1,6 @@
 """Baseband MIMO-OFDM link simulator with joint IQ-imbalance and phase-noise compensation."""
 
-from .channel import ChannelRealization, apply_channel, draw_channel, freq_response
+from .channel import ChannelRealization, apply_channel, draw_channel
 from .equalization import EqualizerOptions, equalize_frame
 from .estimation import (
     EstimationError,
@@ -36,14 +36,12 @@ from .impairments import (
     IqParams,
     apply_iq_imbalance,
     apply_phase_noise,
-    combined_freq_model,
     cpe_of,
     wiener_phase,
 )
 from .numerics import (
     ConfigurationError,
     RandomSource,
-    conj_mirror,
     dft,
     idft,
 )

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import ConfigurationError, RandomSource, dft, logical_to_bin
+from .numerics import ConfigurationError, RandomSource, dft
 
-__all__ = ["ChannelRealization", "exp_power_profile", "draw_channel", "freq_response", "apply_channel"]
+__all__ = ["ChannelRealization", "exp_power_profile", "draw_channel", "apply_channel"]
 
 
 def exp_power_profile(l_taps: int, decay: float) -> np.ndarray:
@@ -36,18 +36,14 @@ class ChannelRealization:
     """
 
     taps: np.ndarray          # (m_r, m_t, l) complex
-    pdp: np.ndarray           # (l,) nonnegative, sums to 1
     n_fft: int
-    freq: np.ndarray = field(repr=False, default=None)  # (n, m_r, m_t), cached
+    freq: np.ndarray = field(init=False, repr=False)  # (n, m_r, m_t), cached
 
     def __post_init__(self):
-        if abs(self.pdp.sum() - 1.0) > 1e-12:
-            raise ConfigurationError("power delay profile must sum to 1")
-        if self.freq is None:
-            m_r, m_t, l = self.taps.shape
-            padded = np.zeros((self.n_fft, m_r, m_t), dtype=np.complex128)
-            padded[:l] = np.moveaxis(self.taps, 2, 0)
-            object.__setattr__(self, "freq", dft(padded))
+        m_r, m_t, l = self.taps.shape
+        padded = np.zeros((self.n_fft, m_r, m_t), dtype=np.complex128)
+        padded[:l] = np.moveaxis(self.taps, 2, 0)
+        object.__setattr__(self, "freq", dft(padded))
 
     @property
     def m_r(self) -> int:
@@ -69,25 +65,15 @@ def draw_channel(
     decay: float,
     rng: RandomSource,
     n_fft: int = 64,
-    n_cp: int | None = None,
 ) -> ChannelRealization:
     """Draw an independent Rayleigh realization for every (receive, transmit) link.
 
-    When ``n_cp`` is given, enforces that the cyclic prefix covers the
-    delay spread (``l_taps <= n_cp``).
+    The cyclic prefix must cover the delay spread (``l_taps <= n_cp``);
+    ``harness.ScenarioConfig`` checks that before any frame runs.
     """
-    if n_cp is not None and l_taps > n_cp:
-        raise ConfigurationError(
-            f"channel length {l_taps} exceeds cyclic prefix {n_cp}"
-        )
     pdp = exp_power_profile(l_taps, decay)
     taps = rng.complex_normal(var=1.0, size=(m_r, m_t, l_taps)) * np.sqrt(pdp)
-    return ChannelRealization(taps=taps, pdp=pdp, n_fft=n_fft)
-
-
-def freq_response(ch: ChannelRealization, k: int) -> np.ndarray:
-    """Per-subcarrier response matrix at logical subcarrier ``k`` (m_r x m_t)."""
-    return ch.freq[logical_to_bin(k, ch.n_fft)]
+    return ChannelRealization(taps=taps, n_fft=n_fft)
 
 
 def apply_channel(tx: np.ndarray, ch: ChannelRealization) -> np.ndarray:

@@ -28,7 +28,7 @@ MAX_SNR_POINTS = 10_000  # an a:b:step range is refused beyond this, before it i
 
 
 def parse_config_file(path: str) -> dict:
-    """Read flat ``key = value`` lines; unknown keys are rejected."""
+    """Read flat ``key = value`` lines; unknown and repeated keys are rejected."""
     out = {}
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
@@ -40,6 +40,8 @@ def parse_config_file(path: str) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in SETTINGS:
                 raise ConfigurationError(f"{path}:{ln}: unknown key {key!r}")
+            if key in out:
+                raise ConfigurationError(f"{path}:{ln}: key {key!r} given twice")
             out[key] = val
     return out
 
@@ -81,18 +83,18 @@ def _parse_mimo(text: str) -> tuple[int, int]:
 
 
 def _parse_iq(text: str) -> tuple[float, float]:
-    theta_deg, amp_pct = None, None
+    parts = {}  # unit -> value
     for part in text.split(","):
         part = part.strip().lower()
-        if part.endswith("deg"):
-            theta_deg = float(part[:-3])
-        elif part.endswith("pct"):
-            amp_pct = float(part[:-3])
-        else:
+        unit = part[-3:]
+        if unit not in ("deg", "pct"):
             raise ConfigurationError(f"IQ spec parts must end in deg/pct, got {part!r}")
-    if theta_deg is None or amp_pct is None:
+        if unit in parts:
+            raise ConfigurationError(f"IQ spec gives a {unit} part twice, got {text!r}")
+        parts[unit] = float(part[:-3])
+    if len(parts) < 2:
         raise ConfigurationError("IQ spec needs both a deg and a pct part, e.g. 5deg,10pct")
-    return theta_deg, amp_pct
+    return parts["deg"], parts["pct"]
 
 
 def _parse_bool(text: str) -> bool:

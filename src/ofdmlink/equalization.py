@@ -29,7 +29,7 @@ guarded solver, :func:`_solve_pairs`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,7 +210,7 @@ class FrameDecisions:
     erased: np.ndarray    # (..., n_data_syms, n_data) bool
     flagged: np.ndarray   # (..., n_data_syms) bool: a tracked update was rejected
     flagged_symbols: int  # over every frame of the stack
-    cpe_history: np.ndarray = field(repr=False, default=None)  # (..., n_data_syms, m_r)
+    cpe_history: np.ndarray  # (..., n_data_syms, m_r) phase updates applied
 
 
 def _mixing_matrices(upsilon, h_k, h_mk, k1) -> np.ndarray:

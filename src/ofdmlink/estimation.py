@@ -45,7 +45,8 @@ __all__ = [
 
 log = logging.getLogger("ofdmlink")
 
-DEGENERATE_PAIR_TOL = 1e-9
+DEGENERATE_PAIR_TOL = 1e-9  # a smaller adjacent-bin difference of e gives no mismatch ratio
+REFINE_IQ_ITERS = 3  # de-mix and re-fit passes of refine_iq_channel
 ITERATIVE_REFINE_ITERS = 50  # tap-truncation passes of iterative_refine
 
 
@@ -128,7 +129,6 @@ def estimate_iq_params(
     chi_a: np.ndarray,
     e: np.ndarray,
     owner: np.ndarray,
-    tol: float = DEGENERATE_PAIR_TOL,
 ) -> np.ndarray:
     """IQ mismatch ``g = eps e^{-j theta}``, ``(..., m_r)``, from adjacent used-bin differences.
 
@@ -141,7 +141,7 @@ def estimate_iq_params(
     alpha = e[..., :-1, :] - e[..., 1:, :]
     beta = chi_a[..., :-1, :] - chi_a[..., 1:, :]
     cross = owner[:-1] != owner[1:]
-    ok = cross[:, None] & (np.abs(alpha) > tol)
+    ok = cross[:, None] & (np.abs(alpha) > DEGENERATE_PAIR_TOL)
     ratio = np.where(ok, 2.0 * np.divide(beta, np.where(ok, alpha, 1.0)) - 1.0, 0.0)
     counts = ok.sum(axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -221,26 +221,25 @@ def refine_iq_channel(
     owner: np.ndarray,
     g0: np.ndarray,
     psi: np.ndarray,
-    n_iters: int = 3,
 ) -> np.ndarray:
     """Refined ``(..., m_r)`` mismatch ``g``: alternate image de-mixing and re-estimation.
 
     The plain adjacent-bin estimate is polluted by the common-phase
     difference between the two training symbols (it leaks a mirrored
-    channel term into every bin).  Each iteration de-mixes the leakage
-    with the current mismatch estimate, fits its per-branch ratio by
-    least squares over the bins, subtracts it, and re-fits the mismatch
-    on the cleaned differences, noise-moment corrected with the
-    ``(..., m_r, m_r)`` noise+ICI correlation ``psi``.  Exact in the
-    noiseless regime, where the leakage is zero.  Frames (leading axes)
-    are independent; a frame whose estimate cannot de-mix the image, in
-    any iteration or at the end, gets NaN on every branch.
+    channel term into every bin).  Each of the :data:`REFINE_IQ_ITERS`
+    iterations de-mixes the leakage with the current mismatch estimate,
+    fits its per-branch ratio by least squares over the bins, subtracts
+    it, and re-fits the mismatch on the cleaned differences, noise-moment
+    corrected with the ``(..., m_r, m_r)`` noise+ICI correlation ``psi``.
+    Exact in the noiseless regime, where the leakage is zero.  Frames
+    (leading axes) are independent; a frame whose estimate cannot de-mix
+    the image, in any iteration or at the end, gets NaN on every branch.
     """
     g = np.asarray(g0, dtype=np.complex128)
     noise_var = np.maximum(np.real(np.diagonal(psi, axis1=-2, axis2=-1)), 0.0)
     failed = np.zeros(g.shape[:-1], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(n_iters):
+        for _ in range(REFINE_IQ_ITERS):
             k1 = (1.0 + g) / 2.0
             k2 = 1.0 - np.conj(k1)
             u, m, separable = _demix(est.chi_a, est.chi_b, k1)

@@ -26,7 +26,6 @@ __all__ = [
     "SubcarrierMap",
     "FrameConfig",
     "PreambleSet",
-    "FrameGroundTruth",
     "build_subcarrier_map",
     "qam16_map",
     "qam16_demap",
@@ -38,12 +37,16 @@ __all__ = [
     "assemble_frame",
 ]
 
-DEFAULT_TRAINING_SEED = 0x5EED
+TRAINING_SEED = 0x5EED  # of the preamble's and the short symbol's values
 _QAM16_LEVELS = np.array([-3.0, -1.0, 3.0, 1.0]) / np.sqrt(10.0)  # index = 2*b0 + b1, Gray
 _LEVELS_ASC = np.sort(_QAM16_LEVELS)
 _THRESHOLDS = (_LEVELS_ASC[:-1] + _LEVELS_ASC[1:]) / 2.0
 _GRAY_OF_ASC = np.argsort(_QAM16_LEVELS)  # ascending level -> Gray index
 MAX_FFT = 2**16  # the layout is built bin by bin, so a larger size only exhausts memory
+# Complex samples of one frame over all receive branches, symbols * (n + n_cp) * m_r:
+# a stream array of a frame this large is 256 MiB, and a chunk holds several.
+# An n = 4096, 4x4 frame of 50 symbols has 870400.
+MAX_FRAME_SAMPLES = 2**24
 _HADAMARD4 = np.array(
     [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
 )
@@ -118,6 +121,10 @@ class FrameConfig:
             raise ConfigurationError("antenna counts must be positive")
         if not 0 <= self.n_cp <= self.n:
             raise ConfigurationError("cyclic prefix must be nonnegative and not exceed the FFT size")
+        if self.symbols_per_frame * self.samples_per_symbol * self.m_r > MAX_FRAME_SAMPLES:
+            raise ConfigurationError(
+                f"a frame must hold at most {MAX_FRAME_SAMPLES} samples over all receive branches"
+            )
 
     @property
     def n_train(self) -> int:
@@ -201,15 +208,13 @@ class PreambleSet:
         return self.t1.shape[1]
 
 
-def build_preamble(
-    m_t: int, smap: SubcarrierMap, seed: int = DEFAULT_TRAINING_SEED
-) -> PreambleSet:
+def build_preamble(m_t: int, smap: SubcarrierMap) -> PreambleSet:
     """Subcarrier-multiplexed two-symbol preamble over the used bins."""
     if m_t < 1:
         raise ConfigurationError("need at least one transmit antenna")
     n = smap.n
     used = smap.used_bins
-    rng = RandomSource(seed).child("preamble-gamma")
+    rng = RandomSource(TRAINING_SEED).child("preamble-gamma")
     gamma = np.zeros(n, dtype=np.complex128)
     for k in used:
         if k > 0:
@@ -230,9 +235,7 @@ def build_preamble(
     )
 
 
-def build_short_symbol(
-    smap: SubcarrierMap, m_t: int, seed: int = DEFAULT_TRAINING_SEED
-) -> np.ndarray:
+def build_short_symbol(smap: SubcarrierMap, m_t: int) -> np.ndarray:
     """Short training symbol: constant-modulus values on used bins, nulls empty.
 
     All antennas carry the same base sequence rotated by per-antenna
@@ -240,7 +243,7 @@ def build_short_symbol(
     """
     n = smap.n
     used = smap.used_bins
-    rng = RandomSource(seed).child("short-symbol")
+    rng = RandomSource(TRAINING_SEED).child("short-symbol")
     base = np.exp(1j * (np.pi / 4) * (2 * rng.integers(4, size=used.size) + 1))
     grid = np.zeros((n, m_t), dtype=np.complex128)
     i = np.arange(used.size)
@@ -249,10 +252,8 @@ def build_short_symbol(
     return grid
 
 
-def pilot_matrix(m_t: int, n_pilots: int = 4) -> np.ndarray:
-    """Unit-modulus pilot values, one row per antenna, orthogonal across bins."""
-    if n_pilots != 4:
-        raise ConfigurationError("pilot design is defined for 4 pilot bins")
+def pilot_matrix(m_t: int) -> np.ndarray:
+    """Unit-modulus values on the 4 pilot bins, one row per antenna, orthogonal across bins."""
     if not 1 <= m_t <= 4:
         raise ConfigurationError("pilot design supports 1 to 4 transmit antennas")
     return _HADAMARD4[:m_t].astype(np.complex128)
@@ -282,37 +283,26 @@ def demodulate_frame(stream: np.ndarray, n: int, n_cp: int, n_symbols: int) -> n
     return np.ascontiguousarray(dft(windows, axis=-2))
 
 
-@dataclass(frozen=True)
-class FrameGroundTruth:
-    """Everything needed to score a frame after the receiver has run."""
-
-    bits: np.ndarray          # (..., n_data_syms, n_data, m_t, 4) uint8
-    data_symbols: np.ndarray  # (..., n_data_syms, n_data, m_t)
-    pilots: np.ndarray        # (m_t, n_pilots)
-
-
 def assemble_frame(
     config: FrameConfig,
     smap: SubcarrierMap,
     payload_bits: np.ndarray,
     preamble: PreambleSet,
-    short_symbol: np.ndarray | None = None,
-    pilots: np.ndarray | None = None,
-) -> tuple[np.ndarray, FrameGroundTruth]:
+    short_symbol: np.ndarray,
+    pilots: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Build the per-antenna frequency grids of one frame, or of a stack of them.
 
-    Layout: ``n_short`` short symbols, the two long training symbols,
-    then data symbols carrying payload plus pilots.  The last axis of
+    Layout: ``n_short`` short symbols (:func:`build_short_symbol`), the
+    two long training symbols, then data symbols carrying payload plus
+    the ``(m_t, 4)`` pilots (:func:`pilot_matrix`).  The last axis of
     ``payload_bits`` must hold exactly ``n_data_symbols * n_data * m_t * 4``
     bits; they fill the frame symbol-major, then data bin (ascending
-    logical), then antenna, then bit position.  Leading axes are
-    independent frames and lead every output array.
+    logical), then antenna, then bit position.  Returns the grids and the
+    payload as ``(..., n_data_syms, n_data, m_t, 4)`` bits; leading axes
+    are independent frames and lead both.
     """
     n, m_t = config.n, config.m_t
-    if short_symbol is None:
-        short_symbol = build_short_symbol(smap, m_t)
-    if pilots is None:
-        pilots = pilot_matrix(m_t, smap.pilot_bins.size)
     bits = np.asarray(payload_bits, dtype=np.uint8)
     expected = config.n_data_symbols * smap.n_data * m_t * 4
     if bits.ndim == 0 or bits.shape[-1] != expected:
@@ -329,5 +319,4 @@ def assemble_frame(
     grids[..., config.n_short + 1, :, :] = preamble.t2
     grids[..., config.n_train :, logical_to_bin(smap.data_bins, n), :] = data_syms
     grids[..., config.n_train :, logical_to_bin(smap.pilot_bins, n), :] = pilots.T
-    truth = FrameGroundTruth(bits=bits, data_symbols=data_syms, pilots=pilots)
-    return grids, truth
+    return grids, bits

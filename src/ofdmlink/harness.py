@@ -183,7 +183,7 @@ class ScenarioConfig:
         # the frame, grid, pilot, channel and receiver checks, before any frame
         # runs; each size is bounded before anything is allocated from it, and
         # reading a layout property builds it (and raises on a bad one)
-        self.frame, self.pilots
+        self.frame, self.smap, self.pilots
         if self.l_taps > self.n_cp:
             raise ConfigurationError("channel length must not exceed the cyclic prefix")
         exp_power_profile(self.l_taps, self.pdp_decay)
@@ -221,7 +221,7 @@ class ScenarioConfig:
 
     @cached_property
     def pilots(self) -> np.ndarray:
-        return pilot_matrix(self.m_t, self.smap.pilot_bins.size)
+        return pilot_matrix(self.m_t)
 
     @cached_property
     def iq(self) -> IqParams:
@@ -335,7 +335,7 @@ def simulate_frame(config: ScenarioConfig, rngs) -> FrameDraws:
     channels = [
         draw_channel(
             config.m_t, config.m_r, config.l_taps, config.pdp_decay,
-            rng.child("channel"), n_fft=config.n, n_cp=config.n_cp,
+            rng.child("channel"), n_fft=config.n,
         )
         for rng in rngs
     ]
@@ -343,7 +343,7 @@ def simulate_frame(config: ScenarioConfig, rngs) -> FrameDraws:
         rng.child("payload").integers(0, 2, size=fc.n_data_symbols * smap.n_data * config.m_t * 4)
         for rng in rngs
     ])
-    grids, truth = assemble_frame(
+    grids, truth_bits = assemble_frame(
         fc, smap, payload, config.preamble, short_symbol=config.short_symbol, pilots=config.pilots
     )
     tx = modulate_frame(grids, config.n_cp)
@@ -360,7 +360,7 @@ def simulate_frame(config: ScenarioConfig, rngs) -> FrameDraws:
     shape = (clean.shape[1] - 1, 1 if config.shared_oscillator else config.m_r)
     steps = np.stack([rng.child("phase").rng.standard_normal(shape) for rng in rngs])
     return FrameDraws(
-        clean=clean, noise=noise, steps=steps, truth_bits=truth.bits,
+        clean=clean, noise=noise, steps=steps, truth_bits=truth_bits,
         freq=np.stack([ch.freq for ch in channels]),
     )
 
@@ -490,7 +490,7 @@ def front_end(frames: SimulatedFrames, config: ScenarioConfig) -> FrontEnd:
     psi = estimate_noise_ici_corr(samples)
     est = estimate_preamble(rx[:, n_short], rx[:, n_short + 1], pre)
     g0 = estimate_iq_params(est.chi_a, est.e, pre.owner)
-    return FrontEnd(psi=psi, est=est, g=refine_iq_channel(est, pre.owner, g0, psi=psi))
+    return FrontEnd(psi=psi, est=est, g=refine_iq_channel(est, pre.owner, g0, psi))
 
 
 def receiver_state(

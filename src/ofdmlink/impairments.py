@@ -6,10 +6,9 @@ experiments).  IQ imbalance mixes every subcarrier with its conjugate
 mirror through the diagonal coefficients ``K1 = (1 + eps e^{-j theta})/2``
 and ``K2 = (1 - eps e^{j theta})/2``; ``K2 = 1 - conj(K1)`` holds exactly.
 
-The module also provides the noise-free frequency-domain prediction of
-the full receive chain (channel, phase-noise spectral mixing including
-all inter-carrier terms, then IQ image mixing), which the tests use as a
-cross-check oracle against the sample-level pipeline.
+The noise-free frequency-domain prediction of the whole receive chain,
+the tests' oracle for this sample-level pipeline, is in
+``tests/freq_oracle.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
-from .numerics import ConfigurationError, conj_mirror, dft
+from .numerics import ConfigurationError
 
 __all__ = [
     "IqParams",
@@ -27,8 +25,6 @@ __all__ = [
     "apply_phase_noise",
     "apply_iq_imbalance",
     "cpe_of",
-    "phase_noise_coeffs",
-    "combined_freq_model",
 ]
 
 
@@ -52,10 +48,6 @@ class IqParams:
         """Same mismatch on every branch; 10% amplitude excess means eps = 1.1."""
         eps = 1.0 + amp_pct / 100.0
         return cls(eps=np.full(m_r, eps), theta=np.full(m_r, np.deg2rad(theta_deg)))
-
-    @classmethod
-    def ideal(cls, m_r: int) -> "IqParams":
-        return cls(eps=np.ones(m_r), theta=np.zeros(m_r))
 
     @property
     def m_r(self) -> int:
@@ -135,43 +127,3 @@ def cpe_of(phi: np.ndarray, start, n_fft: int) -> np.ndarray:
     # take, not phi[..., idx, :]: the mean must see C order to sum as for one frame
     windows = np.take(phi, start[..., None] + np.arange(n_fft), axis=-2)
     return np.mean(np.exp(1j * windows), axis=-2)
-
-
-def phase_noise_coeffs(phi_window: np.ndarray) -> np.ndarray:
-    """Spectral mixing coefficients of one symbol's phase path.
-
-    Returns ``theta[d]`` for shifts ``d = 0 .. N-1`` (mod N) such that a
-    sample-wise rotation by ``e^{j phi}`` maps spectrum ``G`` to
-    ``sum_i theta[(i-k) mod N] G(i)`` at output bin ``k``.  ``theta[0]``
-    is the common phase error of the window.
-    """
-    n = phi_window.shape[0]
-    f = dft(np.exp(1j * phi_window)) / n
-    return f[(-np.arange(n)) % n]
-
-
-def combined_freq_model(
-    s: np.ndarray,
-    ch: ChannelRealization,
-    phi: np.ndarray,
-    iq: IqParams,
-    window_start: int,
-) -> np.ndarray:
-    """Noise-free frequency-domain prediction of one received OFDM symbol.
-
-    Includes the exact inter-carrier mixing of the phase path over the
-    symbol window (not just the common rotation), followed by the IQ
-    image mixing of the complete phase-noised spectrum.  ``s`` is the
-    ``(n, m_t)`` transmitted grid and ``phi`` the ``(n_samples, m_r)``
-    phase path; the result is ``(n, m_r)``.
-    """
-    n = ch.n_fft
-    if s.shape[0] != n:
-        raise ConfigurationError("grid size does not match the channel FFT size")
-    faded = np.einsum("kqp,kp->kq", ch.freq, s)  # (n, m_r): H(k) s(k) per branch
-    shifts = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n  # [k, i] -> i-k
-    r_pn = np.empty_like(faded)
-    for q in range(ch.m_r):
-        theta = phase_noise_coeffs(phi[window_start : window_start + n, q])
-        r_pn[:, q] = theta[shifts] @ faded[:, q]
-    return iq.k1[None, :] * r_pn + iq.k2[None, :] * conj_mirror(r_pn)

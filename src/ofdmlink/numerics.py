@@ -23,7 +23,6 @@ __all__ = [
     "RandomSource",
     "dft",
     "idft",
-    "conj_mirror",
     "condition_number",
     "well_conditioned",
     "logical_to_bin",
@@ -54,13 +53,6 @@ def idft(v: np.ndarray, axis: int = 0) -> np.ndarray:
     v = np.asarray(v)
     _require_pow2(v.shape[axis])
     return np.fft.ifft(v, axis=axis)
-
-
-def conj_mirror(g: np.ndarray) -> np.ndarray:
-    """Conjugate-mirror a grid: ``out(k) = conj(in(-k mod N))`` per column."""
-    g = np.asarray(g)
-    idx = (-np.arange(g.shape[0])) % g.shape[0]
-    return np.conj(g[idx])
 
 
 def logical_to_bin(k, n: int):
@@ -120,10 +112,6 @@ class RandomSource:
         self.master_seed = int(master_seed)
         self._path = _path
         self._gen: np.random.Generator | None = None
-
-    @property
-    def path(self) -> tuple:
-        return self._path
 
     def child(self, purpose: str, index: int = 0) -> "RandomSource":
         """Derive an independent source labelled ``(purpose, index)``."""

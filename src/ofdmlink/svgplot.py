@@ -17,12 +17,13 @@ _PALETTE = (
 
 _W, _H = 760, 500
 _ML, _MR, _MT, _MB = 70, 180, 40, 50
+_X_TICKS = 6  # x-axis ticks at most: an even split of the span, its step rounded up
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / (_X_TICKS - 1)
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 5, 10):
         if raw <= mult * mag:
@@ -46,7 +47,8 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     """Render one chart; ``series`` is a list of (label, xs, ys) triples.
 
     The y axis is decimal-log scaled; points that are not finite and
-    positive are dropped from their polyline (gaps are not bridged).
+    positive are dropped, and each series is one polyline, so a dropped
+    point's neighbours are joined by a straight segment.
     """
     pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys) if _drawable(y)]
     if pts:

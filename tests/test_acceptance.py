@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import gen_phase_noise, make_channel, owned_channel_columns, transmit_preamble
+from freq_oracle import combined_freq_model
 from ofdmlink.channel import apply_channel, draw_channel
 from ofdmlink.equalization import EqualizerOptions, equalize_frame
 from ofdmlink.estimation import (
@@ -31,7 +32,6 @@ from ofdmlink.impairments import (
     IqParams,
     apply_iq_imbalance,
     apply_phase_noise,
-    combined_freq_model,
     wiener_phase,
 )
 from ofdmlink.numerics import RandomSource, logical_to_bin
@@ -51,7 +51,7 @@ def test_criterion_01_model_equivalence_oracle():
     root = RandomSource(2024)
     for trial in range(20):
         rng = root.child("cfg", trial)
-        ch = draw_channel(2, 2, 7, 2.0, rng.child("ch"), n_fft=n, n_cp=n_cp)
+        ch = draw_channel(2, 2, 7, 2.0, rng.child("ch"), n_fft=n)
         g = rng.child("iq")
         iq = IqParams(
             eps=1.0 + 0.2 * g.rng.random(2),

@@ -40,12 +40,12 @@ def oracle_frame(config, snr_db, beta, rng):
     fc, smap = config.frame, config.smap
     ch = draw_channel(
         config.m_t, config.m_r, config.l_taps, config.pdp_decay,
-        rng.child("channel"), n_fft=config.n, n_cp=config.n_cp,
+        rng.child("channel"), n_fft=config.n,
     )
     payload = rng.child("payload").integers(
         0, 2, size=fc.n_data_symbols * smap.n_data * config.m_t * 4
     )
-    grids, truth = assemble_frame(
+    grids, truth_bits = assemble_frame(
         fc, smap, payload, config.preamble, short_symbol=config.short_symbol, pilots=config.pilots
     )
     rx = apply_channel(modulate_frame(grids, config.n_cp), ch)
@@ -62,7 +62,7 @@ def oracle_frame(config, snr_db, beta, rng):
     cpe = cpe_of(phi, fc.symbol_window(np.arange(fc.n_short, fc.symbols_per_frame)), config.n)
     theta_pre = 0.5 * (cpe[0] + cpe[1])
     return dict(
-        rx_grids=rx_grids, truth_bits=truth.bits, h_eff=theta_pre[None, :, None] * ch.freq,
+        rx_grids=rx_grids, truth_bits=truth_bits, h_eff=theta_pre[None, :, None] * ch.freq,
         sigma2=sigma2, cpe_true=cpe[2:] / theta_pre,
     )
 

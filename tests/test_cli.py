@@ -71,6 +71,9 @@ class TestParsers:
             _parse_iq("5,10")
         with pytest.raises(ConfigurationError):
             _parse_iq("5deg")
+        for text in ("5deg,10pct,7deg", "5deg,10pct,20pct"):  # a part given twice
+            with pytest.raises(ConfigurationError, match="twice"):
+                _parse_iq(text)
 
 
 class TestConfigFile:
@@ -118,6 +121,19 @@ symbols_per_frame = 6
         assert [m[1] for m in keys if m] == list(SETTINGS)
         flags = set(re.findall(r"--(\w+)", _arg_parser().format_help())) - {"help", "config"}
         assert set(re.findall(r"^(\w+) = ", flagged, re.M)) == flags
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # the last value was kept
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("snr = 10\nbeta = 0\nsnr = 20\n")
+        with pytest.raises(ConfigurationError, match="snr"):
+            parse_config_file(cfg)
+
+    @pytest.mark.parametrize("values", [{"mimo": "2x100000"}, {"symbols_per_frame": "1000000000"}])
+    def test_oversized_frame_refused(self, values):
+        # built, never run: 2x100000 would allocate about 6.4 GB per stream array
+        with pytest.raises(ConfigurationError, match="frame"):
+            build_config(values)
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -177,6 +193,17 @@ class TestMain:
         rc = main([
             "--snr", snr, "--beta", beta, "--frames", "1", "--out", str(tmp_path / "out"),
         ])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, file", [
+        (["--iq", "5deg,10pct,7deg"], ""),
+        ([], "snr = 20\nsnr = 30\n"),
+    ])
+    def test_repeated_part_exits_config(self, tmp_path, args, file):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"beta = 0\nframes = 1\nmode = genie\n{file}")
+        rc = main(["--config", str(cfg), *args, "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 

@@ -22,6 +22,7 @@ from ofdmlink.framing import (
     FrameConfig,
     assemble_frame,
     build_preamble,
+    build_short_symbol,
     build_subcarrier_map,
     demodulate_frame,
     modulate_frame,
@@ -40,7 +41,7 @@ from ofdmlink.numerics import (
 
 def genie_state(ch, iq=None, psi_scale=0.0, theta_pre=None):
     m_r = ch.m_r
-    iq = iq if iq is not None else IqParams.ideal(m_r)
+    iq = iq if iq is not None else IqParams.uniform(m_r, 0.0, 0.0)
     h = ch.freq.copy()
     if theta_pre is not None:
         h = h * np.asarray(theta_pre)[None, :, None]
@@ -445,22 +446,22 @@ class TestEqualizeFrame:
         smap = build_subcarrier_map(64)
         pre = build_preamble(m_t, smap)
         pilots = pilot_matrix(m_t)
-        bits = RandomSource(seed).child("payload").integers(
+        payload = RandomSource(seed).child("payload").integers(
             0, 2, size=config.n_data_symbols * 48 * m_t * 4
         )
-        grids, truth = assemble_frame(config, smap, bits, pre, pilots=pilots)
+        grids, bits = assemble_frame(config, smap, payload, pre, build_short_symbol(smap, m_t), pilots)
         ch = make_channel(m_t=m_t, m_r=m_r, seed=seed)
         rx = apply_channel(modulate_frame(grids, 16), ch)
         if iq is not None:
             rx = apply_iq_imbalance(rx, iq)
         rx_grids = demodulate_frame(rx, 64, 16, symbols)
-        return config, smap, pre, pilots, truth, ch, rx_grids
+        return config, smap, pre, pilots, bits, ch, rx_grids
 
     def test_impairment_free_loopback_is_bit_exact(self):
-        config, smap, pre, pilots, truth, ch, rx = self._loopback_frame()
+        config, smap, pre, pilots, bits, ch, rx = self._loopback_frame()
         state = genie_state(ch)
         dec = equalize_frame(rx, state, smap, pilots, config.n_train)
-        np.testing.assert_array_equal(dec.bits, truth.bits)
+        np.testing.assert_array_equal(dec.bits, bits)
         assert not dec.erased.any()
         assert dec.flagged_symbols == 0
 
@@ -476,27 +477,27 @@ class TestEqualizeFrame:
         )
 
         iq = IqParams.uniform(2, 5.0, 10.0)
-        config, smap, pre, pilots, truth, ch, rx = self._loopback_frame(iq=iq)
+        config, smap, pre, pilots, bits, ch, rx = self._loopback_frame(iq=iq)
         est = estimate_preamble(rx[1], rx[2], pre)
         g0 = estimate_iq_params(est.chi_a, est.e, pre.owner)
         k1 = (1.0 + refine_iq_channel(est, pre.owner, g0, np.zeros((2, 2)))) / 2.0
         h = iterative_refine(demix_channel(est, k1), pre, smap, l_taps=7)
         state = EstimatorState(h_pre=h, k1=k1, psi=np.zeros((2, 2), dtype=complex))
         dec = equalize_frame(rx, state, smap, pilots, config.n_train)
-        np.testing.assert_array_equal(dec.bits, truth.bits)
+        np.testing.assert_array_equal(dec.bits, bits)
 
     def test_every_data_bin_detected_once(self):
-        config, smap, pre, pilots, truth, ch, rx = self._loopback_frame()
+        config, smap, pre, pilots, bits, ch, rx = self._loopback_frame()
         state = genie_state(ch)
         dec = equalize_frame(rx, state, smap, pilots, config.n_train)
         # soft estimates populated on every data bin of every symbol
         assert dec.soft.shape == (config.n_data_symbols, 48, 2)
         np.testing.assert_allclose(
-            dec.soft, truth.data_symbols, atol=1e-6
+            dec.soft, qam16_map(bits).reshape(dec.soft.shape), atol=1e-6
         )
 
     def test_erasures_counted_for_singular_pairs(self):
-        config, smap, pre, pilots, truth, ch, rx = self._loopback_frame()
+        config, smap, pre, pilots, bits, ch, rx = self._loopback_frame()
         state = genie_state(ch)
         state.h_pre[...] = 0.0  # force rank deficiency everywhere
         dec = equalize_frame(rx, state, smap, pilots, config.n_train)
@@ -504,7 +505,7 @@ class TestEqualizeFrame:
 
     def test_tracking_reduces_rotation_error(self):
         # A per-symbol common rotation is corrected when tracking is on.
-        config, smap, pre, pilots, truth, ch, rx_clean = self._loopback_frame(symbols=10)
+        config, smap, pre, pilots, bits, ch, rx_clean = self._loopback_frame(symbols=10)
         rot = np.exp(1j * 0.35)
         rx = rx_clean.copy()
         rx[config.n_train :] *= rot
@@ -514,13 +515,14 @@ class TestEqualizeFrame:
             rx, state, smap, pilots, config.n_train,
             phase_updates=np.ones((config.n_data_symbols, 2), dtype=complex),
         )
-        err_tracked = np.mean(np.abs(tracked.soft - truth.data_symbols) ** 2)
-        err_frozen = np.mean(np.abs(frozen.soft - truth.data_symbols) ** 2)
+        sent = qam16_map(bits).reshape(tracked.soft.shape)
+        err_tracked = np.mean(np.abs(tracked.soft - sent) ** 2)
+        err_frozen = np.mean(np.abs(frozen.soft - sent) ** 2)
         assert err_tracked < 0.1 * err_frozen
         np.testing.assert_allclose(tracked.cpe_history, rot, atol=1e-6)
 
     def test_genie_cpe_override(self):
-        config, smap, pre, pilots, truth, ch, rx_clean = self._loopback_frame(symbols=6)
+        config, smap, pre, pilots, bits, ch, rx_clean = self._loopback_frame(symbols=6)
         rots = np.exp(1j * np.linspace(0.1, 0.5, config.n_data_symbols))
         rx = rx_clean.copy()
         for j, r in enumerate(rots):
@@ -530,7 +532,7 @@ class TestEqualizeFrame:
         dec = equalize_frame(
             rx, state, smap, pilots, config.n_train, phase_updates=override
         )
-        np.testing.assert_array_equal(dec.bits, truth.bits)
+        np.testing.assert_array_equal(dec.bits, bits)
 
 
 class TestStaticSystems:

@@ -188,14 +188,15 @@ class TestRefinement:
         expected = h_cols * ((theta1 + theta2) / 2)[None, :]
         assert np.abs(u - expected).max() < 1e-10
 
-    def test_refinement_beats_plain_under_cpe_difference(self, smap64):
+    def test_refinement_beats_plain_under_cpe_difference(self, smap64, monkeypatch):
+        monkeypatch.setattr(estimation, "REFINE_IQ_ITERS", 30)
         theta1 = np.exp(1j * np.array([0.35, -0.15]))
         theta2 = np.exp(1j * np.array([-0.05, 0.25]))
         iq = IqParams.uniform(2, 5.0, 10.0)
         _, pre, est, _ = self._synthetic_cpe_difference(smap64, 82, theta1, theta2, iq)
         g_true = iq.eps * np.exp(-1j * iq.theta)
         plain = estimate_iq_params(est.chi_a, est.e, pre.owner)
-        refined = refine_iq_channel(est, pre.owner, plain, np.zeros((2, 2)), n_iters=30)
+        refined = refine_iq_channel(est, pre.owner, plain, np.zeros((2, 2)))
         err_plain = np.abs(plain - g_true).max()
         err_refined = np.abs(refined - g_true).max()
         assert err_plain > 1e-3  # the leakage visibly pollutes the one-shot estimate
@@ -214,15 +215,14 @@ class TestRefinement:
         u = demix_channel(est, (1.0 + refined) / 2.0)
         np.testing.assert_allclose(u, owned_channel_columns(ch, pre), atol=1e-9)
 
-    def test_unseparable_final_estimate_refused(self, smap64):
+    def test_unseparable_final_estimate_refused(self, smap64, monkeypatch):
         # Re(g) = |K1|^2 - |K2|^2 below 0.1 cannot de-mix the image, so the
         # estimate is refused (NaN) even when no iteration runs.
         ch = make_channel(seed=84)
         pre = build_preamble(2, smap64)
         est = estimate_preamble(*transmit_preamble(ch, pre), pre)
-        got = refine_iq_channel(
-            est, pre.owner, np.array([0.05 + 1.1j, 1.0]), np.zeros((2, 2)), n_iters=0
-        )
+        monkeypatch.setattr(estimation, "REFINE_IQ_ITERS", 0)
+        got = refine_iq_channel(est, pre.owner, np.array([0.05 + 1.1j, 1.0]), np.zeros((2, 2)))
         assert np.isnan(got).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0), complex(1.0, np.inf)])

@@ -1,6 +1,7 @@
 """Every public name the package declares resolves to an object; importing it loads no scipy.
 
-No module imports a name it never reads, so a removal leaves no stale import behind.
+No module imports a name it never reads, so a removal leaves no stale import behind, and
+the package reads every name it exports, so it ships nothing that only the tests use.
 """
 
 import ast
@@ -41,6 +42,14 @@ def test_public_names_resolve(module):
     assert not missing, missing
 
 
+def _exports(tree: ast.Module) -> list:
+    """The names in a module's ``__all__`` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
 def _unused_imports(source: str) -> list:
     """Names a module imports and never reads; an ``__all__`` entry counts as a read."""
     tree = ast.parse(source)
@@ -51,10 +60,7 @@ def _unused_imports(source: str) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            read.update(ast.literal_eval(node.value))
-    return sorted(imported - read)
+    return sorted(imported - read - set(_exports(tree)))
 
 
 def test_unused_import_check_sees_one():
@@ -67,6 +73,44 @@ def test_module_imports_only_what_it_uses(module):
     # __init__ is exempt: importing a name there is how the package exports it
     source = pathlib.Path(ofdmlink.__file__).with_name(f"{module}.py").read_text()
     assert _unused_imports(source) == []
+
+
+# exports that nothing in the package reads by design
+ENTRY_POINTS = {"cli.main"}  # the console script
+
+
+def _unread_exports(sources: dict) -> list:
+    """``module.name`` of each ``__all__`` name that no module reads, by name or attribute.
+
+    ``sources`` maps module name to source text; a definition, an import
+    or an export list is not a read.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        f"{module}.{name}" for module, tree in trees.items() for name in _exports(tree) if name not in read
+    )
+
+
+def test_unread_export_check_sees_one():
+    sources = {
+        "a": "__all__ = ['f', 'g', 'K']\nK = 1\ndef f(): return K\ndef g(): pass\n",
+        "b": "from .a import f\n__all__ = ['h']\ndef h(x): return f(x.g)\n",
+    }
+    assert _unread_exports(sources) == ["b.h"]
+
+
+def test_package_reads_every_export():
+    # an export that only the tests read belongs under tests/
+    root = pathlib.Path(ofdmlink.__file__).parent
+    sources = {module: (root / f"{module}.py").read_text() for module in MODULES}
+    assert [name for name in _unread_exports(sources) if name not in ENTRY_POINTS] == []
 
 
 def test_import_loads_no_scipy():

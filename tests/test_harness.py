@@ -89,9 +89,9 @@ class TestSnrCalibration:
         p_sig, p_expected = [], []
         for i in range(500):  # 8500 data symbols
             rng = root.child("cal", i)
-            ch = draw_channel(2, 2, 7, 2.0, rng.child("channel"), n_cp=16)
+            ch = draw_channel(2, 2, 7, 2.0, rng.child("channel"))
             bits = rng.child("payload").integers(0, 2, size=fc.n_data_symbols * 48 * 2 * 4)
-            grids, _ = assemble_frame(fc, smap, bits, pre)
+            grids, _ = assemble_frame(fc, smap, bits, pre, config.short_symbol, config.pilots)
             rx = apply_channel(modulate_frame(grids, 16), ch)
             p_sig.append(np.mean(np.abs(rx[3 * 80 : 20 * 80]) ** 2))
             # per-branch received power given these taps: channel energy
@@ -500,10 +500,16 @@ class TestConfigValidation:
         dict(iq_amp_pct=1e300),            # eigvalsh does not converge
         dict(iq_amp_pct=-100.0),           # zero amplitude ratio
         dict(iq_theta_deg=float("inf")),
-        dict(pdp_decay=float("nan")),      # a nan profile passed the sum check
+        dict(pdp_decay=float("nan")),      # nan fails every comparison, so a check must be written for it
         dict(n=2**40),                     # a size this large would exhaust memory
         dict(l_taps=2**31, n_cp=16),       # allocated the profile before the prefix check
+        dict(m_r=100_000),                 # about 6.4 GB per stream array of the first chunk
+        dict(symbols_per_frame=10**9),
     ])
     def test_rejects_values_that_broke_a_run(self, fields):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(**fields)
+
+    def test_frame_bound_admits_a_large_fft_4x4_frame(self):
+        config = ScenarioConfig(m_t=4, m_r=4, n=4096, n_cp=256)  # constructed, never run
+        assert config.symbols_per_frame == 50

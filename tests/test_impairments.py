@@ -1,18 +1,17 @@
-"""Tests for phase-noise and IQ-imbalance generation, injection, and the frequency-domain model."""
+"""Tests for phase-noise and IQ-imbalance generation and injection, and the frequency-domain oracle."""
 
 import numpy as np
 import pytest
 
 from conftest import gen_phase_noise
+from freq_oracle import combined_freq_model, phase_noise_coeffs
 from ofdmlink.channel import apply_channel, draw_channel
 from ofdmlink.framing import demodulate_frame, modulate_frame
 from ofdmlink.impairments import (
     IqParams,
     apply_iq_imbalance,
     apply_phase_noise,
-    combined_freq_model,
     cpe_of,
-    phase_noise_coeffs,
     wiener_phase,
 )
 from ofdmlink.numerics import ConfigurationError, RandomSource, dft
@@ -37,7 +36,7 @@ class TestIqParams:
         np.testing.assert_allclose(iq.k2, direct, atol=1e-15)
 
     def test_ideal_is_identity(self):
-        iq = IqParams.ideal(3)
+        iq = IqParams.uniform(3, 0.0, 0.0)
         np.testing.assert_allclose(iq.k1, 1.0)
         np.testing.assert_allclose(iq.k2, 0.0)
 
@@ -131,7 +130,7 @@ class TestApplyPhaseNoise:
 class TestApplyIqImbalance:
     def test_ideal_identity(self):
         x = np.arange(8, dtype=complex).reshape(4, 2) + 1j
-        np.testing.assert_array_equal(apply_iq_imbalance(x, IqParams.ideal(2)), x)
+        np.testing.assert_array_equal(apply_iq_imbalance(x, IqParams.uniform(2, 0.0, 0.0)), x)
 
     def test_image_rejection_ratio(self):
         # A pure tone leaks into its mirror bin with power |K2/K1|^2.
@@ -217,7 +216,7 @@ class TestCombinedModel:
         rng = np.random.default_rng(14)
         s = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
         phi = np.zeros((200, 2))
-        out = combined_freq_model(s, ch, phi, IqParams.ideal(2), 16)
+        out = combined_freq_model(s, ch, phi, IqParams.uniform(2, 0.0, 0.0), 16)
         np.testing.assert_allclose(out, np.einsum("kqp,kp->kq", ch.freq, s), atol=1e-12)
 
     def test_iq_only_specialization(self):
@@ -262,7 +261,7 @@ class TestCombinedModel:
         for _ in range(400):
             s = rng.normal(size=(64, 1)) + 1j * rng.normal(size=(64, 1))
             faded = np.einsum("kqp,kp->kq", ch.freq, s)
-            out = combined_freq_model(s, ch, phi, IqParams.ideal(1), 16)
+            out = combined_freq_model(s, ch, phi, IqParams.uniform(1, 0.0, 0.0), 16)
             zeta = out - theta0 * faded
             ratios.append(np.sum(np.abs(zeta) ** 2) / np.sum(np.abs(faded) ** 2))
         assert np.mean(ratios) == pytest.approx(1.0 - np.abs(theta0) ** 2, rel=0.05)

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import eigvalsh_verdicts
+from freq_oracle import conj_mirror
 from ofdmlink.numerics import (
     CONDITION_LIMIT,
     ConfigurationError,
     RandomSource,
     condition_number,
-    conj_mirror,
     dft,
     idft,
     well_conditioned,
@@ -56,6 +56,8 @@ class TestDft:
 
 
 class TestConjMirror:
+    """The conjugate mirror that the frequency-domain oracle applies to the IQ image."""
+
     def test_dc_bin_self_mirrors(self):
         g = np.arange(8) + 1j
         assert conj_mirror(g)[0] == np.conj(g[0])
