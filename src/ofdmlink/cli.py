@@ -162,9 +162,10 @@ def _arg_parser() -> argparse.ArgumentParser:
         prog="simulate",
         description="Run a seeded MIMO-OFDM link campaign and write CSV plus SVG charts.",
     )
-    ap.add_argument("--config", help="flat key=value config file")
+    # every flag collects its values, so that main can refuse one given twice
+    ap.add_argument("--config", action="append", help="flat key=value config file")
     for flag, help_text in _flags().items():
-        ap.add_argument(flag, help=help_text)
+        ap.add_argument(flag, action="append", help=help_text)
     return ap
 
 
@@ -186,10 +187,13 @@ def _join_flag_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _arg_parser().parse_args(_join_flag_values(argv))
+    args = {k: v for k, v in vars(_arg_parser().parse_args(_join_flag_values(argv))).items() if v}
     try:
-        values = parse_config_file(args.config) if args.config else {}
-        values.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
+        for key, given in args.items():
+            if len(given) > 1:
+                raise ConfigurationError(f"flag --{key} given {len(given)} times")
+        values = parse_config_file(args.pop("config")[0]) if "config" in args else {}
+        values.update((k, v[0]) for k, v in args.items())
         config, out_dir = build_config(values)
     except (ConfigurationError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -7,11 +7,12 @@ from the master seed through the frame index alone, so every grid point
 sees the same draws (common random numbers) and cross-point comparisons
 are paired too.  A campaign splits the grid into ``min(workers, points)``
 interleaved groups, one task each; a task simulates each chunk of frames
-once (:func:`simulate_frame`), impairs it per point (:func:`impair`) and
-runs the receiver once per stack of points, their frames one point after
-another on the frame axis (see :data:`STACK_SYMBOLS`).  A frame's results
-do not depend on the frames stacked with it, so every result is
-byte-reproducible regardless of worker count, stacking or scheduling.
+once (:func:`simulate_frame`), makes each linewidth's phase noise once per
+chunk, and impairs (:func:`impair`) and runs the receiver once per stack
+of points, their frames one point after another on the frame axis (see
+:data:`STACK_SYMBOLS`).  A frame's results do not depend on the frames
+stacked with it, so every result is byte-reproducible regardless of
+worker count, stacking or scheduling.
 Each stage runs on every frame: all frames draw their noise and phase
 steps, and the front end always estimates the mismatch.  The layout a
 config implies (frame, subcarrier map, training symbols, pilots) and its
@@ -117,6 +118,12 @@ CHUNK_SYMBOLS = 64
 # triple the chunk of a one-point campaign.
 STACK_SYMBOLS = 160
 
+# Complex samples of a chunk over all receive branches, frames * samples * m_r.
+# A chunk is at least one iq_frame_avg block, so the frame bound alone does not
+# bound it: at this bound each of a chunk's stream arrays is 256 MiB.  The
+# n = 4096, 4x4 frame of 50 symbols fills one chunk with 870400.
+MAX_CHUNK_SAMPLES = 2**24
+
 # Bytes of the completion operators, n * n_used complex values in all.  Their
 # build holds m_t times as much, a few times over inside iterative_refine (about
 # 45 MB at n = 512, m_t = 4), and a product costs n_used multiplies per bin
@@ -194,6 +201,12 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown ce method {self.ce_method!r}")
         if self.iq_frame_avg < 1:
             raise ConfigurationError("iq_frame_avg must be >= 1")
+        chunk = min(_chunk_frames(self), self.frames)
+        if chunk * self.symbols_per_frame * (self.n + self.n_cp) * self.m_r > MAX_CHUNK_SAMPLES:
+            raise ConfigurationError(
+                f"a chunk of {chunk} frames must hold at most {MAX_CHUNK_SAMPLES} samples "
+                "over all receive branches; lower iq_frame_avg"
+            )
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
 
@@ -314,7 +327,7 @@ class SimulatedFrames:
     """A chunk of frames' physics at one or more grid points, shared by every receiver mode."""
 
     rx_grids: np.ndarray         # (frames, symbols, n, m_r) demodulated with impairments
-    truth_bits: np.ndarray       # (frames, n_data_syms, n_data, m_t, 4)
+    truth_bits: np.ndarray       # (frames of one point, n_data_syms, n_data, m_t, 4)
     h_eff: np.ndarray            # (frames, n, m_r, m_t) channel fused with the preamble-time phase
     sigma2: np.ndarray           # (frames,) time-domain noise variance per branch
     cpe_true: np.ndarray         # (frames, n_data_syms, m_r) genie per-symbol updates
@@ -365,39 +378,59 @@ def simulate_frame(config: ScenarioConfig, rngs) -> FrameDraws:
     )
 
 
-def impair(
-    draws: FrameDraws, config: ScenarioConfig, snr_db: float, beta: float
-) -> SimulatedFrames:
-    """Add one grid point's noise, phase noise and IQ mixing to a chunk's shared draws.
+def _phase(draws: FrameDraws, config: ScenarioConfig, beta: float) -> tuple:
+    """A chunk's phase noise at one linewidth: the rotation ``exp(j phi)``, ``h_eff``, ``cpe_true``.
 
-    Scaling a standard-normal draw equals drawing at that scale bit for
-    bit, so the result does not depend on which points share the draws.
+    The common phase errors are read from the rotation that turns the
+    streams, so ``exp`` runs once per linewidth and chunk.
     """
-    # SNR is referenced to the average received data-symbol power per branch
-    # with unit-energy constellation and unit-energy channel.
-    p_rx = config.m_t * config.smap.n_used / config.n**2
-    sigma2 = 0.0 if math.isinf(snr_db) else p_rx / 10.0 ** (snr_db / 10.0)
-    rx = draws.clean
-    if not math.isinf(snr_db):
-        rx = np.multiply(draws.noise, np.sqrt(sigma2 / 2.0))
-        rx += draws.clean
-    if beta > 0:
-        phi = wiener_phase(beta, config.ts, draws.steps, config.m_r)
-    else:
-        phi = np.zeros(rx.shape)
-    rx = apply_phase_noise(rx, phi)
-    rx = apply_iq_imbalance(rx, config.iq)
-    rx_grids = demodulate_frame(rx, config.n, config.n_cp, config.symbols_per_frame)
-
+    rotation = 1j * wiener_phase(beta, config.ts, draws.steps, config.m_r)
+    np.exp(rotation, out=rotation)  # in place: a chunk of streams is large
     # The preamble-stage estimator targets the channel fused with the mean
     # common phase of the two long training symbols (rows 0 and 1).
     fc = config.frame
-    cpe = cpe_of(phi, fc.symbol_window(np.arange(fc.n_short, fc.symbols_per_frame)), config.n)
+    cpe = cpe_of(rotation, fc.symbol_window(np.arange(fc.n_short, fc.symbols_per_frame)), config.n)
     theta_pre = 0.5 * (cpe[:, 0] + cpe[:, 1])
+    return rotation, theta_pre[:, None, :, None] * draws.freq, cpe[:, 2:] / theta_pre[:, None]
+
+
+def impair(draws: FrameDraws, config: ScenarioConfig, points, phases: dict) -> SimulatedFrames:
+    """Add a stack of grid points' noise, phase noise and IQ mixing to a chunk's shared draws.
+
+    ``points`` is a sequence of ``(snr_db, beta)`` pairs, impaired and
+    demodulated as one ``(points, frames, samples, m_r)`` stream; their
+    frames come back one point after another, with the chunk's bits once.
+    ``phases`` caches :func:`_phase` by linewidth for a chunk's stacks,
+    which run linewidth-major: only the last point's linewidth is kept for
+    the next stack.  Scaling a standard-normal draw equals drawing at that
+    scale bit for bit, so the result does not depend on which points share
+    the draws.
+    """
+    for _, beta in points:
+        if beta not in phases:
+            phases[beta] = _phase(draws, config, beta)
+    # SNR is referenced to the average received data-symbol power per branch
+    # with unit-energy constellation and unit-energy channel.
+    p_rx = config.m_t * config.smap.n_used / config.n**2
+    sigma2 = [0.0 if math.isinf(snr_db) else p_rx / 10.0 ** (snr_db / 10.0) for snr_db, _ in points]
+    rx = np.empty((len(points), *draws.clean.shape), dtype=np.complex128)
+    for p, (snr_db, beta) in enumerate(points):
+        if math.isinf(snr_db):
+            rx[p] = draws.clean
+        else:
+            np.multiply(draws.noise, np.sqrt(sigma2[p] / 2.0), out=rx[p])
+            rx[p] += draws.clean
+        apply_phase_noise(rx[p], phases[beta][0])
+    h_eff = np.concatenate([phases[beta][1] for _, beta in points])
+    cpe_true = np.concatenate([phases[beta][2] for _, beta in points])
+    for beta in set(phases) - {points[-1][1]}:  # not held while the stack is mixed
+        del phases[beta]
+    rx_grids = demodulate_frame(
+        apply_iq_imbalance(rx, config.iq), config.n, config.n_cp, config.symbols_per_frame
+    )
     return SimulatedFrames(
-        rx_grids=rx_grids, truth_bits=draws.truth_bits,
-        h_eff=theta_pre[:, None, :, None] * draws.freq,
-        sigma2=np.full(rx_grids.shape[0], sigma2), cpe_true=cpe[:, 2:] / theta_pre[:, None],
+        rx_grids=rx_grids.reshape(-1, *rx_grids.shape[2:]), truth_bits=draws.truth_bits,
+        h_eff=h_eff, sigma2=np.repeat(sigma2, draws.clean.shape[0]), cpe_true=cpe_true,
     )
 
 
@@ -597,7 +630,12 @@ def _score_chunk(frames: SimulatedFrames, config: ScenarioConfig, accs: list) ->
             options=config.equalizer, phase_updates=updates[phase],
         )
         n_run = len(mse_ce)
-        wrong = (dec.bits != frames.truth_bits[run]) & ~dec.erased[..., None, None]
+        truth = frames.truth_bits  # one point's chunk, compared by broadcasting when all ran
+        if ran.all():
+            wrong = dec.bits.reshape(len(accs), *truth.shape) != truth
+        else:
+            wrong = dec.bits != truth[np.flatnonzero(ran) % per_point]
+        wrong = wrong.reshape(dec.bits.shape) & ~dec.erased[..., None, None]
         errors = (
             wrong.reshape(n_run, -1).sum(axis=1)
             + dec.erased.reshape(n_run, -1).sum(axis=1) * per_bin_bits
@@ -624,11 +662,12 @@ def run_point(config: ScenarioConfig, points) -> list[CampaignRow]:
     back point by point in that order, one per mode.  Frames run in
     chunks of whole ``iq_frame_avg`` blocks.  A chunk's channels, payload,
     noise-free streams and standard-normal draws are simulated once and
-    shared by every point of the group.  The points then go in stacks of
-    :func:`_stack_points`: each point of a stack adds its own noise, phase
-    noise and IQ mixing to the chunk, the stack's frames are put one point
-    after another on a leading frame axis, and every receiver stage runs
-    once for the stack.  The mismatch estimates of a block are averaged
+    shared by every point of the group.  The points then go linewidth-major
+    in stacks of :func:`_stack_points`, so each linewidth's phase noise is
+    made once per chunk: :func:`impair` adds each point's noise, phase noise
+    and IQ mixing to the chunk in one pass over the stack, its frames one
+    point after another on a leading frame axis, and every receiver stage
+    runs once for the stack.  The mismatch estimates of a block are averaged
     (the mismatch is static hardware) and the block estimate drives
     detection and the mismatch-MSE metric for its frames.  All modes see
     the same physical realizations.
@@ -637,20 +676,17 @@ def run_point(config: ScenarioConfig, points) -> list[CampaignRow]:
     root = RandomSource(config.master_seed)
 
     accs = [{mode: _Accumulator() for mode in config.modes} for _ in coords]
+    order = sorted(range(len(coords)), key=lambda k: points[k][1])  # linewidth-major
     chunk, stack = _chunk_frames(config), _stack_points(config)
     for start in range(0, config.frames, chunk):
         rngs = [root.child("frame", f) for f in range(start, min(start + chunk, config.frames))]
         draws = simulate_frame(config, rngs)
-        for s in range(0, len(coords), stack):
-            parts = [impair(draws, config, snr_db, beta) for snr_db, beta in coords[s : s + stack]]
-            frames = SimulatedFrames(**{
-                f.name: np.concatenate([getattr(part, f.name) for part in parts])
-                for f in fields(SimulatedFrames)
-            })
-            del parts  # only the stacked copy is held while the stack is scored
-            _score_chunk(frames, config, accs[s : s + stack])
+        phases = {}  # the chunk's phase noise by linewidth, filled and pruned by impair
+        for s in range(0, len(order), stack):
+            frames = impair(draws, config, [coords[k] for k in order[s : s + stack]], phases)
+            _score_chunk(frames, config, [accs[k] for k in order[s : s + stack]])
             del frames  # freed before the next stack is impaired
-        del draws  # not held while the next chunk is drawn
+        del draws, phases  # not held while the next chunk is drawn
 
     rows = []
     for (snr_db, beta), acc in zip(coords, accs):

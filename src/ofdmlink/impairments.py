@@ -87,43 +87,41 @@ def wiener_phase(beta: float, ts: float, steps: np.ndarray, m_r: int) -> np.ndar
     return phi
 
 
-def apply_phase_noise(rx_time: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Rotate each sample of each branch by its oscillator phase.
+def apply_phase_noise(rx_time: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """Rotate each sample of each branch by its oscillator, over a complex128 stream in place.
 
-    ``phi`` is ``(..., n_samples, m_r)``; leading axes are frames, one
-    path per frame of the stream.
+    ``rotation`` is ``exp(j phi)`` of ``(..., n_samples, m_r)`` phase paths,
+    one per frame of the stream; a stack of streams broadcasts against it.
     """
     rx_time = np.asarray(rx_time, dtype=np.complex128)
-    if rx_time.shape[-2] > phi.shape[-2]:
+    if rx_time.shape[-2] > rotation.shape[-2]:
         raise ConfigurationError(
-            f"stream of {rx_time.shape[-2]} samples exceeds phase path length {phi.shape[-2]}"
+            f"stream of {rx_time.shape[-2]} samples exceeds phase path length {rotation.shape[-2]}"
         )
-    rotation = 1j * phi[..., : rx_time.shape[-2], :]
-    np.exp(rotation, out=rotation)  # in place: a chunk of streams is large
-    return np.multiply(rx_time, rotation, out=rotation)
+    return np.multiply(rx_time, rotation[..., : rx_time.shape[-2], :], out=rx_time)
 
 
 def apply_iq_imbalance(rx_time: np.ndarray, iq: IqParams) -> np.ndarray:
-    """Mix each branch with its own conjugate: ``y = k1 r + k2 conj(r)``."""
+    """Mix each branch with its own conjugate in place: ``y = k1 r + k2 conj(r)``."""
     rx_time = np.asarray(rx_time, dtype=np.complex128)
     image = np.conj(rx_time)
-    np.multiply(iq.k2[None, :], image, out=image)
-    out = iq.k1[None, :] * rx_time
+    np.multiply(iq.k2, image, out=image)
+    out = np.multiply(iq.k1, rx_time, out=rx_time)
     out += image
     return out
 
 
-def cpe_of(phi: np.ndarray, start, n_fft: int) -> np.ndarray:
+def cpe_of(rotation: np.ndarray, start, n_fft: int) -> np.ndarray:
     """Common phase error over symbol windows: ``(1/N) sum e^{j phi}`` per branch.
 
-    ``phi`` is a ``(..., n_samples, m_r)`` phase path and ``start`` indexes
-    the first post-prefix sample of a symbol within it; a scalar gives
-    ``(..., m_r)``, an array of ``s`` starts ``(..., s, m_r)``, where
-    ``...`` are the leading (frame) axes of ``phi``.
+    ``rotation`` is ``exp(j phi)`` of a ``(..., n_samples, m_r)`` phase
+    path and ``start`` indexes the first post-prefix sample of a symbol
+    within it; a scalar gives ``(..., m_r)``, an array of ``s`` starts
+    ``(..., s, m_r)``, where ``...`` are the leading (frame) axes.
     """
     start = np.asarray(start)
-    if np.any(start < 0) or np.any(start + n_fft > phi.shape[-2]):
+    if np.any(start < 0) or np.any(start + n_fft > rotation.shape[-2]):
         raise ConfigurationError("symbol window out of phase path range")
-    # take, not phi[..., idx, :]: the mean must see C order to sum as for one frame
-    windows = np.take(phi, start[..., None] + np.arange(n_fft), axis=-2)
-    return np.mean(np.exp(1j * windows), axis=-2)
+    # take, not rotation[..., idx, :]: the mean must see C order to sum as for one frame
+    windows = np.take(rotation, start[..., None] + np.arange(n_fft), axis=-2)
+    return np.mean(windows, axis=-2)

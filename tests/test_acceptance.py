@@ -62,7 +62,7 @@ def test_criterion_01_model_equivalence_oracle():
         stream_len = n_sym * (n + n_cp) + ch.l_taps - 1
         trace = gen_phase_noise(beta, 5e-8, stream_len, 2, rng.child("pn"))
         rx = apply_channel(modulate_frame(s, n_cp), ch)
-        rx = apply_phase_noise(rx, trace)
+        rx = apply_phase_noise(rx, np.exp(1j * trace))
         rx = apply_iq_imbalance(rx, iq)
         got = demodulate_frame(rx, n, n_cp, n_sym)
         for m in range(n_sym):
@@ -196,7 +196,7 @@ def test_criterion_06_genie_zf_exactness():
 
     fc, smap, pilots = config.frame, config.smap, config.pilots
     draws = simulate_frame(config, [RandomSource(3600).child("frame", f) for f in range(2)])
-    frames = impair(draws, config, float("inf"), 0.0)
+    frames = impair(draws, config, [(float("inf"), 0.0)], {})
     fe = front_end(frames, config)
     state, _ = receiver_state(frames, fe, config, "genie", None)
     state_eps = EstimatorState(

@@ -129,9 +129,14 @@ symbols_per_frame = 6
         with pytest.raises(ConfigurationError, match="snr"):
             parse_config_file(cfg)
 
-    @pytest.mark.parametrize("values", [{"mimo": "2x100000"}, {"symbols_per_frame": "1000000000"}])
+    @pytest.mark.parametrize("values", [
+        {"mimo": "2x100000"},
+        {"symbols_per_frame": "1000000000"},
+        {"iq_frame_avg": "1000000", "frames": "1000000"},  # one chunk of 10**6 frames
+    ])
     def test_oversized_frame_refused(self, values):
-        # built, never run: 2x100000 would allocate about 6.4 GB per stream array
+        # built, never run: 2x100000 would allocate about 6.4 GB per stream
+        # array, the chunk of 10**6 frames about 128 GB
         with pytest.raises(ConfigurationError, match="frame"):
             build_config(values)
 
@@ -206,6 +211,22 @@ class TestMain:
         rc = main(["--config", str(cfg), *args, "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--snr", "10", "--snr", "20"],
+        ["--snr=10", "--snr", "-20"],
+        ["--frames", "1", "--frames", "1"],  # even with the same value
+        ["--config", "{cfg}"],
+    ])
+    def test_repeated_flag_exits_config(self, tmp_path, capsys, args):
+        # the last value was kept, as a repeated file key and --iq part were
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta = 0\nframes = 1\nmode = genie\n")
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), *(a.format(cfg=cfg) for a in args), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "given 2 times" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_exits_config(self, tmp_path):
         rc = main(["--config", str(tmp_path / "nope.cfg")])

@@ -150,7 +150,7 @@ class TestRunPoint:
 class TestReceiverState:
     def _frames(self, config, n_frames=1):
         rngs = [RandomSource(1).child("f", f) for f in range(n_frames)]
-        return impair(simulate_frame(config, rngs), config, 25.0, 5e3)
+        return impair(simulate_frame(config, rngs), config, [(25.0, 5e3)], {})
 
     def test_modes_produce_consistent_states(self):
         config = ScenarioConfig(frames=1, symbols_per_frame=6)
@@ -365,10 +365,10 @@ def test_point_arrays_freed_before_the_next_point():
     # Six points score in three stacks of two.  The peak of the six stays near
     # the peak of one stack: each stack's frames, front end, states and
     # decisions are freed before the next stack is impaired.  Measured ratios:
-    # 1.0054-1.0074 (seeds 1-10); 1.198-1.200 when the previous stack's frames
+    # 1.0050-1.0069 (seeds 1-10); 1.198-1.200 when the previous stack's frames
     # stay alive.  One stack's peak is well under twice one point's:
-    # 1.4358-1.4378 (seeds 1-10); 1.496-1.498 when the points' impaired chunks
-    # stay alive beside their stacked copy.
+    # 1.3694-1.3709 (seeds 1-10), impaired in one pass; 1.4356-1.4378 when each
+    # point is impaired alone and copied into the stack.
     config = ScenarioConfig(
         frames=2, snr_db=(10.0, 15.0, 20.0, 25.0, 30.0, 35.0), beta_hz=(5e3,), modes=MODES,
         symbols_per_frame=30, iq_frame_avg=2, master_seed=3,
@@ -505,6 +505,7 @@ class TestConfigValidation:
         dict(l_taps=2**31, n_cp=16),       # allocated the profile before the prefix check
         dict(m_r=100_000),                 # about 6.4 GB per stream array of the first chunk
         dict(symbols_per_frame=10**9),
+        dict(iq_frame_avg=10**6, frames=10**6),  # a first chunk of 10**6 frames, about 128 GB
     ])
     def test_rejects_values_that_broke_a_run(self, fields):
         with pytest.raises(ConfigurationError):
@@ -513,3 +514,14 @@ class TestConfigValidation:
     def test_frame_bound_admits_a_large_fft_4x4_frame(self):
         config = ScenarioConfig(m_t=4, m_r=4, n=4096, n_cp=256)  # constructed, never run
         assert config.symbols_per_frame == 50
+
+    def test_chunk_samples_bounded(self):
+        # a chunk is whole iq_frame_avg blocks, 50 * 80 * 2 samples a frame by
+        # default; only the config is built, no chunk
+        most = harness.MAX_CHUNK_SAMPLES // 8000
+        ScenarioConfig(iq_frame_avg=most, frames=10**6)
+        ScenarioConfig(iq_frame_avg=10**6, frames=most)
+        with pytest.raises(ConfigurationError, match="chunk"):
+            ScenarioConfig(iq_frame_avg=most + 1, frames=10**6)
+        with pytest.raises(ConfigurationError, match="chunk"):
+            ScenarioConfig(iq_frame_avg=10**6, frames=most + 1)

@@ -105,32 +105,42 @@ class TestApplyPhaseNoise:
     def test_zero_trace_identity(self):
         x = np.arange(6, dtype=complex).reshape(3, 2)
         phi = np.zeros((3, 2))
-        np.testing.assert_array_equal(apply_phase_noise(x, phi), x)
+        np.testing.assert_array_equal(apply_phase_noise(x.copy(), np.exp(1j * phi)), x)
+
+    def test_stream_rotated_in_place(self):
+        # a stack of streams broadcasts against one path and is overwritten
+        x = np.arange(12, dtype=complex).reshape(2, 3, 2)
+        rotation = np.exp(1j * np.arange(6.0).reshape(3, 2))
+        want = x * rotation
+        out = apply_phase_noise(x, rotation)
+        assert out is x
+        assert np.array_equal(x, want)
 
     def test_magnitude_preserved(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
         phi = gen_phase_noise(1e4, 5e-8, 50, 2, RandomSource(8).child("pn"))
-        np.testing.assert_allclose(np.abs(apply_phase_noise(x, phi)), np.abs(x))
+        np.testing.assert_allclose(np.abs(apply_phase_noise(x.copy(), np.exp(1j * phi))), np.abs(x))
 
     def test_constant_phase_is_pure_cpe(self):
         rng = np.random.default_rng(9)
         grid = rng.normal(size=(64, 1)) + 1j * rng.normal(size=(64, 1))
         tx = modulate_frame(grid[None], 16)
         phi = np.full((80, 1), 0.37)
-        out = demodulate_frame(apply_phase_noise(tx, phi), 64, 16, 1)[0]
+        out = demodulate_frame(apply_phase_noise(tx, np.exp(1j * phi)), 64, 16, 1)[0]
         np.testing.assert_allclose(out, np.exp(0.37j) * grid, atol=1e-12)
 
     def test_short_trace_rejected(self):
-        phi = np.zeros((10, 1))
+        rotation = np.ones((10, 1), dtype=complex)
         with pytest.raises(ConfigurationError):
-            apply_phase_noise(np.zeros((11, 1), dtype=complex), phi)
+            apply_phase_noise(np.zeros((11, 1), dtype=complex), rotation)
 
 
 class TestApplyIqImbalance:
     def test_ideal_identity(self):
         x = np.arange(8, dtype=complex).reshape(4, 2) + 1j
-        np.testing.assert_array_equal(apply_iq_imbalance(x, IqParams.uniform(2, 0.0, 0.0)), x)
+        ideal = IqParams.uniform(2, 0.0, 0.0)
+        np.testing.assert_array_equal(apply_iq_imbalance(x.copy(), ideal), x)
 
     def test_image_rejection_ratio(self):
         # A pure tone leaks into its mirror bin with power |K2/K1|^2.
@@ -150,7 +160,7 @@ class TestApplyIqImbalance:
         iq = IqParams.uniform(2, 5.0, 10.0)
         rng = np.random.default_rng(10)
         r = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
-        y = apply_iq_imbalance(r, iq)
+        y = apply_iq_imbalance(r.copy(), iq)
         det = np.abs(iq.k1) ** 2 - np.abs(iq.k2) ** 2
         back = (np.conj(iq.k1) * y - iq.k2 * np.conj(y)) / det
         np.testing.assert_allclose(back, r, atol=1e-12)
@@ -159,32 +169,32 @@ class TestApplyIqImbalance:
 class TestCpe:
     def test_zero_phase(self):
         phi = np.zeros((100, 2))
-        np.testing.assert_allclose(cpe_of(phi, 10, 64), [1.0, 1.0])
+        np.testing.assert_allclose(cpe_of(np.exp(1j * phi), 10, 64), [1.0, 1.0])
 
     def test_constant_phase(self):
         phi = np.full((100, 1), -0.81)
-        assert cpe_of(phi, 0, 64)[0] == pytest.approx(np.exp(-0.81j))
+        assert cpe_of(np.exp(1j * phi), 0, 64)[0] == pytest.approx(np.exp(-0.81j))
 
     def test_matches_transform_bin_zero(self):
         phi = gen_phase_noise(1e4, 5e-8, 96, 2, RandomSource(11).child("pn"))
-        got = cpe_of(phi, 16, 64)
+        got = cpe_of(np.exp(1j * phi), 16, 64)
         expected = dft(np.exp(1j * phi[16:80]))[0] / 64
         np.testing.assert_allclose(got, expected, atol=1e-13)
 
     def test_window_bounds(self):
-        phi = np.zeros((64, 1))
+        rotation = np.ones((64, 1), dtype=complex)
         with pytest.raises(ConfigurationError):
-            cpe_of(phi, 1, 64)
+            cpe_of(rotation, 1, 64)
         with pytest.raises(ConfigurationError):
-            cpe_of(phi, np.array([0, 1]), 64)
+            cpe_of(rotation, np.array([0, 1]), 64)
 
     @pytest.mark.parametrize("m_r", [1, 2, 4])
     def test_array_of_starts_equals_scalar_calls(self, m_r):
         phi = gen_phase_noise(1e5, 5e-8, 12 * 80 + 6, m_r, RandomSource(14).child("pn", m_r))
         starts = np.arange(12) * 80 + 16
-        got = cpe_of(phi, starts, 64)
+        got = cpe_of(np.exp(1j * phi), starts, 64)
         assert got.shape == (12, m_r)
-        scalar = np.stack([cpe_of(phi, int(s), 64) for s in starts])
+        scalar = np.stack([cpe_of(np.exp(1j * phi), int(s), 64) for s in starts])
         window_means = np.stack([np.mean(np.exp(1j * phi[s : s + 64]), axis=0) for s in starts])
         assert np.array_equal(got, scalar)
         assert np.array_equal(got, window_means)
@@ -199,14 +209,14 @@ class TestCpe:
         # Average of unit-modulus samples.
         for i, beta in enumerate((1e3, 1e4, 1e5)):
             phi = gen_phase_noise(beta, 5e-8, 200, 2, RandomSource(13).child("pn", i))
-            assert np.abs(cpe_of(phi, 50, 64)).max() <= 1.0 + 1e-12
+            assert np.abs(cpe_of(np.exp(1j * phi), 50, 64)).max() <= 1.0 + 1e-12
 
 
 class TestCombinedModel:
     def _chain(self, grids, ch, phi, iq, n_cp):
         tx = modulate_frame(grids, n_cp)
         rx = apply_channel(tx, ch)
-        rx = apply_phase_noise(rx, phi)
+        rx = apply_phase_noise(rx, np.exp(1j * phi))
         rx = apply_iq_imbalance(rx, iq)
         return demodulate_frame(rx, grids.shape[1], n_cp, grids.shape[0])
 
@@ -255,7 +265,7 @@ class TestCombinedModel:
         root = RandomSource(19)
         ch = draw_channel(1, 1, 7, 2.0, root.child("ch"))
         phi = gen_phase_noise(2e4, 5e-8, 80, 1, root.child("pn"))
-        theta0 = cpe_of(phi, 16, 64)[0]
+        theta0 = cpe_of(np.exp(1j * phi), 16, 64)[0]
         rng = np.random.default_rng(20)
         ratios = []
         for _ in range(400):
