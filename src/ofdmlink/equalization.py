@@ -78,7 +78,7 @@ class _FrameContext:
     i_mk: np.ndarray      # positions of the mirror bins
     p_bins: np.ndarray    # storage bins of the pilot set, ascending logical
     p_mirror: np.ndarray  # permutation mapping pilot l to the index of -l
-    r_matrix: np.ndarray | None  # (..., 2m_t, 2m_t) MMSE regularization, None for ZF
+    r_matrix: np.ndarray  # (..., 2m_t, 2m_t) regularization: MMSE's, or zero for ZF
     r_floor: np.ndarray | float  # (...) its smallest eigenvalue, 0 for ZF (no certificate)
 
 
@@ -88,9 +88,9 @@ def _frame_context(
     n = smap.n
     data, pilots = smap.data_bins, smap.pilot_bins
     kpos = data[data > 0]
-    r, r_floor = None, 0.0
+    r, r_floor = np.zeros((2 * state.m_t, 2 * state.m_t), dtype=np.complex128), 0.0
     if options.detector == "mmse":
-        r = mmse_r_matrix(state, state.m_t, options.mmse_r)
+        r = mmse_r_matrix(state, options.mmse_r)
         r_floor = np.linalg.eigvalsh(r)[..., 0]
     return _FrameContext(
         b_k=logical_to_bin(kpos, n),
@@ -180,7 +180,7 @@ def _track(
     return upsilon, ~accepted.all(axis=-1)
 
 
-def mmse_r_matrix(state: EstimatorState, m_t: int, kind: str = "sigma") -> np.ndarray:
+def mmse_r_matrix(state: EstimatorState, kind: str) -> np.ndarray:
     """Regularization for the MMSE detector, one per frame (leading axes of ``psi``).
 
     ``sigma`` uses the average per-branch noise power from the measured
@@ -188,7 +188,7 @@ def mmse_r_matrix(state: EstimatorState, m_t: int, kind: str = "sigma") -> np.nd
     the identity, which is only dimensionally consistent when
     ``m_r**2 == 2 m_t``.
     """
-    m_r = state.m_r
+    m_r, m_t = state.m_r, state.m_t
     if kind == "sigma":
         trace = np.trace(state.psi, axis1=-2, axis2=-1).real
         sigma2 = np.maximum(trace / m_r, 0.0)
@@ -230,10 +230,10 @@ def _mixing_matrices(upsilon, h_k, h_mk, k1) -> np.ndarray:
     return np.concatenate([top, bot], axis=-2)
 
 
-def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray | None, r_floor=0.0):
+def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray, r_floor=0.0):
     """Guarded regularized least squares ``(W^H W + R) s = W^H x`` for a stack of systems.
 
-    Detection solves its mirror-pair systems with it (ZF: ``r`` None, or
+    Detection solves its mirror-pair systems with it (ZF: ``r`` zero, or
     MMSE), tracking its pilot systems (``R = lam I``).  ``w`` is ``(...,
     rows, cols)`` and ``x_stack`` holds the ``(..., c, rows)`` right-hand
     sides, ``c`` of them per system; ``r`` broadcasts to ``(..., cols,
@@ -244,9 +244,7 @@ def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray | None, r_flo
     matrix-vector product; only the solve takes every column at once.
     """
     wh = w.conj().swapaxes(-1, -2)
-    gram = wh @ w
-    if r is not None:
-        gram = gram + r
+    gram = wh @ w + r
     rhs = (wh[..., None, :, :] @ x_stack[..., None])[..., 0]
     good = well_conditioned(gram, r_floor)
     s_stack = np.zeros(rhs.shape, dtype=np.complex128)
@@ -307,10 +305,8 @@ def equalize_frame(
     h_k = per_frame(np.take(state.h_pre, ctx.b_k, axis=-3), pair_shape)
     h_mk = per_frame(np.conj(np.take(state.h_pre, ctx.b_mk, axis=-3)), pair_shape)
     k1 = per_frame(state.k1, (m_r,))
-    r = r_floor = None
-    if ctx.r_matrix is not None:
-        r = per_frame(ctx.r_matrix, (2 * m_t, 2 * m_t))
-        r_floor = per_frame(ctx.r_floor, ())
+    r = per_frame(ctx.r_matrix, (2 * m_t, 2 * m_t))
+    r_floor = per_frame(ctx.r_floor, ())
 
     soft = np.zeros((systems, cols, smap.n_data, m_t), dtype=np.complex128)
     erased = np.zeros((systems, smap.n_data), dtype=bool)
@@ -323,10 +319,7 @@ def equalize_frame(
         x_stack = np.concatenate(  # (sys, P, cols, 2m_r): index arrays split by a slice lead
             [x[fr, rw, :, ctx.b_k], np.conj(x[fr, rw, :, ctx.b_mk])], axis=-1
         )
-        if r is None:
-            s_stack, good = _solve_pairs(w, x_stack, None)
-        else:
-            s_stack, good = _solve_pairs(w, x_stack, r[f][:, None], r_floor[f][:, None])
+        s_stack, good = _solve_pairs(w, x_stack, r[f][:, None], r_floor[f][:, None])
         s_stack = s_stack.swapaxes(1, 2)                                # (sys, cols, P, 2m_t)
         soft[sl, :, ctx.i_k] = s_stack[..., :m_t]
         soft[sl, :, ctx.i_mk] = np.conj(s_stack[..., m_t:])

@@ -506,11 +506,6 @@ class FrontEnd:
     g: np.ndarray            # (frames, m_r) refined mismatch, NaN where it failed
 
 
-def _estimates_mismatch(mode: str) -> bool:
-    estimate, _ = RECEIVER_MODES[mode]
-    return estimate == "demixed"
-
-
 def front_end(frames: SimulatedFrames, config: ScenarioConfig) -> FrontEnd:
     """Estimate a chunk of frames' preamble stage once for all receiver modes.
 
@@ -559,16 +554,6 @@ def receiver_state(
     return EstimatorState(h_pre=h, k1=np.ones(config.m_r, dtype=np.complex128), psi=fe.psi), ran
 
 
-@dataclass
-class _Accumulator:
-    bit_errors: int = 0
-    bits_total: int = 0
-    mse_ce_sum: float = 0.0
-    flagged: int = 0
-    frames_run: int = 0
-    k1_mse_terms: list = field(default_factory=list)
-
-
 def _chunk_frames(config: ScenarioConfig) -> int:
     """Frames per chunk: whole ``iq_frame_avg`` blocks within CHUNK_SYMBOLS, at least one block."""
     blocks = max(1, CHUNK_SYMBOLS // (config.iq_frame_avg * config.symbols_per_frame))
@@ -581,101 +566,122 @@ def _stack_points(config: ScenarioConfig) -> int:
     return max(1, STACK_SYMBOLS // (chunk * config.symbols_per_frame))
 
 
-def _score_chunk(frames: SimulatedFrames, config: ScenarioConfig, accs: list) -> None:
-    """Run every mode on a stack of points' chunks and add each point's scores to its accumulators.
+@dataclass
+class _Tally:
+    """One grid point's scores in one mode, added up stack by stack; builds the point's row."""
 
-    ``frames`` holds ``len(accs)`` points' chunks of equal length one
-    after another on the frame axis, and ``accs[p]`` maps each mode to
-    point ``p``'s accumulator.  Every stage runs once for the whole stack;
-    a frame's results do not depend on the frames stacked with it.  The
-    ``iq_frame_avg`` blocks restart at each point's first frame.  A helper
-    of its own, so that none of the stack's arrays outlive it.
+    frames_run: int = 0
+    bit_errors: int = 0
+    flagged: int = 0
+    mse_ce_sum: float = 0.0
+    k1_terms: list = field(default_factory=list)  # (mismatch MSE, how many times it counts)
+
+    def add(self, ran, errors, flagged, mse_ce, k1_terms: list) -> None:
+        """Add the point's frames of one stack; ``mse_ce`` is 0.0 where a frame did not run."""
+        self.frames_run += int(ran.sum())
+        self.bit_errors += int(errors.sum())
+        self.flagged += int(flagged.sum())
+        # a running float sum, frame by frame in order (cumsum adds left to right)
+        self.mse_ce_sum = float(np.cumsum(np.r_[self.mse_ce_sum, mse_ce])[-1])
+        self.k1_terms += k1_terms
+
+    def row(self, config: ScenarioConfig, point: tuple, mode: str) -> CampaignRow:
+        """The row of ``point`` in ``mode``; ``mse_k1`` averages each term as often as it counts."""
+        n, (snr_db, beta), nan = self.frames_run, point, float("nan")
+        frame_bits = config.frame.n_data_symbols * config.smap.n_data * config.m_t * 4
+        terms = np.repeat([v for v, _ in self.k1_terms], [c for _, c in self.k1_terms])
+        return CampaignRow(
+            snr_db=snr_db, beta_hz=beta, mode=mode, detector=config.detector,
+            ce_method=config.ce_method, m_t=config.m_t, m_r=config.m_r, frames_run=n,
+            ber=self.bit_errors / (n * frame_bits) if n else nan,
+            mse_ce=self.mse_ce_sum / n if n else nan,
+            mse_k1=float(np.mean(terms)) if terms.size else nan,
+            flagged_symbols=self.flagged, seed=config.master_seed,
+        )
+
+
+def _score_chunk(frames: SimulatedFrames, config: ScenarioConfig, tallies: list) -> None:
+    """Run every mode on a stack of points' chunks and add each point's scores to its tallies.
+
+    ``frames`` holds ``len(tallies)`` points' chunks of equal length one
+    after another on the frame axis, and ``tallies[p]`` maps each mode to
+    point ``p``'s :class:`_Tally`.  Every stage runs once for the whole
+    stack; a frame's results do not depend on the frames stacked with it.
+    Each mode is scored into frame-length arrays, zero where a frame did
+    not run, which each tally adds up once.  The ``iq_frame_avg`` blocks
+    restart at each point's first frame, and a block's mismatch term
+    counts for the de-mixed modes even where none of its frames runs.
     """
-    fc = config.frame
-    estimating = [m for m in config.modes if _estimates_mismatch(m)]
-    step = config.iq_frame_avg
+    fc, step = config.frame, config.iq_frame_avg
     n_frames = frames.rx_grids.shape[0]
-    per_point = n_frames // len(accs)
+    per_point = n_frames // len(tallies)
     fe = front_end(frames, config)
     k1 = np.full((n_frames, config.m_r), np.nan, dtype=np.complex128)
     usable = np.isfinite(fe.g).all(axis=-1)
-    for p, acc in enumerate(accs):
+    block_terms = [[] for _ in tallies]  # each point's (mismatch MSE, 1) per usable block
+    for p, terms in enumerate(block_terms):
         end = (p + 1) * per_point
         for b in range(p * per_point, end, step):
             block = slice(b, min(b + step, end))
             g_block = fe.g[block][usable[block]]
             if len(g_block):
                 k1[block] = k1_block = (1.0 + np.mean(g_block, axis=0)) / 2.0
-                for mode in estimating:
-                    acc[mode].k1_mse_terms.append(compute_mse_k1(k1_block, config.iq.k1))
+                terms.append((compute_mse_k1(k1_block, config.iq.k1), 1))
 
-    states = {}  # estimate -> (state of the frames run, their mask, their mse_ce)
+    states = {}  # estimate -> (state of the frames run, their mask, mse_ce of every frame)
     for estimate in dict.fromkeys(RECEIVER_MODES[m][0] for m in config.modes):
         state, ran = receiver_state(frames, fe, config, estimate, k1)
-        mse_ce = compute_mse_ce(state.h_pre, frames.h_eff[ran], config.preamble.used, config.n)
+        mse_ce = np.zeros(n_frames)
+        mse_ce[ran] = compute_mse_ce(state.h_pre, frames.h_eff[ran], config.preamble.used, config.n)
         states[estimate] = (state, ran, mse_ce)
     del fe  # the preamble products are not held while the modes detect
     no_updates = np.ones((1, config.m_r), dtype=np.complex128)  # one system per frame and pair
-    per_bin_bits = config.m_t * 4
-    frame_bits = frames.truth_bits[0].size
     for mode in config.modes:
         estimate, phase = RECEIVER_MODES[mode]
         state, ran, mse_ce = states[estimate]
-        if not ran.any():
-            continue
-        run = slice(None) if ran.all() else ran  # no copy of the stack when all frames run
-        updates = {"none": no_updates, "tracked": None, "genie": frames.cpe_true[run]}
-        dec = equalize_frame(
-            frames.rx_grids[run], state, config.smap, config.pilots, fc.n_train,
-            options=config.equalizer, phase_updates=updates[phase],
-        )
-        n_run = len(mse_ce)
-        truth = frames.truth_bits  # one point's chunk, compared by broadcasting when all ran
-        if ran.all():
-            wrong = dec.bits.reshape(len(accs), *truth.shape) != truth
-        else:
-            wrong = dec.bits != truth[np.flatnonzero(ran) % per_point]
-        wrong = wrong.reshape(dec.bits.shape) & ~dec.erased[..., None, None]
-        errors = (
-            wrong.reshape(n_run, -1).sum(axis=1)
-            + dec.erased.reshape(n_run, -1).sum(axis=1) * per_bin_bits
-        )
-        flagged = dec.flagged.reshape(n_run, -1).sum(axis=1)
-        # each point's frames that ran: a run of rows in point order
-        bounds = [0, *np.cumsum(ran.reshape(len(accs), per_point).sum(axis=1)).tolist()]
-        for acc, lo, hi in zip(accs, bounds[:-1], bounds[1:]):
-            a = acc[mode]
-            a.bit_errors += int(errors[lo:hi].sum())
-            a.bits_total += (hi - lo) * frame_bits
-            for value in mse_ce[lo:hi]:  # frame by frame, in order
-                a.mse_ce_sum += float(value)
-            a.flagged += int(flagged[lo:hi].sum())
-            a.frames_run += hi - lo
-            if not _estimates_mismatch(mode):
-                a.k1_mse_terms += [compute_mse_k1(state.k1, config.iq.k1)] * (hi - lo)
+        errors = np.zeros(n_frames, dtype=np.int64)
+        flagged = np.zeros(n_frames, dtype=np.int64)
+        if ran.any():
+            run = slice(None) if ran.all() else ran  # no copy of the stack when all frames run
+            updates = {"none": no_updates, "tracked": None, "genie": frames.cpe_true[run]}
+            dec = equalize_frame(
+                frames.rx_grids[run], state, config.smap, config.pilots, fc.n_train,
+                options=config.equalizer, phase_updates=updates[phase],
+            )
+            wrong = dec.bits != frames.truth_bits[np.flatnonzero(ran) % per_point]
+            wrong |= dec.erased[..., None, None]  # every bit of an erased bin is an error
+            errors[ran] = wrong.reshape(len(wrong), -1).sum(axis=1)
+            flagged[ran] = dec.flagged.sum(axis=-1)
+        k1_terms = block_terms
+        if estimate != "demixed":  # every frame runs, and each counts the same constant term
+            k1_terms = [[(compute_mse_k1(state.k1, config.iq.k1), per_point)]] * len(tallies)
+        by_point = (a.reshape(len(tallies), per_point) for a in (ran, errors, flagged, mse_ce))
+        for tally, terms, *rows in zip(tallies, k1_terms, *by_point):
+            tally[mode].add(*rows, terms)
 
 
 def run_point(config: ScenarioConfig, points) -> list[CampaignRow]:
     """Run all frames of a group of grid points and score every mode at each.
 
     ``points`` is a sequence of ``(snr_idx, beta_idx)`` pairs; the rows come
-    back point by point in that order, one per mode.  Frames run in
-    chunks of whole ``iq_frame_avg`` blocks.  A chunk's channels, payload,
-    noise-free streams and standard-normal draws are simulated once and
-    shared by every point of the group.  The points then go linewidth-major
-    in stacks of :func:`_stack_points`, so each linewidth's phase noise is
-    made once per chunk: :func:`impair` adds each point's noise, phase noise
-    and IQ mixing to the chunk in one pass over the stack, its frames one
-    point after another on a leading frame axis, and every receiver stage
-    runs once for the stack.  The mismatch estimates of a block are averaged
-    (the mismatch is static hardware) and the block estimate drives
-    detection and the mismatch-MSE metric for its frames.  All modes see
-    the same physical realizations.
+    back point by point in that order, one per mode, each built by the
+    point's :class:`_Tally` in that mode.  Frames run in chunks of whole
+    ``iq_frame_avg`` blocks.  A chunk's channels, payload, noise-free
+    streams and standard-normal draws are simulated once and shared by
+    every point of the group.  The points then go linewidth-major in stacks
+    of :func:`_stack_points`, so each linewidth's phase noise is made once
+    per chunk: :func:`impair` adds each point's noise, phase noise and IQ
+    mixing to the chunk in one pass over the stack, its frames one point
+    after another on a leading frame axis, and every receiver stage and the
+    scoring (:func:`_score_chunk`) run once for the stack.  The mismatch
+    estimates of a block are averaged (the mismatch is static hardware) and
+    the block estimate drives detection and the mismatch-MSE metric for its
+    frames.  All modes see the same physical realizations.
     """
     coords = [(float(config.snr_db[i]), float(config.beta_hz[j])) for i, j in points]
     root = RandomSource(config.master_seed)
 
-    accs = [{mode: _Accumulator() for mode in config.modes} for _ in coords]
+    tallies = [{mode: _Tally() for mode in config.modes} for _ in coords]
     order = sorted(range(len(coords)), key=lambda k: points[k][1])  # linewidth-major
     chunk, stack = _chunk_frames(config), _stack_points(config)
     for start in range(0, config.frames, chunk):
@@ -684,32 +690,10 @@ def run_point(config: ScenarioConfig, points) -> list[CampaignRow]:
         phases = {}  # the chunk's phase noise by linewidth, filled and pruned by impair
         for s in range(0, len(order), stack):
             frames = impair(draws, config, [coords[k] for k in order[s : s + stack]], phases)
-            _score_chunk(frames, config, [accs[k] for k in order[s : s + stack]])
+            _score_chunk(frames, config, [tallies[k] for k in order[s : s + stack]])
             del frames  # freed before the next stack is impaired
         del draws, phases  # not held while the next chunk is drawn
-
-    rows = []
-    for (snr_db, beta), acc in zip(coords, accs):
-        for mode in config.modes:
-            a = acc[mode]
-            rows.append(
-                CampaignRow(
-                    snr_db=snr_db,
-                    beta_hz=beta,
-                    mode=mode,
-                    detector=config.detector,
-                    ce_method=config.ce_method,
-                    m_t=config.m_t,
-                    m_r=config.m_r,
-                    frames_run=a.frames_run,
-                    ber=a.bit_errors / a.bits_total if a.bits_total else float("nan"),
-                    mse_ce=a.mse_ce_sum / a.frames_run if a.frames_run else float("nan"),
-                    mse_k1=float(np.mean(a.k1_mse_terms)) if a.k1_mse_terms else float("nan"),
-                    flagged_symbols=a.flagged,
-                    seed=config.master_seed,
-                )
-            )
-    return rows
+    return [t[mode].row(config, point, mode) for point, t in zip(coords, tallies) for mode in t]
 
 
 def _point_task(config: ScenarioConfig, points) -> list[CampaignRow]:

@@ -132,9 +132,6 @@ class RandomSource:
             )
         return self._gen
 
-    def normal(self, scale: float = 1.0, size=None) -> np.ndarray:
-        return self.rng.normal(scale=scale, size=size)
-
     def complex_normal(self, var: float = 1.0, size=None) -> np.ndarray:
         """Zero-mean circular complex Gaussian with total variance ``var``."""
         s = np.sqrt(var / 2.0)

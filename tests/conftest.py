@@ -64,7 +64,7 @@ def gen_phase_noise(beta, ts, n_samples, m_r, rng, shared_oscillator=False):
     if beta == 0.0:
         return np.zeros((n_samples, m_r))
     n_paths = 1 if shared_oscillator else m_r
-    inc = rng.normal(scale=np.sqrt(4.0 * np.pi * beta * ts), size=(n_samples - 1, n_paths))
+    inc = rng.rng.normal(scale=np.sqrt(4.0 * np.pi * beta * ts), size=(n_samples - 1, n_paths))
     phi = np.vstack([np.zeros((1, n_paths)), np.cumsum(inc, axis=0)])
     if shared_oscillator:
         phi = np.repeat(phi, m_r, axis=1)

@@ -137,13 +137,13 @@ def test_criterion_04_wiener_law():
     """Increment variance and linear variance growth of the phase path."""
     t0 = time.time()
     target_step = 4 * np.pi * 5e3 * 5e-8
-    phi = wiener_phase(5e3, 5e-8, RandomSource(3400).child("pn").normal(size=(100_000, 1)), 1)
+    phi = wiener_phase(5e3, 5e-8, RandomSource(3400).child("pn").rng.normal(size=(100_000, 1)), 1)
     step_var = np.diff(phi[:, 0]).var()
     root = RandomSource(3401)
     # 10_000 traces in batches: the path variance at sample 80
     endpoints = np.concatenate(
         [
-            wiener_phase(5e3, 5e-8, root.child("batch", i).normal(size=(80, 100)), 100)[80]
+            wiener_phase(5e3, 5e-8, root.child("batch", i).rng.normal(size=(80, 100)), 100)[80]
             for i in range(100)
         ]
     )

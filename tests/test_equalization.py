@@ -79,7 +79,7 @@ def pair_channels(state, b_k, b_mk):
     return state.h_pre[b_k], np.conj(state.h_pre[b_mk]), state.k1
 
 
-def detect(x_stack, w, r=None):
+def detect(x_stack, w, r=0.0):
     """Soft estimate and guard verdict of one stacked mirror pair."""
     s, good = _solve_pairs(w[None], np.asarray(x_stack, dtype=complex)[None, None], r)
     return s[0, 0], bool(good[0])
@@ -396,7 +396,7 @@ class TestDetect:
         w = np.stack([build_w(k, state, np.ones(2, dtype=complex)) for k in (3, 5, 9)])
         w[1] = 0.0
         s = np.array([1 - 1j, -3 + 1j, 1 + 1j, -3 - 1j]) / np.sqrt(10)
-        got, good = _solve_pairs(w, (w @ s)[:, None], None)
+        got, good = _solve_pairs(w, (w @ s)[:, None], 0.0)
         got = got[:, 0]
         np.testing.assert_array_equal(good, [True, False, True])
         np.testing.assert_allclose(got[[0, 2]], np.stack([s, s]), atol=1e-9)
@@ -421,14 +421,14 @@ class TestMmseRMatrix:
             k1=np.ones(2, dtype=complex),
             psi=np.diag([0.3, 0.5]).astype(complex),
         )
-        np.testing.assert_allclose(mmse_r_matrix(state, 2, "sigma"), 0.4 * np.eye(4))
+        np.testing.assert_allclose(mmse_r_matrix(state, "sigma"), 0.4 * np.eye(4))
 
     def test_kron_form_2x2(self):
         psi = np.array([[0.2, 0.05j], [-0.05j, 0.3]])
         state = EstimatorState(
             h_pre=np.zeros((64, 2, 2), dtype=complex), k1=np.ones(2, dtype=complex), psi=psi
         )
-        np.testing.assert_allclose(mmse_r_matrix(state, 2, "kron"), np.kron(psi, np.eye(2)))
+        np.testing.assert_allclose(mmse_r_matrix(state, "kron"), np.kron(psi, np.eye(2)))
 
     def test_kron_form_rejected_when_inconsistent(self):
         state = EstimatorState(
@@ -437,7 +437,7 @@ class TestMmseRMatrix:
             psi=np.eye(4, dtype=complex),
         )
         with pytest.raises(ConfigurationError):
-            mmse_r_matrix(state, 4, "kron")
+            mmse_r_matrix(state, "kron")
 
 
 class TestEqualizeFrame:

@@ -1,7 +1,8 @@
 """Every public name the package declares resolves to an object; importing it loads no scipy.
 
 No module imports a name it never reads, so a removal leaves no stale import behind, and
-the package reads every name it exports, so it ships nothing that only the tests use.
+the package reads every name it exports, so it ships nothing that only the tests use, and
+every module-level function and class it defines, so no helper outlives its last caller.
 """
 
 import ast
@@ -79,22 +80,39 @@ def test_module_imports_only_what_it_uses(module):
 ENTRY_POINTS = {"cli.main"}  # the console script
 
 
-def _unread_exports(sources: dict) -> list:
-    """``module.name`` of each ``__all__`` name that no module reads, by name or attribute.
+def _reads(trees) -> set:
+    """Every name the modules read, by name or attribute.
 
-    ``sources`` maps module name to source text; a definition, an import
-    or an export list is not a read.
+    A definition, an import or an export list is not a read.
     """
-    trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def _unread_exports(sources: dict) -> list:
+    """``module.name`` of each ``__all__`` name that no module reads (``sources``: module -> text)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _reads(trees.values())
     return sorted(
         f"{module}.{name}" for module, tree in trees.items() for name in _exports(tree) if name not in read
+    )
+
+
+def _unread_definitions(sources: dict) -> list:
+    """``module.name`` of each module-level function or class that no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _reads(trees.values())
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
     )
 
 
@@ -106,11 +124,27 @@ def test_unread_export_check_sees_one():
     assert _unread_exports(sources) == ["b.h"]
 
 
+def _package_sources() -> dict:
+    root = pathlib.Path(ofdmlink.__file__).parent
+    return {module: (root / f"{module}.py").read_text() for module in MODULES}
+
+
 def test_package_reads_every_export():
     # an export that only the tests read belongs under tests/
-    root = pathlib.Path(ofdmlink.__file__).parent
-    sources = {module: (root / f"{module}.py").read_text() for module in MODULES}
-    assert [name for name in _unread_exports(sources) if name not in ENTRY_POINTS] == []
+    assert [name for name in _unread_exports(_package_sources()) if name not in ENTRY_POINTS] == []
+
+
+def test_unread_definition_check_sees_one():
+    sources = {
+        "a": "class K: pass\ndef f(): return K()\ndef _g(): pass\n",
+        "b": "from .a import f\n__all__ = ['h']\ndef h(x): return x.f\n",
+    }
+    assert _unread_definitions(sources) == ["a._g", "b.h"]
+
+
+def test_package_reads_every_definition():
+    # a helper whose last caller went is dead code, exported or not
+    assert [name for name in _unread_definitions(_package_sources()) if name not in ENTRY_POINTS] == []
 
 
 def test_import_loads_no_scipy():

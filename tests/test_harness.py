@@ -146,6 +146,70 @@ class TestRunPoint:
         rows = run_point(config, [(0, 0)])
         assert [r.mode for r in rows] == ["uncompensated", "full", "genie"]
 
+    def test_mse_k1_is_the_mean_over_blocks_and_run_frames(self):
+        # six blocks of ten frames, each a chunk, all with a usable mismatch
+        # estimate; two of them cannot separate the image, so none of their
+        # frames run, and their terms still count for the de-mixed modes
+        config = ScenarioConfig(
+            frames=60, snr_db=(30.0,), beta_hz=(1e5,), symbols_per_frame=4, iq_frame_avg=10,
+            master_seed=7100, modes=MODES,
+        )
+        rows = {r.mode: r for r in run_point(config, [(0, 0)])}
+        root = RandomSource(config.master_seed)
+        draws = simulate_frame(config, [root.child("frame", f) for f in range(60)])
+        g = front_end(impair(draws, config, [(30.0, 1e5)], {}), config).g
+        terms = []
+        for block in np.split(g, 6):  # the usable estimates of each block, averaged
+            usable = block[np.isfinite(block).all(axis=-1)]
+            if len(usable):
+                terms.append(compute_mse_k1((1.0 + usable.mean(axis=0)) / 2.0, config.iq.k1))
+        assert len(terms) == 6
+        for mode in ("full", "iq-only"):
+            assert rows[mode].frames_run == 40
+            assert rows[mode].mse_k1 == np.mean(terms)
+        # without the mismatch estimate: one constant term per frame run, and
+        # their mean is not the constant in the last bit
+        constant = compute_mse_k1(np.ones(2), config.iq.k1)
+        per_frame = np.mean(np.full(60, constant))
+        assert per_frame != constant
+        for mode in ("uncompensated", "pn-only"):
+            assert rows[mode].frames_run == 60
+            assert rows[mode].mse_k1 == per_frame
+        assert rows["genie"].mse_k1 == 0.0
+
+    def test_mse_ce_summed_frame_by_frame_in_order(self):
+        # the reference: a running float sum; a frame that did not run adds 0.0.
+        # Per-stack or whole np.sum adds in another order and misses these bits.
+        rng = np.random.default_rng(1)
+        stacks = [rng.exponential(size=n) * 10.0 ** rng.integers(-8, 3, size=n) for n in (7, 1, 40)]
+        stacks[1][0] = 0.0
+        tally, expected = harness._Tally(), 0.0
+        for mse_ce in stacks:
+            ran = mse_ce > 0
+            tally.add(ran, np.zeros(len(ran)), np.zeros(len(ran)), mse_ce, [])
+            for value in mse_ce[ran]:
+                expected += float(value)
+        assert tally.mse_ce_sum == expected
+        assert tally.frames_run == 47
+
+    def test_mismatch_terms_held_per_chunk_not_per_frame(self, monkeypatch):
+        tallies = []
+
+        class Recorded(harness._Tally):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tallies.append(self)
+
+        monkeypatch.setattr(harness, "_Tally", Recorded)
+        config = ScenarioConfig(
+            frames=400, snr_db=(20.0,), symbols_per_frame=4, modes=("genie", "uncompensated"),
+        )
+        rows = run_point(config, [(0, 0)])
+        chunks = math.ceil(config.frames / harness._chunk_frames(config))
+        assert chunks == 25 and len(tallies) == 2
+        assert all(r.frames_run == 400 for r in rows)
+        assert all(0 < len(t.k1_terms) <= chunks for t in tallies)
+
 
 class TestReceiverState:
     def _frames(self, config, n_frames=1):

@@ -46,7 +46,7 @@ class TestIqParams:
 
 
 def _wiener(beta, n_samples, m_r, rng, shared_oscillator=False):
-    steps = rng.normal(size=(n_samples - 1, 1 if shared_oscillator else m_r))
+    steps = rng.rng.normal(size=(n_samples - 1, 1 if shared_oscillator else m_r))
     return wiener_phase(beta, 5e-8, steps, m_r)
 
 
@@ -95,7 +95,7 @@ class TestPhaseNoiseGeneration:
             return [RandomSource(21).child("phase", f) for f in range(3)]
 
         paths = 1 if shared_oscillator else 4
-        steps = np.stack([rng.normal(size=(299, paths)) for rng in sources()])
+        steps = np.stack([rng.rng.normal(size=(299, paths)) for rng in sources()])
         got = wiener_phase(beta, 5e-8, steps, 4)
         want = [gen_phase_noise(beta, 5e-8, 300, 4, rng, shared_oscillator) for rng in sources()]
         assert np.array_equal(got, np.stack(want))
