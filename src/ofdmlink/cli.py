@@ -157,11 +157,17 @@ def _flags() -> dict:
     return {f"--{key}": help_text for key, (_, _, help_text) in SETTINGS.items() if help_text}
 
 
+def _refuse(message: str):
+    raise ConfigurationError(message)
+
+
 def _arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="simulate",
         description="Run a seeded MIMO-OFDM link campaign and write CSV plus SVG charts.",
+        allow_abbrev=False,  # --fr is not --frames
     )
+    ap.error = _refuse  # a bad command line is a configuration error, not an exit from main
     # every flag collects its values, so that main can refuse one given twice
     ap.add_argument("--config", action="append", help="flat key=value config file")
     for flag, help_text in _flags().items():
@@ -187,8 +193,8 @@ def _join_flag_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = {k: v for k, v in vars(_arg_parser().parse_args(_join_flag_values(argv))).items() if v}
     try:
+        args = {k: v for k, v in vars(_arg_parser().parse_args(_join_flag_values(argv))).items() if v}
         for key, given in args.items():
             if len(given) > 1:
                 raise ConfigurationError(f"flag --{key} given {len(given)} times")

@@ -68,57 +68,27 @@ class EqualizerOptions:
             raise ConfigurationError(f"unknown MMSE regularization {self.mmse_r!r}")
 
 
-@dataclass(frozen=True)
-class _FrameContext:
-    """Index tables shared by every symbol, and the regularizer of each frame."""
-
-    b_k: np.ndarray       # storage bins of positive data bins (one per pair)
-    b_mk: np.ndarray      # storage bins of their mirrors
-    i_k: np.ndarray       # positions of the positive bins in the data ordering
-    i_mk: np.ndarray      # positions of the mirror bins
-    p_bins: np.ndarray    # storage bins of the pilot set, ascending logical
-    p_mirror: np.ndarray  # permutation mapping pilot l to the index of -l
-    r_matrix: np.ndarray  # (..., 2m_t, 2m_t) regularization: MMSE's, or zero for ZF
-    r_floor: np.ndarray | float  # (...) its smallest eigenvalue, 0 for ZF (no certificate)
+def _pilot_tables(smap: SubcarrierMap) -> tuple[np.ndarray, np.ndarray]:
+    """Storage bins of the pilot set (ascending logical) and the permutation mapping pilot l to -l."""
+    pilots = smap.pilot_bins
+    return logical_to_bin(pilots, smap.n), np.searchsorted(pilots, -pilots)
 
 
-def _frame_context(
-    smap: SubcarrierMap, state: EstimatorState, options: EqualizerOptions
-) -> _FrameContext:
-    n = smap.n
-    data, pilots = smap.data_bins, smap.pilot_bins
-    kpos = data[data > 0]
-    r, r_floor = np.zeros((2 * state.m_t, 2 * state.m_t), dtype=np.complex128), 0.0
-    if options.detector == "mmse":
-        r = mmse_r_matrix(state, options.mmse_r)
-        r_floor = np.linalg.eigvalsh(r)[..., 0]
-    return _FrameContext(
-        b_k=logical_to_bin(kpos, n),
-        b_mk=logical_to_bin(-kpos, n),
-        i_k=np.searchsorted(data, kpos),
-        i_mk=np.searchsorted(data, -kpos),
-        p_bins=logical_to_bin(pilots, n),
-        p_mirror=np.searchsorted(pilots, -pilots),
-        r_matrix=r,
-        r_floor=r_floor,
-    )
-
-
-def _pilot_responses(state: EstimatorState, pilots: np.ndarray, ctx: _FrameContext):
+def _pilot_responses(state: EstimatorState, pilots: np.ndarray, smap: SubcarrierMap):
     """Predicted pilot responses ``y`` and mirror terms ``ym``, both (..., r, m_r)."""
-    h = np.take(state.h_pre, ctx.p_bins, axis=-3)
+    p_bins, p_mirror = _pilot_tables(smap)
+    h = np.take(state.h_pre, p_bins, axis=-3)
     y = np.einsum("...lqp,pl->...lq", h, pilots)
-    y_mk = np.einsum("...lqp,pl->...lq", np.take(h, ctx.p_mirror, axis=-3), pilots[:, ctx.p_mirror])
+    y_mk = np.einsum("...lqp,pl->...lq", np.take(h, p_mirror, axis=-3), pilots[:, p_mirror])
     return y, np.conj(y_mk)
 
 
-def _tracking_matrices(
-    y: np.ndarray, ym: np.ndarray, k1: np.ndarray, k2: np.ndarray, variant: str
-) -> np.ndarray:
+def _tracking_matrices(y: np.ndarray, ym: np.ndarray, k1: np.ndarray, variant: str) -> np.ndarray:
     """Stacked (..., m_r, r, 2, 2) linear models mapping [Re, Im] of the update to z."""
     c = np.empty((*y.shape[:-2], y.shape[-1], y.shape[-2], 2, 2), dtype=np.complex128)
     yt, ymt = np.swapaxes(y, -1, -2), np.swapaxes(ym, -1, -2)  # (..., m_r, r)
-    k1, k2 = k1[..., None], k2[..., None]
+    k1 = k1[..., None]
+    k2 = 1.0 - np.conj(k1)
     if variant == "re-derived":
         # x(l)  = k1 y Ups + k2 ym conj(Ups); x#(l) = conj(k2) y Ups + conj(k1) ym conj(Ups)
         c[..., 0, 0] = k1 * yt + k2 * ymt
@@ -138,12 +108,7 @@ def _tracking_matrices(
 
 
 def _track(
-    data: np.ndarray,
-    state: EstimatorState,
-    pilots: np.ndarray,
-    ctx: _FrameContext,
-    variant: str,
-    ceiling: float,
+    data: np.ndarray, state: EstimatorState, pilots: np.ndarray, smap: SubcarrierMap, variant: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-symbol, per-branch common-phase updates of a frame or a stack of frames.
 
@@ -152,26 +117,27 @@ def _track(
     the regularized pilot model of every symbol and branch, averages over
     the pilot bins, and replaces an update whose branch has a pilot system
     the condition guard rejects, or whose value is not finite or exceeds
-    ``ceiling``, by the last accepted update of its branch in the same
+    ``UPSILON_CEILING``, by the last accepted update of its branch in the same
     frame.  Returns the ``(..., symbols, m_r)`` updates and the
     ``(..., symbols)`` flags of symbols with any rejected branch.
     """
     n_syms = data.shape[-3]
-    y, ym = _pilot_responses(state, pilots, ctx)
-    c = _tracking_matrices(y, ym, state.k1, state.k2, variant)  # (..., m_r, r, 2, 2)
+    y, ym = _pilot_responses(state, pilots, smap)
+    c = _tracking_matrices(y, ym, state.k1, variant)  # (..., m_r, r, 2, 2)
     lead = np.broadcast_shapes(data.shape[:-3], c.shape[:-4])
     c = np.broadcast_to(c, (*lead, *c.shape[-4:]))
     lam = np.maximum(np.diagonal(state.psi, axis1=-2, axis2=-1).real, 0.0)[..., None]
 
-    pb = np.take(data, ctx.p_bins, axis=-2)
-    z = np.stack([pb, np.conj(np.take(pb, ctx.p_mirror, axis=-2))], axis=-2)  # (..., S, r, 2, m_r)
+    p_bins, p_mirror = _pilot_tables(smap)
+    pb = np.take(data, p_bins, axis=-2)
+    z = np.stack([pb, np.conj(np.take(pb, p_mirror, axis=-2))], axis=-2)  # (..., S, r, 2, m_r)
     z = np.moveaxis(z, -1, -4).swapaxes(-3, -2)                  # (..., m_r, r, S, 2)
     # one system per (frame, branch, pilot), solved for all the symbols
     phi, ok = _solve_pairs(c, z, lam[..., None, None] * np.eye(2, dtype=np.complex128), lam)
     mean = phi.mean(axis=-3)                                      # (..., m_r, S, 2)
     est = np.where(ok.all(axis=-1)[..., None], mean[..., 0].real + 1j * mean[..., 1].real, np.nan)
     est = np.swapaxes(est, -1, -2)                                # (..., S, m_r)
-    accepted = np.isfinite(est) & (np.abs(est) <= ceiling)
+    accepted = np.isfinite(est) & (np.abs(est) <= UPSILON_CEILING)
 
     last = np.where(accepted, np.arange(n_syms)[:, None], -1)
     np.maximum.accumulate(last, axis=-2, out=last)
@@ -230,7 +196,7 @@ def _mixing_matrices(upsilon, h_k, h_mk, k1) -> np.ndarray:
     return np.concatenate([top, bot], axis=-2)
 
 
-def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray, r_floor=0.0):
+def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray, r_floor):
     """Guarded regularized least squares ``(W^H W + R) s = W^H x`` for a stack of systems.
 
     Detection solves its mirror-pair systems with it (ZF: ``r`` zero, or
@@ -275,13 +241,10 @@ def equalize_frame(
     stack of systems at a time, at most ``DETECT_CHUNK`` data symbols
     unless one system has more, over the frames' symbols in order.
     """
-    ctx = _frame_context(smap, state, options)
     data = rx_grids[..., n_train:, :, :]
     lead, (n_syms, n, m_r), m_t = data.shape[:-3], data.shape[-3:], state.m_t
     if phase_updates is None:
-        upsilon, flagged = _track(
-            data, state, pilots, ctx, options.tracking_variant, UPSILON_CEILING
-        )
+        upsilon, flagged = _track(data, state, pilots, smap, options.tracking_variant)
     else:
         upsilon = np.asarray(phase_updates, dtype=np.complex128)
         flagged = np.zeros((*lead, n_syms), dtype=bool)
@@ -301,12 +264,21 @@ def equalize_frame(
     def per_frame(a, core):
         return np.broadcast_to(a, (*lead, *core)).reshape(frames, *core)
 
-    pair_shape = (ctx.b_k.size, m_r, m_t)  # a frame's pair channels and conjugated mirrors
-    h_k = per_frame(np.take(state.h_pre, ctx.b_k, axis=-3), pair_shape)
-    h_mk = per_frame(np.conj(np.take(state.h_pre, ctx.b_mk, axis=-3)), pair_shape)
+    # each mirror pair {k, -k}: storage bins and positions in the data ordering
+    kpos = smap.data_bins[smap.data_bins > 0]
+    b_k, b_mk = logical_to_bin(kpos, n), logical_to_bin(-kpos, n)
+    i_k, i_mk = np.searchsorted(smap.data_bins, kpos), np.searchsorted(smap.data_bins, -kpos)
+    pair_shape = (kpos.size, m_r, m_t)  # a frame's pair channels and conjugated mirrors
+    h_k = per_frame(np.take(state.h_pre, b_k, axis=-3), pair_shape)
+    h_mk = per_frame(np.conj(np.take(state.h_pre, b_mk, axis=-3)), pair_shape)
     k1 = per_frame(state.k1, (m_r,))
-    r = per_frame(ctx.r_matrix, (2 * m_t, 2 * m_t))
-    r_floor = per_frame(ctx.r_floor, ())
+    # the regularizer and its smallest eigenvalue: MMSE's, or zero for ZF (no certificate)
+    r, r_floor = np.zeros((2 * m_t, 2 * m_t), dtype=np.complex128), 0.0
+    if options.detector == "mmse":
+        r = mmse_r_matrix(state, options.mmse_r)
+        r_floor = np.linalg.eigvalsh(r)[..., 0]
+    r = per_frame(r, (2 * m_t, 2 * m_t))
+    r_floor = per_frame(r_floor, ())
 
     soft = np.zeros((systems, cols, smap.n_data, m_t), dtype=np.complex128)
     erased = np.zeros((systems, smap.n_data), dtype=bool)
@@ -317,14 +289,14 @@ def equalize_frame(
         w = _mixing_matrices(ups[sl], h_k[f], h_mk[f], k1[f])  # (sys, P, 2m_r, 2m_t)
         fr, rw = f[:, None], row_of[sl][:, None]
         x_stack = np.concatenate(  # (sys, P, cols, 2m_r): index arrays split by a slice lead
-            [x[fr, rw, :, ctx.b_k], np.conj(x[fr, rw, :, ctx.b_mk])], axis=-1
+            [x[fr, rw, :, b_k], np.conj(x[fr, rw, :, b_mk])], axis=-1
         )
         s_stack, good = _solve_pairs(w, x_stack, r[f][:, None], r_floor[f][:, None])
         s_stack = s_stack.swapaxes(1, 2)                                # (sys, cols, P, 2m_t)
-        soft[sl, :, ctx.i_k] = s_stack[..., :m_t]
-        soft[sl, :, ctx.i_mk] = np.conj(s_stack[..., m_t:])
-        erased[sl, ctx.i_k] = ~good
-        erased[sl, ctx.i_mk] = ~good
+        soft[sl, :, i_k] = s_stack[..., :m_t]
+        soft[sl, :, i_mk] = np.conj(s_stack[..., m_t:])
+        erased[sl, i_k] = ~good
+        erased[sl, i_mk] = ~good
     shape = (*lead, n_syms, smap.n_data)
     bits = qam16_demap(soft).reshape(*shape, m_t, 4)
     return FrameDecisions(

@@ -197,7 +197,6 @@ class PreambleSet:
 
     t1: np.ndarray       # (n, m_t) storage order
     t2: np.ndarray       # (n, m_t)
-    gamma: np.ndarray    # (n,) training values, zero on unused bins
     used: np.ndarray     # (n_used,) logical indices, ascending
     owner: np.ndarray    # (n_used,) transmitting antenna per used bin
     lambda1: np.ndarray  # (n_used,)
@@ -230,9 +229,7 @@ def build_preamble(m_t: int, smap: SubcarrierMap) -> PreambleSet:
     lam2 = sign * lam1
     t1[logical_to_bin(used, n), owner] = lam1
     t2[logical_to_bin(used, n), owner] = lam2
-    return PreambleSet(
-        t1=t1, t2=t2, gamma=gamma, used=used, owner=owner, lambda1=lam1, lambda2=lam2
-    )
+    return PreambleSet(t1=t1, t2=t2, used=used, owner=owner, lambda1=lam1, lambda2=lam2)
 
 
 def build_short_symbol(smap: SubcarrierMap, m_t: int) -> np.ndarray:

@@ -414,12 +414,9 @@ def impair(draws: FrameDraws, config: ScenarioConfig, points, phases: dict) -> S
     p_rx = config.m_t * config.smap.n_used / config.n**2
     sigma2 = [0.0 if math.isinf(snr_db) else p_rx / 10.0 ** (snr_db / 10.0) for snr_db, _ in points]
     rx = np.empty((len(points), *draws.clean.shape), dtype=np.complex128)
-    for p, (snr_db, beta) in enumerate(points):
-        if math.isinf(snr_db):
-            rx[p] = draws.clean
-        else:
-            np.multiply(draws.noise, np.sqrt(sigma2[p] / 2.0), out=rx[p])
-            rx[p] += draws.clean
+    for p, (_, beta) in enumerate(points):
+        np.multiply(draws.noise, np.sqrt(sigma2[p] / 2.0), out=rx[p])  # zeros at infinite SNR
+        rx[p] += draws.clean
         apply_phase_noise(rx[p], phases[beta][0])
     h_eff = np.concatenate([phases[beta][1] for _, beta in points])
     cpe_true = np.concatenate([phases[beta][2] for _, beta in points])

@@ -184,6 +184,19 @@ class TestMain:
         assert "configuration error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--bogus", "1"],  # unknown flag
+        ["--snr"],  # flag without a value
+        ["--snr=10", "-5"],  # stray argument
+        ["--fr", "1"],  # a prefix of --frames is not --frames
+    ])
+    def test_bad_command_line_exits_config(self, tmp_path, capsys, args):
+        # refused as a configuration error, not by an exit from inside main
+        rc = main(["--out", str(tmp_path / "out"), *args])
+        assert rc == EXIT_CONFIG
+        assert "configuration error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_mode_exits_config(self, tmp_path):
         rc = main(["--mode", "warp", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG

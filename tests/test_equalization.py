@@ -8,9 +8,9 @@ from ofdmlink.channel import apply_channel
 from ofdmlink.equalization import (
     UPSILON_CEILING,
     EqualizerOptions,
-    _frame_context,
     _mixing_matrices,
     _pilot_responses,
+    _pilot_tables,
     _solve_pairs,
     _track,
     _tracking_matrices,
@@ -60,10 +60,9 @@ def pilot_observation(state, smap, pilots, upsilon):
     return x
 
 
-def track_cpe(x, state, smap, pilots, variant="re-derived", ceiling=UPSILON_CEILING):
+def track_cpe(x, state, smap, pilots, variant="re-derived"):
     """Tracking updates and flags of a ``(symbols, n, m_r)`` stack via the frame kernel."""
-    ctx = _frame_context(smap, state, EqualizerOptions())
-    return _track(np.asarray(x), state, pilots, ctx, variant, ceiling)
+    return _track(np.asarray(x), state, pilots, smap, variant)
 
 
 def build_w(k, state, upsilon):
@@ -81,7 +80,7 @@ def pair_channels(state, b_k, b_mk):
 
 def detect(x_stack, w, r=0.0):
     """Soft estimate and guard verdict of one stacked mirror pair."""
-    s, good = _solve_pairs(w[None], np.asarray(x_stack, dtype=complex)[None, None], r)
+    s, good = _solve_pairs(w[None], np.asarray(x_stack, dtype=complex)[None, None], r, 0.0)
     return s[0, 0], bool(good[0])
 
 
@@ -161,10 +160,10 @@ class TestTrackCpe:
 
 def _per_pilot_estimates(x, state, smap, pilots):
     """Single-pilot tracking estimates, one per pilot bin (averaging baseline)."""
-    ctx = _frame_context(smap, state, EqualizerOptions())
-    y, ym = _pilot_responses(state, pilots, ctx)
-    z = np.stack([x[ctx.p_bins], np.conj(x[ctx.p_bins[ctx.p_mirror]])], axis=1)
-    c = _tracking_matrices(y, ym, state.k1, state.k2, "re-derived")
+    p_bins, p_mirror = _pilot_tables(smap)
+    y, ym = _pilot_responses(state, pilots, smap)
+    z = np.stack([x[p_bins], np.conj(x[p_bins[p_mirror]])], axis=1)
+    c = _tracking_matrices(y, ym, state.k1, "re-derived")
     r = z.shape[0]
     out = np.empty((r, state.m_r), dtype=complex)
     for l in range(r):
@@ -186,15 +185,15 @@ def per_symbol_tracker(data, state, smap, pilots, variant, ceiling=UPSILON_CEILI
     before the first) when the guard rejects or the estimate is not
     finite or exceeds the ceiling.
     """
-    ctx = _frame_context(smap, state, EqualizerOptions())
-    y, ym = _pilot_responses(state, pilots, ctx)
-    c = _tracking_matrices(y, ym, state.k1, state.k2, variant)
+    p_bins, p_mirror = _pilot_tables(smap)
+    y, ym = _pilot_responses(state, pilots, smap)
+    c = _tracking_matrices(y, ym, state.k1, variant)
     ch = c.conj().swapaxes(-1, -2)
     gram = ch @ c
     prev = np.ones(state.m_r, dtype=complex)
     history, flagged = [], []
     for x in data:
-        z = np.stack([x[ctx.p_bins], np.conj(x[ctx.p_bins[ctx.p_mirror]])], axis=1)
+        z = np.stack([x[p_bins], np.conj(x[p_bins[p_mirror]])], axis=1)
         rhs = (ch @ np.moveaxis(z, 2, 0)[..., None])[..., 0]
         ups = np.empty(state.m_r, dtype=complex)
         rejected = False
@@ -396,7 +395,7 @@ class TestDetect:
         w = np.stack([build_w(k, state, np.ones(2, dtype=complex)) for k in (3, 5, 9)])
         w[1] = 0.0
         s = np.array([1 - 1j, -3 + 1j, 1 + 1j, -3 - 1j]) / np.sqrt(10)
-        got, good = _solve_pairs(w, (w @ s)[:, None], 0.0)
+        got, good = _solve_pairs(w, (w @ s)[:, None], 0.0, 0.0)
         got = got[:, 0]
         np.testing.assert_array_equal(good, [True, False, True])
         np.testing.assert_allclose(got[[0, 2]], np.stack([s, s]), atol=1e-9)

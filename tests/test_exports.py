@@ -1,8 +1,9 @@
 """Every public name the package declares resolves to an object; importing it loads no scipy.
 
 No module imports a name it never reads, so a removal leaves no stale import behind, and
-the package reads every name it exports, so it ships nothing that only the tests use, and
-every module-level function and class it defines, so no helper outlives its last caller.
+the package reads every name it exports, so it ships nothing that only the tests use,
+every module-level function and class it defines, so no helper outlives its last caller,
+and every field of its dataclasses, so no record carries a value nobody reads.
 """
 
 import ast
@@ -145,6 +146,74 @@ def test_unread_definition_check_sees_one():
 def test_package_reads_every_definition():
     # a helper whose last caller went is dead code, exported or not
     assert [name for name in _unread_definitions(_package_sources()) if name not in ENTRY_POINTS] == []
+
+
+# dataclass fields that nothing in the package reads by design, with their readers
+FIELD_READERS = {
+    "equalization.FrameDecisions.soft": "tests",
+    "equalization.FrameDecisions.cpe_history": "tests, and ROADMAP item 3's anchor",
+    "equalization.FrameDecisions.flagged_symbols": "benchmarks/layertrace.py",
+}
+
+
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        "dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None))
+        for d in node.decorator_list
+    )
+
+
+def _fields_of(node):
+    """The name ``X`` of a ``fields(X)`` call, else None."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "fields" and node.args:
+        return getattr(node.args[0], "id", None)
+    return None
+
+
+def _unread_fields(sources: dict) -> list:
+    """``module.Class.field`` of each dataclass field that no module reads.
+
+    A field is read by attribute, or with every field of its class through
+    ``fields(Class)`` or, in a method of the class, ``fields(self)``.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read, whole = set(), set()  # attribute names read; classes whose fields() are read
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                if any(_fields_of(inner) == "self" for inner in ast.walk(node)):
+                    whole.add(node.name)
+            elif _fields_of(node) is not None:
+                whole.add(_fields_of(node))
+    return sorted(
+        f"{module}.{cls.name}.{item.target.id}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if _is_dataclass(cls) and cls.name not in whole
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and item.target.id not in read
+    )
+
+
+def test_unread_field_check_sees_one():
+    sources = {
+        "a": (
+            "@dataclass(frozen=True)\nclass K:\n    x: int\n    y: int = 0\n"
+            "@dataclass\nclass R:\n    z: int\n    def csv(self): return fields(self)\n"
+            "@dataclass\nclass S:\n    w: int\n"
+            "class T:\n    v: int\n"
+        ),
+        "b": "from .a import K, S\ndef f(k: K): k.y = k.x\ndef g(): return fields(S)\n",
+    }
+    assert _unread_fields(sources) == ["a.K.y"]
+
+
+def test_package_reads_every_dataclass_field():
+    # a field nothing reads is state that is built and carried for nobody; an
+    # exemption whose field the package comes to read goes from the list
+    assert _unread_fields(_package_sources()) == sorted(FIELD_READERS)
 
 
 def test_import_loads_no_scipy():
