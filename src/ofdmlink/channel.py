@@ -64,7 +64,7 @@ def draw_channel(
     l_taps: int,
     decay: float,
     rng: RandomSource,
-    n_fft: int = 64,
+    n_fft: int,
 ) -> ChannelRealization:
     """Draw an independent Rayleigh realization for every (receive, transmit) link.
 

@@ -97,15 +97,6 @@ def _parse_iq(text: str) -> tuple[float, float]:
     return parts["deg"], parts["pct"]
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"expected a boolean, got {text!r}")
-
-
 def _parse_words(text: str) -> tuple:
     return tuple(p.strip() for p in text.split(","))
 
@@ -134,7 +125,6 @@ SETTINGS = {
     "iq_frame_avg": ("iq_frame_avg", int, None),
     "tracking_variant": ("tracking_variant", str.strip, None),
     "mmse_r": ("mmse_r", str.strip, None),
-    "shared_oscillator": ("shared_oscillator", _parse_bool, None),
 }
 
 

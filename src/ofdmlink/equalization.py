@@ -55,9 +55,9 @@ DETECT_CHUNK = 8
 
 @dataclass(frozen=True)
 class EqualizerOptions:
-    detector: str = "zf"            # "zf" | "mmse"
-    tracking_variant: str = "re-derived"  # "re-derived" | "as-printed"
-    mmse_r: str = "sigma"           # "sigma" | "kron"
+    detector: str          # "zf" | "mmse"
+    tracking_variant: str  # "re-derived" | "as-printed"
+    mmse_r: str            # "sigma" | "kron"
 
     def __post_init__(self):
         if self.detector not in ("zf", "mmse"):
@@ -226,7 +226,7 @@ def equalize_frame(
     smap: SubcarrierMap,
     pilots: np.ndarray,
     n_train: int,
-    options: EqualizerOptions = EqualizerOptions(),
+    options: EqualizerOptions,
     phase_updates: np.ndarray | None = None,
 ) -> FrameDecisions:
     """Track the common phase and detect every data bin of a demodulated frame or frame stack.

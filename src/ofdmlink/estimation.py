@@ -69,18 +69,13 @@ class EstimatorState:
     """Receiver-side knowledge used by the tracker and detector.
 
     ``h_pre`` is the effective channel (physical channel fused with the
-    preamble-time common phase) on every used bin; ``k2`` is derived from
-    ``k1`` so the defining identity holds exactly.  Leading axes, where
+    preamble-time common phase) on every used bin.  Leading axes, where
     present, are frames; a field without them is shared by every frame.
     """
 
     h_pre: np.ndarray       # (..., n, m_r, m_t)
     k1: np.ndarray          # (..., m_r) diagonal
     psi: np.ndarray         # (..., m_r, m_r) noise + ICI correlation
-
-    @property
-    def k2(self) -> np.ndarray:
-        return 1.0 - np.conj(self.k1)
 
     @property
     def m_r(self) -> int:

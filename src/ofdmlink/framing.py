@@ -75,7 +75,7 @@ class SubcarrierMap:
         return self.data_bins.size + self.pilot_bins.size
 
 
-def build_subcarrier_map(n: int = 64) -> SubcarrierMap:
+def build_subcarrier_map(n: int) -> SubcarrierMap:
     """802.11a layout for n = 64, proportionally scaled for other sizes.
 
     The preamble estimator needs mirror-symmetric used bins, so the high
@@ -109,9 +109,9 @@ class FrameConfig:
 
     m_t: int
     m_r: int
-    n: int = 64
-    n_cp: int = 16
-    symbols_per_frame: int = 50
+    n: int
+    n_cp: int
+    symbols_per_frame: int
     n_short = 1  # short training symbols, a constant of the layout (not a field)
 
     def __post_init__(self):

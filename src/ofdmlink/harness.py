@@ -156,7 +156,6 @@ class ScenarioConfig:
     iq_frame_avg: int = 1
     tracking_variant: str = "re-derived"
     mmse_r: str = "sigma"
-    shared_oscillator: bool = False
     workers: int = 1
 
     def __post_init__(self):
@@ -317,7 +316,7 @@ class FrameDraws:
 
     clean: np.ndarray            # (frames, samples, m_r) channel output before noise
     noise: np.ndarray            # (frames, samples, m_r) standard normal per real dimension
-    steps: np.ndarray            # (frames, samples - 1, paths) standard-normal phase steps
+    steps: np.ndarray            # (frames, samples - 1, m_r) standard-normal phase steps per branch
     truth_bits: np.ndarray       # (frames, n_data_syms, n_data, m_t, 4) uint8
     freq: np.ndarray             # (frames, n, m_r, m_t) channel responses
 
@@ -370,7 +369,7 @@ def simulate_frame(config: ScenarioConfig, rngs) -> FrameDraws:
         gen = rng.child("noise").rng
         noise[f].real = gen.standard_normal(clean.shape[1:])
         noise[f].imag = gen.standard_normal(clean.shape[1:])
-    shape = (clean.shape[1] - 1, 1 if config.shared_oscillator else config.m_r)
+    shape = (clean.shape[1] - 1, config.m_r)
     steps = np.stack([rng.child("phase").rng.standard_normal(shape) for rng in rngs])
     return FrameDraws(
         clean=clean, noise=noise, steps=steps, truth_bits=truth_bits,
@@ -384,7 +383,7 @@ def _phase(draws: FrameDraws, config: ScenarioConfig, beta: float) -> tuple:
     The common phase errors are read from the rotation that turns the
     streams, so ``exp`` runs once per linewidth and chunk.
     """
-    rotation = 1j * wiener_phase(beta, config.ts, draws.steps, config.m_r)
+    rotation = 1j * wiener_phase(beta, config.ts, draws.steps)
     np.exp(rotation, out=rotation)  # in place: a chunk of streams is large
     # The preamble-stage estimator targets the channel fused with the mean
     # common phase of the two long training symbols (rows 0 and 1).

@@ -1,10 +1,10 @@
 """Receiver-side impairments: Wiener phase noise and frequency-flat IQ imbalance.
 
 Each receive branch has its own free-running oscillator, so phase paths
-are independent per branch (a shared-oscillator switch exists for
-experiments).  IQ imbalance mixes every subcarrier with its conjugate
-mirror through the diagonal coefficients ``K1 = (1 + eps e^{-j theta})/2``
-and ``K2 = (1 - eps e^{j theta})/2``; ``K2 = 1 - conj(K1)`` holds exactly.
+are independent per branch.  IQ imbalance mixes every subcarrier with its
+conjugate mirror through the diagonal coefficients
+``K1 = (1 + eps e^{-j theta})/2`` and ``K2 = (1 - eps e^{j theta})/2``;
+``K2 = 1 - conj(K1)`` holds exactly.
 
 The noise-free frequency-domain prediction of the whole receive chain,
 the tests' oracle for this sample-level pipeline, is in
@@ -64,15 +64,14 @@ class IqParams:
         return 1.0 - np.conj(self.k1)
 
 
-def wiener_phase(beta: float, ts: float, steps: np.ndarray, m_r: int) -> np.ndarray:
+def wiener_phase(beta: float, ts: float, steps: np.ndarray) -> np.ndarray:
     """Wiener phase paths from standard-normal increments, starting at phi(0) = 0.
 
-    ``steps`` is ``(..., n_samples - 1, paths)``, with one path per branch
-    or a single path (one oscillator shared by all ``m_r`` branches).
-    Each step is scaled to variance ``4 pi beta ts``, so steps drawn once
-    serve every linewidth; leading axes are frames.  Returns ``phi``,
-    ``(..., n_samples, m_r)``: the phase (radians) of branch ``q`` at
-    sample ``n`` is ``phi[..., n, q]``.
+    ``steps`` is ``(..., n_samples - 1, m_r)``, one path per receive
+    branch.  Each step is scaled to variance ``4 pi beta ts``, so steps
+    drawn once serve every linewidth; leading axes are frames.  Returns
+    ``phi``, ``(..., n_samples, m_r)``: the phase (radians) of branch
+    ``q`` at sample ``n`` is ``phi[..., n, q]``.
     """
     if beta < 0:
         raise ConfigurationError("linewidth must be nonnegative")
@@ -82,8 +81,6 @@ def wiener_phase(beta: float, ts: float, steps: np.ndarray, m_r: int) -> np.ndar
     inc = phi[..., 1:, :]
     np.multiply(np.sqrt(4.0 * np.pi * beta * ts), steps, out=inc)
     np.cumsum(inc, axis=-2, out=inc)
-    if phi.shape[-1] != m_r:
-        phi = np.repeat(phi, m_r, axis=-1)
     return phi
 
 

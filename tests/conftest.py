@@ -54,7 +54,7 @@ def eigvalsh_verdicts(stack):
     return out
 
 
-def gen_phase_noise(beta, ts, n_samples, m_r, rng, shared_oscillator=False):
+def gen_phase_noise(beta, ts, n_samples, m_r, rng):
     """One frame's ``(n_samples, m_r)`` Wiener phase paths, each increment drawn at its own scale.
 
     The reference for ``wiener_phase`` on shared standard-normal steps: for
@@ -63,9 +63,5 @@ def gen_phase_noise(beta, ts, n_samples, m_r, rng, shared_oscillator=False):
     """
     if beta == 0.0:
         return np.zeros((n_samples, m_r))
-    n_paths = 1 if shared_oscillator else m_r
-    inc = rng.rng.normal(scale=np.sqrt(4.0 * np.pi * beta * ts), size=(n_samples - 1, n_paths))
-    phi = np.vstack([np.zeros((1, n_paths)), np.cumsum(inc, axis=0)])
-    if shared_oscillator:
-        phi = np.repeat(phi, m_r, axis=1)
-    return phi
+    inc = rng.rng.normal(scale=np.sqrt(4.0 * np.pi * beta * ts), size=(n_samples - 1, m_r))
+    return np.vstack([np.zeros((1, m_r)), np.cumsum(inc, axis=0)])

@@ -15,7 +15,7 @@ import pytest
 from conftest import gen_phase_noise, make_channel, owned_channel_columns, transmit_preamble
 from freq_oracle import combined_freq_model
 from ofdmlink.channel import apply_channel, draw_channel
-from ofdmlink.equalization import EqualizerOptions, equalize_frame
+from ofdmlink.equalization import equalize_frame
 from ofdmlink.estimation import (
     EstimatorState,
     estimate_iq_params,
@@ -137,13 +137,13 @@ def test_criterion_04_wiener_law():
     """Increment variance and linear variance growth of the phase path."""
     t0 = time.time()
     target_step = 4 * np.pi * 5e3 * 5e-8
-    phi = wiener_phase(5e3, 5e-8, RandomSource(3400).child("pn").rng.normal(size=(100_000, 1)), 1)
+    phi = wiener_phase(5e3, 5e-8, RandomSource(3400).child("pn").rng.normal(size=(100_000, 1)))
     step_var = np.diff(phi[:, 0]).var()
     root = RandomSource(3401)
     # 10_000 traces in batches: the path variance at sample 80
     endpoints = np.concatenate(
         [
-            wiener_phase(5e3, 5e-8, root.child("batch", i).rng.normal(size=(80, 100)), 100)[80]
+            wiener_phase(5e3, 5e-8, root.child("batch", i).rng.normal(size=(80, 100)))[80]
             for i in range(100)
         ]
     )
@@ -204,12 +204,12 @@ def test_criterion_06_genie_zf_exactness():
     )
     zf = equalize_frame(
         frames.rx_grids, state, smap, pilots, fc.n_train,
-        options=EqualizerOptions(detector="zf"),
+        options=config.equalizer,
         phase_updates=frames.cpe_true,
     )
     mmse = equalize_frame(
         frames.rx_grids, state_eps, smap, pilots, fc.n_train,
-        options=EqualizerOptions(detector="mmse"),
+        options=dataclasses.replace(config.equalizer, detector="mmse"),
         phase_updates=frames.cpe_true,
     )
     same = np.array_equal(zf.bits, mmse.bits)

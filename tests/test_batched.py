@@ -54,10 +54,7 @@ def oracle_frame(config, snr_db, beta, rng):
     if not math.isinf(snr_db):
         sigma2 = config.m_t * smap.n_used / config.n**2 / 10.0 ** (snr_db / 10.0)
         rx = rx + rng.child("noise").complex_normal(var=sigma2, size=rx.shape)
-    phi = gen_phase_noise(
-        beta, config.ts, rx.shape[0], config.m_r,
-        rng.child("phase"), shared_oscillator=config.shared_oscillator,
-    )
+    phi = gen_phase_noise(beta, config.ts, rx.shape[0], config.m_r, rng.child("phase"))
     rotation = np.exp(1j * phi)
     rx = apply_iq_imbalance(apply_phase_noise(rx, rotation), config.iq)
     rx_grids = demodulate_frame(rx, config.n, config.n_cp, config.symbols_per_frame)
@@ -187,13 +184,10 @@ def test_rows_do_not_depend_on_chunk_size(monkeypatch, chunk_symbols):
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
-@pytest.mark.parametrize("shared_oscillator", [False, True])
-def test_shared_draws_replay_each_frame_draw(m, shared_oscillator):
+def test_shared_draws_replay_each_frame_draw(m):
     # the unit draws, scaled for a point, equal complex_normal(var) and the
     # phase path drawn at its own scale, frame by frame
-    config = ScenarioConfig(
-        m_t=m, m_r=m, frames=3, symbols_per_frame=5, shared_oscillator=shared_oscillator,
-    )
+    config = ScenarioConfig(m_t=m, m_r=m, frames=3, symbols_per_frame=5)
 
     def sources():
         return [RandomSource(41).child("frame", f) for f in range(3)]
@@ -204,27 +198,25 @@ def test_shared_draws_replay_each_frame_draw(m, shared_oscillator):
         want = rng.child("noise").complex_normal(var=sigma2, size=draws.clean.shape[1:])
         assert np.array_equal(np.multiply(draws.noise[f], np.sqrt(sigma2 / 2.0)), want)
         for beta in (1e3, 1e5):
-            want = gen_phase_noise(
-                beta, config.ts, draws.clean.shape[1], m, rng.child("phase"), shared_oscillator,
-            )
-            got = wiener_phase(beta, config.ts, draws.steps[f], m)
+            want = gen_phase_noise(beta, config.ts, draws.clean.shape[1], m, rng.child("phase"))
+            got = wiener_phase(beta, config.ts, draws.steps[f])
             assert np.array_equal(got, want)
             rng = sources()[f]  # a fresh phase source for the next linewidth
 
 
-# (m_t = m_r, snr points, linewidths, shared oscillator, frames, iq_frame_avg)
+# (m_t = m_r, snr points, linewidths, frames, iq_frame_avg)
 GROUPS = [
-    (1, (15.0, float("inf")), (0.0, 5e3), False, 4, 1),
-    (2, (20.0, float("inf")), (0.0, 1e4), True, 4, 2),
-    (4, (float("inf"), 25.0), (5e3, 0.0), False, 3, 1),
+    (1, (15.0, float("inf")), (0.0, 5e3), 4, 1),
+    (2, (20.0, float("inf")), (0.0, 1e4), 4, 2),
+    (4, (float("inf"), 25.0), (5e3, 0.0), 3, 1),
     # 100 kHz: some frames' mismatch estimates fail inside a chunk
-    (2, (20.0,), (1e5, 5e3, 0.0), False, 12, 2),
+    (2, (20.0,), (1e5, 5e3, 0.0), 12, 2),
     # no finite SNR and no positive linewidth: both draws unused
-    (2, (float("inf"),), (0.0,), False, 2, 1),
+    (2, (float("inf"),), (0.0,), 2, 1),
     # chunks that are not whole iq_frame_avg blocks: the blocks of a stack
     # restart at each point's first frame
-    (2, (20.0, float("inf")), (0.0, 5e3), False, 3, 2),
-    (2, (20.0, float("inf")), (0.0, 5e3), False, 2, 50),
+    (2, (20.0, float("inf")), (0.0, 5e3), 3, 2),
+    (2, (20.0, float("inf")), (0.0, 5e3), 2, 50),
 ]
 
 
@@ -233,11 +225,11 @@ def exact(rows):
     return [repr(row) for row in rows]
 
 
-@pytest.mark.parametrize("m, snrs, betas, shared, n_frames, avg", GROUPS)
-def test_group_equals_points_one_by_one(monkeypatch, m, snrs, betas, shared, n_frames, avg):
+@pytest.mark.parametrize("m, snrs, betas, n_frames, avg", GROUPS)
+def test_group_equals_points_one_by_one(monkeypatch, m, snrs, betas, n_frames, avg):
     config = ScenarioConfig(
         m_t=m, m_r=m, frames=n_frames, snr_db=snrs, beta_hz=betas, modes=MODES,
-        iq_frame_avg=avg, symbols_per_frame=7, shared_oscillator=shared, master_seed=7100,
+        iq_frame_avg=avg, symbols_per_frame=7, master_seed=7100,
     )
     points = [(i, j) for i in range(len(snrs)) for j in range(len(betas))]
     alone = {p: harness.run_point(config, [p]) for p in points}  # a stack of one
@@ -266,14 +258,13 @@ def test_mode_rows_do_not_depend_on_the_other_modes():
         assert exact(alone) == exact([rows[mode]])
 
 
-@pytest.mark.parametrize("shared_oscillator", [False, True])
-def test_stack_equals_frame_by_frame(shared_oscillator):
+def test_stack_equals_frame_by_frame():
     # one pass over a stack that mixes infinite SNR, a zero and a nonzero
     # linewidth: each point's frames, one point after another, are the
     # oracle's; the chunk's bits are held once for every point
     config = ScenarioConfig(
         frames=3, snr_db=(20.0, float("inf")), beta_hz=(0.0, 5e3), symbols_per_frame=7,
-        shared_oscillator=shared_oscillator, master_seed=7100,
+        master_seed=7100,
     )
     points = [(float("inf"), 5e3), (20.0, 0.0), (20.0, 5e3), (float("inf"), 0.0)]
     rngs = [RandomSource(config.master_seed).child("frame", f) for f in range(3)]

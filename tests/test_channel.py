@@ -34,7 +34,7 @@ class TestPowerProfile:
 
 class TestDrawChannel:
     def test_single_tap_is_flat(self):
-        ch = draw_channel(2, 2, 1, 2.0, RandomSource(3).child("ch"))
+        ch = draw_channel(2, 2, 1, 2.0, RandomSource(3).child("ch"), n_fft=64)
         mags = np.abs(ch.freq)
         np.testing.assert_allclose(mags, np.broadcast_to(mags[0], mags.shape), rtol=1e-12)
 
@@ -44,7 +44,7 @@ class TestDrawChannel:
         acc = np.zeros(7)
         root = RandomSource(17)
         for i in range(6250):
-            ch = draw_channel(4, 4, 7, 2.0, root.child("draw", i))
+            ch = draw_channel(4, 4, 7, 2.0, root.child("draw", i), n_fft=64)
             acc += np.sum(np.abs(ch.taps) ** 2, axis=(0, 1))
         acc /= 6250 * 16
         np.testing.assert_allclose(acc, pdp, rtol=0.02)
@@ -53,7 +53,9 @@ class TestDrawChannel:
         root = RandomSource(29)
         total = np.mean(
             [
-                np.sum(np.abs(draw_channel(2, 2, 7, 2.0, root.child("d", i)).taps) ** 2, axis=2)
+                np.sum(
+                    np.abs(draw_channel(2, 2, 7, 2.0, root.child("d", i), n_fft=64).taps) ** 2, axis=2
+                )
                 for i in range(4000)
             ]
         )
@@ -77,7 +79,7 @@ class TestFreqResponse:
             assert ch.freq[k % 64, 0, 0] == pytest.approx(np.exp(-2j * np.pi * k / 64))
 
     def test_matches_defining_sum(self):
-        ch = draw_channel(3, 2, 7, 2.0, RandomSource(31).child("ch"))
+        ch = draw_channel(3, 2, 7, 2.0, RandomSource(31).child("ch"), n_fft=64)
         n = np.arange(7)
         for k in (-30, -7, 1, 13):
             expected = np.einsum("qpl,l->qp", ch.taps, np.exp(-2j * np.pi * k * n / 64))
@@ -92,7 +94,7 @@ class TestApplyChannel:
         np.testing.assert_allclose(apply_channel(x, ch), x)
 
     def test_superposition(self):
-        ch = draw_channel(2, 2, 5, 2.0, RandomSource(37).child("ch"))
+        ch = draw_channel(2, 2, 5, 2.0, RandomSource(37).child("ch"), n_fft=64)
         rng = np.random.default_rng(0)
         a = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
         b = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
@@ -101,7 +103,7 @@ class TestApplyChannel:
         )
 
     def test_output_length(self):
-        ch = draw_channel(3, 2, 7, 2.0, RandomSource(41).child("ch"))
+        ch = draw_channel(3, 2, 7, 2.0, RandomSource(41).child("ch"), n_fft=64)
         out = apply_channel(np.zeros((100, 3), dtype=complex), ch)
         assert out.shape == (106, 2)
 
@@ -109,7 +111,7 @@ class TestApplyChannel:
         # With the prefix covering the delay spread, each demodulated bin is
         # the per-bin response times the transmitted value.
         root = RandomSource(43)
-        ch = draw_channel(2, 2, 7, 2.0, root.child("ch"))
+        ch = draw_channel(2, 2, 7, 2.0, root.child("ch"), n_fft=64)
         rng = np.random.default_rng(1)
         grid = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
         rx = apply_channel(modulate_frame(grid[None], 16), ch)
@@ -119,6 +121,6 @@ class TestApplyChannel:
         assert err < 1e-10
 
     def test_shape_validation(self):
-        ch = draw_channel(2, 2, 3, 2.0, RandomSource(47).child("ch"))
+        ch = draw_channel(2, 2, 3, 2.0, RandomSource(47).child("ch"), n_fft=64)
         with pytest.raises(ConfigurationError):
             apply_channel(np.zeros((10, 3), dtype=complex), ch)

@@ -106,11 +106,15 @@ symbols_per_frame = 6
         assert config.workers == 2
         assert out_dir == "."
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # a misspelt key, and the removed shared-oscillator key of older files
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("snrs = 10\n")
-        with pytest.raises(ConfigurationError):
-            parse_config_file(cfg)
+        for text in ("snrs = 10\n", "snr = 10\nshared_oscillator = false\n"):
+            cfg.write_text(text)
+            with pytest.raises(ConfigurationError):
+                parse_config_file(cfg)
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+            assert "configuration error:" in capsys.readouterr().err
 
     def test_readme_config_block_lists_every_key(self):
         # the README's config block names each key once, the flagged keys first

@@ -56,7 +56,6 @@ FIELDS = {
     "iq_frame_avg": (st.integers(1, 3), NASTY_INTS),
     "tracking_variant": (st.sampled_from(["re-derived", "as-printed"]), st.just("bogus")),
     "mmse_r": (st.sampled_from(["sigma", "kron"]), st.just("bogus")),
-    "shared_oscillator": (st.booleans(), st.booleans()),
     "workers": (st.integers(1, 4), NASTY_INTS),
 }
 assert set(FIELDS) == {f.name for f in dataclasses.fields(ScenarioConfig)}

@@ -1,5 +1,7 @@
 """Tests for common-phase tracking and stacked mirror-pair detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,10 @@ from ofdmlink.numerics import (
     logical_to_bin,
 )
 
+# ZF detection with the re-derived tracking model; a test that needs
+# another setting replaces that field
+OPTIONS = EqualizerOptions(detector="zf", tracking_variant="re-derived", mmse_r="sigma")
+
 
 def genie_state(ch, iq=None, psi_scale=0.0, theta_pre=None):
     m_r = ch.m_r
@@ -52,11 +58,12 @@ def pilot_observation(state, smap, pilots, upsilon):
     """Noise-free pilot bins of one symbol under the tracked-mixing model."""
     n = state.h_pre.shape[0]
     x = np.zeros((n, state.m_r), dtype=complex)
+    k2 = 1.0 - np.conj(state.k1)
     for i, k in enumerate(smap.pilot_bins):
         j = list(smap.pilot_bins).index(-k)
         y = state.h_pre[logical_to_bin(k, n)] @ pilots[:, i]
         ym = np.conj(state.h_pre[logical_to_bin(-k, n)] @ pilots[:, j])
-        x[logical_to_bin(k, n)] = state.k1 * upsilon * y + state.k2 * np.conj(upsilon) * ym
+        x[logical_to_bin(k, n)] = state.k1 * upsilon * y + k2 * np.conj(upsilon) * ym
     return x
 
 
@@ -237,8 +244,8 @@ class TestForwardFillTracker:
 
     def _compare(self, smap, data, state, pilots, variant="re-derived"):
         want_hist, want_flags = per_symbol_tracker(data, state, smap, pilots, variant)
-        options = EqualizerOptions(tracking_variant=variant)
-        dec = equalize_frame(data, state, smap, pilots, 0, options=options)
+        options = dataclasses.replace(OPTIONS, tracking_variant=variant)
+        dec = equalize_frame(data, state, smap, pilots, 0, options)
         np.testing.assert_array_equal(dec.cpe_history, want_hist)
         np.testing.assert_array_equal(dec.flagged, want_flags)
         assert dec.flagged_symbols == want_flags.sum()
@@ -249,11 +256,18 @@ class TestForwardFillTracker:
         dec, flagged = self._compare(smap64, data, state, pilots)
         assert flagged == 1 and dec.cpe_history[0, 0] == 1.0
 
-    def test_rejection_mid_frame(self, smap64):
-        data, state, pilots = self._frame(smap64, [1, 1, [1, 50], 1, 1, 1])
+    @pytest.mark.parametrize("scale", [3, 8, 50])
+    def test_rejection_mid_frame(self, smap64, scale):
+        # an update of about the pilot scale: 3 is under the ceiling of 4
+        # and is kept, 8 and 50 exceed it and are replaced
+        data, state, pilots = self._frame(smap64, [1, 1, [1, scale], 1, 1, 1])
         dec, flagged = self._compare(smap64, data, state, pilots)
-        assert flagged == 1
-        assert dec.cpe_history[2, 1] == dec.cpe_history[1, 1]
+        if scale == 3:
+            assert flagged == 0
+            assert dec.cpe_history[2, 1] != dec.cpe_history[1, 1]
+        else:
+            assert flagged == 1
+            assert dec.cpe_history[2, 1] == dec.cpe_history[1, 1]
 
     def test_consecutive_rejections(self, smap64):
         nan = float("nan")
@@ -408,9 +422,9 @@ class TestDetect:
         state = genie_state(ch)
         smap = build_subcarrier_map(64)
         rx = np.zeros((3, 64, 4), dtype=complex)
-        options = EqualizerOptions(detector="mmse", mmse_r="kron")
+        options = dataclasses.replace(OPTIONS, detector="mmse", mmse_r="kron")
         with pytest.raises(ConfigurationError):
-            equalize_frame(rx, state, smap, pilot_matrix(4), 1, options=options)
+            equalize_frame(rx, state, smap, pilot_matrix(4), 1, options)
 
 
 class TestMmseRMatrix:
@@ -441,7 +455,7 @@ class TestMmseRMatrix:
 
 class TestEqualizeFrame:
     def _loopback_frame(self, m_t=2, m_r=2, iq=None, seed=131, symbols=8):
-        config = FrameConfig(m_t=m_t, m_r=m_r, symbols_per_frame=symbols)
+        config = FrameConfig(m_t=m_t, m_r=m_r, n=64, n_cp=16, symbols_per_frame=symbols)
         smap = build_subcarrier_map(64)
         pre = build_preamble(m_t, smap)
         pilots = pilot_matrix(m_t)
@@ -459,7 +473,7 @@ class TestEqualizeFrame:
     def test_impairment_free_loopback_is_bit_exact(self):
         config, smap, pre, pilots, bits, ch, rx = self._loopback_frame()
         state = genie_state(ch)
-        dec = equalize_frame(rx, state, smap, pilots, config.n_train)
+        dec = equalize_frame(rx, state, smap, pilots, config.n_train, OPTIONS)
         np.testing.assert_array_equal(dec.bits, bits)
         assert not dec.erased.any()
         assert dec.flagged_symbols == 0
@@ -482,13 +496,13 @@ class TestEqualizeFrame:
         k1 = (1.0 + refine_iq_channel(est, pre.owner, g0, np.zeros((2, 2)))) / 2.0
         h = iterative_refine(demix_channel(est, k1), pre, smap, l_taps=7)
         state = EstimatorState(h_pre=h, k1=k1, psi=np.zeros((2, 2), dtype=complex))
-        dec = equalize_frame(rx, state, smap, pilots, config.n_train)
+        dec = equalize_frame(rx, state, smap, pilots, config.n_train, OPTIONS)
         np.testing.assert_array_equal(dec.bits, bits)
 
     def test_every_data_bin_detected_once(self):
         config, smap, pre, pilots, bits, ch, rx = self._loopback_frame()
         state = genie_state(ch)
-        dec = equalize_frame(rx, state, smap, pilots, config.n_train)
+        dec = equalize_frame(rx, state, smap, pilots, config.n_train, OPTIONS)
         # soft estimates populated on every data bin of every symbol
         assert dec.soft.shape == (config.n_data_symbols, 48, 2)
         np.testing.assert_allclose(
@@ -499,7 +513,7 @@ class TestEqualizeFrame:
         config, smap, pre, pilots, bits, ch, rx = self._loopback_frame()
         state = genie_state(ch)
         state.h_pre[...] = 0.0  # force rank deficiency everywhere
-        dec = equalize_frame(rx, state, smap, pilots, config.n_train)
+        dec = equalize_frame(rx, state, smap, pilots, config.n_train, OPTIONS)
         assert dec.erased.all()
 
     def test_tracking_reduces_rotation_error(self):
@@ -509,9 +523,9 @@ class TestEqualizeFrame:
         rx = rx_clean.copy()
         rx[config.n_train :] *= rot
         state = genie_state(ch, psi_scale=1e-6)
-        tracked = equalize_frame(rx, state, smap, pilots, config.n_train)
+        tracked = equalize_frame(rx, state, smap, pilots, config.n_train, OPTIONS)
         frozen = equalize_frame(
-            rx, state, smap, pilots, config.n_train,
+            rx, state, smap, pilots, config.n_train, OPTIONS,
             phase_updates=np.ones((config.n_data_symbols, 2), dtype=complex),
         )
         sent = qam16_map(bits).reshape(tracked.soft.shape)
@@ -529,7 +543,7 @@ class TestEqualizeFrame:
         state = genie_state(ch)
         override = np.repeat(rots[:, None], 2, axis=1)
         dec = equalize_frame(
-            rx, state, smap, pilots, config.n_train, phase_updates=override
+            rx, state, smap, pilots, config.n_train, OPTIONS, phase_updates=override
         )
         np.testing.assert_array_equal(dec.bits, bits)
 
@@ -559,9 +573,9 @@ class TestStaticSystems:
         psi = np.einsum("f,ij->fij", [0.05, 0.0, 0.2], np.eye(m)).astype(complex)
         state = EstimatorState(h_pre=h_pre, k1=1.0 + 0.1 * cnormal(frames, m), psi=psi)
         rx = cnormal(frames, n_train + n_data_syms, 64, m)
-        options = EqualizerOptions(detector=detector, mmse_r=mmse_r)
+        options = dataclasses.replace(OPTIONS, detector=detector, mmse_r=mmse_r)
         decs = [
-            equalize_frame(rx, state, smap64, pilot_matrix(m), n_train, options=options,
+            equalize_frame(rx, state, smap64, pilot_matrix(m), n_train, options,
                            phase_updates=np.ones((rows, m), dtype=complex))
             for rows in (1, n_data_syms)
         ]

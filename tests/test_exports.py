@@ -3,7 +3,8 @@
 No module imports a name it never reads, so a removal leaves no stale import behind, and
 the package reads every name it exports, so it ships nothing that only the tests use,
 every module-level function and class it defines, so no helper outlives its last caller,
-and every field of its dataclasses, so no record carries a value nobody reads.
+and every field of its dataclasses, so no record carries a value nobody reads.  Only
+``ScenarioConfig`` gives a setting a default, so no lower layer can choose it differently.
 """
 
 import ast
@@ -214,6 +215,60 @@ def test_package_reads_every_dataclass_field():
     # a field nothing reads is state that is built and carried for nobody; an
     # exemption whose field the package comes to read goes from the list
     assert _unread_fields(_package_sources()) == sorted(FIELD_READERS)
+
+
+def _defaulted_settings(sources: dict) -> list:
+    """``module.owner.name`` of each default given to a ``ScenarioConfig`` field's name outside it.
+
+    The owner is a dataclass, for a field, or a function, for a parameter;
+    ``ScenarioConfig`` chooses every setting, so a second default could
+    disagree with it.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    config = next(
+        node for tree in trees.values() for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ScenarioConfig"
+    )
+    settings = {item.target.id for item in config.body if isinstance(item, ast.AnnAssign)}
+    inside = set(map(id, ast.walk(config)))
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if _is_dataclass(node):
+                found += [
+                    f"{module}.{node.name}.{item.target.id}" for item in node.body
+                    if isinstance(item, ast.AnnAssign) and item.value is not None
+                    and item.target.id in settings
+                ]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                found += [f"{module}.{node.name}.{arg.arg}" for arg in defaulted if arg.arg in settings]
+    return sorted(found)
+
+
+def test_defaulted_setting_check_sees_one():
+    sources = {
+        "a": (
+            "@dataclass(frozen=True)\nclass ScenarioConfig:\n    n: int = 64\n    seed: int = 1\n"
+            "    def f(self, n=2): pass\n"
+            "@dataclass\nclass F:\n    n: int = 64\n    m: int = 2\n    seed: int\n"
+            "class G:\n    n: int = 64\n"
+        ),
+        "b": "def f(x, seed=1, k=2): pass\ndef g(*, n=3, m=1): pass\ndef h(x, n): pass\n",
+    }
+    assert _defaulted_settings(sources) == ["a.F.n", "b.f.seed", "b.g.n"]
+
+
+def test_only_scenario_config_defaults_settings():
+    # a setting is chosen once, in ScenarioConfig; the layers below take it
+    # from there and keep no default of their own
+    assert _defaulted_settings(_package_sources()) == []
 
 
 def test_import_loads_no_scipy():

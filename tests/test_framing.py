@@ -250,7 +250,7 @@ class TestOfdmModulation:
 
 class TestAssembleFrame:
     def _frame(self, m_t=2, symbols=50):
-        config = FrameConfig(m_t=m_t, m_r=2, symbols_per_frame=symbols)
+        config = FrameConfig(m_t=m_t, m_r=2, n=64, n_cp=16, symbols_per_frame=symbols)
         smap = build_subcarrier_map(64)
         pre = build_preamble(m_t, smap)
         bits = RandomSource(9).child("payload").integers(
@@ -287,7 +287,7 @@ class TestAssembleFrame:
         np.testing.assert_array_equal(got, bits)
 
     def test_payload_size_validated(self):
-        config = FrameConfig(m_t=2, m_r=2)
+        config = FrameConfig(m_t=2, m_r=2, n=64, n_cp=16, symbols_per_frame=50)
         smap = build_subcarrier_map(64)
         pre = build_preamble(2, smap)
         with pytest.raises(ConfigurationError):
@@ -303,14 +303,14 @@ class TestAssembleFrame:
 
     def test_frame_config_validation(self):
         with pytest.raises(ConfigurationError):
-            FrameConfig(m_t=2, m_r=2, symbols_per_frame=3)
+            FrameConfig(m_t=2, m_r=2, n=64, n_cp=16, symbols_per_frame=3)
 
     def test_frame_samples_bounded(self):
         # symbols * (n + n_cp) * m_r; only the config is built, no frame
         most = MAX_FRAME_SAMPLES // 80  # symbols of 64 + 16 samples on one branch
-        FrameConfig(m_t=1, m_r=1, symbols_per_frame=most)
-        FrameConfig(m_t=1, m_r=most // 50, symbols_per_frame=50)
+        FrameConfig(m_t=1, m_r=1, n=64, n_cp=16, symbols_per_frame=most)
+        FrameConfig(m_t=1, m_r=most // 50, n=64, n_cp=16, symbols_per_frame=50)
         with pytest.raises(ConfigurationError):
-            FrameConfig(m_t=1, m_r=1, symbols_per_frame=most + 1)
+            FrameConfig(m_t=1, m_r=1, n=64, n_cp=16, symbols_per_frame=most + 1)
         with pytest.raises(ConfigurationError):
-            FrameConfig(m_t=1, m_r=most // 50 + 1, symbols_per_frame=50)
+            FrameConfig(m_t=1, m_r=most // 50 + 1, n=64, n_cp=16, symbols_per_frame=50)

@@ -89,7 +89,7 @@ class TestSnrCalibration:
         p_sig, p_expected = [], []
         for i in range(500):  # 8500 data symbols
             rng = root.child("cal", i)
-            ch = draw_channel(2, 2, 7, 2.0, rng.child("channel"))
+            ch = draw_channel(2, 2, 7, 2.0, rng.child("channel"), n_fft=64)
             bits = rng.child("payload").integers(0, 2, size=fc.n_data_symbols * 48 * 2 * 4)
             grids, _ = assemble_frame(fc, smap, bits, pre, config.short_symbol, config.pilots)
             rx = apply_channel(modulate_frame(grids, 16), ch)
@@ -226,7 +226,6 @@ class TestReceiverState:
             state, ran = receiver_state(frames, fe, config, estimate, k1)
             np.testing.assert_array_equal(ran, [True, True])
             assert state.h_pre.shape == (2, 64, 2, 2)
-            np.testing.assert_array_equal(state.k2, 1 - np.conj(state.k1))
             if mode in ("pn-only", "uncompensated"):
                 np.testing.assert_array_equal(state.k1, np.ones(2))
             if mode in ("iq-only", "full"):

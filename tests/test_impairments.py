@@ -45,9 +45,8 @@ class TestIqParams:
             IqParams(eps=np.ones(2), theta=np.zeros(3))
 
 
-def _wiener(beta, n_samples, m_r, rng, shared_oscillator=False):
-    steps = rng.rng.normal(size=(n_samples - 1, 1 if shared_oscillator else m_r))
-    return wiener_phase(beta, 5e-8, steps, m_r)
+def _wiener(beta, n_samples, m_r, rng):
+    return wiener_phase(beta, 5e-8, rng.rng.normal(size=(n_samples - 1, m_r)))
 
 
 class TestPhaseNoiseGeneration:
@@ -75,29 +74,22 @@ class TestPhaseNoiseGeneration:
         corr = np.corrcoef(d[:, 0], d[:, 1])[0, 1]
         assert abs(corr) < 0.05
 
-    def test_shared_oscillator_switch(self):
-        phi = _wiener(5e3, 100, 3, RandomSource(5).child("pn"), shared_oscillator=True)
-        np.testing.assert_array_equal(phi[:, 0], phi[:, 1])
-        np.testing.assert_array_equal(phi[:, 0], phi[:, 2])
-
     def test_bad_args(self):
         steps = np.zeros((9, 1))
         with pytest.raises(ConfigurationError):
-            wiener_phase(-1.0, 5e-8, steps, 1)
+            wiener_phase(-1.0, 5e-8, steps)
         with pytest.raises(ConfigurationError):
-            wiener_phase(1.0, 0.0, steps, 1)
+            wiener_phase(1.0, 0.0, steps)
 
-    @pytest.mark.parametrize("shared_oscillator", [False, True])
     @pytest.mark.parametrize("beta", [0.0, 1e3, 1e5])
-    def test_steps_replay_the_per_frame_draw(self, beta, shared_oscillator):
+    def test_steps_replay_the_per_frame_draw(self, beta):
         # stacked frames scaled once equal each frame drawn at its own scale
         def sources():
             return [RandomSource(21).child("phase", f) for f in range(3)]
 
-        paths = 1 if shared_oscillator else 4
-        steps = np.stack([rng.rng.normal(size=(299, paths)) for rng in sources()])
-        got = wiener_phase(beta, 5e-8, steps, 4)
-        want = [gen_phase_noise(beta, 5e-8, 300, 4, rng, shared_oscillator) for rng in sources()]
+        steps = np.stack([rng.rng.normal(size=(299, 4)) for rng in sources()])
+        got = wiener_phase(beta, 5e-8, steps)
+        want = [gen_phase_noise(beta, 5e-8, 300, 4, rng) for rng in sources()]
         assert np.array_equal(got, np.stack(want))
 
 
@@ -222,7 +214,7 @@ class TestCombinedModel:
 
     def test_no_impairments_reduces_to_channel(self):
         root = RandomSource(13)
-        ch = draw_channel(2, 2, 7, 2.0, root.child("ch"))
+        ch = draw_channel(2, 2, 7, 2.0, root.child("ch"), n_fft=64)
         rng = np.random.default_rng(14)
         s = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
         phi = np.zeros((200, 2))
@@ -231,7 +223,7 @@ class TestCombinedModel:
 
     def test_iq_only_specialization(self):
         root = RandomSource(15)
-        ch = draw_channel(2, 2, 7, 2.0, root.child("ch"))
+        ch = draw_channel(2, 2, 7, 2.0, root.child("ch"), n_fft=64)
         rng = np.random.default_rng(16)
         s = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
         iq = IqParams.uniform(2, 5.0, 10.0)
@@ -246,7 +238,7 @@ class TestCombinedModel:
         # spectral-mixing prediction, multi-symbol frame.
         root = RandomSource(17)
         n_cp, n, n_sym = 16, 64, 4
-        ch = draw_channel(2, 2, 7, 2.0, root.child("ch"))
+        ch = draw_channel(2, 2, 7, 2.0, root.child("ch"), n_fft=64)
         rng = np.random.default_rng(18)
         grids = rng.normal(size=(n_sym, n, 2)) + 1j * rng.normal(size=(n_sym, n, 2))
         stream_len = n_sym * (n + n_cp) + 6
@@ -263,7 +255,7 @@ class TestCombinedModel:
         # Residual interference power matches total minus the common-phase
         # projection on average over random symbol loads.
         root = RandomSource(19)
-        ch = draw_channel(1, 1, 7, 2.0, root.child("ch"))
+        ch = draw_channel(1, 1, 7, 2.0, root.child("ch"), n_fft=64)
         phi = gen_phase_noise(2e4, 5e-8, 80, 1, root.child("pn"))
         theta0 = cpe_of(np.exp(1j * phi), 16, 64)[0]
         rng = np.random.default_rng(20)
