@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .framing import PreambleSet, SubcarrierMap
-from .numerics import ConfigurationError, dft, idft, logical_to_bin
+from .numerics import ConfigurationError, dft, logical_to_bin
 
 __all__ = [
     "EstimationError",
@@ -155,7 +155,18 @@ def _mixing_det(k1: np.ndarray):
     return det, (np.abs(det) >= 0.1).all(axis=-1)
 
 
-def _demix(chi_a: np.ndarray, chi_b: np.ndarray, k1: np.ndarray):
+def _bin_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last (bin) axis, left to right; zero over no bins.
+
+    Left to right is numpy's order for the middle axis of ``(..., bins,
+    m_r)`` with ``m_r >= 2``, so the sums equal that layout's bit for bit.
+    """
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[:-1], dtype=x.dtype)
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
+def _demix(chi_a: np.ndarray, cbm: np.ndarray, k1: np.ndarray):
     """Invert the per-bin 2x2 mixing between the clean channel and the leakage.
 
     Per used bin k the observations obey
@@ -164,13 +175,14 @@ def _demix(chi_a: np.ndarray, chi_b: np.ndarray, k1: np.ndarray):
         conj(chi_b(-k)) = conj(K2) u(k) + conj(K1) m(k)
 
     with ``m(k) = w conj(u(-k))`` the common-phase-difference leakage, so
-    both are recovered whenever ``|K1|^2 != |K2|^2``.  Also returns which
-    frames are separable; the others carry meaningless values.
+    both are recovered whenever ``|K1|^2 != |K2|^2``.  ``chi_a`` and the
+    mirrored conjugate ``cbm = conj(chi_b(-k))`` are ``(..., m_r,
+    n_used)``, bins last.  Also returns which frames are separable; the
+    others carry meaningless values.
     """
     det, separable = _mixing_det(k1)
-    k1, det = k1[..., None, :], det[..., None, :]
+    k1, det = k1[..., None], det[..., None]
     k2 = 1.0 - np.conj(k1)
-    cbm = np.conj(chi_b[..., ::-1, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         u = (np.conj(k1) * chi_a - k2 * cbm) / det
         m = (k1 * cbm - np.conj(k2) * chi_a) / det
@@ -182,33 +194,55 @@ def demix_channel(est: PreambleEstimate, k1: np.ndarray) -> np.ndarray:
 
     NaN for every frame whose ``k1`` cannot separate the image.
     """
-    u, _, separable = _demix(est.chi_a, est.chi_b, k1)
-    return np.where(separable[..., None, None], u, np.nan)
+    chi_a = np.swapaxes(est.chi_a, -1, -2)
+    cbm = np.conj(np.swapaxes(est.chi_b, -1, -2)[..., ::-1])
+    u, _, separable = _demix(chi_a, cbm, k1)
+    return np.swapaxes(np.where(separable[..., None, None], u, np.nan), -1, -2)
 
 
 def _pair_regression(
     chi_a: np.ndarray,
     e: np.ndarray,
-    owner: np.ndarray,
+    cross: np.ndarray,
     noise_var: np.ndarray,
 ) -> np.ndarray:
     """Least-squares fit of ``2 beta = (1 + g) alpha`` over cross-antenna pairs.
 
-    Both differences carry the same per-bin disturbance, which biases the
-    plain regression toward smaller ``g``, so the expected noise moments
-    of the per-branch noise+ICI variance are subtracted (none at zero
-    variance, where the fit is the plain one bit for bit).
+    ``chi_a`` and ``e`` are ``(..., m_r, n_used)``, bins last, and
+    ``cross`` indexes the first bin of each pair of adjacent bins owned by
+    different antennas.  Both differences carry the same per-bin
+    disturbance, which biases the plain regression toward smaller ``g``,
+    so the expected noise moments of the per-branch noise+ICI variance are
+    subtracted (none at zero variance, where the fit is the plain one bit
+    for bit).  Without cross pairs the fit is NaN.
     """
-    cross = owner[:-1] != owner[1:]
-    alpha = np.compress(cross, e[..., :-1, :] - e[..., 1:, :], axis=-2)
-    beta = np.compress(cross, chi_a[..., :-1, :] - chi_a[..., 1:, :], axis=-2)
-    num = np.sum(np.conj(alpha) * beta, axis=-2)
-    den = np.sum(np.abs(alpha) ** 2, axis=-2)
-    n_pairs = alpha.shape[-2]
+    alpha = e[..., cross] - e[..., cross + 1]
+    beta = chi_a[..., cross] - chi_a[..., cross + 1]
+    num = _bin_sum(np.conj(alpha) * beta)
+    den = _bin_sum(np.abs(alpha) ** 2)
+    n_pairs = cross.size
     # Var(e) = psi_qq per bin, Var(chi_a) = psi_qq/2, fully correlated parts
     num = num - n_pairs * noise_var
     den = np.maximum(den - 2.0 * n_pairs * noise_var, 0.2 * den)
     return 2.0 * num / den - 1.0
+
+
+def _without_leakage(chi_a: np.ndarray, chi_b: np.ndarray, cbm: np.ndarray, g: np.ndarray):
+    """``chi_a`` and ``e`` cleaned of the leakage ``w conj(u(-k))`` that de-mixing with ``g`` finds.
+
+    ``w`` is fitted per branch by least squares over the bins; arrays are
+    bins last, as in :func:`_demix`.  Also returns which frames are
+    separable.  A function of its own so that the de-mixed parts are freed
+    before the pair fit.
+    """
+    k1 = (1.0 + g) / 2.0
+    k2 = 1.0 - np.conj(k1)
+    u, m, separable = _demix(chi_a, cbm, k1)
+    um = u[..., ::-1]
+    w = _bin_sum(m * um) / _bin_sum(np.abs(um) ** 2)
+    ca = chi_a - (k2 * w)[..., None] * np.conj(um)
+    cb = chi_b - (k1 * np.conj(w))[..., None] * u
+    return ca, ca + np.conj(cb[..., ::-1]), separable
 
 
 def refine_iq_channel(
@@ -229,22 +263,23 @@ def refine_iq_channel(
     Exact in the noiseless regime, where the leakage is zero.  Frames
     (leading axes) are independent; a frame whose estimate cannot de-mix
     the image, in any iteration or at the end, gets NaN on every branch.
+
+    The products are laid out bins last, so each sum over the bins runs
+    along the last axis; the mirrored conjugate of ``chi_b`` and the
+    cross-antenna pairs are formed once for all iterations.
     """
     g = np.asarray(g0, dtype=np.complex128)
     noise_var = np.maximum(np.real(np.diagonal(psi, axis1=-2, axis2=-1)), 0.0)
     failed = np.zeros(g.shape[:-1], dtype=bool)
+    chi_a = np.ascontiguousarray(np.swapaxes(est.chi_a, -1, -2))
+    chi_b = np.swapaxes(est.chi_b, -1, -2)
+    cbm = np.conj(chi_b[..., ::-1], order="C")
+    cross = np.flatnonzero(owner[:-1] != owner[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(REFINE_IQ_ITERS):
-            k1 = (1.0 + g) / 2.0
-            k2 = 1.0 - np.conj(k1)
-            u, m, separable = _demix(est.chi_a, est.chi_b, k1)
+            ca, e2, separable = _without_leakage(chi_a, chi_b, cbm, g)
             failed |= ~separable
-            um = u[..., ::-1, :]
-            w = np.sum(m * um, axis=-2) / np.sum(np.abs(um) ** 2, axis=-2)
-            ca = est.chi_a - (k2 * w)[..., None, :] * np.conj(um)
-            cb = est.chi_b - (k1 * np.conj(w))[..., None, :] * u
-            e2 = ca + np.conj(cb[..., ::-1, :])
-            g = _pair_regression(ca, e2, owner, noise_var)
+            g = _pair_regression(ca, e2, cross, noise_var)
     failed |= ~_mixing_det((1.0 + g) / 2.0)[1]  # every receiver mode de-mixes with the final g
     return np.where(failed[..., None], np.nan, g)
 
@@ -380,24 +415,45 @@ def iterative_refine(
     """Complete the channel by transform-domain tap truncation.
 
     Starting from a nearest-trained-bin fill, each of the
-    :data:`ITERATIVE_REFINE_ITERS` iterations transforms the full-band
-    estimate of every frame (leading axes of ``e``) and transmit antenna
-    at once to the time domain, zeroes taps beyond
-    ``l_taps``, transforms back, and re-imposes the measured values on
-    the trained bins.  Deterministic; trained bins always carry the
-    measured values on output.
+    :data:`ITERATIVE_REFINE_ITERS` passes (at least one) transforms the
+    full-band estimate of every frame (leading axes of ``e``) and transmit
+    antenna to the time domain, zeroes taps beyond ``l_taps``, transforms
+    back, and re-imposes the measured values on the trained bins.
+    Deterministic; trained bins always carry the measured values on
+    output.
+
+    The passes are linear and keep only ``L = l_taps`` taps, so they run
+    on the taps alone.  With ``F_L`` the ``(n, L)`` transform of the taps
+    and ``K_p`` antenna ``p``'s knots, each pass maps the taps ``t`` to
+    ``T_p t + C_p v``, ``T_p = I - F_L[K_p]^H F_L[K_p] / n`` and ``C_p =
+    F_L[K_p]^H / n``, from the first pass's ``F_L^H N_p v / n`` (``N_p``
+    the nearest-knot fill).  The ``(L, k_p)`` matrix ``B_p`` of the last
+    pass's taps is built once per call; the completion is then one product
+    and one transform of the zero-padded taps per antenna, with the knots
+    put back.  It sums the same linear map as the passes in another order,
+    so it agrees with them to rounding, not bit for bit.
     """
-    n, m_t = smap.n, pre.m_t
-    used = pre.used
+    n, m_r = smap.n, e.shape[-1]
     logical_all = np.arange(-n // 2, n // 2)
     nearest = _nearest_knots(pre, logical_all)
-    g = np.empty((*e.shape[:-2], n, e.shape[-1], m_t), dtype=np.complex128)
-    g[..., logical_to_bin(logical_all, n), :, :] = np.swapaxes(np.take(e, nearest, axis=-2), -1, -2)
-    ub = logical_to_bin(used, n)
-    trained = np.moveaxis(e, -2, 0)  # (n_used, ..., m_r), the layout of g[..., ub, :, owner]
-    for _ in range(ITERATIVE_REFINE_ITERS):
-        t = idft(g, axis=-3)
-        t[..., l_taps:, :, :] = 0.0
-        g = dft(t, axis=-3)
-        g[..., ub, :, pre.owner] = trained
-    return g
+    # F_L, its rows in logical bin order; the exponent reduced mod n first
+    f_l = np.exp(-2j * np.pi / n * (np.outer(logical_to_bin(logical_all, n), np.arange(l_taps)) % n))
+    h = np.empty((*e.shape[:-2], n, m_r, pre.m_t), dtype=np.complex128)
+    taps = np.zeros((*e.shape[:-2], n, m_r), dtype=np.complex128)
+    for p in range(pre.m_t):
+        sel = pre.owner == p
+        f_k = f_l[pre.used[sel] + n // 2]  # (k_p, L): F_L[K_p]
+        # F_L^H N_p / n: the conjugate rows summed over each knot's run of
+        # nearest bins (runs are contiguous and ordered, none empty)
+        starts = np.flatnonzero(np.diff(nearest[:, p], prepend=-1))
+        b = np.add.reduceat(np.conj(f_l), starts, axis=0).T / n
+        c = np.conj(f_k).T / n
+        t_p = np.eye(l_taps) - c @ f_k
+        for _ in range(ITERATIVE_REFINE_ITERS - 1):
+            b = t_p @ b + c
+        v = np.compress(sel, e, axis=-2)  # (..., k_p, m_r)
+        taps[..., :l_taps, :] = b @ v
+        g = dft(taps, axis=-2)
+        g[..., logical_to_bin(pre.used[sel], n), :] = v
+        h[..., p] = g
+    return h

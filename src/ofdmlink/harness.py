@@ -125,10 +125,11 @@ STACK_SYMBOLS = 160
 MAX_CHUNK_SAMPLES = 2**24
 
 # Bytes of the completion operators, n * n_used complex values in all.  Their
-# build holds m_t times as much, a few times over inside iterative_refine (about
-# 45 MB at n = 512, m_t = 4), and a product costs n_used multiplies per bin
-# where the spline costs a few; above this, from n = 1024, _complete runs the
-# configured builder on each chunk's values instead.
+# build holds m_t times as much, plus one antenna's padded taps and transform
+# inside iterative_refine (a traced peak of 26 MiB at n = 512, m_t = 4), and a
+# product costs n_used multiplies per bin where the spline costs a few; above
+# this, from n = 1024, _complete runs the configured builder on each chunk's
+# values instead.
 COMPLETION_OPERATOR_BYTES = 2**22
 
 

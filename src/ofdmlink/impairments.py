@@ -50,10 +50,6 @@ class IqParams:
         return cls(eps=np.full(m_r, eps), theta=np.full(m_r, np.deg2rad(theta_deg)))
 
     @property
-    def m_r(self) -> int:
-        return self.eps.shape[0]
-
-    @property
     def k1(self) -> np.ndarray:
         """Diagonal of K1 as a vector."""
         return (1.0 + self.eps * np.exp(-1j * self.theta)) / 2.0

@@ -316,29 +316,34 @@ class TestChannelCompletion:
         h = iterative_refine(est.e, pre, smap64, l_taps=7)
         for i, k in enumerate(pre.used):
             p = pre.owner[i]
-            np.testing.assert_allclose(h[logical_to_bin(k, 64), :, p], est.e[i], atol=1e-12)
+            np.testing.assert_array_equal(h[logical_to_bin(k, 64), :, p], est.e[i])
 
-    @pytest.mark.parametrize("m_t", [2, 4])
-    def test_iterative_equals_per_antenna_loop(self, m_t, smap64):
-        ch = make_channel(m_t=m_t, m_r=m_t, seed=97 + m_t)
-        pre = build_preamble(m_t, smap64)
+    @pytest.mark.parametrize("m_t", [1, 2, 4])
+    @pytest.mark.parametrize("n", [64, 128, 1024])
+    def test_iterative_equals_per_antenna_loop(self, n, m_t):
+        # the literal passes, one antenna at a time; the tap-domain operator
+        # sums the same linear map in another order, so within rounding
+        smap = build_subcarrier_map(n)
+        ch = make_channel(m_t=m_t, m_r=m_t, seed=97 + m_t, n_fft=n)
+        pre = build_preamble(m_t, smap)
         psi1, psi2 = transmit_preamble(ch, pre)
         e = estimate_preamble(psi1, psi2, pre).e
-        logical_all = np.arange(-32, 32)
-        expected = np.empty((64, m_t, m_t), dtype=complex)
+        logical_all = np.arange(-n // 2, n // 2)
+        expected = np.empty((n, m_t, m_t), dtype=complex)
         for p in range(m_t):
             sel = np.flatnonzero(pre.owner == p)
             kt = pre.used[sel]
             nearest = np.searchsorted((kt[:-1] + kt[1:]) / 2.0, logical_all)
-            g = np.empty((64, m_t), dtype=complex)
-            g[logical_to_bin(logical_all, 64)] = e[sel][nearest]
+            g = np.empty((n, m_t), dtype=complex)
+            g[logical_to_bin(logical_all, n)] = e[sel][nearest]
             for _ in range(50):
                 t = np.fft.ifft(g, axis=0)
                 t[7:] = 0.0
                 g = np.fft.fft(t, axis=0)
-                g[logical_to_bin(kt, 64)] = e[sel]
+                g[logical_to_bin(kt, n)] = e[sel]
             expected[:, :, p] = g
-        assert np.array_equal(iterative_refine(e, pre, smap64, l_taps=7), expected)
+        got = iterative_refine(e, pre, smap, l_taps=7)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("m_t", [1, 2, 4])
     @pytest.mark.parametrize("n", [16, 64, 1024])

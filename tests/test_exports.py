@@ -2,9 +2,10 @@
 
 No module imports a name it never reads, so a removal leaves no stale import behind, and
 the package reads every name it exports, so it ships nothing that only the tests use,
-every module-level function and class it defines, so no helper outlives its last caller,
-and every field of its dataclasses, so no record carries a value nobody reads.  Only
-``ScenarioConfig`` gives a setting a default, so no lower layer can choose it differently.
+every module-level function and class it defines and every method and property of its
+classes, so no helper outlives its last caller, and every field of its dataclasses, so
+no record carries a value nobody reads.  Only ``ScenarioConfig`` gives a setting a
+default, so no lower layer can choose it differently.
 """
 
 import ast
@@ -106,15 +107,36 @@ def _unread_exports(sources: dict) -> list:
     )
 
 
+def _definitions(tree: ast.Module):
+    """``(qualified name, name)`` of each module-level function and class, and of each method.
+
+    A property is a method here; a dunder method is left out, since Python
+    itself calls it.
+    """
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                (f"{node.name}.{item.name}", item.name) for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+
+
 def _unread_definitions(sources: dict) -> list:
-    """``module.name`` of each module-level function or class that no module reads."""
+    """``module.name`` of each definition (:func:`_definitions`) that no module reads.
+
+    Reads are matched by name, as for exports and fields, so a method counts
+    as read when any attribute of that name is read.
+    """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = _reads(trees.values())
     return sorted(
-        f"{module}.{node.name}"
+        f"{module}.{qualified}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
+        for qualified, name in _definitions(tree)
+        if name not in read
     )
 
 
@@ -138,10 +160,15 @@ def test_package_reads_every_export():
 
 def test_unread_definition_check_sees_one():
     sources = {
-        "a": "class K: pass\ndef f(): return K()\ndef _g(): pass\n",
+        "a": (
+            "class K:\n    def __init__(self): pass\n    @property\n    def p(self): return 1\n"
+            "    @property\n    def q(self): return 2\n    def m(self): return self.p\n"
+            "    def _u(self): pass\n"
+            "def f(): return K().m()\ndef _g(): pass\n"
+        ),
         "b": "from .a import f\n__all__ = ['h']\ndef h(x): return x.f\n",
     }
-    assert _unread_definitions(sources) == ["a._g", "b.h"]
+    assert _unread_definitions(sources) == ["a.K._u", "a.K.q", "a._g", "b.h"]
 
 
 def test_package_reads_every_definition():
@@ -217,10 +244,15 @@ def test_package_reads_every_dataclass_field():
     assert _unread_fields(_package_sources()) == sorted(FIELD_READERS)
 
 
+# parameter names under which the layers below take a ScenarioConfig setting
+SETTING_ALIASES = {"n_fft": "n", "n_symbols": "symbols_per_frame"}
+
+
 def _defaulted_settings(sources: dict) -> list:
     """``module.owner.name`` of each default given to a ``ScenarioConfig`` field's name outside it.
 
     The owner is a dataclass, for a field, or a function, for a parameter;
+    a name in :data:`SETTING_ALIASES` counts as the setting it carries.
     ``ScenarioConfig`` chooses every setting, so a second default could
     disagree with it.
     """
@@ -230,6 +262,7 @@ def _defaulted_settings(sources: dict) -> list:
         if isinstance(node, ast.ClassDef) and node.name == "ScenarioConfig"
     )
     settings = {item.target.id for item in config.body if isinstance(item, ast.AnnAssign)}
+    settings |= {alias for alias, setting in SETTING_ALIASES.items() if setting in settings}
     inside = set(map(id, ast.walk(config)))
     found = []
     for module, tree in trees.items():
@@ -260,9 +293,12 @@ def test_defaulted_setting_check_sees_one():
             "@dataclass\nclass F:\n    n: int = 64\n    m: int = 2\n    seed: int\n"
             "class G:\n    n: int = 64\n"
         ),
-        "b": "def f(x, seed=1, k=2): pass\ndef g(*, n=3, m=1): pass\ndef h(x, n): pass\n",
+        "b": (
+            "def f(x, seed=1, k=2): pass\ndef g(*, n=3, m=1): pass\ndef h(x, n): pass\n"
+            "def draw_channel(m_t, m_r, n_fft=64): pass\n"
+        ),
     }
-    assert _defaulted_settings(sources) == ["a.F.n", "b.f.seed", "b.g.n"]
+    assert _defaulted_settings(sources) == ["a.F.n", "b.draw_channel.n_fft", "b.f.seed", "b.g.n"]
 
 
 def test_only_scenario_config_defaults_settings():
