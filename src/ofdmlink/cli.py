@@ -114,7 +114,7 @@ SETTINGS = {
     "ce": ("ce_method", str.strip, "channel completion method: interp or iterative"),
     "frames": ("frames", int, "Monte-Carlo frames per grid point"),
     "seed": ("master_seed", int, "master seed"),
-    "workers": ("workers", int, "parallel worker processes"),
+    "workers": ("workers", int, "processes, this one included; at most one per CPU is used"),
     "out": (None, str, "output directory (created if missing)"),
     "symbols_per_frame": ("symbols_per_frame", int, None),
     "l_taps": ("l_taps", int, None),

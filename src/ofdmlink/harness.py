@@ -5,14 +5,16 @@ share the same per-frame channel, noise, payload, and phase-path draws at
 that point, so mode comparisons are paired.  Frame randomness is derived
 from the master seed through the frame index alone, so every grid point
 sees the same draws (common random numbers) and cross-point comparisons
-are paired too.  A campaign splits the grid into ``min(workers, points)``
-interleaved groups, one task each; a task simulates each chunk of frames
-once (:func:`simulate_frame`), makes each linewidth's phase noise once per
-chunk, and impairs (:func:`impair`) and runs the receiver once per stack
-of points, their frames one point after another on the frame axis (see
-:data:`STACK_SYMBOLS`).  A frame's results do not depend on the frames
-stacked with it, so every result is byte-reproducible regardless of
-worker count, stacking or scheduling.
+are paired too.  A campaign runs as a grid of tasks, contiguous spans of
+frames times interleaved groups of points, no more tasks than processes,
+and the calling process runs the first (see :func:`_task_grid`).  A task
+simulates each chunk of its frames once (:func:`simulate_frame`), makes
+each linewidth's phase noise once per chunk, and impairs (:func:`impair`)
+and runs the receiver once per stack of points, their frames one point
+after another on the frame axis (see :data:`STACK_SYMBOLS`).  A frame's
+results do not depend on the frames stacked with it, and a point's spans
+merge exactly (:meth:`_Tally.merge`), so every result is byte-reproducible
+regardless of worker count, stacking or scheduling.
 Each stage runs on every frame: all frames draw their noise and phase
 steps, and the front end always estimates the mismatch.  The layout a
 config implies (frame, subcarrier map, training symbols, pilots) and its
@@ -565,12 +567,21 @@ def _stack_points(config: ScenarioConfig) -> int:
 
 @dataclass
 class _Tally:
-    """One grid point's scores in one mode, added up stack by stack; builds the point's row."""
+    """One grid point's scores in one mode over a span of frames; builds the point's row.
+
+    Scores add up stack by stack, and ``mse_ce`` is a running float sum,
+    frame by frame in order.  A later span's sum would have to start where
+    the span before it ends, so a tally made with ``mse_ce_frames=[]`` keeps
+    its per-frame ``mse_ce`` values there instead, 8 bytes per frame, and
+    :meth:`merge` continues the earlier span's sum over them: a point's
+    merged spans give the sum that one tally over all its frames gives.
+    """
 
     frames_run: int = 0
     bit_errors: int = 0
     flagged: int = 0
     mse_ce_sum: float = 0.0
+    mse_ce_frames: list | None = None  # a later span's per-frame mse_ce arrays, stack by stack
     k1_terms: list = field(default_factory=list)  # (mismatch MSE, how many times it counts)
 
     def add(self, ran, errors, flagged, mse_ce, k1_terms: list) -> None:
@@ -578,9 +589,23 @@ class _Tally:
         self.frames_run += int(ran.sum())
         self.bit_errors += int(errors.sum())
         self.flagged += int(flagged.sum())
+        if self.mse_ce_frames is None:
+            self._sum(mse_ce)
+        else:
+            self.mse_ce_frames.append(mse_ce)
+        self.k1_terms += k1_terms
+
+    def _sum(self, mse_ce) -> None:
         # a running float sum, frame by frame in order (cumsum adds left to right)
         self.mse_ce_sum = float(np.cumsum(np.r_[self.mse_ce_sum, mse_ce])[-1])
-        self.k1_terms += k1_terms
+
+    def merge(self, later: _Tally) -> None:
+        """Add the same point's scores over the frames that follow this tally's."""
+        self.frames_run += later.frames_run
+        self.bit_errors += later.bit_errors
+        self.flagged += later.flagged
+        self._sum(np.concatenate(later.mse_ce_frames))
+        self.k1_terms += later.k1_terms
 
     def row(self, config: ScenarioConfig, point: tuple, mode: str) -> CampaignRow:
         """The row of ``point`` in ``mode``; ``mse_k1`` averages each term as often as it counts."""
@@ -657,12 +682,22 @@ def _score_chunk(frames: SimulatedFrames, config: ScenarioConfig, tallies: list)
             tally[mode].add(*rows, terms)
 
 
-def run_point(config: ScenarioConfig, points) -> list[CampaignRow]:
+def _coords(config: ScenarioConfig, point: tuple[int, int]) -> tuple[float, float]:
+    """The ``(snr_db, beta)`` values of a ``(snr_idx, beta_idx)`` grid point."""
+    i, j = point
+    return float(config.snr_db[i]), float(config.beta_hz[j])
+
+
+def run_point(config: ScenarioConfig, points, span: range | None = None) -> list:
     """Run all frames of a group of grid points and score every mode at each.
 
     ``points`` is a sequence of ``(snr_idx, beta_idx)`` pairs; the rows come
     back point by point in that order, one per mode, each built by the
-    point's :class:`_Tally` in that mode.  Frames run in chunks of whole
+    point's :class:`_Tally` in that mode.  With ``span``, a range of whole
+    ``iq_frame_avg`` blocks, only those frames run, and each point's tallies
+    come back instead of its rows (``mode -> _Tally``), for
+    :func:`run_campaign` to merge; a span after the first keeps its
+    per-frame ``mse_ce`` values.  Frames run in chunks of whole
     ``iq_frame_avg`` blocks.  A chunk's channels, payload, noise-free
     streams and standard-normal draws are simulated once and shared by
     every point of the group.  The points then go linewidth-major in stacks
@@ -675,14 +710,19 @@ def run_point(config: ScenarioConfig, points) -> list[CampaignRow]:
     the block estimate drives detection and the mismatch-MSE metric for its
     frames.  All modes see the same physical realizations.
     """
-    coords = [(float(config.snr_db[i]), float(config.beta_hz[j])) for i, j in points]
+    coords = [_coords(config, point) for point in points]
     root = RandomSource(config.master_seed)
+    whole = span is None
+    span = range(config.frames) if whole else span
 
-    tallies = [{mode: _Tally() for mode in config.modes} for _ in coords]
+    later = span.start > 0  # a later span's tallies keep their per-frame mse_ce values
+    tallies = [
+        {mode: _Tally(mse_ce_frames=[] if later else None) for mode in config.modes} for _ in coords
+    ]
     order = sorted(range(len(coords)), key=lambda k: points[k][1])  # linewidth-major
     chunk, stack = _chunk_frames(config), _stack_points(config)
-    for start in range(0, config.frames, chunk):
-        rngs = [root.child("frame", f) for f in range(start, min(start + chunk, config.frames))]
+    for start in range(span.start, span.stop, chunk):
+        rngs = [root.child("frame", f) for f in range(start, min(start + chunk, span.stop))]
         draws = simulate_frame(config, rngs)
         phases = {}  # the chunk's phase noise by linewidth, filled and pruned by impair
         for s in range(0, len(order), stack):
@@ -690,39 +730,68 @@ def run_point(config: ScenarioConfig, points) -> list[CampaignRow]:
             _score_chunk(frames, config, [tallies[k] for k in order[s : s + stack]])
             del frames  # freed before the next stack is impaired
         del draws, phases  # not held while the next chunk is drawn
+    if not whole:
+        return tallies
     return [t[mode].row(config, point, mode) for point, t in zip(coords, tallies) for mode in t]
 
 
-def _point_task(config: ScenarioConfig, points) -> list[CampaignRow]:
+def _point_task(config: ScenarioConfig, points, span: range) -> list[dict]:
     """:func:`run_point` looked up in the worker: a wrapper installed on it need not pickle."""
-    return run_point(config, points)
+    return run_point(config, points, span)
 
 
-def _point_groups(config: ScenarioConfig) -> list[list[tuple[int, int]]]:
-    """The grid in ``min(workers, points)`` interleaved groups, one task each."""
+def _task_grid(config: ScenarioConfig) -> tuple[list[list[tuple[int, int]]], list[range]]:
+    """The campaign's interleaved point groups and contiguous frame spans.
+
+    Each (group, span) pair is one task, and there are never more tasks
+    than the ``P = min(workers, os.cpu_count())`` processes.  The frames
+    split first, into ``S = min(P, blocks)`` spans of whole ``iq_frame_avg``
+    blocks whose block counts differ by at most one, so no frame is
+    simulated twice when there are at least ``P`` blocks; the points then
+    split into ``min(P // S, points)`` groups.
+    """
+    processes = min(config.workers, os.cpu_count() or 1)
+    blocks = -(-config.frames // config.iq_frame_avg)
+    n_spans = min(processes, blocks)
+    edges = [k * blocks // n_spans * config.iq_frame_avg for k in range(n_spans)] + [config.frames]
+    spans = [range(a, b) for a, b in zip(edges, edges[1:])]
     points = [(i, j) for i in range(len(config.snr_db)) for j in range(len(config.beta_hz))]
-    w = min(config.workers, len(points))
-    return [points[k::w] for k in range(w)]
+    n_groups = min(processes // n_spans, len(points))
+    return [points[k::n_groups] for k in range(n_groups)], spans
 
 
 def run_campaign(config: ScenarioConfig) -> CampaignResult:
     """Sweep the whole grid; results are identical for any worker count.
 
-    The groups run on at most ``os.cpu_count()`` processes.
+    The tasks of :func:`_task_grid` go span by span, so the first span of
+    each point comes first.  The calling process runs the first task and a
+    pool of one process per other task runs the rest, both through
+    :func:`run_point`; with one task there is no pool.  Each point's
+    tallies then merge span by span, in frame order; a later span's tally
+    brings its per-frame ``mse_ce`` values, 8 bytes per frame, point and
+    mode.
     """
-    groups = _point_groups(config)
-    if len(groups) > 1:
-        with ProcessPoolExecutor(max_workers=min(len(groups), os.cpu_count() or 1)) as pool:
-            per_group = list(pool.map(_point_task, [config] * len(groups), groups))
+    groups, spans = _task_grid(config)
+    tasks = [(group, span) for span in spans for group in groups]
+    if len(tasks) == 1:
+        per_task = [run_point(config, *tasks[0])]
     else:
-        per_group = [run_point(config, groups[0])]
-    m = len(config.modes)
-    by_point = {
-        point: group_rows[k * m : (k + 1) * m]
-        for group, group_rows in zip(groups, per_group)
-        for k, point in enumerate(group)
-    }
-    rows = tuple(row for point in sorted(by_point) for row in by_point[point])
+        with ProcessPoolExecutor(max_workers=len(tasks) - 1) as pool:
+            rest = pool.map(_point_task, [config] * (len(tasks) - 1), *zip(*tasks[1:]))
+            per_task = [run_point(config, *tasks[0]), *rest]
+    merged = {}
+    for (group, _), tallies in zip(tasks, per_task):
+        for point, by_mode in zip(group, tallies):
+            if point not in merged:
+                merged[point] = by_mode
+                continue
+            for mode, tally in by_mode.items():
+                merged[point][mode].merge(tally)
+    rows = tuple(
+        tally.row(config, _coords(config, point), mode)
+        for point in sorted(merged)
+        for mode, tally in merged[point].items()
+    )
     return CampaignResult(config=config, rows=rows)
 
 

@@ -14,6 +14,7 @@ the tests' oracle for this sample-level pipeline, is in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,15 +50,22 @@ class IqParams:
         eps = 1.0 + amp_pct / 100.0
         return cls(eps=np.full(m_r, eps), theta=np.full(m_r, np.deg2rad(theta_deg)))
 
-    @property
+    # Computed once per instance and read-only: a campaign reads them for
+    # every stack of frames it impairs and every mismatch term it scores.
+
+    @cached_property
     def k1(self) -> np.ndarray:
         """Diagonal of K1 as a vector."""
-        return (1.0 + self.eps * np.exp(-1j * self.theta)) / 2.0
+        k1 = (1.0 + self.eps * np.exp(-1j * self.theta)) / 2.0
+        k1.flags.writeable = False
+        return k1
 
-    @property
+    @cached_property
     def k2(self) -> np.ndarray:
         """Diagonal of K2; derived as ``1 - conj(k1)`` so the identity is exact."""
-        return 1.0 - np.conj(self.k1)
+        k2 = 1.0 - np.conj(self.k1)
+        k2.flags.writeable = False
+        return k2
 
 
 def wiener_phase(beta: float, ts: float, steps: np.ndarray) -> np.ndarray:

@@ -315,7 +315,7 @@ def test_phase_memory_does_not_grow_with_linewidths():
         ScenarioConfig(snr_db=(20.0,), beta_hz=betas, **base),
     ):
         assert harness._stack_points(config) == 2
-        points = harness._point_groups(config)[0]
+        points = harness._task_grid(config)[0][0]  # one worker: a single group of every point
         harness.run_point(config, points[:1])  # first-call caches outside the measurement
         tracemalloc.start()
         try:

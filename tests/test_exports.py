@@ -4,7 +4,8 @@ No module imports a name it never reads, so a removal leaves no stale import beh
 the package reads every name it exports, so it ships nothing that only the tests use,
 every module-level function and class it defines and every method and property of its
 classes, so no helper outlives its last caller, and every field of its dataclasses, so
-no record carries a value nobody reads.  Only ``ScenarioConfig`` gives a setting a
+no record carries a value nobody reads.  Those checks match a read by name, so every
+attribute name that more than one class defines is listed by hand.  Only ``ScenarioConfig`` gives a setting a
 default, so no lower layer can choose it differently.
 """
 
@@ -242,6 +243,91 @@ def test_package_reads_every_dataclass_field():
     # a field nothing reads is state that is built and carried for nobody; an
     # exemption whose field the package comes to read goes from the list
     assert _unread_fields(_package_sources()) == sorted(FIELD_READERS)
+
+
+def _members(cls: ast.ClassDef) -> set:
+    """The attribute names a class defines: its methods and properties, the names
+    its body assigns and the ``self`` attributes its methods assign; no dunder."""
+    names = set()
+    for item in cls.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(item.name)
+            names.update(
+                node.attr for node in ast.walk(item)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and getattr(node.value, "id", None) == "self"
+            )
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            names.add(item.target.id)
+        elif isinstance(item, ast.Assign):
+            names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def _shared_names(sources: dict) -> dict:
+    """Each attribute name that more than one class defines -> the ``module.Class`` of each."""
+    owners = {}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                for name in _members(node):
+                    owners.setdefault(name, []).append(f"{module}.{node.name}")
+    return {name: sorted(classes) for name, classes in owners.items() if len(classes) > 1}
+
+
+def test_shared_name_check_sees_one():
+    sources = {
+        "a": (
+            "@dataclass\nclass K:\n    x: int\n    def __init__(self): self.y = 1\n"
+            "    def f(self): pass\n"
+        ),
+        "b": (
+            "class L:\n    x = 1\n    def __init__(self): pass\n    def g(self): self.y = 2\n"
+            "class M:\n    @property\n    def f(self): return 1\n    def h(self): pass\n"
+        ),
+    }
+    assert _shared_names(sources) == {"f": ["a.K", "b.M"], "x": ["a.K", "b.L"], "y": ["a.K", "b.L"]}
+
+
+# Attribute names that more than one package class defines.  The read checks
+# above match a read to a name, not to a class, so a read of one class's
+# member counts for every member of that name.  Each member below was seen
+# read in its own class's uses when it was listed (FrameDecisions'
+# flagged_symbols by its FIELD_READERS reader); a name or class that joins
+# this list needs the same check of its readers by hand.
+SHARED_NAMES = {
+    "beta_hz": ["harness.CampaignRow", "harness.ScenarioConfig"],
+    "ce_method": ["harness.CampaignRow", "harness.ScenarioConfig"],
+    "detector": ["equalization.EqualizerOptions", "harness.CampaignRow", "harness.ScenarioConfig"],
+    "flagged": ["equalization.FrameDecisions", "harness._Tally"],
+    "flagged_symbols": ["equalization.FrameDecisions", "harness.CampaignRow"],
+    "frames_run": ["harness.CampaignRow", "harness._Tally"],
+    "freq": ["channel.ChannelRealization", "harness.FrameDraws"],
+    "k1": ["estimation.EstimatorState", "impairments.IqParams"],
+    "l_taps": ["channel.ChannelRealization", "harness.ScenarioConfig"],
+    "m_r": [
+        "channel.ChannelRealization", "estimation.EstimatorState", "framing.FrameConfig",
+        "harness.CampaignRow", "harness.ScenarioConfig",
+    ],
+    "m_t": [
+        "channel.ChannelRealization", "estimation.EstimatorState", "framing.FrameConfig",
+        "framing.PreambleSet", "harness.CampaignRow", "harness.ScenarioConfig",
+    ],
+    "master_seed": ["harness.ScenarioConfig", "numerics.RandomSource"],
+    "mmse_r": ["equalization.EqualizerOptions", "harness.ScenarioConfig"],
+    "n": ["framing.FrameConfig", "framing.SubcarrierMap", "harness.ScenarioConfig"],
+    "n_cp": ["framing.FrameConfig", "harness.ScenarioConfig"],
+    "psi": ["estimation.EstimatorState", "harness.FrontEnd"],
+    "snr_db": ["harness.CampaignRow", "harness.ScenarioConfig"],
+    "symbols_per_frame": ["framing.FrameConfig", "harness.ScenarioConfig"],
+    "tracking_variant": ["equalization.EqualizerOptions", "harness.ScenarioConfig"],
+    "truth_bits": ["harness.FrameDraws", "harness.SimulatedFrames"],
+}
+
+
+def test_shared_names_are_listed():
+    # a member whose name another class shares can lose its last reader unseen
+    assert _shared_names(_package_sources()) == SHARED_NAMES
 
 
 # parameter names under which the layers below take a ScenarioConfig setting

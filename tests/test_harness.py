@@ -1,7 +1,9 @@
 """Tests for the campaign driver, metrics, CSV and SVG emission."""
 
 import dataclasses
+import itertools
 import math
+import multiprocessing
 import os
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -192,6 +194,28 @@ class TestRunPoint:
         assert tally.mse_ce_sum == expected
         assert tally.frames_run == 47
 
+        # the same stacks split into two or three spans at every position: the
+        # later spans keep their frames' values, and the merged sum is the same
+        # to the bit, where adding the spans' own sums is not
+        ends = np.cumsum([len(s) for s in stacks])
+        cuts = [(c,) for c in range(1, 48)] + list(itertools.combinations(range(1, 48), 2))
+        span_sums_differ = False
+        for edges in cuts:
+            bounds = list(zip((0, *edges), (*edges, 48)))
+            spans = [harness._Tally(mse_ce_frames=[] if a else None) for a, _ in bounds]
+            for span, (a, b) in zip(spans, bounds):
+                for mse_ce, end in zip(stacks, ends):
+                    piece = mse_ce[max(a - end + len(mse_ce), 0) : max(b - end + len(mse_ce), 0)]
+                    if len(piece):
+                        span.add(piece > 0, np.zeros(len(piece)), np.zeros(len(piece)), piece, [])
+            own = [float(np.cumsum(np.r_[0.0, *t.mse_ce_frames])[-1]) for t in spans[1:]]
+            span_sums_differ |= sum(own, spans[0].mse_ce_sum) != expected
+            for later in spans[1:]:
+                spans[0].merge(later)
+            assert spans[0].mse_ce_sum == expected, edges
+            assert spans[0].frames_run == 47
+        assert span_sums_differ
+
     def test_mismatch_terms_held_per_chunk_not_per_frame(self, monkeypatch):
         tallies = []
 
@@ -340,32 +364,49 @@ class _SerialPool:
 
 def test_run_campaign_reaches_module_level_names(monkeypatch):
     # Wrappers installed on the module (as the benchmark's probes are) must
-    # see every task and every chunk of frames, so neither name may be bound
-    # locally.  A task simulates each chunk once for all of its grid points.
+    # see every task, the caller's included, and every chunk of frames, so
+    # neither name may be bound locally.  The caller runs the first task
+    # itself, before the pool's tasks, which enter through _point_task; a
+    # task simulates each chunk of its span once for all of its grid points.
     seen = []
-    point, simulate = harness.run_point, harness.simulate_frame
+    point, task, simulate = harness.run_point, harness._point_task, harness.simulate_frame
 
-    def point_spy(*args, **kwargs):
-        seen.append(("run_point", list(args[1])))
-        return point(*args, **kwargs)
+    def point_spy(config, points, span):
+        seen.append(("run_point", list(points), (span.start, span.stop)))
+        return point(config, points, span)
 
-    def simulate_spy(*args, **kwargs):
-        seen.append(("simulate_frame", len(args[-1])))
-        return simulate(*args, **kwargs)
+    def task_spy(*args):
+        seen.append(("_point_task",))
+        return task(*args)
+
+    def simulate_spy(config, rngs):
+        seen.append(("simulate_frame", len(rngs)))
+        return simulate(config, rngs)
 
     monkeypatch.setattr(harness, "run_point", point_spy)
+    monkeypatch.setattr(harness, "_point_task", task_spy)
     monkeypatch.setattr(harness, "simulate_frame", simulate_spy)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(harness, "CHUNK_SYMBOLS", 12)  # two 6-symbol frames per chunk
-    chunks = [("simulate_frame", 2), ("simulate_frame", 1)]
-    for workers, want in (
-        (1, [("run_point", [(0, 0), (0, 1), (1, 0), (1, 1)]), *chunks]),
-        (2, [("run_point", [(0, 0), (1, 0)]), *chunks, ("run_point", [(0, 1), (1, 1)]), *chunks]),
+    grid = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for workers, iq_frame_avg, want in (
+        (1, 1, [("run_point", grid, (0, 3)), ("simulate_frame", 2), ("simulate_frame", 1)]),
+        # three blocks: two spans of every point, one frame and two
+        (2, 1, [
+            ("run_point", grid, (0, 1)), ("simulate_frame", 1),
+            ("_point_task",), ("run_point", grid, (1, 3)), ("simulate_frame", 2),
+        ]),
+        # one block: one span and two groups of points, each simulating it
+        (2, 3, [
+            ("run_point", [(0, 0), (1, 0)], (0, 3)), ("simulate_frame", 3),
+            ("_point_task",), ("run_point", [(0, 1), (1, 1)], (0, 3)), ("simulate_frame", 3),
+        ]),
     ):
         seen.clear()
         config = ScenarioConfig(
             frames=3, snr_db=(20.0, 30.0), beta_hz=(0.0, 5e3), modes=("genie",),
-            symbols_per_frame=6, workers=workers,
+            symbols_per_frame=6, iq_frame_avg=iq_frame_avg, workers=workers,
         )
         result = run_campaign(config)
         assert seen == want
@@ -392,8 +433,9 @@ def test_pool_runs_a_locally_wrapped_run_point(monkeypatch):
 
 @pytest.mark.parametrize("cpus, workers, processes", [(2, 5, 2), (1, 10**6, 1), (None, 3, 1), (8, 3, 3)])
 def test_pool_starts_at_most_one_process_per_cpu(monkeypatch, cpus, workers, processes):
-    # the groups stay as the worker count makes them, the rows do not change,
-    # and the pool never asks for more processes than there are CPUs
+    # one single-block span, so the points split into one group per process;
+    # the caller runs one task and the pool one process per other task, never
+    # more processes in all than CPUs; the rows do not change
     pools = []
 
     class RecordingPool(_SerialPool):
@@ -408,20 +450,116 @@ def test_pool_starts_at_most_one_process_per_cpu(monkeypatch, cpus, workers, pro
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     config = dataclasses.replace(config, workers=workers)
-    assert len(harness._point_groups(config)) == min(workers, 5)
+    groups, spans = harness._task_grid(config)
+    assert (len(groups), len(spans)) == (processes, 1)
     assert run_campaign(config).rows == serial
-    assert pools == [processes]
+    assert pools == ([processes - 1] if processes > 1 else [])
 
 
 @pytest.mark.parametrize("workers", [1, 3, 4, 10**6])
-def test_point_groups_cover_the_grid_once(workers):
-    # never more groups than grid points, whatever the worker count; no pool starts here
-    config = ScenarioConfig(snr_db=(10.0, 20.0), beta_hz=(0.0, 5e3), workers=workers)
-    groups = harness._point_groups(config)
-    assert len(groups) == min(workers, 4)
+def test_point_groups_cover_the_grid_once(monkeypatch, workers):
+    # two blocks and four points on eight CPUs: the frames split first, the
+    # points into what processes remain, and the tasks, never more than the
+    # processes, cover each (point, frame) pair once; no pool starts here
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    config = ScenarioConfig(frames=2, snr_db=(10.0, 20.0), beta_hz=(0.0, 5e3), workers=workers)
+    groups, spans = harness._task_grid(config)
+    want = {1: (1, 1), 3: (1, 2), 4: (2, 2), 10**6: (4, 2)}[workers]
+    assert (len(groups), len(spans)) == want
+    assert len(groups) * len(spans) <= min(workers, 8)
     assert all(groups)
-    assert sorted(p for g in groups for p in g) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert groups[0][0] == (0, 0)
+    covered = sorted((p, f) for g in groups for p in g for span in spans for f in span)
+    assert covered == [(p, f) for p in [(0, 0), (0, 1), (1, 0), (1, 1)] for f in range(2)]
+    assert groups[0][0] == (0, 0) and spans[0].start == 0
+
+
+@pytest.mark.parametrize("cpus, workers, frames, iq_frame_avg, spans, n_groups", [
+    pytest.param(2, 2, 6, 1, [(0, 3), (3, 6)], 1, id="one-frame-blocks"),
+    pytest.param(3, 3, 7, 3, [(0, 3), (3, 6), (6, 7)], 1, id="partial-last-block"),
+    pytest.param(8, 8, 3, 1, [(0, 1), (1, 2), (2, 3)], 2, id="fewer-frames-than-workers"),
+    pytest.param(2, 15, 5, 1, [(0, 2), (2, 5)], 1, id="more-workers-than-cpus"),
+    pytest.param(4, 4, 4, 4, [(0, 4)], 4, id="single-block"),
+])
+def test_task_grid_rows_match_one_worker(monkeypatch, cpus, workers, frames, iq_frame_avg, spans, n_groups):
+    # spans of whole blocks, then groups of points; the merged tasks give the
+    # rows of one worker byte for byte, the pool starts one process per task
+    # after the caller's, and a frame is simulated once per group
+    config = ScenarioConfig(
+        frames=frames, snr_db=(10.0, 30.0), beta_hz=(0.0, 1e4),
+        modes=("full", "genie", "uncompensated"), symbols_per_frame=4,
+        iq_frame_avg=iq_frame_avg, master_seed=5,
+    )
+    serial = [r.csv() for r in run_campaign(config).rows]
+    pools, simulated = [], []
+    simulate = harness.simulate_frame
+
+    class RecordingPool(_SerialPool):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            pools.append(max_workers)
+
+    def counted(config, rngs):
+        simulated.append(len(rngs))
+        return simulate(config, rngs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "simulate_frame", counted)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    config = dataclasses.replace(config, workers=workers)
+    groups, got = harness._task_grid(config)
+    assert [(s.start, s.stop) for s in got] == spans
+    assert len(groups) == n_groups
+    assert [r.csv() for r in run_campaign(config).rows] == serial
+    tasks = n_groups * len(spans)
+    assert tasks <= min(workers, cpus)
+    assert pools == ([tasks - 1] if tasks > 1 else [])
+    assert sum(simulated) == frames * n_groups
+
+
+def test_caller_runs_the_first_task(monkeypatch, tmp_path):
+    # real processes: each task logs its process and span from the module-level
+    # run_point; the caller runs the first span, one pool process the second,
+    # the rows are those of one worker, and no process is left running
+    config = ScenarioConfig(
+        frames=2, snr_db=(20.0, 30.0), modes=("full", "genie"), symbols_per_frame=6,
+    )
+    serial = [r.csv() for r in run_campaign(config).rows]
+    log, point = tmp_path / "tasks.log", harness.run_point
+
+    def logged(config, points, span):
+        with open(log, "a") as fh:
+            fh.write(f"{span.start} {os.getpid()}\n")
+        return point(config, points, span)
+
+    monkeypatch.setattr(harness, "run_point", logged)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    rows = run_campaign(dataclasses.replace(config, workers=2)).rows
+    assert [r.csv() for r in rows] == serial
+    tasks = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+    assert [span for span, _ in tasks] == [0, 1]
+    assert tasks[0][1] == os.getpid() != tasks[1][1]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_a_failing_task_leaves_no_process_running(monkeypatch, where):
+    # a stage raises in one task: the error reaches the caller, and the pool
+    # is joined on the way out
+    caller, simulate = os.getpid(), harness.simulate_frame
+
+    def failing(config, rngs):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise RuntimeError(f"a stage failed in the {where}")
+        return simulate(config, rngs)
+
+    monkeypatch.setattr(harness, "simulate_frame", failing)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    config = ScenarioConfig(
+        frames=2, snr_db=(20.0,), modes=("genie",), symbols_per_frame=6, workers=2,
+    )
+    with pytest.raises(RuntimeError, match=f"failed in the {where}"):
+        run_campaign(config)
+    assert multiprocessing.active_children() == []
 
 
 def test_point_arrays_freed_before_the_next_point():
