@@ -12,7 +12,6 @@ from .estimation import (
     iterative_refine,
 )
 from .framing import (
-    FrameConfig,
     PreambleSet,
     SubcarrierMap,
     assemble_frame,

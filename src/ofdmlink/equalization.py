@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import EstimatorState
-from .framing import SubcarrierMap, qam16_demap
+from .framing import N_TRAIN, SubcarrierMap, qam16_demap
 from .numerics import ConfigurationError, logical_to_bin, well_conditioned
 
 __all__ = [
@@ -225,23 +225,23 @@ def equalize_frame(
     state: EstimatorState,
     smap: SubcarrierMap,
     pilots: np.ndarray,
-    n_train: int,
     options: EqualizerOptions,
     phase_updates: np.ndarray | None = None,
 ) -> FrameDecisions:
     """Track the common phase and detect every data bin of a demodulated frame or frame stack.
 
-    ``rx_grids`` is the ``(..., symbols, n, m_r)`` stack including training
-    symbols, leading axes being frames (a field of ``state`` has the same
-    leading axes or none); the first ``n_train`` symbols are skipped.  With
-    ``phase_updates`` None the per-symbol updates are tracked from the
-    pilots; otherwise it supplies them, ``(..., n_data_syms, m_r)`` (ones
-    apply no update), or ``(..., 1, m_r)``: one row for every symbol of a
-    frame, so that the frame has one system per pair.  Detection runs a
-    stack of systems at a time, at most ``DETECT_CHUNK`` data symbols
-    unless one system has more, over the frames' symbols in order.
+    ``rx_grids`` is the ``(..., symbols, n, m_r)`` stack, leading axes
+    being frames (a field of ``state`` has the same leading axes or none);
+    each frame's first :data:`~ofdmlink.framing.N_TRAIN` symbols are its
+    training and are skipped.  With ``phase_updates`` None the per-symbol
+    updates are tracked from the pilots; otherwise it supplies them,
+    ``(..., n_data_syms, m_r)`` (ones apply no update), or ``(..., 1, m_r)``:
+    one row for every symbol of a frame, so that the frame has one system
+    per pair.  Detection runs a stack of systems at a time, at most
+    ``DETECT_CHUNK`` data symbols unless one system has more, over the
+    frames' symbols in order.
     """
-    data = rx_grids[..., n_train:, :, :]
+    data = rx_grids[..., N_TRAIN:, :, :]
     lead, (n_syms, n, m_r), m_t = data.shape[:-3], data.shape[-3:], state.m_t
     if phase_updates is None:
         upsilon, flagged = _track(data, state, pilots, smap, options.tracking_variant)

@@ -24,7 +24,6 @@ from .numerics import ConfigurationError, RandomSource, dft, idft, logical_to_bi
 
 __all__ = [
     "SubcarrierMap",
-    "FrameConfig",
     "PreambleSet",
     "build_subcarrier_map",
     "qam16_map",
@@ -43,10 +42,9 @@ _LEVELS_ASC = np.sort(_QAM16_LEVELS)
 _THRESHOLDS = (_LEVELS_ASC[:-1] + _LEVELS_ASC[1:]) / 2.0
 _GRAY_OF_ASC = np.argsort(_QAM16_LEVELS)  # ascending level -> Gray index
 MAX_FFT = 2**16  # the layout is built bin by bin, so a larger size only exhausts memory
-# Complex samples of one frame over all receive branches, symbols * (n + n_cp) * m_r:
-# a stream array of a frame this large is 256 MiB, and a chunk holds several.
-# An n = 4096, 4x4 frame of 50 symbols has 870400.
-MAX_FRAME_SAMPLES = 2**24
+# A frame is N_SHORT short training symbols, the two long ones, then data.
+N_SHORT = 1
+N_TRAIN = N_SHORT + 2
 _HADAMARD4 = np.array(
     [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
 )
@@ -101,47 +99,6 @@ def build_subcarrier_map(n: int) -> SubcarrierMap:
         pilot_bins=np.array(sorted(pilots)),
         null_bins=np.array(sorted(nulls)),
     )
-
-
-@dataclass(frozen=True)
-class FrameConfig:
-    """Per-run OFDM frame parameters."""
-
-    m_t: int
-    m_r: int
-    n: int
-    n_cp: int
-    symbols_per_frame: int
-    n_short = 1  # short training symbols, a constant of the layout (not a field)
-
-    def __post_init__(self):
-        if self.symbols_per_frame < 2 + self.n_short + 1:
-            raise ConfigurationError("frame too short for training plus one data symbol")
-        if self.m_t < 1 or self.m_r < 1:
-            raise ConfigurationError("antenna counts must be positive")
-        if not 0 <= self.n_cp <= self.n:
-            raise ConfigurationError("cyclic prefix must be nonnegative and not exceed the FFT size")
-        if self.symbols_per_frame * self.samples_per_symbol * self.m_r > MAX_FRAME_SAMPLES:
-            raise ConfigurationError(
-                f"a frame must hold at most {MAX_FRAME_SAMPLES} samples over all receive branches"
-            )
-
-    @property
-    def n_train(self) -> int:
-        """Leading training symbols: short symbols then the two long symbols."""
-        return self.n_short + 2
-
-    @property
-    def n_data_symbols(self) -> int:
-        return self.symbols_per_frame - self.n_train
-
-    @property
-    def samples_per_symbol(self) -> int:
-        return self.n + self.n_cp
-
-    def symbol_window(self, m):
-        """First post-prefix sample index of symbol ``m`` (or an array of them) in the stream."""
-        return m * self.samples_per_symbol + self.n_cp
 
 
 def qam16_map(bits: np.ndarray) -> np.ndarray:
@@ -281,7 +238,6 @@ def demodulate_frame(stream: np.ndarray, n: int, n_cp: int, n_symbols: int) -> n
 
 
 def assemble_frame(
-    config: FrameConfig,
     smap: SubcarrierMap,
     payload_bits: np.ndarray,
     preamble: PreambleSet,
@@ -290,30 +246,31 @@ def assemble_frame(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build the per-antenna frequency grids of one frame, or of a stack of them.
 
-    Layout: ``n_short`` short symbols (:func:`build_short_symbol`), the
+    Layout: :data:`N_SHORT` short symbols (:func:`build_short_symbol`), the
     two long training symbols, then data symbols carrying payload plus
-    the ``(m_t, 4)`` pilots (:func:`pilot_matrix`).  The last axis of
-    ``payload_bits`` must hold exactly ``n_data_symbols * n_data * m_t * 4``
-    bits; they fill the frame symbol-major, then data bin (ascending
-    logical), then antenna, then bit position.  Returns the grids and the
-    payload as ``(..., n_data_syms, n_data, m_t, 4)`` bits; leading axes
-    are independent frames and lead both.
+    the ``(m_t, 4)`` pilots (:func:`pilot_matrix`), ``m_t`` the preamble's.
+    The last axis of ``payload_bits`` holds the data symbols, one or more,
+    of ``n_data * m_t * 4`` bits each; they fill the frame symbol-major,
+    then data bin (ascending logical), then antenna, then bit position.
+    Returns the grids and the payload as ``(..., n_data_syms, n_data, m_t,
+    4)`` bits; leading axes are independent frames and lead both.
     """
-    n, m_t = config.n, config.m_t
+    n, m_t = smap.n, preamble.m_t
     bits = np.asarray(payload_bits, dtype=np.uint8)
-    expected = config.n_data_symbols * smap.n_data * m_t * 4
-    if bits.ndim == 0 or bits.shape[-1] != expected:
+    per_symbol = smap.n_data * m_t * 4
+    n_data_syms = bits.shape[-1] // per_symbol if bits.ndim else 0
+    if n_data_syms < 1 or bits.shape[-1] != n_data_syms * per_symbol:
         raise ConfigurationError(
-            f"payload must be {expected} bits per frame, got shape {bits.shape}"
+            f"payload must be one or more data symbols of {per_symbol} bits, got shape {bits.shape}"
         )
     lead = bits.shape[:-1]
-    bits = bits.reshape(*lead, config.n_data_symbols, smap.n_data, m_t, 4)
+    bits = bits.reshape(*lead, n_data_syms, smap.n_data, m_t, 4)
     data_syms = qam16_map(bits).reshape(bits.shape[:-1])
 
-    grids = np.zeros((*lead, config.symbols_per_frame, n, m_t), dtype=np.complex128)
-    grids[..., : config.n_short, :, :] = short_symbol
-    grids[..., config.n_short, :, :] = preamble.t1
-    grids[..., config.n_short + 1, :, :] = preamble.t2
-    grids[..., config.n_train :, logical_to_bin(smap.data_bins, n), :] = data_syms
-    grids[..., config.n_train :, logical_to_bin(smap.pilot_bins, n), :] = pilots.T
+    grids = np.zeros((*lead, N_TRAIN + n_data_syms, n, m_t), dtype=np.complex128)
+    grids[..., :N_SHORT, :, :] = short_symbol
+    grids[..., N_SHORT, :, :] = preamble.t1
+    grids[..., N_SHORT + 1, :, :] = preamble.t2
+    grids[..., N_TRAIN:, logical_to_bin(smap.data_bins, n), :] = data_syms
+    grids[..., N_TRAIN:, logical_to_bin(smap.pilot_bins, n), :] = pilots.T
     return grids, bits

@@ -16,11 +16,12 @@ results do not depend on the frames stacked with it, and a point's spans
 merge exactly (:meth:`_Tally.merge`), so every result is byte-reproducible
 regardless of worker count, stacking or scheduling.
 Each stage runs on every frame: all frames draw their noise and phase
-steps, and the front end always estimates the mismatch.  The layout a
-config implies (frame, subcarrier map, training symbols, pilots) and its
-channel completion, one matrix per transmit antenna up to
-:data:`COMPLETION_OPERATOR_BYTES`, are built once, on first use, as
-properties of :class:`ScenarioConfig`.
+steps, and the front end always estimates the mismatch.  A frame's
+layout is fixed (:data:`~ofdmlink.framing.N_TRAIN` training symbols,
+then data) and its sizes are the config's fields; the subcarrier map,
+training symbols and pilots they imply, and the channel completion, one
+matrix per transmit antenna up to :data:`COMPLETION_OPERATOR_BYTES`, are
+built once, on first use, as properties of :class:`ScenarioConfig`.
 
 The receiver modes differ only in the channel estimate they detect with
 (see :func:`receiver_state`) and the common-phase updates they apply:
@@ -32,8 +33,8 @@ shared by its modes.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -54,7 +55,8 @@ from .estimation import (
     refine_iq_channel,
 )
 from .framing import (
-    FrameConfig,
+    N_SHORT,
+    N_TRAIN,
     PreambleSet,
     SubcarrierMap,
     assemble_frame,
@@ -121,9 +123,9 @@ CHUNK_SYMBOLS = 64
 STACK_SYMBOLS = 160
 
 # Complex samples of a chunk over all receive branches, frames * samples * m_r.
-# A chunk is at least one iq_frame_avg block, so the frame bound alone does not
-# bound it: at this bound each of a chunk's stream arrays is 256 MiB.  The
-# n = 4096, 4x4 frame of 50 symbols fills one chunk with 870400.
+# A chunk holds at least one frame, so this bounds every frame too: at this
+# bound each of a chunk's stream arrays is 256 MiB.  The n = 4096, 4x4 frame
+# of 50 symbols fills one chunk with 870400.
 MAX_CHUNK_SAMPLES = 2**24
 
 # Bytes of the completion operators, n * n_used complex values in all.  Their
@@ -133,6 +135,10 @@ MAX_CHUNK_SAMPLES = 2**24
 # this, from n = 1024, _complete runs the configured builder on each chunk's
 # values instead.
 COMPLETION_OPERATOR_BYTES = 2**22
+
+# The pool of a parallel campaign; forked, its workers inherit this module as
+# it stands, wrappers installed on its names included.
+_pool = multiprocessing.get_context("fork").Pool
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,13 @@ class ScenarioConfig:
         # the frame, grid, pilot, channel and receiver checks, before any frame
         # runs; each size is bounded before anything is allocated from it, and
         # reading a layout property builds it (and raises on a bad one)
-        self.frame, self.smap, self.pilots
+        if self.m_t < 1 or self.m_r < 1:
+            raise ConfigurationError("antenna counts must be positive")
+        if self.symbols_per_frame < N_TRAIN + 1:
+            raise ConfigurationError("frame too short for training plus one data symbol")
+        if not 0 <= self.n_cp <= self.n:
+            raise ConfigurationError("cyclic prefix must be nonnegative and not exceed the FFT size")
+        self.smap, self.pilots
         if self.l_taps > self.n_cp:
             raise ConfigurationError("channel length must not exceed the cyclic prefix")
         exp_power_profile(self.l_taps, self.pdp_decay)
@@ -207,20 +219,13 @@ class ScenarioConfig:
         if chunk * self.symbols_per_frame * (self.n + self.n_cp) * self.m_r > MAX_CHUNK_SAMPLES:
             raise ConfigurationError(
                 f"a chunk of {chunk} frames must hold at most {MAX_CHUNK_SAMPLES} samples "
-                "over all receive branches; lower iq_frame_avg"
+                "over all receive branches; shorten the frame or lower iq_frame_avg"
             )
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
 
     # The layout and receiver settings the fields imply, built on first use
     # and then shared by every frame of the campaign.
-
-    @cached_property
-    def frame(self) -> FrameConfig:
-        return FrameConfig(
-            m_t=self.m_t, m_r=self.m_r, n=self.n, n_cp=self.n_cp,
-            symbols_per_frame=self.symbols_per_frame,
-        )
 
     @cached_property
     def smap(self) -> SubcarrierMap:
@@ -346,7 +351,7 @@ def simulate_frame(config: ScenarioConfig, rngs) -> FrameDraws:
     :func:`impair` scales them per point; a point without noise or phase
     noise leaves its draw unused.
     """
-    fc, smap = config.frame, config.smap
+    smap = config.smap
     channels = [
         draw_channel(
             config.m_t, config.m_r, config.l_taps, config.pdp_decay,
@@ -354,12 +359,10 @@ def simulate_frame(config: ScenarioConfig, rngs) -> FrameDraws:
         )
         for rng in rngs
     ]
-    payload = np.stack([
-        rng.child("payload").integers(0, 2, size=fc.n_data_symbols * smap.n_data * config.m_t * 4)
-        for rng in rngs
-    ])
+    frame_bits = (config.symbols_per_frame - N_TRAIN) * smap.n_data * config.m_t * 4
+    payload = np.stack([rng.child("payload").integers(0, 2, size=frame_bits) for rng in rngs])
     grids, truth_bits = assemble_frame(
-        fc, smap, payload, config.preamble, short_symbol=config.short_symbol, pilots=config.pilots
+        smap, payload, config.preamble, short_symbol=config.short_symbol, pilots=config.pilots
     )
     tx = modulate_frame(grids, config.n_cp)
     # one stream array for the chunk, filled frame by frame: the convolution
@@ -390,8 +393,8 @@ def _phase(draws: FrameDraws, config: ScenarioConfig, beta: float) -> tuple:
     np.exp(rotation, out=rotation)  # in place: a chunk of streams is large
     # The preamble-stage estimator targets the channel fused with the mean
     # common phase of the two long training symbols (rows 0 and 1).
-    fc = config.frame
-    cpe = cpe_of(rotation, fc.symbol_window(np.arange(fc.n_short, fc.symbols_per_frame)), config.n)
+    start = np.arange(N_SHORT, config.symbols_per_frame) * (config.n + config.n_cp) + config.n_cp
+    cpe = cpe_of(rotation, start, config.n)
     theta_pre = 0.5 * (cpe[:, 0] + cpe[:, 1])
     return rotation, theta_pre[:, None, :, None] * draws.freq, cpe[:, 2:] / theta_pre[:, None]
 
@@ -511,11 +514,11 @@ def front_end(frames: SimulatedFrames, config: ScenarioConfig) -> FrontEnd:
     The mismatch is the adjacent-bin estimate refined by de-mixing; only
     the modes that detect with the de-mixed channel read it.
     """
-    rx, n_short, pre = frames.rx_grids, config.frame.n_short, config.preamble
+    rx, pre = frames.rx_grids, config.preamble
     nulls = logical_to_bin(config.smap.null_bins, config.n)
-    samples = np.take(rx[:, :n_short], nulls, axis=2).reshape(rx.shape[0], -1, config.m_r)
+    samples = np.take(rx[:, :N_SHORT], nulls, axis=2).reshape(rx.shape[0], -1, config.m_r)
     psi = estimate_noise_ici_corr(samples)
-    est = estimate_preamble(rx[:, n_short], rx[:, n_short + 1], pre)
+    est = estimate_preamble(rx[:, N_SHORT], rx[:, N_SHORT + 1], pre)
     g0 = estimate_iq_params(est.chi_a, est.e, pre.owner)
     return FrontEnd(psi=psi, est=est, g=refine_iq_channel(est, pre.owner, g0, psi))
 
@@ -610,7 +613,7 @@ class _Tally:
     def row(self, config: ScenarioConfig, point: tuple, mode: str) -> CampaignRow:
         """The row of ``point`` in ``mode``; ``mse_k1`` averages each term as often as it counts."""
         n, (snr_db, beta), nan = self.frames_run, point, float("nan")
-        frame_bits = config.frame.n_data_symbols * config.smap.n_data * config.m_t * 4
+        frame_bits = (config.symbols_per_frame - N_TRAIN) * config.smap.n_data * config.m_t * 4
         terms = np.repeat([v for v, _ in self.k1_terms], [c for _, c in self.k1_terms])
         return CampaignRow(
             snr_db=snr_db, beta_hz=beta, mode=mode, detector=config.detector,
@@ -634,7 +637,7 @@ def _score_chunk(frames: SimulatedFrames, config: ScenarioConfig, tallies: list)
     restart at each point's first frame, and a block's mismatch term
     counts for the de-mixed modes even where none of its frames runs.
     """
-    fc, step = config.frame, config.iq_frame_avg
+    step = config.iq_frame_avg
     n_frames = frames.rx_grids.shape[0]
     per_point = n_frames // len(tallies)
     fe = front_end(frames, config)
@@ -667,7 +670,7 @@ def _score_chunk(frames: SimulatedFrames, config: ScenarioConfig, tallies: list)
             run = slice(None) if ran.all() else ran  # no copy of the stack when all frames run
             updates = {"none": no_updates, "tracked": None, "genie": frames.cpe_true[run]}
             dec = equalize_frame(
-                frames.rx_grids[run], state, config.smap, config.pilots, fc.n_train,
+                frames.rx_grids[run], state, config.smap, config.pilots,
                 options=config.equalizer, phase_updates=updates[phase],
             )
             wrong = dec.bits != frames.truth_bits[np.flatnonzero(ran) % per_point]
@@ -766,19 +769,29 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     The tasks of :func:`_task_grid` go span by span, so the first span of
     each point comes first.  The calling process runs the first task and a
     pool of one process per other task runs the rest, both through
-    :func:`run_point`; with one task there is no pool.  Each point's
-    tallies then merge span by span, in frame order; a later span's tally
-    brings its per-frame ``mse_ce`` values, 8 bytes per frame, point and
-    mode.
+    :func:`run_point`; with one task there is no pool.  Leaving the pool
+    terminates and joins its workers, so an error in the caller's task ends
+    the campaign without waiting for theirs.  A worker that ends before its
+    task does (killed, say) raises too: the pool would start another in its
+    place and wait for the lost task forever.  Each point's tallies then
+    merge span by span, in frame order; a later span's tally brings its
+    per-frame ``mse_ce`` values, 8 bytes per frame, point and mode.
     """
     groups, spans = _task_grid(config)
     tasks = [(group, span) for span in spans for group in groups]
     if len(tasks) == 1:
         per_task = [run_point(config, *tasks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(tasks) - 1) as pool:
-            rest = pool.map(_point_task, [config] * (len(tasks) - 1), *zip(*tasks[1:]))
-            per_task = [run_point(config, *tasks[0]), *rest]
+        others = multiprocessing.active_children()
+        with _pool(len(tasks) - 1) as pool:
+            workers = [p for p in multiprocessing.active_children() if p not in others]
+            rest = pool.starmap_async(_point_task, [(config, *task) for task in tasks[1:]])
+            per_task = [run_point(config, *tasks[0])]
+            while not rest.ready():
+                if not all(w.is_alive() for w in workers):
+                    raise RuntimeError("a campaign worker ended before its task")
+                rest.wait(0.1)
+            per_task += rest.get()
     merged = {}
     for (group, _), tallies in zip(tasks, per_task):
         for point, by_mode in zip(group, tallies):

@@ -194,7 +194,7 @@ def test_criterion_06_genie_zf_exactness():
     )
     from ofdmlink.harness import front_end, impair, receiver_state, simulate_frame
 
-    fc, smap, pilots = config.frame, config.smap, config.pilots
+    smap, pilots = config.smap, config.pilots
     draws = simulate_frame(config, [RandomSource(3600).child("frame", f) for f in range(2)])
     frames = impair(draws, config, [(float("inf"), 0.0)], {})
     fe = front_end(frames, config)
@@ -203,12 +203,12 @@ def test_criterion_06_genie_zf_exactness():
         h_pre=state.h_pre, k1=state.k1, psi=1e-12 * np.eye(2, dtype=complex)
     )
     zf = equalize_frame(
-        frames.rx_grids, state, smap, pilots, fc.n_train,
+        frames.rx_grids, state, smap, pilots,
         options=config.equalizer,
         phase_updates=frames.cpe_true,
     )
     mmse = equalize_frame(
-        frames.rx_grids, state_eps, smap, pilots, fc.n_train,
+        frames.rx_grids, state_eps, smap, pilots,
         options=dataclasses.replace(config.equalizer, detector="mmse"),
         phase_updates=frames.cpe_true,
     )

@@ -30,7 +30,7 @@ from ofdmlink.estimation import (
     estimate_preamble,
     refine_iq_channel,
 )
-from ofdmlink.framing import assemble_frame, demodulate_frame, modulate_frame
+from ofdmlink.framing import N_SHORT, N_TRAIN, assemble_frame, demodulate_frame, modulate_frame
 from ofdmlink.harness import MODES, RECEIVER_MODES, ScenarioConfig
 from ofdmlink.impairments import apply_iq_imbalance, apply_phase_noise, cpe_of, wiener_phase
 from ofdmlink.numerics import RandomSource, logical_to_bin
@@ -38,16 +38,16 @@ from ofdmlink.numerics import RandomSource, logical_to_bin
 
 def oracle_frame(config, snr_db, beta, rng):
     """One frame through the transmit chain, as the frame-by-frame simulator did."""
-    fc, smap = config.frame, config.smap
+    smap = config.smap
     ch = draw_channel(
         config.m_t, config.m_r, config.l_taps, config.pdp_decay,
         rng.child("channel"), n_fft=config.n,
     )
     payload = rng.child("payload").integers(
-        0, 2, size=fc.n_data_symbols * smap.n_data * config.m_t * 4
+        0, 2, size=(config.symbols_per_frame - N_TRAIN) * smap.n_data * config.m_t * 4
     )
     grids, truth_bits = assemble_frame(
-        fc, smap, payload, config.preamble, short_symbol=config.short_symbol, pilots=config.pilots
+        smap, payload, config.preamble, short_symbol=config.short_symbol, pilots=config.pilots
     )
     rx = apply_channel(modulate_frame(grids, config.n_cp), ch)
     sigma2 = 0.0
@@ -58,7 +58,8 @@ def oracle_frame(config, snr_db, beta, rng):
     rotation = np.exp(1j * phi)
     rx = apply_iq_imbalance(apply_phase_noise(rx, rotation), config.iq)
     rx_grids = demodulate_frame(rx, config.n, config.n_cp, config.symbols_per_frame)
-    cpe = cpe_of(rotation, fc.symbol_window(np.arange(fc.n_short, fc.symbols_per_frame)), config.n)
+    per = config.n + config.n_cp
+    cpe = cpe_of(rotation, np.arange(N_SHORT, config.symbols_per_frame) * per + config.n_cp, config.n)
     theta_pre = 0.5 * (cpe[0] + cpe[1])
     return dict(
         rx_grids=rx_grids, truth_bits=truth_bits, h_eff=theta_pre[None, :, None] * ch.freq,
@@ -67,10 +68,10 @@ def oracle_frame(config, snr_db, beta, rng):
 
 
 def oracle_front_end(rx_grids, config):
-    n_short, pre = config.frame.n_short, config.preamble
+    pre = config.preamble
     nulls = logical_to_bin(config.smap.null_bins, config.n)
-    psi = estimate_noise_ici_corr(rx_grids[:n_short, nulls].reshape(-1, config.m_r))
-    est = estimate_preamble(rx_grids[n_short], rx_grids[n_short + 1], pre)
+    psi = estimate_noise_ici_corr(rx_grids[:N_SHORT, nulls].reshape(-1, config.m_r))
+    est = estimate_preamble(rx_grids[N_SHORT], rx_grids[N_SHORT + 1], pre)
     g0 = estimate_iq_params(est.chi_a, est.e, pre.owner)
     return psi, est, refine_iq_channel(est, pre.owner, g0, psi=psi)
 
@@ -95,7 +96,7 @@ def test_chunk_equals_frame_by_frame(m, ce_method, avg, detector, beta, n_frames
         detector=detector, ce_method=ce_method, iq_frame_avg=avg, symbols_per_frame=7,
         master_seed=7100,
     )
-    fc, smap, pre, pilots, iq = config.frame, config.smap, config.preamble, config.pilots, config.iq
+    smap, pre, pilots, iq = config.smap, config.preamble, config.pilots, config.iq
     rngs = [RandomSource(config.master_seed).child("frame", f) for f in range(n_frames)]
     draws = harness.simulate_frame(config, rngs)
     frames = harness.impair(draws, config, [(20.0, beta)], {})
@@ -125,10 +126,10 @@ def test_chunk_equals_frame_by_frame(m, ce_method, avg, detector, beta, n_frames
     for mode in MODES:
         estimate, phase = RECEIVER_MODES[mode]
         state, ran = harness.receiver_state(frames, fe, config, estimate, k1)
-        none = np.ones((fc.n_data_symbols, m))
+        none = np.ones((config.symbols_per_frame - N_TRAIN, m))
         updates = {"none": none, "tracked": None, "genie": frames.cpe_true[ran]}
         dec = equalize_frame(
-            frames.rx_grids[ran], state, smap, pilots, fc.n_train,
+            frames.rx_grids[ran], state, smap, pilots,
             options=options, phase_updates=updates[phase],
         )
         row = 0
@@ -149,7 +150,7 @@ def test_chunk_equals_frame_by_frame(m, ce_method, avg, detector, beta, n_frames
                     e = est.chi_a
                 else:
                     b = logical_to_bin(pre.used, config.n)
-                    e = one["rx_grids"][fc.n_short][b] / pre.lambda1[:, None]
+                    e = one["rx_grids"][N_SHORT][b] / pre.lambda1[:, None]
                 if np.isnan(e).any():
                     assert not ran[f]
                     continue
@@ -160,7 +161,7 @@ def test_chunk_equals_frame_by_frame(m, ce_method, avg, detector, beta, n_frames
             np.testing.assert_array_equal(state.h_pre[row], one_state.h_pre)
             one_updates = {"none": none, "tracked": None, "genie": one["cpe_true"]}
             one_dec = equalize_frame(
-                one["rx_grids"], one_state, smap, pilots, fc.n_train,
+                one["rx_grids"], one_state, smap, pilots,
                 options=options, phase_updates=one_updates[phase],
             )
             for key in ("bits", "soft", "erased", "flagged"):

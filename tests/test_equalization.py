@@ -21,7 +21,7 @@ from ofdmlink.equalization import (
 )
 from ofdmlink.estimation import EstimatorState
 from ofdmlink.framing import (
-    FrameConfig,
+    N_TRAIN,
     assemble_frame,
     build_preamble,
     build_short_symbol,
@@ -245,7 +245,9 @@ class TestForwardFillTracker:
     def _compare(self, smap, data, state, pilots, variant="re-derived"):
         want_hist, want_flags = per_symbol_tracker(data, state, smap, pilots, variant)
         options = dataclasses.replace(OPTIONS, tracking_variant=variant)
-        dec = equalize_frame(data, state, smap, pilots, 0, options)
+        # equalize_frame skips a frame's training symbols; these are zeros
+        frame = np.concatenate([np.zeros((N_TRAIN, *data.shape[1:]), dtype=complex), data])
+        dec = equalize_frame(frame, state, smap, pilots, options)
         np.testing.assert_array_equal(dec.cpe_history, want_hist)
         np.testing.assert_array_equal(dec.flagged, want_flags)
         assert dec.flagged_symbols == want_flags.sum()
@@ -421,10 +423,10 @@ class TestDetect:
         ch = make_channel(m_t=4, m_r=4, seed=128)
         state = genie_state(ch)
         smap = build_subcarrier_map(64)
-        rx = np.zeros((3, 64, 4), dtype=complex)
+        rx = np.zeros((N_TRAIN + 2, 64, 4), dtype=complex)
         options = dataclasses.replace(OPTIONS, detector="mmse", mmse_r="kron")
         with pytest.raises(ConfigurationError):
-            equalize_frame(rx, state, smap, pilot_matrix(4), 1, options)
+            equalize_frame(rx, state, smap, pilot_matrix(4), options)
 
 
 class TestMmseRMatrix:
@@ -455,25 +457,24 @@ class TestMmseRMatrix:
 
 class TestEqualizeFrame:
     def _loopback_frame(self, m_t=2, m_r=2, iq=None, seed=131, symbols=8):
-        config = FrameConfig(m_t=m_t, m_r=m_r, n=64, n_cp=16, symbols_per_frame=symbols)
         smap = build_subcarrier_map(64)
         pre = build_preamble(m_t, smap)
         pilots = pilot_matrix(m_t)
         payload = RandomSource(seed).child("payload").integers(
-            0, 2, size=config.n_data_symbols * 48 * m_t * 4
+            0, 2, size=(symbols - N_TRAIN) * 48 * m_t * 4
         )
-        grids, bits = assemble_frame(config, smap, payload, pre, build_short_symbol(smap, m_t), pilots)
+        grids, bits = assemble_frame(smap, payload, pre, build_short_symbol(smap, m_t), pilots)
         ch = make_channel(m_t=m_t, m_r=m_r, seed=seed)
         rx = apply_channel(modulate_frame(grids, 16), ch)
         if iq is not None:
             rx = apply_iq_imbalance(rx, iq)
         rx_grids = demodulate_frame(rx, 64, 16, symbols)
-        return config, smap, pre, pilots, bits, ch, rx_grids
+        return smap, pre, pilots, bits, ch, rx_grids
 
     def test_impairment_free_loopback_is_bit_exact(self):
-        config, smap, pre, pilots, bits, ch, rx = self._loopback_frame()
+        smap, pre, pilots, bits, ch, rx = self._loopback_frame()
         state = genie_state(ch)
-        dec = equalize_frame(rx, state, smap, pilots, config.n_train, OPTIONS)
+        dec = equalize_frame(rx, state, smap, pilots, OPTIONS)
         np.testing.assert_array_equal(dec.bits, bits)
         assert not dec.erased.any()
         assert dec.flagged_symbols == 0
@@ -490,43 +491,43 @@ class TestEqualizeFrame:
         )
 
         iq = IqParams.uniform(2, 5.0, 10.0)
-        config, smap, pre, pilots, bits, ch, rx = self._loopback_frame(iq=iq)
+        smap, pre, pilots, bits, ch, rx = self._loopback_frame(iq=iq)
         est = estimate_preamble(rx[1], rx[2], pre)
         g0 = estimate_iq_params(est.chi_a, est.e, pre.owner)
         k1 = (1.0 + refine_iq_channel(est, pre.owner, g0, np.zeros((2, 2)))) / 2.0
         h = iterative_refine(demix_channel(est, k1), pre, smap, l_taps=7)
         state = EstimatorState(h_pre=h, k1=k1, psi=np.zeros((2, 2), dtype=complex))
-        dec = equalize_frame(rx, state, smap, pilots, config.n_train, OPTIONS)
+        dec = equalize_frame(rx, state, smap, pilots, OPTIONS)
         np.testing.assert_array_equal(dec.bits, bits)
 
     def test_every_data_bin_detected_once(self):
-        config, smap, pre, pilots, bits, ch, rx = self._loopback_frame()
+        smap, pre, pilots, bits, ch, rx = self._loopback_frame()
         state = genie_state(ch)
-        dec = equalize_frame(rx, state, smap, pilots, config.n_train, OPTIONS)
+        dec = equalize_frame(rx, state, smap, pilots, OPTIONS)
         # soft estimates populated on every data bin of every symbol
-        assert dec.soft.shape == (config.n_data_symbols, 48, 2)
+        assert dec.soft.shape == (len(bits), 48, 2)
         np.testing.assert_allclose(
             dec.soft, qam16_map(bits).reshape(dec.soft.shape), atol=1e-6
         )
 
     def test_erasures_counted_for_singular_pairs(self):
-        config, smap, pre, pilots, bits, ch, rx = self._loopback_frame()
+        smap, pre, pilots, bits, ch, rx = self._loopback_frame()
         state = genie_state(ch)
         state.h_pre[...] = 0.0  # force rank deficiency everywhere
-        dec = equalize_frame(rx, state, smap, pilots, config.n_train, OPTIONS)
+        dec = equalize_frame(rx, state, smap, pilots, OPTIONS)
         assert dec.erased.all()
 
     def test_tracking_reduces_rotation_error(self):
         # A per-symbol common rotation is corrected when tracking is on.
-        config, smap, pre, pilots, bits, ch, rx_clean = self._loopback_frame(symbols=10)
+        smap, pre, pilots, bits, ch, rx_clean = self._loopback_frame(symbols=10)
         rot = np.exp(1j * 0.35)
         rx = rx_clean.copy()
-        rx[config.n_train :] *= rot
+        rx[N_TRAIN:] *= rot
         state = genie_state(ch, psi_scale=1e-6)
-        tracked = equalize_frame(rx, state, smap, pilots, config.n_train, OPTIONS)
+        tracked = equalize_frame(rx, state, smap, pilots, OPTIONS)
         frozen = equalize_frame(
-            rx, state, smap, pilots, config.n_train, OPTIONS,
-            phase_updates=np.ones((config.n_data_symbols, 2), dtype=complex),
+            rx, state, smap, pilots, OPTIONS,
+            phase_updates=np.ones((len(bits), 2), dtype=complex),
         )
         sent = qam16_map(bits).reshape(tracked.soft.shape)
         err_tracked = np.mean(np.abs(tracked.soft - sent) ** 2)
@@ -535,15 +536,15 @@ class TestEqualizeFrame:
         np.testing.assert_allclose(tracked.cpe_history, rot, atol=1e-6)
 
     def test_genie_cpe_override(self):
-        config, smap, pre, pilots, bits, ch, rx_clean = self._loopback_frame(symbols=6)
-        rots = np.exp(1j * np.linspace(0.1, 0.5, config.n_data_symbols))
+        smap, pre, pilots, bits, ch, rx_clean = self._loopback_frame(symbols=6)
+        rots = np.exp(1j * np.linspace(0.1, 0.5, len(bits)))
         rx = rx_clean.copy()
         for j, r in enumerate(rots):
-            rx[config.n_train + j] *= r
+            rx[N_TRAIN + j] *= r
         state = genie_state(ch)
         override = np.repeat(rots[:, None], 2, axis=1)
         dec = equalize_frame(
-            rx, state, smap, pilots, config.n_train, OPTIONS, phase_updates=override
+            rx, state, smap, pilots, OPTIONS, phase_updates=override
         )
         np.testing.assert_array_equal(dec.bits, bits)
 
@@ -561,7 +562,7 @@ class TestStaticSystems:
         # takes them all at once; LAPACK's getrs then gives each column as a
         # single-column solve does, bit for bit.  Frame 1 has no noise and
         # one pair without channel, so its guard rejects that pair.
-        frames, n_train, n_data_syms = 3, 2, 11
+        frames, n_data_syms = 3, 11
         rng = np.random.default_rng(150 + m)
 
         def cnormal(*shape):
@@ -572,10 +573,10 @@ class TestStaticSystems:
         h_pre[1, logical_to_bin(k, 64)] = 0.0
         psi = np.einsum("f,ij->fij", [0.05, 0.0, 0.2], np.eye(m)).astype(complex)
         state = EstimatorState(h_pre=h_pre, k1=1.0 + 0.1 * cnormal(frames, m), psi=psi)
-        rx = cnormal(frames, n_train + n_data_syms, 64, m)
+        rx = cnormal(frames, N_TRAIN + n_data_syms, 64, m)
         options = dataclasses.replace(OPTIONS, detector=detector, mmse_r=mmse_r)
         decs = [
-            equalize_frame(rx, state, smap64, pilot_matrix(m), n_train, options,
+            equalize_frame(rx, state, smap64, pilot_matrix(m), options,
                            phase_updates=np.ones((rows, m), dtype=complex))
             for rows in (1, n_data_syms)
         ]

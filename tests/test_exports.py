@@ -306,20 +306,18 @@ SHARED_NAMES = {
     "k1": ["estimation.EstimatorState", "impairments.IqParams"],
     "l_taps": ["channel.ChannelRealization", "harness.ScenarioConfig"],
     "m_r": [
-        "channel.ChannelRealization", "estimation.EstimatorState", "framing.FrameConfig",
-        "harness.CampaignRow", "harness.ScenarioConfig",
+        "channel.ChannelRealization", "estimation.EstimatorState", "harness.CampaignRow",
+        "harness.ScenarioConfig",
     ],
     "m_t": [
-        "channel.ChannelRealization", "estimation.EstimatorState", "framing.FrameConfig",
-        "framing.PreambleSet", "harness.CampaignRow", "harness.ScenarioConfig",
+        "channel.ChannelRealization", "estimation.EstimatorState", "framing.PreambleSet",
+        "harness.CampaignRow", "harness.ScenarioConfig",
     ],
     "master_seed": ["harness.ScenarioConfig", "numerics.RandomSource"],
     "mmse_r": ["equalization.EqualizerOptions", "harness.ScenarioConfig"],
-    "n": ["framing.FrameConfig", "framing.SubcarrierMap", "harness.ScenarioConfig"],
-    "n_cp": ["framing.FrameConfig", "harness.ScenarioConfig"],
+    "n": ["framing.SubcarrierMap", "harness.ScenarioConfig"],
     "psi": ["estimation.EstimatorState", "harness.FrontEnd"],
     "snr_db": ["harness.CampaignRow", "harness.ScenarioConfig"],
-    "symbols_per_frame": ["framing.FrameConfig", "harness.ScenarioConfig"],
     "tracking_variant": ["equalization.EqualizerOptions", "harness.ScenarioConfig"],
     "truth_bits": ["harness.FrameDraws", "harness.SimulatedFrames"],
 }

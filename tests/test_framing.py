@@ -6,8 +6,7 @@ import pytest
 from ofdmlink.framing import (
     _GRAY_OF_ASC,
     _THRESHOLDS,
-    MAX_FRAME_SAMPLES,
-    FrameConfig,
+    N_TRAIN,
     _axis_demap,
     assemble_frame,
     build_preamble,
@@ -19,6 +18,7 @@ from ofdmlink.framing import (
     qam16_demap,
     qam16_map,
 )
+from ofdmlink.harness import MAX_CHUNK_SAMPLES, ScenarioConfig
 from ofdmlink.numerics import ConfigurationError, RandomSource, logical_to_bin
 
 
@@ -250,50 +250,49 @@ class TestOfdmModulation:
 
 class TestAssembleFrame:
     def _frame(self, m_t=2, symbols=50):
-        config = FrameConfig(m_t=m_t, m_r=2, n=64, n_cp=16, symbols_per_frame=symbols)
         smap = build_subcarrier_map(64)
         pre = build_preamble(m_t, smap)
         bits = RandomSource(9).child("payload").integers(
-            0, 2, size=config.n_data_symbols * 48 * m_t * 4
+            0, 2, size=(symbols - N_TRAIN) * 48 * m_t * 4
         )
         pilots = pilot_matrix(m_t)
-        grids, bits = assemble_frame(config, smap, bits, pre, build_short_symbol(smap, m_t), pilots)
-        return config, smap, pre, pilots, grids, bits
+        grids, bits = assemble_frame(smap, bits, pre, build_short_symbol(smap, m_t), pilots)
+        return smap, pre, pilots, grids, bits
 
     def test_symbol_budget(self):
-        config, _, _, _, grids, bits = self._frame()
-        assert grids.shape[0] == 50
-        assert config.n_data_symbols == 47
+        _, _, _, grids, bits = self._frame()
+        assert grids.shape == (50, 64, 2)
         assert bits.shape == (47, 48, 2, 4)
 
     def test_training_symbols_in_place(self):
-        _, smap, pre, _, grids, _ = self._frame()
+        smap, pre, _, grids, _ = self._frame()
         np.testing.assert_array_equal(grids[1], pre.t1)
         np.testing.assert_array_equal(grids[2], pre.t2)
         nulls = logical_to_bin(smap.null_bins, 64)
         assert not grids[0][nulls].any()
 
     def test_pilot_bins_carry_pilots(self):
-        _, smap, _, pilots, grids, _ = self._frame()
+        smap, _, pilots, grids, _ = self._frame()
         pbin = logical_to_bin(smap.pilot_bins, 64)
         for m in range(3, 50):
             np.testing.assert_array_equal(grids[m][pbin], pilots.T)
 
     def test_payload_round_trips_through_loopback(self):
-        config, smap, _, _, grids, bits = self._frame()
+        smap, _, _, grids, bits = self._frame()
         rx = demodulate_frame(modulate_frame(grids, 16), 64, 16, 50)
         dbin = logical_to_bin(smap.data_bins, 64)
         got = qam16_demap(rx[3:, dbin]).reshape(bits.shape)
         np.testing.assert_array_equal(got, bits)
 
     def test_payload_size_validated(self):
-        config = FrameConfig(m_t=2, m_r=2, n=64, n_cp=16, symbols_per_frame=50)
+        # the payload sets the data symbols: whole ones of 48 * 2 * 4 bits, at least one
         smap = build_subcarrier_map(64)
         pre = build_preamble(2, smap)
-        with pytest.raises(ConfigurationError):
-            assemble_frame(
-                config, smap, np.zeros(100, dtype=int), pre, build_short_symbol(smap, 2), pilot_matrix(2)
-            )
+        for size in (0, 100, 48 * 2 * 4 + 1):
+            with pytest.raises(ConfigurationError):
+                assemble_frame(
+                    smap, np.zeros(size, dtype=int), pre, build_short_symbol(smap, 2), pilot_matrix(2)
+                )
 
     def test_pilot_matrix_orthogonal_rows(self):
         p = pilot_matrix(4)
@@ -302,15 +301,20 @@ class TestAssembleFrame:
             pilot_matrix(5)
 
     def test_frame_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            FrameConfig(m_t=2, m_r=2, n=64, n_cp=16, symbols_per_frame=3)
+        # the frame's checks run in ScenarioConfig, before its layout is built
+        for fields in (
+            dict(symbols_per_frame=3), dict(m_t=0), dict(m_r=0), dict(n_cp=-1), dict(n_cp=65),
+        ):
+            with pytest.raises(ConfigurationError):
+                ScenarioConfig(**fields)
 
     def test_frame_samples_bounded(self):
-        # symbols * (n + n_cp) * m_r; only the config is built, no frame
-        most = MAX_FRAME_SAMPLES // 80  # symbols of 64 + 16 samples on one branch
-        FrameConfig(m_t=1, m_r=1, n=64, n_cp=16, symbols_per_frame=most)
-        FrameConfig(m_t=1, m_r=most // 50, n=64, n_cp=16, symbols_per_frame=50)
+        # symbols * (n + n_cp) * m_r; a chunk holds at least one frame, so the
+        # chunk bound refuses a frame beyond it; only the config is built, no frame
+        most = MAX_CHUNK_SAMPLES // 80  # symbols of 64 + 16 samples on one branch
+        ScenarioConfig(m_t=1, m_r=1, n=64, n_cp=16, symbols_per_frame=most)
+        ScenarioConfig(m_t=1, m_r=most // 50, n=64, n_cp=16, symbols_per_frame=50)
         with pytest.raises(ConfigurationError):
-            FrameConfig(m_t=1, m_r=1, n=64, n_cp=16, symbols_per_frame=most + 1)
+            ScenarioConfig(m_t=1, m_r=1, n=64, n_cp=16, symbols_per_frame=most + 1)
         with pytest.raises(ConfigurationError):
-            FrameConfig(m_t=1, m_r=most // 50 + 1, n=64, n_cp=16, symbols_per_frame=50)
+            ScenarioConfig(m_t=1, m_r=most // 50 + 1, n=64, n_cp=16, symbols_per_frame=50)

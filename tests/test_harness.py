@@ -5,7 +5,10 @@ import itertools
 import math
 import multiprocessing
 import os
+import signal
+import time
 import tracemalloc
+import types
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -15,6 +18,7 @@ from ofdmlink import equalization, harness
 from ofdmlink.channel import apply_channel, draw_channel
 from ofdmlink.estimation import estimate_preamble
 from ofdmlink.framing import (
+    N_TRAIN,
     assemble_frame,
     modulate_frame,
 )
@@ -86,14 +90,14 @@ class TestSnrCalibration:
         # unconditioned, the channel-energy spread would need thousands
         # of draws to resolve 2 percent).
         config = ScenarioConfig(frames=1, symbols_per_frame=20)
-        fc, smap, pre = config.frame, config.smap, config.preamble
+        smap, pre = config.smap, config.preamble
         root = RandomSource(7)
         p_sig, p_expected = [], []
         for i in range(500):  # 8500 data symbols
             rng = root.child("cal", i)
             ch = draw_channel(2, 2, 7, 2.0, rng.child("channel"), n_fft=64)
-            bits = rng.child("payload").integers(0, 2, size=fc.n_data_symbols * 48 * 2 * 4)
-            grids, _ = assemble_frame(fc, smap, bits, pre, config.short_symbol, config.pilots)
+            bits = rng.child("payload").integers(0, 2, size=(20 - N_TRAIN) * 48 * 2 * 4)
+            grids, _ = assemble_frame(smap, bits, pre, config.short_symbol, config.pilots)
             rx = apply_channel(modulate_frame(grids, 16), ch)
             p_sig.append(np.mean(np.abs(rx[3 * 80 : 20 * 80]) ** 2))
             # per-branch received power given these taps: channel energy
@@ -331,7 +335,7 @@ class TestReceiverState:
         rows = run_point(config, [(0, 0)])
         assert all(r.frames_run == 4 for r in rows)
         assert len(calls) == len(MODES)
-        pairs, n_syms = config.smap.n_data // 2, config.frame.n_data_symbols
+        pairs, n_syms = config.smap.n_data // 2, config.symbols_per_frame - N_TRAIN
         pilots = config.smap.pilot_bins.size
         assert pilots == 4
         for mode, (frames, solves) in zip(config.modes, calls):
@@ -347,10 +351,10 @@ class TestReceiverState:
 
 
 class _SerialPool:
-    """Runs the pool's tasks in this process, so that spies see them."""
+    """Runs the pool's tasks in this process once their results are asked for, so spies see them."""
 
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
+    def __init__(self, processes):
+        self.processes = processes
 
     def __enter__(self):
         return self
@@ -358,8 +362,9 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def starmap_async(self, fn, iterable):
+        tasks = list(iterable)
+        return types.SimpleNamespace(ready=lambda: True, get=lambda: list(itertools.starmap(fn, tasks)))
 
 
 def test_run_campaign_reaches_module_level_names(monkeypatch):
@@ -386,7 +391,7 @@ def test_run_campaign_reaches_module_level_names(monkeypatch):
     monkeypatch.setattr(harness, "run_point", point_spy)
     monkeypatch.setattr(harness, "_point_task", task_spy)
     monkeypatch.setattr(harness, "simulate_frame", simulate_spy)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(harness, "_pool", _SerialPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(harness, "CHUNK_SYMBOLS", 12)  # two 6-symbol frames per chunk
     grid = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -439,15 +444,15 @@ def test_pool_starts_at_most_one_process_per_cpu(monkeypatch, cpus, workers, pro
     pools = []
 
     class RecordingPool(_SerialPool):
-        def __init__(self, max_workers):
-            super().__init__(max_workers)
-            pools.append(max_workers)
+        def __init__(self, processes):
+            super().__init__(processes)
+            pools.append(processes)
 
     config = ScenarioConfig(
         frames=1, snr_db=(10.0, 20.0, 30.0, 40.0, 50.0), modes=("genie",), symbols_per_frame=6,
     )
     serial = run_campaign(config).rows
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_pool", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     config = dataclasses.replace(config, workers=workers)
     groups, spans = harness._task_grid(config)
@@ -494,15 +499,15 @@ def test_task_grid_rows_match_one_worker(monkeypatch, cpus, workers, frames, iq_
     simulate = harness.simulate_frame
 
     class RecordingPool(_SerialPool):
-        def __init__(self, max_workers):
-            super().__init__(max_workers)
-            pools.append(max_workers)
+        def __init__(self, processes):
+            super().__init__(processes)
+            pools.append(processes)
 
     def counted(config, rngs):
         simulated.append(len(rngs))
         return simulate(config, rngs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_pool", RecordingPool)
     monkeypatch.setattr(harness, "simulate_frame", counted)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     config = dataclasses.replace(config, workers=workers)
@@ -559,6 +564,60 @@ def test_a_failing_task_leaves_no_process_running(monkeypatch, where):
     )
     with pytest.raises(RuntimeError, match=f"failed in the {where}"):
         run_campaign(config)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_caller_does_not_wait_for_the_pool(monkeypatch):
+    # the caller's task raises at once while the worker's sleeps: leaving the
+    # pool ends the worker, so the error surfaces long before the sleep would
+    # end (a campaign that waited would take 20 s here), and no process is left
+    caller, simulate = os.getpid(), harness.simulate_frame
+
+    def stage(config, rngs):
+        if os.getpid() == caller:
+            raise RuntimeError("a stage failed in the caller")
+        time.sleep(20.0)
+        return simulate(config, rngs)
+
+    monkeypatch.setattr(harness, "simulate_frame", stage)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    config = ScenarioConfig(
+        frames=2, snr_db=(20.0,), modes=("genie",), symbols_per_frame=6, workers=2,
+    )
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="failed in the caller"):
+        run_campaign(config)
+    assert time.perf_counter() - start < 5.0
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_ends_the_campaign(monkeypatch):
+    # a worker that exits without a result (as one killed for its memory
+    # would) is not replaced and waited for: the campaign raises, bounded by
+    # an alarm, and no process is left running
+    caller, simulate = os.getpid(), harness.simulate_frame
+
+    def stage(config, rngs):
+        if os.getpid() != caller:
+            os._exit(1)
+        return simulate(config, rngs)
+
+    def timeout(*_):
+        raise TimeoutError("the campaign waited for a worker that had died")
+
+    monkeypatch.setattr(harness, "simulate_frame", stage)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    config = ScenarioConfig(
+        frames=2, snr_db=(20.0,), modes=("genie",), symbols_per_frame=6, workers=2,
+    )
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(RuntimeError, match="ended before its task"):
+            run_campaign(config)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert multiprocessing.active_children() == []
 
 
