@@ -8,22 +8,37 @@ observation stacked with its mirror conjugate into a linear model with a
 2x2 complex matrix per pilot; the normal equations are regularized by the
 measured noise-plus-interference power and the per-pilot solutions are
 averaged.  The model matrices depend only on the preamble-stage state, so
-they are built once per frame and handed to the detector's guarded solver,
-every symbol one right-hand-side column of its (frame, branch, pilot)
-system.  A rejected update falls back to the last accepted one of its
-branch (1 before any), which is a forward fill along the symbols.
+they are built once per frame and handed to the guarded solver
+:func:`_solve_pairs`, every symbol one right-hand-side column of its
+(frame, branch, pilot) system.  A rejected update falls back to the last
+accepted one of its branch (1 before any), which is a forward fill along
+the symbols.
 
 Detection: each pair of mirror bins ``{k, -k}`` is detected jointly.
 Stacking the received vector with its mirror conjugate gives
 ``x_stack = W(k) s_stack`` where ``W`` has the 2x2 block structure of the
 IQ mixing applied to the tracked channel, solved by ZF or MMSE.  A
-system is one ``W`` per pair with its Gram matrix, guard verdict and LU
-factorization.  When the phase updates vary from symbol to symbol, each
-(frame, symbol) has its own system; when a frame applies one update row
-to all of its symbols (no phase compensation), the frame has one system
-per pair and every data symbol is one right-hand-side column of it.
-Systems are detected a stack at a time.  Tracking and detection share one
-guarded solver, :func:`_solve_pairs`.
+system is one ``W`` per pair with its Gram matrix, guard verdict and
+solve.  When the phase updates vary from symbol to symbol, each (frame,
+symbol) has its own system; when a frame applies one update row to all of
+its symbols (no phase compensation), the frame has one system per pair
+and every data symbol is one right-hand-side column of it.  Where the
+mismatch is ``k1 = 1`` on every branch (``k2 = 0``) and the regularizer
+does not couple the two bins, the pair system is block-diagonal and each
+data bin is detected on its own as an ``m_t``-system; each pair keeps the
+guard verdict of its block-diagonal system, so both of its bins are
+erased together.
+
+Detection's systems are small and many, so LAPACK's cost is mostly per
+matrix: about 0.35 us for a 2x2 system, 0.65 us for a 4x4 and 1.6 us for
+an 8x8 (numpy 2.4, one BLAS thread, 2-core Xeon).  Systems up to
+:data:`LDL_MAX` are formed and solved by array operations over the whole
+stack instead (:func:`_normal_equations`, :func:`_ldl_solve`), whose cost
+is per operation and so falls with the stack's size: 0.47 us per 4x4
+system in a stack of 192, 0.20 us in one of 768, 0.02 us per 2x2 system
+in one of 3072.  Larger systems keep BLAS and LAPACK, and
+:data:`DETECT_ENTRIES` sizes the stacks.  Tracking keeps LAPACK too: its
+systems are few.
 """
 
 from __future__ import annotations
@@ -45,12 +60,21 @@ __all__ = [
 ]
 
 UPSILON_CEILING = 4.0
-# Data symbols per detection stack (a system with more columns is a stack
-# of its own).  Stacking all 47 per-symbol systems of a 4x4 frame raised
-# the peak memory of a 2x2 + 4x4 all-mode campaign by about 5 MB (5%)
-# without a measurable gain in speed; 8 keeps it at the level of
-# symbol-by-symbol detection.
-DETECT_CHUNK = 8
+# Matrix entries in one detection stack (at least one system): each unit
+# (pair or bin) of a system holds its mixing matrix W and its right-hand
+# sides.  Counted in entries, not symbols, because the small systems' cost
+# is per operation over the stack: a 2x2 link's per-symbol pair systems
+# get 28 symbols per stack and its bin systems 48.  The 4x4 pair systems
+# keep their ceiling of 8 symbols of 24 pairs of an 8x8 W and one column;
+# stacking all 47 of a 4x4 frame's symbols raised the peak memory of a
+# 2x2 + 4x4 all-mode campaign by about 5 MB (5%) without a measurable
+# gain in speed.  A frame with every data symbol as a column of its
+# systems is a stack of its own at 4x4.
+DETECT_ENTRIES = 8 * 24 * (64 + 8)
+# Largest system formed and solved stack-last.  At 8x8, BLAS forms a
+# stack of 192 systems' Gram matrices in about half the time, and the
+# kernel solves them only about 1.1x faster than LAPACK.
+LDL_MAX = 4
 
 
 @dataclass(frozen=True)
@@ -197,17 +221,15 @@ def _mixing_matrices(upsilon, h_k, h_mk, k1) -> np.ndarray:
 
 
 def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray, r_floor):
-    """Guarded regularized least squares ``(W^H W + R) s = W^H x`` for a stack of systems.
+    """Guarded regularized least squares ``(W^H W + R) s = W^H x`` for tracking's pilot systems.
 
-    Detection solves its mirror-pair systems with it (ZF: ``r`` zero, or
-    MMSE), tracking its pilot systems (``R = lam I``).  ``w`` is ``(...,
-    rows, cols)`` and ``x_stack`` holds the ``(..., c, rows)`` right-hand
-    sides, ``c`` of them per system; ``r`` broadcasts to ``(..., cols,
-    cols)`` and ``r_floor``, a lower bound on the smallest eigenvalue of
-    ``r`` (0: none), to ``(...)``.  Returns the ``(..., c, cols)``
-    solutions, zero where the condition guard rejects the system, and the
-    ``(...)`` guard verdicts.  Each right-hand side is its own
-    matrix-vector product; only the solve takes every column at once.
+    ``w`` is ``(..., rows, cols)`` and ``x_stack`` holds the ``(..., c,
+    rows)`` right-hand sides, ``c`` of them per system; ``r`` broadcasts
+    to ``(..., cols, cols)`` and ``r_floor``, a lower bound on the smallest
+    eigenvalue of ``r`` (0: none), to ``(...)``.  Returns the ``(..., c,
+    cols)`` solutions, zero where the condition guard rejects the system,
+    and the ``(...)`` guard verdicts.  Each right-hand side is its own
+    matrix-vector product; only the LAPACK solve takes every column at once.
     """
     wh = w.conj().swapaxes(-1, -2)
     gram = wh @ w + r
@@ -218,6 +240,99 @@ def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray, r_floor):
         cols = np.linalg.solve(gram[good], rhs[good].swapaxes(-1, -2))
         s_stack[good] = cols.swapaxes(-1, -2)
     return s_stack, good
+
+
+def _normal_equations(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray):
+    """Detection's Gram matrices ``W^H W + R`` and right-hand sides ``W^H x``.
+
+    Shapes as in :func:`_solve_pairs`; returns the ``(..., cols, cols)``
+    Gram matrices and ``(..., c, cols)`` right-hand sides.  Up to
+    :data:`LDL_MAX` columns both are summed one row of ``W`` at a time on
+    stack-last copies, each step one array operation over the whole stack
+    (the returned arrays are views of those copies); larger systems take
+    one BLAS product per matrix and per right-hand side.  Either way a
+    right-hand side gets the same operations whatever the stack holds.
+    """
+    if w.shape[-1] > LDL_MAX:
+        wh = w.conj().swapaxes(-1, -2)
+        return wh @ w + r, (wh[..., None, :, :] @ x_stack[..., None])[..., 0]
+    r = np.broadcast_to(r, (*w.shape[:-2], w.shape[-1], w.shape[-1]))
+    w = np.ascontiguousarray(np.moveaxis(w, (-2, -1), (0, 1)))            # (rows, cols, ...)
+    x_stack = np.ascontiguousarray(np.moveaxis(x_stack, (-1, -2), (0, 1)))  # (rows, c, ...)
+    row = w[0].conj()
+    gram = row[:, None] * w[0, None]
+    gram += np.moveaxis(r, (-2, -1), (0, 1))
+    rhs = row[:, None] * x_stack[0, None]
+    for i in range(1, len(w)):
+        row = w[i].conj()
+        gram += row[:, None] * w[i, None]
+        rhs += row[:, None] * x_stack[i, None]
+    return np.moveaxis(gram, (0, 1), (-2, -1)), np.moveaxis(rhs, (0, 1), (-1, -2))
+
+
+def _ldl_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve Hermitian positive-definite systems ``a x = b`` by ``a = L D L^H``, in place.
+
+    ``a`` is an ``(n, n, k)`` stack of ``k`` systems, stack axis last, and
+    ``b`` holds their ``(n, c, k)`` right-hand sides; ``a`` is overwritten
+    by its factors and ``b`` by the solutions, which are returned.  Each
+    step of the factorization and of the two triangular solves is one array
+    operation over all ``k`` systems, and every column takes the same
+    operations as it would alone.  Without pivoting this is as stable as
+    Cholesky on the positive-definite systems that the condition guard
+    lets through.
+    """
+    n = len(a)
+    inv_d = np.empty((n, a.shape[-1]))
+    for j in range(n):
+        inv_d[j] = 1.0 / a[j, j].real
+        col = a[j + 1 :, j]
+        below = col * inv_d[j]
+        a[j + 1 :, j + 1 :] -= below[:, None] * col.conj()
+        a[j + 1 :, j] = below
+    for j in range(n - 1):
+        b[j + 1 :] -= a[j + 1 :, j, None] * b[j]
+    b *= inv_d[:, None]
+    for j in range(n - 1, 0, -1):
+        b[:j] -= a[j, :j, None].conj() * b[j]
+    return b
+
+
+def _solve_detection(gram: np.ndarray, rhs: np.ndarray, good: np.ndarray) -> np.ndarray:
+    """Detection's solutions of the ``good`` systems of :func:`_normal_equations`, zero elsewhere.
+
+    ``gram`` is ``(..., n, n)``, ``rhs`` ``(..., c, n)`` and ``good``
+    ``(...)``; systems up to :data:`LDL_MAX` go to :func:`_ldl_solve`,
+    larger ones to LAPACK.  When every system is good, the small ones are
+    solved in place: ``gram`` and ``rhs`` are overwritten.
+    """
+    n = gram.shape[-1]
+    s_stack = np.zeros(rhs.shape, dtype=np.complex128)
+    if n > LDL_MAX:
+        if good.any():
+            s_stack[good] = np.linalg.solve(gram[good], rhs[good].swapaxes(-1, -2)).swapaxes(-1, -2)
+        return s_stack
+    a = np.moveaxis(gram, (-2, -1), (0, 1))  # the stack-last arrays behind the views
+    b = np.moveaxis(rhs, (-1, -2), (0, 1))
+    if good.all():
+        x = _ldl_solve(a.reshape(n, n, -1), b.reshape(*b.shape[:2], -1)).reshape(b.shape)
+        return np.moveaxis(x, (0, 1), (-1, -2))
+    s_stack[good] = np.moveaxis(_ldl_solve(a[..., good], b[..., good]), (0, 1), (-1, -2))
+    return s_stack
+
+
+def _pair_verdicts(g_k: np.ndarray, g_mk: np.ndarray, r_floor) -> np.ndarray:
+    """The guard's verdict on the block-diagonal pair systems of two bin Gram stacks.
+
+    The pair's trace is the sum of its bins' traces and its eigenvalues
+    are both bins' eigenvalues, so this is the verdict that the pair
+    system itself gets.
+    """
+    m = g_k.shape[-1]
+    pair = np.zeros((*g_k.shape[:-2], 2 * m, 2 * m), dtype=np.complex128)
+    pair[..., :m, :m] = g_k
+    pair[..., m:, m:] = g_mk
+    return well_conditioned(pair, r_floor)
 
 
 def equalize_frame(
@@ -237,9 +352,11 @@ def equalize_frame(
     updates are tracked from the pilots; otherwise it supplies them,
     ``(..., n_data_syms, m_r)`` (ones apply no update), or ``(..., 1, m_r)``:
     one row for every symbol of a frame, so that the frame has one system
-    per pair.  Detection runs a stack of systems at a time, at most
-    ``DETECT_CHUNK`` data symbols unless one system has more, over the
-    frames' symbols in order.
+    per pair.  When ``state.k1`` is 1 everywhere and the regularizer has no
+    entry coupling ``k`` with ``-k``, each data bin is its own system.
+    Detection runs a stack of systems at a time, as many as fit in
+    ``DETECT_ENTRIES`` entries of their mixing matrices and right-hand
+    sides (at least one), over the frames' symbols in order.
     """
     data = rx_grids[..., N_TRAIN:, :, :]
     lead, (n_syms, n, m_r), m_t = data.shape[:-3], data.shape[-3:], state.m_t
@@ -264,37 +381,66 @@ def equalize_frame(
     def per_frame(a, core):
         return np.broadcast_to(a, (*lead, *core)).reshape(frames, *core)
 
-    # each mirror pair {k, -k}: storage bins and positions in the data ordering
-    kpos = smap.data_bins[smap.data_bins > 0]
-    b_k, b_mk = logical_to_bin(kpos, n), logical_to_bin(-kpos, n)
-    i_k, i_mk = np.searchsorted(smap.data_bins, kpos), np.searchsorted(smap.data_bins, -kpos)
-    pair_shape = (kpos.size, m_r, m_t)  # a frame's pair channels and conjugated mirrors
-    h_k = per_frame(np.take(state.h_pre, b_k, axis=-3), pair_shape)
-    h_mk = per_frame(np.conj(np.take(state.h_pre, b_mk, axis=-3)), pair_shape)
-    k1 = per_frame(state.k1, (m_r,))
     # the regularizer and its smallest eigenvalue: MMSE's, or zero for ZF (no certificate)
     r, r_floor = np.zeros((2 * m_t, 2 * m_t), dtype=np.complex128), 0.0
     if options.detector == "mmse":
         r = mmse_r_matrix(state, options.mmse_r)
         r_floor = np.linalg.eigvalsh(r)[..., 0]
     r = per_frame(r, (2 * m_t, 2 * m_t))
-    r_floor = per_frame(r_floor, ())
+    r_floor = per_frame(r_floor, ())[:, None]
+    # each mirror pair {k, -k}: positions in the data ordering
+    kpos = smap.data_bins[smap.data_bins > 0]
+    i_k, i_mk = np.searchsorted(smap.data_bins, kpos), np.searchsorted(smap.data_bins, -kpos)
+    # k2 = 0 and a regularizer without k/-k blocks: the pair system is block-diagonal
+    by_bin = bool(
+        np.all(state.k1 == 1) and not r[:, :m_t, m_t:].any() and not r[:, m_t:, :m_t].any()
+    )
+    if by_bin:
+        # each data bin in the data ordering; a mirror bin -k is its pair's
+        # lower block conjugated, so it takes the conjugate of that block's R
+        b_data = logical_to_bin(smap.data_bins, n)
+        h = per_frame(np.take(state.h_pre, b_data, axis=-3), (smap.n_data, m_r, m_t))
+        r, r_mirror = r[:, None, :m_t, :m_t], np.conj(r[:, None, m_t:, m_t:])
+        if not np.array_equal(r, r_mirror):
+            r = np.where((smap.data_bins < 0)[:, None, None], r_mirror, r)
+        units, rows, w_cols = smap.n_data, m_r, m_t
+    else:
+        b_k, b_mk = logical_to_bin(kpos, n), logical_to_bin(-kpos, n)  # storage bins
+        pair_shape = (kpos.size, m_r, m_t)  # a frame's pair channels and conjugated mirrors
+        h_k = per_frame(np.take(state.h_pre, b_k, axis=-3), pair_shape)
+        h_mk = per_frame(np.conj(np.take(state.h_pre, b_mk, axis=-3)), pair_shape)
+        k1 = per_frame(state.k1, (m_r,))
+        r = r[:, None]
+        units, rows, w_cols = kpos.size, 2 * m_r, 2 * m_t
 
     soft = np.zeros((systems, cols, smap.n_data, m_t), dtype=np.complex128)
     erased = np.zeros((systems, smap.n_data), dtype=bool)
-    stack = max(1, DETECT_CHUNK // cols)
+    stack = max(1, DETECT_ENTRIES // (units * rows * (w_cols + cols)))
     for j in range(0, systems, stack):
         sl = slice(j, j + stack)
         f = frame_of[sl]
-        w = _mixing_matrices(ups[sl], h_k[f], h_mk[f], k1[f])  # (sys, P, 2m_r, 2m_t)
         fr, rw = f[:, None], row_of[sl][:, None]
-        x_stack = np.concatenate(  # (sys, P, cols, 2m_r): index arrays split by a slice lead
-            [x[fr, rw, :, b_k], np.conj(x[fr, rw, :, b_mk])], axis=-1
-        )
-        s_stack, good = _solve_pairs(w, x_stack, r[f][:, None], r_floor[f][:, None])
-        s_stack = s_stack.swapaxes(1, 2)                                # (sys, cols, P, 2m_t)
-        soft[sl, :, i_k] = s_stack[..., :m_t]
-        soft[sl, :, i_mk] = np.conj(s_stack[..., m_t:])
+        # W and the right-hand sides, (sys, units, rows, cols) and (sys, units,
+        # cols, rows) (index arrays split by a slice lead), are passed
+        # unnamed, so that each is freed once _normal_equations has its copy
+        if by_bin:
+            gram, rhs = _normal_equations(ups[sl, None, :, None] * h[f], x[fr, rw, :, b_data], r[f])
+            good = _pair_verdicts(gram[:, i_k], gram[:, i_mk], r_floor[f])
+            on_bins = np.empty(gram.shape[:2], dtype=bool)
+            on_bins[:, i_k] = on_bins[:, i_mk] = good
+            soft[sl] = _solve_detection(gram, rhs, on_bins).swapaxes(1, 2)
+            del gram, rhs  # freed before the next stack's arrays are made
+        else:
+            gram, rhs = _normal_equations(
+                _mixing_matrices(ups[sl], h_k[f], h_mk[f], k1[f]),
+                np.concatenate([x[fr, rw, :, b_k], np.conj(x[fr, rw, :, b_mk])], axis=-1),
+                r[f],
+            )
+            good = well_conditioned(gram, r_floor[f])
+            s_stack = _solve_detection(gram, rhs, good).swapaxes(1, 2)  # (sys, cols, P, 2m_t)
+            soft[sl, :, i_k] = s_stack[..., :m_t]
+            soft[sl, :, i_mk] = np.conj(s_stack[..., m_t:])
+            del gram, rhs, s_stack  # freed before the next stack's arrays are made
         erased[sl, i_k] = ~good
         erased[sl, i_mk] = ~good
     shape = (*lead, n_syms, smap.n_data)

@@ -771,11 +771,14 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     pool of one process per other task runs the rest, both through
     :func:`run_point`; with one task there is no pool.  Leaving the pool
     terminates and joins its workers, so an error in the caller's task ends
-    the campaign without waiting for theirs.  A worker that ends before its
-    task does (killed, say) raises too: the pool would start another in its
-    place and wait for the lost task forever.  Each point's tallies then
-    merge span by span, in frame order; a later span's tally brings its
-    per-frame ``mse_ce`` values, 8 bytes per frame, point and mode.
+    the campaign without waiting for theirs.  Once its own task is done,
+    the caller watches each pool task's result: the first that failed
+    raises its error at once, whatever the other tasks are doing.  A worker
+    that ends before its task does (killed, say) raises too: the pool would
+    start another in its place and wait for the lost task forever.  Each
+    point's tallies then merge span by span, in frame order; a later span's
+    tally brings its per-frame ``mse_ce`` values, 8 bytes per frame, point
+    and mode.
     """
     groups, spans = _task_grid(config)
     tasks = [(group, span) for span in spans for group in groups]
@@ -785,13 +788,19 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
         others = multiprocessing.active_children()
         with _pool(len(tasks) - 1) as pool:
             workers = [p for p in multiprocessing.active_children() if p not in others]
-            rest = pool.starmap_async(_point_task, [(config, *task) for task in tasks[1:]])
+            rest = [pool.apply_async(_point_task, (config, *task)) for task in tasks[1:]]
             per_task = [run_point(config, *tasks[0])]
-            while not rest.ready():
+            while True:
+                for result in rest:
+                    if result.ready() and not result.successful():
+                        result.get()  # raises the task's error
+                waiting = [result for result in rest if not result.ready()]
+                if not waiting:
+                    break
                 if not all(w.is_alive() for w in workers):
                     raise RuntimeError("a campaign worker ended before its task")
-                rest.wait(0.1)
-            per_task += rest.get()
+                waiting[0].wait(0.1)
+            per_task += [result.get() for result in rest]
     merged = {}
     for (group, _), tallies in zip(tasks, per_task):
         for point, by_mode in zip(group, tallies):

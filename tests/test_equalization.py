@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from conftest import make_channel
+from ofdmlink import equalization
 from ofdmlink.channel import apply_channel
 from ofdmlink.equalization import (
     UPSILON_CEILING,
     EqualizerOptions,
+    _ldl_solve,
     _mixing_matrices,
+    _normal_equations,
     _pilot_responses,
     _pilot_tables,
+    _solve_detection,
     _solve_pairs,
     _track,
     _tracking_matrices,
@@ -38,6 +42,7 @@ from ofdmlink.numerics import (
     RandomSource,
     condition_number,
     logical_to_bin,
+    well_conditioned,
 )
 
 # ZF detection with the re-derived tracking model; a test that needs
@@ -85,9 +90,16 @@ def pair_channels(state, b_k, b_mk):
     return state.h_pre[b_k], np.conj(state.h_pre[b_mk]), state.k1
 
 
+def solve_detection(w, x_stack, r, r_floor):
+    """Solutions and guard verdicts of a stack of pair systems, as equalize_frame detects them."""
+    gram, rhs = _normal_equations(w, x_stack, r)
+    good = well_conditioned(gram, r_floor)
+    return _solve_detection(gram, rhs, good), good
+
+
 def detect(x_stack, w, r=0.0):
     """Soft estimate and guard verdict of one stacked mirror pair."""
-    s, good = _solve_pairs(w[None], np.asarray(x_stack, dtype=complex)[None, None], r, 0.0)
+    s, good = solve_detection(w[None], np.asarray(x_stack, dtype=complex)[None, None], r, 0.0)
     return s[0, 0], bool(good[0])
 
 
@@ -411,7 +423,7 @@ class TestDetect:
         w = np.stack([build_w(k, state, np.ones(2, dtype=complex)) for k in (3, 5, 9)])
         w[1] = 0.0
         s = np.array([1 - 1j, -3 + 1j, 1 + 1j, -3 - 1j]) / np.sqrt(10)
-        got, good = _solve_pairs(w, (w @ s)[:, None], 0.0, 0.0)
+        got, good = solve_detection(w, (w @ s)[:, None], 0.0, 0.0)
         got = got[:, 0]
         np.testing.assert_array_equal(good, [True, False, True])
         np.testing.assert_allclose(got[[0, 2]], np.stack([s, s]), atol=1e-9)
@@ -587,3 +599,141 @@ class TestStaticSystems:
         assert static.flagged.shape == (frames, n_data_syms)
         assert static.erased[1].any() and not static.erased[[0, 2]].any()
         assert static.cpe_history.shape == (frames, n_data_syms, m)
+
+
+def cnormal_stack(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def hpd_stack(rng, k, n, cond=None):
+    """``k`` random Hermitian positive-definite ``n x n`` matrices; with ``cond``, of that condition."""
+    q, _ = np.linalg.qr(cnormal_stack(rng, k, n, n))
+    ev = rng.uniform(0.5, 4.0, size=(k, n)) if cond is None else np.geomspace(1.0, 1.0 / cond, n)
+    return (q * np.broadcast_to(ev, (k, n))[:, None, :]) @ q.conj().swapaxes(-1, -2)
+
+
+def ldl(a, b):
+    """``_ldl_solve`` on ``(k, n, n)`` systems and ``(k, c, n)`` right-hand sides."""
+    x = _ldl_solve(np.transpose(a, (1, 2, 0)).copy(), np.transpose(b, (2, 1, 0)).copy())
+    return np.transpose(x, (2, 1, 0))
+
+
+class TestLdlSolve:
+    """The stack-last LDL^H kernel against LAPACK."""
+
+    @pytest.mark.parametrize("cols", [1, 47])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_lapack(self, n, cols):
+        rng = np.random.default_rng(160 + n)
+        a = hpd_stack(rng, 200, n)
+        b = cnormal_stack(rng, 200, cols, n)
+        got = ldl(a, b)
+        want = np.linalg.solve(a, b.swapaxes(-1, -2)).swapaxes(-1, -2)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # a column solved with 46 others is the column solved alone, bit for bit
+        for j in (0, cols // 2, cols - 1):
+            np.testing.assert_array_equal(got[:, j : j + 1], ldl(a, b[:, j : j + 1]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_near_the_guard_limit(self, n):
+        # Condition 1e11, which the guard accepts: two stable solvers may
+        # differ there by cond * eps in the solution, so the check is the
+        # relative residual, which a backward-stable solve keeps near eps.
+        rng = np.random.default_rng(170 + n)
+        a = hpd_stack(rng, 100, n, cond=CONDITION_LIMIT / 10)
+        assert np.all(condition_number(a) <= CONDITION_LIMIT)
+        b = cnormal_stack(rng, 100, 3, n)
+        x = ldl(a, b)
+        residual = np.linalg.norm(x @ a.swapaxes(-1, -2) - b, axis=-1)
+        scale = np.linalg.norm(a, 2, axis=(-2, -1))[:, None] * np.linalg.norm(x, axis=-1)
+        assert np.all(residual <= 1e-12 * scale)
+
+
+class TestDetectionPaths:
+    """equalize_frame against the pair systems of _mixing_matrices solved by _solve_pairs.
+
+    With ``k1 = 1`` (no IQ image) and a regularizer without ``k``/``-k``
+    blocks detection solves each data bin on its own; each pair must still
+    get its pair system's guard verdict.  Frame 1 has no noise, so its MMSE
+    is ZF: one of its pairs has a bin without channel (rank-deficient) and
+    another a mirror bin 1e-7 weaker than its partner, each bin well
+    conditioned alone but the pair not.  Frame 2's noise is so small that
+    the trace certificate settles none of its pairs.
+    """
+
+    frames, n_syms = 3, 5
+
+    def _setup(self, smap, m, image):
+        rng = np.random.default_rng(180 + m)
+        h_pre = np.eye(m) + 0.3 * cnormal_stack(rng, self.frames, 64, m, m)  # well conditioned
+        kpos = smap.data_bins[smap.data_bins > 0]
+        h_pre[1, kpos[3]] = 0.0
+        h_pre[1, -kpos[7] % 64] *= 1e-7
+        k1 = 1.0 + 0.1 * cnormal_stack(rng, self.frames, m) if image else np.ones((self.frames, m))
+        psi = np.einsum("f,ij->fij", [0.05, 0.0, 1e-13], np.eye(m)).astype(complex)
+        state = EstimatorState(h_pre=h_pre, k1=k1.astype(complex), psi=psi)
+        rx = cnormal_stack(rng, self.frames, N_TRAIN + self.n_syms, 64, m)
+        ups = np.exp(1j * rng.uniform(-0.5, 0.5, size=(self.frames, self.n_syms, m)))
+        return state, rx, ups, kpos
+
+    def _oracle(self, state, rx, ups, smap, detector):
+        m_t, data_bins = state.m_t, smap.data_bins
+        kpos = data_bins[data_bins > 0]
+        i_k, i_mk = np.searchsorted(data_bins, kpos), np.searchsorted(data_bins, -kpos)
+        b_k, b_mk = kpos % 64, -kpos % 64
+        w = _mixing_matrices(
+            ups, state.h_pre[:, None, b_k], np.conj(state.h_pre[:, None, b_mk]), state.k1[:, None]
+        )
+        data = rx[:, N_TRAIN:]
+        x_stack = np.concatenate([data[:, :, b_k], np.conj(data[:, :, b_mk])], axis=-1)
+        r, r_floor = np.zeros((2 * m_t, 2 * m_t)), 0.0
+        if detector == "mmse":
+            r = mmse_r_matrix(state, "sigma")
+            r_floor = np.linalg.eigvalsh(r)[:, None, None, 0]
+            r = r[:, None, None]
+        s, good = _solve_pairs(w, x_stack[..., None, :], r, r_floor)
+        soft = np.zeros((*data.shape[:2], data_bins.size, m_t), dtype=complex)
+        soft[:, :, i_k], soft[:, :, i_mk] = s[..., 0, :m_t], np.conj(s[..., 0, m_t:])
+        erased = np.zeros(soft.shape[:-1], dtype=bool)
+        erased[:, :, i_k] = erased[:, :, i_mk] = ~good
+        return soft, erased
+
+    @pytest.mark.parametrize("detector", ["zf", "mmse"])
+    @pytest.mark.parametrize("image", [False, True], ids=["bins", "pairs"])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_matches_the_pair_systems(self, smap64, monkeypatch, m, image, detector):
+        state, rx, ups, kpos = self._setup(smap64, m, image)
+        sizes = []
+        solve = equalization._solve_detection
+
+        def spy(gram, rhs, good):
+            sizes.append(gram.shape[-1])
+            return solve(gram, rhs, good)
+
+        monkeypatch.setattr(equalization, "_solve_detection", spy)
+        options = dataclasses.replace(OPTIONS, detector=detector)
+        dec = equalize_frame(rx, state, smap64, pilot_matrix(m), options, phase_updates=ups)
+        assert set(sizes) == {2 * m if image else m}
+        soft, erased = self._oracle(state, rx, ups, smap64, detector)
+        np.testing.assert_array_equal(dec.erased, erased)
+        assert np.abs(dec.soft - soft).max() <= 1e-12 * np.abs(soft).max()
+        i_k = np.searchsorted(smap64.data_bins, kpos)
+        i_mk = np.searchsorted(smap64.data_bins, -kpos)
+        for p in (3, 7):  # both bins of frame 1's two bad pairs are erased, and only in frame 1
+            assert erased[1, :, [i_k[p], i_mk[p]]].all()
+            assert not erased[[0, 2]][..., [i_k[p], i_mk[p]]].any()
+        assert erased.sum() == 2 * 2 * self.n_syms
+        weak = state.h_pre[1, -kpos[7] % 64]
+        assert condition_number(weak.conj().T @ weak) < CONDITION_LIMIT
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_static_bins_equal_per_symbol_bins(self, smap64, m):
+        # the bin path's one system per frame gives each symbol what its own system does
+        state, rx, _, _ = self._setup(smap64, m, image=False)
+        decs = [
+            equalize_frame(rx, state, smap64, pilot_matrix(m), OPTIONS,
+                           phase_updates=np.ones((rows, m), dtype=complex))
+            for rows in (1, self.n_syms)
+        ]
+        for key in ("soft", "erased", "bits"):
+            assert np.array_equal(getattr(decs[0], key), getattr(decs[1], key)), key

@@ -311,43 +311,52 @@ class TestReceiverState:
         assert all(r.frames_run == 4 for r in rows)
 
     def test_static_modes_detect_one_system_per_frame(self, monkeypatch):
-        # no phase update (uncompensated, iq-only): one detection system per
-        # (frame, pair) carrying every data symbol; tracked and genie updates:
-        # one per (frame, symbol, pair) with one column.  The tracker (pn-only,
-        # full) shares the solver: one 2x2 system per (frame, branch, pilot),
-        # every data symbol one of its columns.
+        # No phase update (uncompensated, iq-only): one detection system per
+        # (frame, unit) carrying every data symbol; tracked and genie updates:
+        # one per (frame, symbol, unit) with one column.  A unit is a data
+        # bin, an m_t-system, where the estimate has no IQ image (k1 = 1: the
+        # ls and direct estimates of uncompensated and pn-only), and a mirror
+        # pair, a 2m_t-system, otherwise.  The tracker (pn-only, full) solves
+        # one 2x2 system per (frame, branch, pilot), every data symbol one of
+        # its columns.
         calls = []
-        equalize, solve = harness.equalize_frame, equalization._solve_pairs
+        equalize = harness.equalize_frame
+        detect, track = equalization._solve_detection, equalization._solve_pairs
 
         def per_frame(rx_grids, *args, **kwargs):
-            calls.append((len(rx_grids), []))
+            calls.append((len(rx_grids), [], []))
             return equalize(rx_grids, *args, **kwargs)
 
-        def counted(w, x_stack, *args):
-            calls[-1][1].append((w.shape[-2:], math.prod(w.shape[:-2]), x_stack.shape[-2]))
-            return solve(w, x_stack, *args)
+        def detected(gram, rhs, good):
+            calls[-1][1].append((gram.shape[-2:], math.prod(gram.shape[:-2]), rhs.shape[-2]))
+            return detect(gram, rhs, good)
+
+        def tracked(w, x_stack, *args):
+            calls[-1][2].append((w.shape[-2:], math.prod(w.shape[:-2]), x_stack.shape[-2]))
+            return track(w, x_stack, *args)
 
         monkeypatch.setattr(harness, "equalize_frame", per_frame)
-        monkeypatch.setattr(equalization, "_solve_pairs", counted)
+        monkeypatch.setattr(equalization, "_solve_detection", detected)
+        monkeypatch.setattr(equalization, "_solve_pairs", tracked)
         config = ScenarioConfig(
             frames=4, snr_db=(20.0,), modes=MODES, iq_frame_avg=2, symbols_per_frame=12,
         )
         rows = run_point(config, [(0, 0)])
         assert all(r.frames_run == 4 for r in rows)
         assert len(calls) == len(MODES)
-        pairs, n_syms = config.smap.n_data // 2, config.symbols_per_frame - N_TRAIN
+        n_data, n_syms = config.smap.n_data, config.symbols_per_frame - N_TRAIN
         pilots = config.smap.pilot_bins.size
         assert pilots == 4
-        for mode, (frames, solves) in zip(config.modes, calls):
-            static = RECEIVER_MODES[mode][1] == "none"
-            detect = [(n, cols) for shape, n, cols in solves if shape == (4, 4)]
-            track = [(n, cols) for shape, n, cols in solves if shape == (2, 2)]
-            assert len(detect) + len(track) == len(solves), mode
-            systems = frames * pairs * (1 if static else n_syms)
-            assert sum(n for n, _ in detect) == systems, mode
-            assert {cols for _, cols in detect} == {n_syms if static else 1}, mode
-            tracked = RECEIVER_MODES[mode][1] == "tracked"
-            assert track == ([(frames * config.m_r * pilots, n_syms)] if tracked else []), mode
+        for mode, (frames, detects, tracks) in zip(config.modes, calls):
+            estimate, phase = RECEIVER_MODES[mode]
+            by_bin = estimate in ("ls", "direct")
+            size, units = (config.m_t, n_data) if by_bin else (2 * config.m_t, n_data // 2)
+            assert {shape for shape, _, _ in detects} == {(size, size)}, mode
+            systems = frames * units * (1 if phase == "none" else n_syms)
+            assert sum(n for _, n, _ in detects) == systems, mode
+            assert {cols for _, _, cols in detects} == {n_syms if phase == "none" else 1}, mode
+            want = [((2, 2), frames * config.m_r * pilots, n_syms)] if phase == "tracked" else []
+            assert tracks == want, mode
 
 
 class _SerialPool:
@@ -362,9 +371,8 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def starmap_async(self, fn, iterable):
-        tasks = list(iterable)
-        return types.SimpleNamespace(ready=lambda: True, get=lambda: list(itertools.starmap(fn, tasks)))
+    def apply_async(self, fn, args):
+        return types.SimpleNamespace(ready=lambda: True, successful=lambda: True, get=lambda: fn(*args))
 
 
 def test_run_campaign_reaches_module_level_names(monkeypatch):
@@ -586,6 +594,33 @@ def test_a_failing_caller_does_not_wait_for_the_pool(monkeypatch):
     )
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="failed in the caller"):
+        run_campaign(config)
+    assert time.perf_counter() - start < 5.0
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_worker_does_not_wait_for_the_other_tasks(monkeypatch):
+    # three one-frame spans: the caller runs span 0, the span-1 worker raises
+    # at once and the span-2 worker sleeps.  Each task's result is watched on
+    # its own, so the error surfaces long before the sleep would end (waiting
+    # for every task would take 20 s here), and no process is left running.
+    point = harness.run_point
+
+    def task(config, points, span):
+        if span.start == 1:
+            raise RuntimeError("a stage failed in a worker")
+        if span.start == 2:
+            time.sleep(20.0)
+        return point(config, points, span)
+
+    monkeypatch.setattr(harness, "run_point", task)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    config = ScenarioConfig(
+        frames=3, snr_db=(20.0,), modes=("genie",), symbols_per_frame=6, workers=3,
+    )
+    assert [(s.start, s.stop) for s in harness._task_grid(config)[1]] == [(0, 1), (1, 2), (2, 3)]
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="failed in a worker"):
         run_campaign(config)
     assert time.perf_counter() - start < 5.0
     assert multiprocessing.active_children() == []
