@@ -17,28 +17,28 @@ the symbols.
 Detection: each pair of mirror bins ``{k, -k}`` is detected jointly.
 Stacking the received vector with its mirror conjugate gives
 ``x_stack = W(k) s_stack`` where ``W`` has the 2x2 block structure of the
-IQ mixing applied to the tracked channel, solved by ZF or MMSE.  A
-system is one ``W`` per pair with its Gram matrix, guard verdict and
-solve.  When the phase updates vary from symbol to symbol, each (frame,
-symbol) has its own system; when a frame applies one update row to all of
-its symbols (no phase compensation), the frame has one system per pair
-and every data symbol is one right-hand-side column of it.  Where the
-mismatch is ``k1 = 1`` on every branch (``k2 = 0``) and the regularizer
-does not couple the two bins, the pair system is block-diagonal and each
-data bin is detected on its own as an ``m_t``-system; each pair keeps the
-guard verdict of its block-diagonal system, so both of its bins are
-erased together.
+IQ mixing applied to the tracked channel, solved by ZF or MMSE.  When the
+phase updates vary from symbol to symbol, each (frame, symbol) has one
+system per pair; when a frame applies one update row to all of its
+symbols (no phase compensation), the frame has one system per pair and
+every data symbol is one right-hand-side column of it.  A pair's system
+is block-diagonal with ``b`` blocks: one, the ``2m_r x 2m_t`` pair system,
+where the frame has an IQ image or the regularizer couples ``k`` with
+``-k``; two, the bins' ``m_r x m_t`` systems, where the mismatch is
+``k1 = 1`` on every branch (``k2 = 0``), the regularizer has no
+``k``/``-k`` block and ``m_t <= LDL_MAX``.  The guard judges the whole
+system, so both bins of a pair are erased together.
 
 Detection's systems are small and many, so LAPACK's cost is mostly per
 matrix: about 0.35 us for a 2x2 system, 0.65 us for a 4x4 and 1.6 us for
-an 8x8 (numpy 2.4, one BLAS thread, 2-core Xeon).  Systems up to
-:data:`LDL_MAX` are formed and solved by array operations over the whole
-stack instead (:func:`_normal_equations`, :func:`_ldl_solve`), whose cost
-is per operation and so falls with the stack's size: 0.47 us per 4x4
-system in a stack of 192, 0.20 us in one of 768, 0.02 us per 2x2 system
-in one of 3072.  Larger systems keep BLAS and LAPACK, and
-:data:`DETECT_ENTRIES` sizes the stacks.  Tracking keeps LAPACK too: its
-systems are few.
+an 8x8 (numpy 2.4, one BLAS thread, 2-core Xeon).  :func:`_solve_small`
+forms and solves blocks up to :data:`LDL_MAX` by array operations over a
+stack-last copy of the whole stack, whose cost is per operation and so
+falls with the stack's size: 0.47 us per 4x4 system in a stack of 192,
+0.20 us in one of 768, 0.02 us per 2x2 system in one of 3072.  Larger
+systems (the pair systems of 3x3 and 4x4 links) and tracking's few pilot
+systems go to BLAS and LAPACK (:func:`_solve_pairs`), and
+:data:`DETECT_ENTRIES` sizes the stacks.
 """
 
 from __future__ import annotations
@@ -60,18 +60,18 @@ __all__ = [
 ]
 
 UPSILON_CEILING = 4.0
-# Matrix entries in one detection stack (at least one system): each unit
-# (pair or bin) of a system holds its mixing matrix W and its right-hand
-# sides.  Counted in entries, not symbols, because the small systems' cost
-# is per operation over the stack: a 2x2 link's per-symbol pair systems
-# get 28 symbols per stack and its bin systems 48.  The 4x4 pair systems
+# Matrix entries in one detection stack (at least one system): each block
+# of a pair's system holds its mixing matrix W and its right-hand sides.
+# Counted in entries, not symbols, because the small systems' cost is per
+# operation over the stack: a 2x2 link's per-symbol pair systems get 28
+# symbols per stack and its bin systems 48.  The 4x4 pair systems
 # keep their ceiling of 8 symbols of 24 pairs of an 8x8 W and one column;
 # stacking all 47 of a 4x4 frame's symbols raised the peak memory of a
 # 2x2 + 4x4 all-mode campaign by about 5 MB (5%) without a measurable
 # gain in speed.  A frame with every data symbol as a column of its
 # systems is a stack of its own at 4x4.
 DETECT_ENTRIES = 8 * 24 * (64 + 8)
-# Largest system formed and solved stack-last.  At 8x8, BLAS forms a
+# Largest block formed and solved stack-last.  At 8x8, BLAS forms a
 # stack of 192 systems' Gram matrices in about half the time, and the
 # kernel solves them only about 1.1x faster than LAPACK.
 LDL_MAX = 4
@@ -221,7 +221,7 @@ def _mixing_matrices(upsilon, h_k, h_mk, k1) -> np.ndarray:
 
 
 def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray, r_floor):
-    """Guarded regularized least squares ``(W^H W + R) s = W^H x`` for tracking's pilot systems.
+    """Guarded regularized least squares ``(W^H W + R) s = W^H x`` by BLAS and LAPACK.
 
     ``w`` is ``(..., rows, cols)`` and ``x_stack`` holds the ``(..., c,
     rows)`` right-hand sides, ``c`` of them per system; ``r`` broadcasts
@@ -234,40 +234,13 @@ def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray, r_floor):
     wh = w.conj().swapaxes(-1, -2)
     gram = wh @ w + r
     rhs = (wh[..., None, :, :] @ x_stack[..., None])[..., 0]
+    del w, wh, x_stack  # freed before the guard and the solve
     good = well_conditioned(gram, r_floor)
     s_stack = np.zeros(rhs.shape, dtype=np.complex128)
     if good.any():
         cols = np.linalg.solve(gram[good], rhs[good].swapaxes(-1, -2))
         s_stack[good] = cols.swapaxes(-1, -2)
     return s_stack, good
-
-
-def _normal_equations(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray):
-    """Detection's Gram matrices ``W^H W + R`` and right-hand sides ``W^H x``.
-
-    Shapes as in :func:`_solve_pairs`; returns the ``(..., cols, cols)``
-    Gram matrices and ``(..., c, cols)`` right-hand sides.  Up to
-    :data:`LDL_MAX` columns both are summed one row of ``W`` at a time on
-    stack-last copies, each step one array operation over the whole stack
-    (the returned arrays are views of those copies); larger systems take
-    one BLAS product per matrix and per right-hand side.  Either way a
-    right-hand side gets the same operations whatever the stack holds.
-    """
-    if w.shape[-1] > LDL_MAX:
-        wh = w.conj().swapaxes(-1, -2)
-        return wh @ w + r, (wh[..., None, :, :] @ x_stack[..., None])[..., 0]
-    r = np.broadcast_to(r, (*w.shape[:-2], w.shape[-1], w.shape[-1]))
-    w = np.ascontiguousarray(np.moveaxis(w, (-2, -1), (0, 1)))            # (rows, cols, ...)
-    x_stack = np.ascontiguousarray(np.moveaxis(x_stack, (-1, -2), (0, 1)))  # (rows, c, ...)
-    row = w[0].conj()
-    gram = row[:, None] * w[0, None]
-    gram += np.moveaxis(r, (-2, -1), (0, 1))
-    rhs = row[:, None] * x_stack[0, None]
-    for i in range(1, len(w)):
-        row = w[i].conj()
-        gram += row[:, None] * w[i, None]
-        rhs += row[:, None] * x_stack[i, None]
-    return np.moveaxis(gram, (0, 1), (-2, -1)), np.moveaxis(rhs, (0, 1), (-1, -2))
 
 
 def _ldl_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -298,41 +271,44 @@ def _ldl_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _solve_detection(gram: np.ndarray, rhs: np.ndarray, good: np.ndarray) -> np.ndarray:
-    """Detection's solutions of the ``good`` systems of :func:`_normal_equations`, zero elsewhere.
+def _solve_small(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray, r_floor):
+    """:func:`_solve_pairs` for block-diagonal systems of ``b`` blocks up to :data:`LDL_MAX`.
 
-    ``gram`` is ``(..., n, n)``, ``rhs`` ``(..., c, n)`` and ``good``
-    ``(...)``; systems up to :data:`LDL_MAX` go to :func:`_ldl_solve`,
-    larger ones to LAPACK.  When every system is good, the small ones are
-    solved in place: ``gram`` and ``rhs`` are overwritten.
+    ``w`` is ``(..., b, rows, cols)``, ``x_stack`` ``(..., b, c, rows)``,
+    ``r`` broadcasts to ``(..., b, cols, cols)`` and ``r_floor`` to
+    ``(..., 1)``.  Returns the ``(..., b, c, cols)`` solutions and the
+    ``(..., 1)`` verdicts of the whole systems, whose traces are the sums
+    of their blocks' traces and whose eigenvalues are all of theirs.  The
+    Gram matrices and right-hand sides are summed one row of ``W`` at a
+    time on stack-last copies and solved by :func:`_ldl_solve`, each step
+    one array operation over the whole stack, so a right-hand side gets the
+    same operations whatever the stack holds.
     """
-    n = gram.shape[-1]
-    s_stack = np.zeros(rhs.shape, dtype=np.complex128)
-    if n > LDL_MAX:
-        if good.any():
-            s_stack[good] = np.linalg.solve(gram[good], rhs[good].swapaxes(-1, -2)).swapaxes(-1, -2)
-        return s_stack
-    a = np.moveaxis(gram, (-2, -1), (0, 1))  # the stack-last arrays behind the views
-    b = np.moveaxis(rhs, (-1, -2), (0, 1))
-    if good.all():
-        x = _ldl_solve(a.reshape(n, n, -1), b.reshape(*b.shape[:2], -1)).reshape(b.shape)
-        return np.moveaxis(x, (0, 1), (-1, -2))
-    s_stack[good] = np.moveaxis(_ldl_solve(a[..., good], b[..., good]), (0, 1), (-1, -2))
-    return s_stack
+    *stack, rows, n = w.shape
+    r = np.broadcast_to(r, (*stack, n, n))
+    w = np.ascontiguousarray(np.moveaxis(w, (-2, -1), (0, 1)))            # (rows, n, ..., b)
+    x_stack = np.ascontiguousarray(np.moveaxis(x_stack, (-1, -2), (0, 1)))  # (rows, c, ..., b)
+    row = w[0].conj()
+    gram = row[:, None] * w[0, None]
+    gram += np.moveaxis(r, (-2, -1), (0, 1))
+    rhs = row[:, None] * x_stack[0, None]
+    for i in range(1, rows):
+        row = w[i].conj()
+        gram += row[:, None] * w[i, None]
+        rhs += row[:, None] * x_stack[i, None]
 
-
-def _pair_verdicts(g_k: np.ndarray, g_mk: np.ndarray, r_floor) -> np.ndarray:
-    """The guard's verdict on the block-diagonal pair systems of two bin Gram stacks.
-
-    The pair's trace is the sum of its bins' traces and its eigenvalues
-    are both bins' eigenvalues, so this is the verdict that the pair
-    system itself gets.
-    """
-    m = g_k.shape[-1]
-    pair = np.zeros((*g_k.shape[:-2], 2 * m, 2 * m), dtype=np.complex128)
-    pair[..., :m, :m] = g_k
-    pair[..., m:, m:] = g_mk
-    return well_conditioned(pair, r_floor)
+    whole, b = np.moveaxis(gram, (0, 1), (-2, -1)), stack[-1]  # (..., b, n, n)
+    if b > 1:
+        blocks, whole = whole, np.zeros((*stack[:-1], 1, b * n, b * n), dtype=np.complex128)
+        for i in range(b):
+            whole[..., 0, i * n : (i + 1) * n, i * n : (i + 1) * n] = blocks[..., i, :, :]
+    good = well_conditioned(whole, r_floor)
+    del whole  # freed before the solve's temporaries are made
+    if not good.all():  # a rejected system solves I s = 0
+        bad = ~np.broadcast_to(good, stack)
+        gram[:, :, bad], rhs[:, :, bad] = np.eye(n)[..., None], 0.0
+    _ldl_solve(gram.reshape(n, n, -1), rhs.reshape(*rhs.shape[:2], -1))
+    return np.moveaxis(rhs, (0, 1), (-1, -2)), good
 
 
 def equalize_frame(
@@ -352,11 +328,14 @@ def equalize_frame(
     updates are tracked from the pilots; otherwise it supplies them,
     ``(..., n_data_syms, m_r)`` (ones apply no update), or ``(..., 1, m_r)``:
     one row for every symbol of a frame, so that the frame has one system
-    per pair.  When ``state.k1`` is 1 everywhere and the regularizer has no
-    entry coupling ``k`` with ``-k``, each data bin is its own system.
+    per pair.  A pair's system has one diagonal block per bin when
+    ``state.k1`` is 1 everywhere, the regularizer has no entry coupling
+    ``k`` with ``-k`` and ``m_t <= LDL_MAX``, and is one block otherwise.
     Detection runs a stack of systems at a time, as many as fit in
     ``DETECT_ENTRIES`` entries of their mixing matrices and right-hand
-    sides (at least one), over the frames' symbols in order.
+    sides (at least one), over the frames' symbols in order: blocks up to
+    ``LDL_MAX`` through :func:`_solve_small`, larger ones through
+    :func:`_solve_pairs`.
     """
     data = rx_grids[..., N_TRAIN:, :, :]
     lead, (n_syms, n, m_r), m_t = data.shape[:-3], data.shape[-3:], state.m_t
@@ -387,62 +366,62 @@ def equalize_frame(
         r = mmse_r_matrix(state, options.mmse_r)
         r_floor = np.linalg.eigvalsh(r)[..., 0]
     r = per_frame(r, (2 * m_t, 2 * m_t))
-    r_floor = per_frame(r_floor, ())[:, None]
-    # each mirror pair {k, -k}: positions in the data ordering
+    r_floor = per_frame(r_floor, ())[:, None, None]
+    # each mirror pair {k, -k}: positions in the data ordering and storage bins
     kpos = smap.data_bins[smap.data_bins > 0]
     i_k, i_mk = np.searchsorted(smap.data_bins, kpos), np.searchsorted(smap.data_bins, -kpos)
-    # k2 = 0 and a regularizer without k/-k blocks: the pair system is block-diagonal
-    by_bin = bool(
-        np.all(state.k1 == 1) and not r[:, :m_t, m_t:].any() and not r[:, m_t:, :m_t].any()
+    b_k, b_mk = logical_to_bin(kpos, n), logical_to_bin(-kpos, n)
+    pairs = kpos.size
+    # k2 = 0 and a regularizer without k/-k blocks: the pair system is
+    # block-diagonal, its two blocks the bins' m_t-systems
+    blocks = 1 + (
+        m_t <= LDL_MAX and bool(np.all(state.k1 == 1))
+        and not r[:, :m_t, m_t:].any() and not r[:, m_t:, :m_t].any()
     )
-    if by_bin:
-        # each data bin in the data ordering; a mirror bin -k is its pair's
-        # lower block conjugated, so it takes the conjugate of that block's R
-        b_data = logical_to_bin(smap.data_bins, n)
-        h = per_frame(np.take(state.h_pre, b_data, axis=-3), (smap.n_data, m_r, m_t))
-        r, r_mirror = r[:, None, :m_t, :m_t], np.conj(r[:, None, m_t:, m_t:])
-        if not np.array_equal(r, r_mirror):
-            r = np.where((smap.data_bins < 0)[:, None, None], r_mirror, r)
-        units, rows, w_cols = smap.n_data, m_r, m_t
+    if blocks == 2:
+        # bins pair by pair, [k0, -k0, k1, -k1, ...]; a mirror bin -k is its
+        # pair's lower block conjugated, so it is solved unconjugated with
+        # the conjugate of that block's R
+        bins, i_bins = np.stack([b_k, b_mk], axis=-1), np.stack([i_k, i_mk], axis=-1).ravel()
+        h = per_frame(np.take(state.h_pre, bins, axis=-3), (pairs, 2, m_r, m_t))
+        r = np.stack([r[:, :m_t, :m_t], np.conj(r[:, m_t:, m_t:])], axis=1)[:, None]
+        if np.array_equal(r[:, :, 0], r[:, :, 1]):
+            r = r[:, :, :1]  # ZF, sigma: one R broadcast over pairs and blocks alike
     else:
-        b_k, b_mk = logical_to_bin(kpos, n), logical_to_bin(-kpos, n)  # storage bins
-        pair_shape = (kpos.size, m_r, m_t)  # a frame's pair channels and conjugated mirrors
+        pair_shape = (pairs, m_r, m_t)  # a frame's pair channels and conjugated mirrors
         h_k = per_frame(np.take(state.h_pre, b_k, axis=-3), pair_shape)
         h_mk = per_frame(np.conj(np.take(state.h_pre, b_mk, axis=-3)), pair_shape)
         k1 = per_frame(state.k1, (m_r,))
-        r = r[:, None]
-        units, rows, w_cols = kpos.size, 2 * m_r, 2 * m_t
+        r = r[:, None, None]
+    w_cols = 2 * m_t // blocks
+    solve = _solve_small if w_cols <= LDL_MAX else _solve_pairs
 
     soft = np.zeros((systems, cols, smap.n_data, m_t), dtype=np.complex128)
     erased = np.zeros((systems, smap.n_data), dtype=bool)
-    stack = max(1, DETECT_ENTRIES // (units * rows * (w_cols + cols)))
+    stack = max(1, DETECT_ENTRIES // (pairs * 2 * m_r * (w_cols + cols)))
     for j in range(0, systems, stack):
         sl = slice(j, j + stack)
         f = frame_of[sl]
         fr, rw = f[:, None], row_of[sl][:, None]
-        # W and the right-hand sides, (sys, units, rows, cols) and (sys, units,
-        # cols, rows) (index arrays split by a slice lead), are passed
-        # unnamed, so that each is freed once _normal_equations has its copy
-        if by_bin:
-            gram, rhs = _normal_equations(ups[sl, None, :, None] * h[f], x[fr, rw, :, b_data], r[f])
-            good = _pair_verdicts(gram[:, i_k], gram[:, i_mk], r_floor[f])
-            on_bins = np.empty(gram.shape[:2], dtype=bool)
-            on_bins[:, i_k] = on_bins[:, i_mk] = good
-            soft[sl] = _solve_detection(gram, rhs, on_bins).swapaxes(1, 2)
-            del gram, rhs  # freed before the next stack's arrays are made
-        else:
-            gram, rhs = _normal_equations(
-                _mixing_matrices(ups[sl], h_k[f], h_mk[f], k1[f]),
-                np.concatenate([x[fr, rw, :, b_k], np.conj(x[fr, rw, :, b_mk])], axis=-1),
-                r[f],
+        # W and the right-hand sides, (sys, pairs, blocks, rows, w_cols) and
+        # (sys, pairs, blocks, cols, rows) (index arrays split by a slice
+        # lead), are passed unnamed, so that the solver frees each once used
+        if blocks == 2:
+            s, good = solve(
+                ups[sl, None, None, :, None] * h[f], x[fr[..., None], rw[..., None], :, bins],
+                r[f], r_floor[f],
             )
-            good = well_conditioned(gram, r_floor[f])
-            s_stack = _solve_detection(gram, rhs, good).swapaxes(1, 2)  # (sys, cols, P, 2m_t)
-            soft[sl, :, i_k] = s_stack[..., :m_t]
-            soft[sl, :, i_mk] = np.conj(s_stack[..., m_t:])
-            del gram, rhs, s_stack  # freed before the next stack's arrays are made
-        erased[sl, i_k] = ~good
-        erased[sl, i_mk] = ~good
+            soft[sl, :, i_bins] = s.reshape(len(f), 2 * pairs, cols, m_t).swapaxes(1, 2)
+        else:
+            s, good = solve(
+                _mixing_matrices(ups[sl], h_k[f], h_mk[f], k1[f])[:, :, None],
+                np.concatenate([x[fr, rw, :, b_k], np.conj(x[fr, rw, :, b_mk])], -1)[:, :, None],
+                r[f], r_floor[f],
+            )
+            s = s[:, :, 0].swapaxes(1, 2)  # (sys, cols, pairs, 2m_t)
+            soft[sl, :, i_k], soft[sl, :, i_mk] = s[..., :m_t], np.conj(s[..., m_t:])
+        del s  # freed before the next stack's arrays are made
+        erased[sl, i_k] = erased[sl, i_mk] = ~good[..., 0]
     shape = (*lead, n_syms, smap.n_data)
     bits = qam16_demap(soft).reshape(*shape, m_t, 4)
     return FrameDecisions(

@@ -572,19 +572,16 @@ def _stack_points(config: ScenarioConfig) -> int:
 class _Tally:
     """One grid point's scores in one mode over a span of frames; builds the point's row.
 
-    Scores add up stack by stack, and ``mse_ce`` is a running float sum,
-    frame by frame in order.  A later span's sum would have to start where
-    the span before it ends, so a tally made with ``mse_ce_frames=[]`` keeps
-    its per-frame ``mse_ce`` values there instead, 8 bytes per frame, and
-    :meth:`merge` continues the earlier span's sum over them: a point's
-    merged spans give the sum that one tally over all its frames gives.
+    Scores add up stack by stack.  The per-frame ``mse_ce`` values are
+    kept, 8 bytes per frame, and summed once, frame by frame in order, so a
+    point's merged spans give the sum that one tally over all its frames
+    gives.
     """
 
     frames_run: int = 0
     bit_errors: int = 0
     flagged: int = 0
-    mse_ce_sum: float = 0.0
-    mse_ce_frames: list | None = None  # a later span's per-frame mse_ce arrays, stack by stack
+    mse_ce_frames: list = field(default_factory=list)  # per-frame mse_ce arrays, stack by stack
     k1_terms: list = field(default_factory=list)  # (mismatch MSE, how many times it counts)
 
     def add(self, ran, errors, flagged, mse_ce, k1_terms: list) -> None:
@@ -592,23 +589,21 @@ class _Tally:
         self.frames_run += int(ran.sum())
         self.bit_errors += int(errors.sum())
         self.flagged += int(flagged.sum())
-        if self.mse_ce_frames is None:
-            self._sum(mse_ce)
-        else:
-            self.mse_ce_frames.append(mse_ce)
+        self.mse_ce_frames.append(mse_ce)
         self.k1_terms += k1_terms
-
-    def _sum(self, mse_ce) -> None:
-        # a running float sum, frame by frame in order (cumsum adds left to right)
-        self.mse_ce_sum = float(np.cumsum(np.r_[self.mse_ce_sum, mse_ce])[-1])
 
     def merge(self, later: _Tally) -> None:
         """Add the same point's scores over the frames that follow this tally's."""
         self.frames_run += later.frames_run
         self.bit_errors += later.bit_errors
         self.flagged += later.flagged
-        self._sum(np.concatenate(later.mse_ce_frames))
+        self.mse_ce_frames += later.mse_ce_frames
         self.k1_terms += later.k1_terms
+
+    @property
+    def mse_ce_sum(self) -> float:
+        """The float sum of ``mse_ce``, frame by frame in order (cumsum adds left to right)."""
+        return float(np.cumsum(np.r_[0.0, *self.mse_ce_frames])[-1])
 
     def row(self, config: ScenarioConfig, point: tuple, mode: str) -> CampaignRow:
         """The row of ``point`` in ``mode``; ``mse_k1`` averages each term as often as it counts."""
@@ -699,8 +694,7 @@ def run_point(config: ScenarioConfig, points, span: range | None = None) -> list
     point's :class:`_Tally` in that mode.  With ``span``, a range of whole
     ``iq_frame_avg`` blocks, only those frames run, and each point's tallies
     come back instead of its rows (``mode -> _Tally``), for
-    :func:`run_campaign` to merge; a span after the first keeps its
-    per-frame ``mse_ce`` values.  Frames run in chunks of whole
+    :func:`run_campaign` to merge.  Frames run in chunks of whole
     ``iq_frame_avg`` blocks.  A chunk's channels, payload, noise-free
     streams and standard-normal draws are simulated once and shared by
     every point of the group.  The points then go linewidth-major in stacks
@@ -717,11 +711,7 @@ def run_point(config: ScenarioConfig, points, span: range | None = None) -> list
     root = RandomSource(config.master_seed)
     whole = span is None
     span = range(config.frames) if whole else span
-
-    later = span.start > 0  # a later span's tallies keep their per-frame mse_ce values
-    tallies = [
-        {mode: _Tally(mse_ce_frames=[] if later else None) for mode in config.modes} for _ in coords
-    ]
+    tallies = [{mode: _Tally() for mode in config.modes} for _ in coords]
     order = sorted(range(len(coords)), key=lambda k: points[k][1])  # linewidth-major
     chunk, stack = _chunk_frames(config), _stack_points(config)
     for start in range(span.start, span.stop, chunk):
@@ -771,38 +761,44 @@ def run_campaign(config: ScenarioConfig) -> CampaignResult:
     pool of one process per other task runs the rest, both through
     :func:`run_point`; with one task there is no pool.  Leaving the pool
     terminates and joins its workers, so an error in the caller's task ends
-    the campaign without waiting for theirs.  Once its own task is done,
-    the caller watches each pool task's result: the first that failed
-    raises its error at once, whatever the other tasks are doing.  A worker
-    that ends before its task does (killed, say) raises too: the pool would
-    start another in its place and wait for the lost task forever.  Each
-    point's tallies then merge span by span, in frame order; a later span's
-    tally brings its per-frame ``mse_ce`` values, 8 bytes per frame, point
-    and mode.
+    the campaign without waiting for theirs.  With a pool, the caller runs
+    its task one chunk (:func:`_chunk_frames`) per call and, after each
+    chunk and then until the pool's tasks are done, watches their results:
+    the first that failed raises its error at once, whatever the other
+    tasks are doing.  A worker that ends before its task does (killed, say)
+    raises too: the pool would start another in its place and wait for the
+    lost task forever.  Each point's tallies then merge in frame order.
     """
     groups, spans = _task_grid(config)
     tasks = [(group, span) for span in spans for group in groups]
     if len(tasks) == 1:
-        per_task = [run_point(config, *tasks[0])]
+        done = [(tasks[0][0], run_point(config, *tasks[0]))]
     else:
         others = multiprocessing.active_children()
         with _pool(len(tasks) - 1) as pool:
             workers = [p for p in multiprocessing.active_children() if p not in others]
             rest = [pool.apply_async(_point_task, (config, *task)) for task in tasks[1:]]
-            per_task = [run_point(config, *tasks[0])]
-            while True:
+
+            def pending() -> list:
+                """The pool's unfinished tasks; raises for a failed one or a lost worker."""
                 for result in rest:
                     if result.ready() and not result.successful():
                         result.get()  # raises the task's error
-                waiting = [result for result in rest if not result.ready()]
-                if not waiting:
-                    break
-                if not all(w.is_alive() for w in workers):
+                unfinished = [result for result in rest if not result.ready()]
+                if unfinished and not all(w.is_alive() for w in workers):
                     raise RuntimeError("a campaign worker ended before its task")
-                waiting[0].wait(0.1)
-            per_task += [result.get() for result in rest]
+                return unfinished
+
+            (group, span), chunk, done = tasks[0], _chunk_frames(config), []
+            for start in range(span.start, span.stop, chunk):
+                piece = range(start, min(start + chunk, span.stop))
+                done.append((group, run_point(config, group, piece)))
+                pending()
+            while unfinished := pending():
+                unfinished[0].wait(0.1)
+            done += [(group, result.get()) for (group, _), result in zip(tasks[1:], rest)]
     merged = {}
-    for (group, _), tallies in zip(tasks, per_task):
+    for group, tallies in done:
         for point, by_mode in zip(group, tallies):
             if point not in merged:
                 merged[point] = by_mode

@@ -38,19 +38,20 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return out or [lo]
 
 
-def _drawable(y: float) -> bool:
-    """Whether ``y`` has a place on the log axis: finite and positive."""
-    return 0.0 < y < math.inf
+def _drawable(x: float, y: float) -> bool:
+    """Whether ``(x, y)`` has a place on the chart: ``x`` finite, ``y`` finite and positive."""
+    return math.isfinite(x) and 0.0 < y < math.inf
 
 
 def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     """Render one chart; ``series`` is a list of (label, xs, ys) triples.
 
-    The y axis is decimal-log scaled; points that are not finite and
-    positive are dropped, and each series is one polyline, so a dropped
-    point's neighbours are joined by a straight segment.
+    The y axis is decimal-log scaled; points whose x is not finite (an
+    infinite SNR) or whose y is not finite and positive are dropped, and
+    each series is one polyline, so a dropped point's neighbours are joined
+    by a straight segment.
     """
-    pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys) if _drawable(y)]
+    pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys) if _drawable(x, y)]
     if pts:
         x_lo, x_hi = min(p[0] for p in pts), max(p[0] for p in pts)
         y_lo, y_hi = min(p[1] for p in pts), max(p[1] for p in pts)
@@ -105,7 +106,7 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
     )
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = [f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys) if _drawable(y)]
+        coords = [f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys) if _drawable(x, y)]
         # one polyline per series, empty when no drawable points
         out.append(
             f'<polyline points="{" ".join(coords)}" fill="none" '

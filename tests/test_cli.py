@@ -167,6 +167,16 @@ class TestMain:
         text = (out / "results.csv").read_text()
         assert text.splitlines()[1].startswith("2.0000000000e+01,0.0000000000e+00,genie")
 
+    def test_infinite_snr_point_runs_and_plots(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main([
+            "--snr", "20,inf", "--beta", "0", "--mode", "full", "--frames", "1", "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        assert (out / "results.csv").read_text().splitlines()[2].startswith("inf,")
+        assert (out / "ber_vs_snr.svg").exists()
+        assert (out / "mse_vs_snr.svg").exists()
+
     def test_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("snr = 10\nmode = genie\nframes = 1\nbeta = 0\nout = %s\n" % tmp_path)

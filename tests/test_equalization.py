@@ -11,13 +11,13 @@ from ofdmlink.channel import apply_channel
 from ofdmlink.equalization import (
     UPSILON_CEILING,
     EqualizerOptions,
+    LDL_MAX,
     _ldl_solve,
     _mixing_matrices,
-    _normal_equations,
     _pilot_responses,
     _pilot_tables,
-    _solve_detection,
     _solve_pairs,
+    _solve_small,
     _track,
     _tracking_matrices,
     equalize_frame,
@@ -42,7 +42,6 @@ from ofdmlink.numerics import (
     RandomSource,
     condition_number,
     logical_to_bin,
-    well_conditioned,
 )
 
 # ZF detection with the re-derived tracking model; a test that needs
@@ -92,9 +91,9 @@ def pair_channels(state, b_k, b_mk):
 
 def solve_detection(w, x_stack, r, r_floor):
     """Solutions and guard verdicts of a stack of pair systems, as equalize_frame detects them."""
-    gram, rhs = _normal_equations(w, x_stack, r)
-    good = well_conditioned(gram, r_floor)
-    return _solve_detection(gram, rhs, good), good
+    solve = _solve_small if w.shape[-1] <= LDL_MAX else _solve_pairs
+    s, good = solve(w[..., None, :, :], x_stack[..., None, :, :], r, r_floor)  # one block each
+    return s[..., 0, :, :], good[..., 0]
 
 
 def detect(x_stack, w, r=0.0):
@@ -649,6 +648,16 @@ class TestLdlSolve:
         assert np.all(residual <= 1e-12 * scale)
 
 
+def spy_on_solvers(monkeypatch, sizes):
+    """Record the block size of every system that detection's two solvers get."""
+    for name in ("_solve_small", "_solve_pairs"):
+        def spy(w, *args, _solve=getattr(equalization, name)):
+            sizes.append(w.shape[-1])
+            return _solve(w, *args)
+
+        monkeypatch.setattr(equalization, name, spy)
+
+
 class TestDetectionPaths:
     """equalize_frame against the pair systems of _mixing_matrices solved by _solve_pairs.
 
@@ -676,7 +685,7 @@ class TestDetectionPaths:
         ups = np.exp(1j * rng.uniform(-0.5, 0.5, size=(self.frames, self.n_syms, m)))
         return state, rx, ups, kpos
 
-    def _oracle(self, state, rx, ups, smap, detector):
+    def _oracle(self, state, rx, ups, smap, detector, mmse_r="sigma"):
         m_t, data_bins = state.m_t, smap.data_bins
         kpos = data_bins[data_bins > 0]
         i_k, i_mk = np.searchsorted(data_bins, kpos), np.searchsorted(data_bins, -kpos)
@@ -688,7 +697,7 @@ class TestDetectionPaths:
         x_stack = np.concatenate([data[:, :, b_k], np.conj(data[:, :, b_mk])], axis=-1)
         r, r_floor = np.zeros((2 * m_t, 2 * m_t)), 0.0
         if detector == "mmse":
-            r = mmse_r_matrix(state, "sigma")
+            r = mmse_r_matrix(state, mmse_r)
             r_floor = np.linalg.eigvalsh(r)[:, None, None, 0]
             r = r[:, None, None]
         s, good = _solve_pairs(w, x_stack[..., None, :], r, r_floor)
@@ -704,13 +713,7 @@ class TestDetectionPaths:
     def test_matches_the_pair_systems(self, smap64, monkeypatch, m, image, detector):
         state, rx, ups, kpos = self._setup(smap64, m, image)
         sizes = []
-        solve = equalization._solve_detection
-
-        def spy(gram, rhs, good):
-            sizes.append(gram.shape[-1])
-            return solve(gram, rhs, good)
-
-        monkeypatch.setattr(equalization, "_solve_detection", spy)
+        spy_on_solvers(monkeypatch, sizes)
         options = dataclasses.replace(OPTIONS, detector=detector)
         dec = equalize_frame(rx, state, smap64, pilot_matrix(m), options, phase_updates=ups)
         assert set(sizes) == {2 * m if image else m}
@@ -725,6 +728,31 @@ class TestDetectionPaths:
         assert erased.sum() == 2 * 2 * self.n_syms
         weak = state.h_pre[1, -kpos[7] % 64]
         assert condition_number(weak.conj().T @ weak) < CONDITION_LIMIT
+
+    @pytest.mark.parametrize(
+        "psi, size",
+        [
+            (np.diag([0.05, 0.2]), 2),
+            (np.array([[0.05, 0.03 + 0.04j], [0.03 - 0.04j, 0.2]]), 4),
+        ],
+        ids=["bins", "pairs"],
+    )
+    def test_kron_regularizer(self, smap64, monkeypatch, psi, size):
+        # kron(psi, I) at 2x2: bin k takes its block psi[0, 0] I and the
+        # mirror bin -k the conjugate of psi[1, 1] I, so unequal diagonal
+        # entries give the two bins of a pair different regularizers; an
+        # off-diagonal psi couples k with -k and keeps the pair systems
+        state, rx, ups, _ = self._setup(smap64, 2, image=False)
+        psi = np.einsum("f,ij->fij", [1.0, 0.0, 1e-12], psi).astype(complex)
+        state = dataclasses.replace(state, psi=psi)
+        sizes = []
+        spy_on_solvers(monkeypatch, sizes)
+        options = dataclasses.replace(OPTIONS, detector="mmse", mmse_r="kron")
+        dec = equalize_frame(rx, state, smap64, pilot_matrix(2), options, phase_updates=ups)
+        assert set(sizes) == {size}
+        soft, erased = self._oracle(state, rx, ups, smap64, "mmse", "kron")
+        np.testing.assert_array_equal(dec.erased, erased)
+        assert np.abs(dec.soft - soft).max() <= 1e-12 * np.abs(soft).max()
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_static_bins_equal_per_symbol_bins(self, smap64, m):

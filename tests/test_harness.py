@@ -40,6 +40,7 @@ from ofdmlink.harness import (
 )
 from ofdmlink.impairments import IqParams
 from ofdmlink.numerics import ConfigurationError, RandomSource
+from ofdmlink.svgplot import line_chart
 
 
 class TestMetrics:
@@ -199,20 +200,20 @@ class TestRunPoint:
         assert tally.frames_run == 47
 
         # the same stacks split into two or three spans at every position: the
-        # later spans keep their frames' values, and the merged sum is the same
-        # to the bit, where adding the spans' own sums is not
+        # merged sum is the same to the bit, where adding the spans' own sums
+        # is not
         ends = np.cumsum([len(s) for s in stacks])
         cuts = [(c,) for c in range(1, 48)] + list(itertools.combinations(range(1, 48), 2))
         span_sums_differ = False
         for edges in cuts:
             bounds = list(zip((0, *edges), (*edges, 48)))
-            spans = [harness._Tally(mse_ce_frames=[] if a else None) for a, _ in bounds]
+            spans = [harness._Tally() for _ in bounds]
             for span, (a, b) in zip(spans, bounds):
                 for mse_ce, end in zip(stacks, ends):
                     piece = mse_ce[max(a - end + len(mse_ce), 0) : max(b - end + len(mse_ce), 0)]
                     if len(piece):
                         span.add(piece > 0, np.zeros(len(piece)), np.zeros(len(piece)), piece, [])
-            own = [float(np.cumsum(np.r_[0.0, *t.mse_ce_frames])[-1]) for t in spans[1:]]
+            own = [t.mse_ce_sum for t in spans[1:]]
             span_sums_differ |= sum(own, spans[0].mse_ce_sum) != expected
             for later in spans[1:]:
                 spans[0].merge(later)
@@ -321,22 +322,22 @@ class TestReceiverState:
         # its columns.
         calls = []
         equalize = harness.equalize_frame
-        detect, track = equalization._solve_detection, equalization._solve_pairs
+        detect, track = equalization._solve_small, equalization._solve_pairs
 
         def per_frame(rx_grids, *args, **kwargs):
             calls.append((len(rx_grids), [], []))
             return equalize(rx_grids, *args, **kwargs)
 
-        def detected(gram, rhs, good):
-            calls[-1][1].append((gram.shape[-2:], math.prod(gram.shape[:-2]), rhs.shape[-2]))
-            return detect(gram, rhs, good)
+        def detected(w, x_stack, *args):  # each block of a system counted as a system
+            calls[-1][1].append(((w.shape[-1],) * 2, math.prod(w.shape[:-2]), x_stack.shape[-2]))
+            return detect(w, x_stack, *args)
 
         def tracked(w, x_stack, *args):
             calls[-1][2].append((w.shape[-2:], math.prod(w.shape[:-2]), x_stack.shape[-2]))
             return track(w, x_stack, *args)
 
         monkeypatch.setattr(harness, "equalize_frame", per_frame)
-        monkeypatch.setattr(equalization, "_solve_detection", detected)
+        monkeypatch.setattr(equalization, "_solve_small", detected)
         monkeypatch.setattr(equalization, "_solve_pairs", tracked)
         config = ScenarioConfig(
             frames=4, snr_db=(20.0,), modes=MODES, iq_frame_avg=2, symbols_per_frame=12,
@@ -626,6 +627,34 @@ def test_a_failing_worker_does_not_wait_for_the_other_tasks(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_failing_worker_does_not_wait_for_the_callers_span(monkeypatch):
+    # two spans of six one-frame chunks: the caller's simulate_frame sleeps
+    # 1 s per chunk and the worker's raises at once.  The caller looks at the
+    # pool's results after each of its chunks, so the error arrives after
+    # about one chunk, not after the caller's whole span (6 s), and no
+    # process is left running.
+    caller, simulate = os.getpid(), harness.simulate_frame
+
+    def stage(config, rngs):
+        if os.getpid() != caller:
+            raise RuntimeError("a stage failed in a worker")
+        time.sleep(1.0)
+        return simulate(config, rngs)
+
+    monkeypatch.setattr(harness, "simulate_frame", stage)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    config = ScenarioConfig(
+        frames=12, snr_db=(20.0,), modes=("genie",), symbols_per_frame=64, workers=2,
+    )
+    assert harness._chunk_frames(config) == 1
+    assert [(s.start, s.stop) for s in harness._task_grid(config)[1]] == [(0, 6), (6, 12)]
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="failed in a worker"):
+        run_campaign(config)
+    assert time.perf_counter() - start < 3.0
+    assert multiprocessing.active_children() == []
+
+
 def test_a_worker_that_dies_ends_the_campaign(monkeypatch):
     # a worker that exits without a result (as one killed for its memory
     # would) is not replaced and waited for: the campaign raises, bounded by
@@ -739,6 +768,13 @@ class TestCampaignOutputs:
             polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
             # one series per (mode, linewidth) pair
             assert len(polylines) == 4
+
+    def test_infinite_snr_point_is_left_off_the_chart(self):
+        # the CSV keeps an infinite-SNR row; the chart has no place for its x
+        series = [("full", [10.0, 20.0], [1e-2, 1e-3]), ("genie", [10.0, 20.0], [5e-3, 0.0])]
+        with_inf = [(label, [*xs, math.inf], [*ys, 1e-4]) for label, xs, ys in series]
+        args = ("ber vs SNR", "SNR (dB)", "bit error rate")
+        assert line_chart(with_inf, *args) == line_chart(series, *args)
 
     def test_infinite_snr_formats(self, tmp_path):
         row = CampaignRow(
