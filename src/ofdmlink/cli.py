@@ -124,7 +124,6 @@ SETTINGS = {
     "ts": ("ts", float, None),
     "iq_frame_avg": ("iq_frame_avg", int, None),
     "tracking_variant": ("tracking_variant", str.strip, None),
-    "mmse_r": ("mmse_r", str.strip, None),
 }
 
 

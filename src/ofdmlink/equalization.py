@@ -17,16 +17,19 @@ the symbols.
 Detection: each pair of mirror bins ``{k, -k}`` is detected jointly.
 Stacking the received vector with its mirror conjugate gives
 ``x_stack = W(k) s_stack`` where ``W`` has the 2x2 block structure of the
-IQ mixing applied to the tracked channel, solved by ZF or MMSE.  When the
-phase updates vary from symbol to symbol, each (frame, symbol) has one
-system per pair; when a frame applies one update row to all of its
-symbols (no phase compensation), the frame has one system per pair and
-every data symbol is one right-hand-side column of it.  A pair's system
-is block-diagonal with ``b`` blocks: one, the ``2m_r x 2m_t`` pair system,
-where the frame has an IQ image or the regularizer couples ``k`` with
-``-k``; two, the bins' ``m_r x m_t`` systems, where the mismatch is
-``k1 = 1`` on every branch (``k2 = 0``), the regularizer has no
-``k``/``-k`` block and ``m_t <= LDL_MAX``.  The guard judges the whole
+IQ mixing applied to the tracked channel, solved by ZF or MMSE.  Every
+system the receiver solves is ``(W^H W + rho I) s = W^H x``: MMSE's
+ridge ``rho`` is the frame's mean noise-plus-interference power per
+receive branch, ``tr(psi) / m_r``, ZF's is 0, and the tracker's is its
+branch's entry of ``psi``; ``rho`` is also the condition guard's
+eigenvalue floor.  When the phase updates vary from symbol to symbol,
+each (frame, symbol) has one system per pair; when a frame applies one
+update row to all of its symbols (no phase compensation), the frame has
+one system per pair and every data symbol is one right-hand-side column
+of it.  A pair's system is block-diagonal with ``b`` blocks: one, the
+``2m_r x 2m_t`` pair system, where the frame has an IQ image; two, the
+bins' ``m_r x m_t`` systems, where the mismatch is ``k1 = 1`` on every
+branch (``k2 = 0``) and ``m_t <= LDL_MAX``.  The guard judges the whole
 system, so both bins of a pair are erased together.
 
 Detection's systems are small and many, so LAPACK's cost is mostly per
@@ -55,7 +58,6 @@ from .numerics import ConfigurationError, logical_to_bin, well_conditioned
 __all__ = [
     "EqualizerOptions",
     "FrameDecisions",
-    "mmse_r_matrix",
     "equalize_frame",
 ]
 
@@ -81,15 +83,12 @@ LDL_MAX = 4
 class EqualizerOptions:
     detector: str          # "zf" | "mmse"
     tracking_variant: str  # "re-derived" | "as-printed"
-    mmse_r: str            # "sigma" | "kron"
 
     def __post_init__(self):
         if self.detector not in ("zf", "mmse"):
             raise ConfigurationError(f"unknown detector {self.detector!r}")
         if self.tracking_variant not in ("re-derived", "as-printed"):
             raise ConfigurationError(f"unknown tracking variant {self.tracking_variant!r}")
-        if self.mmse_r not in ("sigma", "kron"):
-            raise ConfigurationError(f"unknown MMSE regularization {self.mmse_r!r}")
 
 
 def _pilot_tables(smap: SubcarrierMap) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +156,7 @@ def _track(
     z = np.stack([pb, np.conj(np.take(pb, p_mirror, axis=-2))], axis=-2)  # (..., S, r, 2, m_r)
     z = np.moveaxis(z, -1, -4).swapaxes(-3, -2)                  # (..., m_r, r, S, 2)
     # one system per (frame, branch, pilot), solved for all the symbols
-    phi, ok = _solve_pairs(c, z, lam[..., None, None] * np.eye(2, dtype=np.complex128), lam)
+    phi, ok = _solve_pairs(c, z, lam)
     mean = phi.mean(axis=-3)                                      # (..., m_r, S, 2)
     est = np.where(ok.all(axis=-1)[..., None], mean[..., 0].real + 1j * mean[..., 1].real, np.nan)
     est = np.swapaxes(est, -1, -2)                                # (..., S, m_r)
@@ -168,29 +167,6 @@ def _track(
     filled = np.take_along_axis(est, np.maximum(last, 0), axis=-2)
     upsilon = np.where(last >= 0, filled, 1.0 + 0j)
     return upsilon, ~accepted.all(axis=-1)
-
-
-def mmse_r_matrix(state: EstimatorState, kind: str) -> np.ndarray:
-    """Regularization for the MMSE detector, one per frame (leading axes of ``psi``).
-
-    ``sigma`` uses the average per-branch noise power from the measured
-    correlation matrix; ``kron`` uses its Kronecker product with
-    the identity, which is only dimensionally consistent when
-    ``m_r**2 == 2 m_t``.
-    """
-    m_r, m_t = state.m_r, state.m_t
-    if kind == "sigma":
-        trace = np.trace(state.psi, axis1=-2, axis2=-1).real
-        sigma2 = np.maximum(trace / m_r, 0.0)
-        return sigma2[..., None, None] * np.eye(2 * m_t, dtype=np.complex128)
-    if kind == "kron":
-        r = np.kron(state.psi, np.eye(m_r, dtype=np.complex128))
-        if r.shape[-2:] != (2 * m_t, 2 * m_t):
-            raise ConfigurationError(
-                f"kron-form regularizer is {r.shape[-2:]} but the detector needs {(2 * m_t, 2 * m_t)}"
-            )
-        return r
-    raise ConfigurationError(f"unknown MMSE regularization {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -220,22 +196,24 @@ def _mixing_matrices(upsilon, h_k, h_mk, k1) -> np.ndarray:
     return np.concatenate([top, bot], axis=-2)
 
 
-def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray, r_floor):
-    """Guarded regularized least squares ``(W^H W + R) s = W^H x`` by BLAS and LAPACK.
+def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, ridge):
+    """Guarded ridge least squares ``(W^H W + rho I) s = W^H x`` by BLAS and LAPACK.
 
     ``w`` is ``(..., rows, cols)`` and ``x_stack`` holds the ``(..., c,
-    rows)`` right-hand sides, ``c`` of them per system; ``r`` broadcasts
-    to ``(..., cols, cols)`` and ``r_floor``, a lower bound on the smallest
-    eigenvalue of ``r`` (0: none), to ``(...)``.  Returns the ``(..., c,
-    cols)`` solutions, zero where the condition guard rejects the system,
-    and the ``(...)`` guard verdicts.  Each right-hand side is its own
-    matrix-vector product; only the LAPACK solve takes every column at once.
+    rows)`` right-hand sides, ``c`` of them per system; ``ridge``, each
+    system's ``rho >= 0`` and so the guard's eigenvalue floor (0: none),
+    broadcasts to ``(...)``.  Returns the ``(..., c, cols)`` solutions,
+    zero where the condition guard rejects the system, and the ``(...)``
+    guard verdicts.  Each right-hand side is its own matrix-vector
+    product; only the LAPACK solve takes every column at once.
     """
     wh = w.conj().swapaxes(-1, -2)
-    gram = wh @ w + r
+    gram = wh @ w
+    diag = np.arange(gram.shape[-1])
+    gram[..., diag, diag] += np.asarray(ridge)[..., None]
     rhs = (wh[..., None, :, :] @ x_stack[..., None])[..., 0]
     del w, wh, x_stack  # freed before the guard and the solve
-    good = well_conditioned(gram, r_floor)
+    good = well_conditioned(gram, ridge)
     s_stack = np.zeros(rhs.shape, dtype=np.complex128)
     if good.any():
         cols = np.linalg.solve(gram[good], rhs[good].swapaxes(-1, -2))
@@ -271,26 +249,28 @@ def _ldl_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _solve_small(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray, r_floor):
+def _solve_small(w: np.ndarray, x_stack: np.ndarray, ridge):
     """:func:`_solve_pairs` for block-diagonal systems of ``b`` blocks up to :data:`LDL_MAX`.
 
-    ``w`` is ``(..., b, rows, cols)``, ``x_stack`` ``(..., b, c, rows)``,
-    ``r`` broadcasts to ``(..., b, cols, cols)`` and ``r_floor`` to
-    ``(..., 1)``.  Returns the ``(..., b, c, cols)`` solutions and the
-    ``(..., 1)`` verdicts of the whole systems, whose traces are the sums
-    of their blocks' traces and whose eigenvalues are all of theirs.  The
+    ``w`` is ``(..., b, rows, cols)``, ``x_stack`` ``(..., b, c, rows)``
+    and ``ridge``, one per whole system, broadcasts to ``(..., 1)``.
+    Returns the ``(..., b, c, cols)`` solutions and the ``(..., 1)``
+    verdicts of the whole systems, whose traces are the sums of their
+    blocks' traces and whose eigenvalues are all of theirs.  The
     Gram matrices and right-hand sides are summed one row of ``W`` at a
     time on stack-last copies and solved by :func:`_ldl_solve`, each step
     one array operation over the whole stack, so a right-hand side gets the
     same operations whatever the stack holds.
     """
     *stack, rows, n = w.shape
-    r = np.broadcast_to(r, (*stack, n, n))
     w = np.ascontiguousarray(np.moveaxis(w, (-2, -1), (0, 1)))            # (rows, n, ..., b)
     x_stack = np.ascontiguousarray(np.moveaxis(x_stack, (-1, -2), (0, 1)))  # (rows, c, ..., b)
     row = w[0].conj()
     gram = row[:, None] * w[0, None]
-    gram += np.moveaxis(r, (-2, -1), (0, 1))
+    # the ridge joins each diagonal sum after the first row; another place would
+    # round the Gram matrices, and so the recorded outputs, differently
+    diag = np.arange(n)
+    gram[diag, diag] += ridge
     rhs = row[:, None] * x_stack[0, None]
     for i in range(1, rows):
         row = w[i].conj()
@@ -302,7 +282,7 @@ def _solve_small(w: np.ndarray, x_stack: np.ndarray, r: np.ndarray, r_floor):
         blocks, whole = whole, np.zeros((*stack[:-1], 1, b * n, b * n), dtype=np.complex128)
         for i in range(b):
             whole[..., 0, i * n : (i + 1) * n, i * n : (i + 1) * n] = blocks[..., i, :, :]
-    good = well_conditioned(whole, r_floor)
+    good = well_conditioned(whole, ridge)
     del whole  # freed before the solve's temporaries are made
     if not good.all():  # a rejected system solves I s = 0
         bad = ~np.broadcast_to(good, stack)
@@ -329,8 +309,8 @@ def equalize_frame(
     ``(..., n_data_syms, m_r)`` (ones apply no update), or ``(..., 1, m_r)``:
     one row for every symbol of a frame, so that the frame has one system
     per pair.  A pair's system has one diagonal block per bin when
-    ``state.k1`` is 1 everywhere, the regularizer has no entry coupling
-    ``k`` with ``-k`` and ``m_t <= LDL_MAX``, and is one block otherwise.
+    ``state.k1`` is 1 everywhere and ``m_t <= LDL_MAX``, and is one block
+    otherwise.  MMSE's ridge is ``max(tr(psi) / m_r, 0)`` per frame.
     Detection runs a stack of systems at a time, as many as fit in
     ``DETECT_ENTRIES`` entries of their mixing matrices and right-hand
     sides (at least one), over the frames' symbols in order: blocks up to
@@ -360,39 +340,28 @@ def equalize_frame(
     def per_frame(a, core):
         return np.broadcast_to(a, (*lead, *core)).reshape(frames, *core)
 
-    # the regularizer and its smallest eigenvalue: MMSE's, or zero for ZF (no certificate)
-    r, r_floor = np.zeros((2 * m_t, 2 * m_t), dtype=np.complex128), 0.0
+    # the ridge: MMSE's mean noise-plus-ICI power per branch, or zero for ZF (no certificate)
+    ridge = 0.0
     if options.detector == "mmse":
-        r = mmse_r_matrix(state, options.mmse_r)
-        r_floor = np.linalg.eigvalsh(r)[..., 0]
-    r = per_frame(r, (2 * m_t, 2 * m_t))
-    r_floor = per_frame(r_floor, ())[:, None, None]
+        ridge = np.maximum(np.trace(state.psi, axis1=-2, axis2=-1).real / m_r, 0.0)
+    ridge = per_frame(ridge, ())[:, None, None]
     # each mirror pair {k, -k}: positions in the data ordering and storage bins
     kpos = smap.data_bins[smap.data_bins > 0]
     i_k, i_mk = np.searchsorted(smap.data_bins, kpos), np.searchsorted(smap.data_bins, -kpos)
     b_k, b_mk = logical_to_bin(kpos, n), logical_to_bin(-kpos, n)
     pairs = kpos.size
-    # k2 = 0 and a regularizer without k/-k blocks: the pair system is
-    # block-diagonal, its two blocks the bins' m_t-systems
-    blocks = 1 + (
-        m_t <= LDL_MAX and bool(np.all(state.k1 == 1))
-        and not r[:, :m_t, m_t:].any() and not r[:, m_t:, :m_t].any()
-    )
+    # k2 = 0: the pair system is block-diagonal, its two blocks the bins' m_t-systems
+    blocks = 1 + (m_t <= LDL_MAX and bool(np.all(state.k1 == 1)))
     if blocks == 2:
         # bins pair by pair, [k0, -k0, k1, -k1, ...]; a mirror bin -k is its
-        # pair's lower block conjugated, so it is solved unconjugated with
-        # the conjugate of that block's R
+        # pair's lower block conjugated, so it is solved unconjugated
         bins, i_bins = np.stack([b_k, b_mk], axis=-1), np.stack([i_k, i_mk], axis=-1).ravel()
         h = per_frame(np.take(state.h_pre, bins, axis=-3), (pairs, 2, m_r, m_t))
-        r = np.stack([r[:, :m_t, :m_t], np.conj(r[:, m_t:, m_t:])], axis=1)[:, None]
-        if np.array_equal(r[:, :, 0], r[:, :, 1]):
-            r = r[:, :, :1]  # ZF, sigma: one R broadcast over pairs and blocks alike
     else:
         pair_shape = (pairs, m_r, m_t)  # a frame's pair channels and conjugated mirrors
         h_k = per_frame(np.take(state.h_pre, b_k, axis=-3), pair_shape)
         h_mk = per_frame(np.conj(np.take(state.h_pre, b_mk, axis=-3)), pair_shape)
         k1 = per_frame(state.k1, (m_r,))
-        r = r[:, None, None]
     w_cols = 2 * m_t // blocks
     solve = _solve_small if w_cols <= LDL_MAX else _solve_pairs
 
@@ -409,14 +378,14 @@ def equalize_frame(
         if blocks == 2:
             s, good = solve(
                 ups[sl, None, None, :, None] * h[f], x[fr[..., None], rw[..., None], :, bins],
-                r[f], r_floor[f],
+                ridge[f],
             )
             soft[sl, :, i_bins] = s.reshape(len(f), 2 * pairs, cols, m_t).swapaxes(1, 2)
         else:
             s, good = solve(
                 _mixing_matrices(ups[sl], h_k[f], h_mk[f], k1[f])[:, :, None],
                 np.concatenate([x[fr, rw, :, b_k], np.conj(x[fr, rw, :, b_mk])], -1)[:, :, None],
-                r[f], r_floor[f],
+                ridge[f],
             )
             s = s[:, :, 0].swapaxes(1, 2)  # (sys, cols, pairs, 2m_t)
             soft[sl, :, i_k], soft[sl, :, i_mk] = s[..., :m_t], np.conj(s[..., m_t:])

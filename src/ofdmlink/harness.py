@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -164,10 +165,14 @@ class ScenarioConfig:
     ts: float = 5e-8
     iq_frame_avg: int = 1
     tracking_variant: str = "re-derived"
-    mmse_r: str = "sigma"
     workers: int = 1
 
     def __post_init__(self):
+        # an int field is a count or a seed: refuse a float, a string or a bool there
+        for name in (f.name for f in fields(self) if f.type == "int"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.frames < 1:
             raise ConfigurationError("frames must be >= 1")
         if not self.snr_db:
@@ -209,8 +214,6 @@ class ScenarioConfig:
             raise ConfigurationError("channel length must not exceed the cyclic prefix")
         exp_power_profile(self.l_taps, self.pdp_decay)
         self.equalizer
-        if self.detector == "mmse" and self.mmse_r == "kron" and self.m_r**2 != 2 * self.m_t:
-            raise ConfigurationError("kron-form MMSE regularization needs m_r**2 == 2 m_t")
         if self.ce_method not in ("interp", "iterative"):
             raise ConfigurationError(f"unknown ce method {self.ce_method!r}")
         if self.iq_frame_avg < 1:
@@ -249,9 +252,7 @@ class ScenarioConfig:
 
     @cached_property
     def equalizer(self) -> EqualizerOptions:
-        return EqualizerOptions(
-            detector=self.detector, tracking_variant=self.tracking_variant, mmse_r=self.mmse_r
-        )
+        return EqualizerOptions(detector=self.detector, tracking_variant=self.tracking_variant)
 
     @cached_property
     def completion(self) -> tuple | None:

@@ -77,15 +77,12 @@ def well_conditioned(a: np.ndarray, floor=0.0) -> np.ndarray:
     eigenvalue of each matrix, broadcast to ``a.shape[:-2]``; 0 means none.
     Most matrices are accepted without an eigendecomposition, by a
     certificate that proves ``cond_2(A) <= CONDITION_LIMIT`` with a factor
-    of 100 to spare for rounding.  For ``A = W^H W + R`` with ``R``
-    Hermitian and ``lambda_min(R) >= floor > 0``, Weyl's inequality gives
-    ``lambda_min(A) >= floor`` (``W^H W`` is positive semidefinite), and
-    ``lambda_max(A) <= trace(A)`` for any such ``A``.  So ``trace(A) <=
-    floor * CONDITION_LIMIT / 100`` certifies the matrix at the cost of a
-    trace.  It also bounds ``cond_2(R)`` by ``CONDITION_LIMIT / 100``, so
-    a ``floor`` read off ``eigvalsh(R)`` is accurate to far better than
-    the factor of 100.  ``eigvalsh`` decides every finite matrix the
-    certificate leaves.
+    of 100 to spare for rounding.  For ``A = W^H W + rho I`` with the
+    ridge ``rho = floor > 0``, ``lambda_min(A) >= floor`` (``W^H W`` is
+    positive semidefinite), and ``lambda_max(A) <= trace(A)`` for any such
+    ``A``.  So ``trace(A) <= floor * CONDITION_LIMIT / 100`` certifies the
+    matrix at the cost of a trace.  ``eigvalsh`` decides every finite
+    matrix the certificate leaves.
     """
     a = np.asarray(a)
     ok = np.array(np.isfinite(a).all(axis=(-2, -1)))

@@ -107,9 +107,11 @@ symbols_per_frame = 6
         assert out_dir == "."
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        # a misspelt key, and the removed shared-oscillator key of older files
+        # a misspelt key, and keys of older files: the removed shared-oscillator
+        # switch and MMSE-regularizer form
         cfg = tmp_path / "run.cfg"
-        for text in ("snrs = 10\n", "snr = 10\nshared_oscillator = false\n"):
+        for text in ("snrs = 10\n", "snr = 10\nshared_oscillator = false\n",
+                     "snr = 10\nmmse_r = sigma\n"):
             cfg.write_text(text)
             with pytest.raises(ConfigurationError):
                 parse_config_file(cfg)
@@ -262,8 +264,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "line",
         [
-            "tracking_variant = bogus", "mmse_r = bogus", "mimo = 4x4\nmmse_r = kron",
-            "mimo = 5x5", "mimo = 0x2", "beta = -1", "n = 48", "symbols_per_frame = 3",
+            "tracking_variant = bogus", "mimo = 5x5", "mimo = 0x2", "beta = -1", "n = 48", "symbols_per_frame = 3",
             "pdp_decay = 0", "ts = 0", "l_taps = 0",
         ],
     )

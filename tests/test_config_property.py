@@ -55,7 +55,6 @@ FIELDS = {
     "ts": (st.floats(1e-9, 1e-6), NASTY_FLOATS),
     "iq_frame_avg": (st.integers(1, 3), NASTY_INTS),
     "tracking_variant": (st.sampled_from(["re-derived", "as-printed"]), st.just("bogus")),
-    "mmse_r": (st.sampled_from(["sigma", "kron"]), st.just("bogus")),
     "workers": (st.integers(1, 4), NASTY_INTS),
 }
 assert set(FIELDS) == {f.name for f in dataclasses.fields(ScenarioConfig)}

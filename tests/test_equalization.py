@@ -21,7 +21,6 @@ from ofdmlink.equalization import (
     _track,
     _tracking_matrices,
     equalize_frame,
-    mmse_r_matrix,
 )
 from ofdmlink.estimation import EstimatorState
 from ofdmlink.framing import (
@@ -38,7 +37,6 @@ from ofdmlink.framing import (
 from ofdmlink.impairments import IqParams, apply_iq_imbalance
 from ofdmlink.numerics import (
     CONDITION_LIMIT,
-    ConfigurationError,
     RandomSource,
     condition_number,
     logical_to_bin,
@@ -46,7 +44,10 @@ from ofdmlink.numerics import (
 
 # ZF detection with the re-derived tracking model; a test that needs
 # another setting replaces that field
-OPTIONS = EqualizerOptions(detector="zf", tracking_variant="re-derived", mmse_r="sigma")
+OPTIONS = EqualizerOptions(detector="zf", tracking_variant="re-derived")
+# a 2x2 noise-plus-ICI correlation that is no multiple of I: unequal
+# diagonal entries (mean 0.125) and a complex off-diagonal entry
+PSI_2X2 = np.array([[0.05, 0.03 + 0.04j], [0.03 - 0.04j, 0.2]])
 
 
 def genie_state(ch, iq=None, psi_scale=0.0, theta_pre=None):
@@ -89,16 +90,16 @@ def pair_channels(state, b_k, b_mk):
     return state.h_pre[b_k], np.conj(state.h_pre[b_mk]), state.k1
 
 
-def solve_detection(w, x_stack, r, r_floor):
+def solve_detection(w, x_stack, ridge):
     """Solutions and guard verdicts of a stack of pair systems, as equalize_frame detects them."""
     solve = _solve_small if w.shape[-1] <= LDL_MAX else _solve_pairs
-    s, good = solve(w[..., None, :, :], x_stack[..., None, :, :], r, r_floor)  # one block each
+    s, good = solve(w[..., None, :, :], x_stack[..., None, :, :], ridge)  # one block each
     return s[..., 0, :, :], good[..., 0]
 
 
-def detect(x_stack, w, r=0.0):
+def detect(x_stack, w, ridge=0.0):
     """Soft estimate and guard verdict of one stacked mirror pair."""
-    s, good = solve_detection(w[None], np.asarray(x_stack, dtype=complex)[None, None], r, 0.0)
+    s, good = solve_detection(w[None], np.asarray(x_stack, dtype=complex)[None, None], ridge)
     return s[0, 0], bool(good[0])
 
 
@@ -382,7 +383,7 @@ class TestDetect:
         rng = np.random.default_rng(123)
         x = rng.normal(size=4) + 1j * rng.normal(size=4)
         zf, _ = detect(x, w)
-        mmse, _ = detect(x, w, r=np.zeros((4, 4)))
+        mmse, _ = detect(x, w, ridge=0.0)
         np.testing.assert_allclose(mmse, zf, atol=1e-12)
 
     def test_mmse_converges_to_zf(self):
@@ -392,7 +393,7 @@ class TestDetect:
         rng = np.random.default_rng(125)
         x = rng.normal(size=4) + 1j * rng.normal(size=4)
         zf, _ = detect(x, w)
-        mmse, _ = detect(x, w, r=1e-12 * np.eye(4))
+        mmse, _ = detect(x, w, ridge=1e-12)
         np.testing.assert_allclose(mmse, zf, atol=1e-9)
 
     def test_siso_flat_channel_scaling(self):
@@ -422,48 +423,11 @@ class TestDetect:
         w = np.stack([build_w(k, state, np.ones(2, dtype=complex)) for k in (3, 5, 9)])
         w[1] = 0.0
         s = np.array([1 - 1j, -3 + 1j, 1 + 1j, -3 - 1j]) / np.sqrt(10)
-        got, good = solve_detection(w, (w @ s)[:, None], 0.0, 0.0)
+        got, good = solve_detection(w, (w @ s)[:, None], 0.0)
         got = got[:, 0]
         np.testing.assert_array_equal(good, [True, False, True])
         np.testing.assert_allclose(got[[0, 2]], np.stack([s, s]), atol=1e-9)
         np.testing.assert_array_equal(got[1], 0.0)
-
-    def test_mmse_requires_r(self):
-        # MMSE detection needs a regularizer of the detector's size; the
-        # kron form of a 4x4 link has none, and the frame is refused.
-        ch = make_channel(m_t=4, m_r=4, seed=128)
-        state = genie_state(ch)
-        smap = build_subcarrier_map(64)
-        rx = np.zeros((N_TRAIN + 2, 64, 4), dtype=complex)
-        options = dataclasses.replace(OPTIONS, detector="mmse", mmse_r="kron")
-        with pytest.raises(ConfigurationError):
-            equalize_frame(rx, state, smap, pilot_matrix(4), options)
-
-
-class TestMmseRMatrix:
-    def test_sigma_form(self):
-        state = EstimatorState(
-            h_pre=np.zeros((64, 2, 2), dtype=complex),
-            k1=np.ones(2, dtype=complex),
-            psi=np.diag([0.3, 0.5]).astype(complex),
-        )
-        np.testing.assert_allclose(mmse_r_matrix(state, "sigma"), 0.4 * np.eye(4))
-
-    def test_kron_form_2x2(self):
-        psi = np.array([[0.2, 0.05j], [-0.05j, 0.3]])
-        state = EstimatorState(
-            h_pre=np.zeros((64, 2, 2), dtype=complex), k1=np.ones(2, dtype=complex), psi=psi
-        )
-        np.testing.assert_allclose(mmse_r_matrix(state, "kron"), np.kron(psi, np.eye(2)))
-
-    def test_kron_form_rejected_when_inconsistent(self):
-        state = EstimatorState(
-            h_pre=np.zeros((64, 4, 4), dtype=complex),
-            k1=np.ones(4, dtype=complex),
-            psi=np.eye(4, dtype=complex),
-        )
-        with pytest.raises(ConfigurationError):
-            mmse_r_matrix(state, "kron")
 
 
 class TestEqualizeFrame:
@@ -564,15 +528,17 @@ class TestStaticSystems:
     """One system per (frame, pair) for a single update row equals one per symbol."""
 
     @pytest.mark.parametrize(
-        "m, detector, mmse_r",
+        "m, detector, psi_form",
         [(1, "zf", "sigma"), (2, "zf", "sigma"), (4, "zf", "sigma"),
-         (1, "mmse", "sigma"), (2, "mmse", "sigma"), (4, "mmse", "sigma"), (2, "mmse", "kron")],
+         (1, "mmse", "sigma"), (2, "mmse", "sigma"), (4, "mmse", "sigma"),
+         (2, "mmse", "hermitian")],
     )
-    def test_one_row_equals_per_symbol_rows(self, smap64, m, detector, mmse_r):
+    def test_one_row_equals_per_symbol_rows(self, smap64, m, detector, psi_form):
         # Every symbol's right-hand side is its own product and the LU solve
         # takes them all at once; LAPACK's getrs then gives each column as a
         # single-column solve does, bit for bit.  Frame 1 has no noise and
-        # one pair without channel, so its guard rejects that pair.
+        # one pair without channel, so its guard rejects that pair.  psi is
+        # sigma2 I per frame, or PSI_2X2 scaled.
         frames, n_data_syms = 3, 11
         rng = np.random.default_rng(150 + m)
 
@@ -582,10 +548,11 @@ class TestStaticSystems:
         h_pre = cnormal(frames, 64, m, m)
         k = smap64.data_bins[smap64.data_bins > 0][5]
         h_pre[1, logical_to_bin(k, 64)] = 0.0
-        psi = np.einsum("f,ij->fij", [0.05, 0.0, 0.2], np.eye(m)).astype(complex)
+        form = np.eye(m) if psi_form == "sigma" else PSI_2X2 / 0.05
+        psi = np.einsum("f,ij->fij", [0.05, 0.0, 0.2], form).astype(complex)
         state = EstimatorState(h_pre=h_pre, k1=1.0 + 0.1 * cnormal(frames, m), psi=psi)
         rx = cnormal(frames, N_TRAIN + n_data_syms, 64, m)
-        options = dataclasses.replace(OPTIONS, detector=detector, mmse_r=mmse_r)
+        options = dataclasses.replace(OPTIONS, detector=detector)
         decs = [
             equalize_frame(rx, state, smap64, pilot_matrix(m), options,
                            phase_updates=np.ones((rows, m), dtype=complex))
@@ -661,13 +628,12 @@ def spy_on_solvers(monkeypatch, sizes):
 class TestDetectionPaths:
     """equalize_frame against the pair systems of _mixing_matrices solved by _solve_pairs.
 
-    With ``k1 = 1`` (no IQ image) and a regularizer without ``k``/``-k``
-    blocks detection solves each data bin on its own; each pair must still
-    get its pair system's guard verdict.  Frame 1 has no noise, so its MMSE
-    is ZF: one of its pairs has a bin without channel (rank-deficient) and
-    another a mirror bin 1e-7 weaker than its partner, each bin well
-    conditioned alone but the pair not.  Frame 2's noise is so small that
-    the trace certificate settles none of its pairs.
+    With ``k1 = 1`` (no IQ image) detection solves each data bin on its
+    own; each pair must still get its pair system's guard verdict.  Frame 1
+    has no noise, so its MMSE is ZF: one of its pairs has a bin without
+    channel (rank-deficient) and another a mirror bin 1e-7 weaker than its
+    partner, each bin well conditioned alone but the pair not.  Frame 2's
+    noise is so small that the trace certificate settles none of its pairs.
     """
 
     frames, n_syms = 3, 5
@@ -685,7 +651,7 @@ class TestDetectionPaths:
         ups = np.exp(1j * rng.uniform(-0.5, 0.5, size=(self.frames, self.n_syms, m)))
         return state, rx, ups, kpos
 
-    def _oracle(self, state, rx, ups, smap, detector, mmse_r="sigma"):
+    def _oracle(self, state, rx, ups, smap, detector):
         m_t, data_bins = state.m_t, smap.data_bins
         kpos = data_bins[data_bins > 0]
         i_k, i_mk = np.searchsorted(data_bins, kpos), np.searchsorted(data_bins, -kpos)
@@ -695,12 +661,11 @@ class TestDetectionPaths:
         )
         data = rx[:, N_TRAIN:]
         x_stack = np.concatenate([data[:, :, b_k], np.conj(data[:, :, b_mk])], axis=-1)
-        r, r_floor = np.zeros((2 * m_t, 2 * m_t)), 0.0
+        ridge = 0.0  # ZF; MMSE's is each frame's mean noise-plus-ICI power per branch
         if detector == "mmse":
-            r = mmse_r_matrix(state, mmse_r)
-            r_floor = np.linalg.eigvalsh(r)[:, None, None, 0]
-            r = r[:, None, None]
-        s, good = _solve_pairs(w, x_stack[..., None, :], r, r_floor)
+            sigma2 = np.trace(state.psi, axis1=1, axis2=2).real / state.psi.shape[-1]
+            ridge = np.maximum(sigma2, 0.0)[:, None, None]
+        s, good = _solve_pairs(w, x_stack[..., None, :], ridge)
         soft = np.zeros((*data.shape[:2], data_bins.size, m_t), dtype=complex)
         soft[:, :, i_k], soft[:, :, i_mk] = s[..., 0, :m_t], np.conj(s[..., 0, m_t:])
         erased = np.zeros(soft.shape[:-1], dtype=bool)
@@ -729,28 +694,20 @@ class TestDetectionPaths:
         weak = state.h_pre[1, -kpos[7] % 64]
         assert condition_number(weak.conj().T @ weak) < CONDITION_LIMIT
 
-    @pytest.mark.parametrize(
-        "psi, size",
-        [
-            (np.diag([0.05, 0.2]), 2),
-            (np.array([[0.05, 0.03 + 0.04j], [0.03 - 0.04j, 0.2]]), 4),
-        ],
-        ids=["bins", "pairs"],
-    )
-    def test_kron_regularizer(self, smap64, monkeypatch, psi, size):
-        # kron(psi, I) at 2x2: bin k takes its block psi[0, 0] I and the
-        # mirror bin -k the conjugate of psi[1, 1] I, so unequal diagonal
-        # entries give the two bins of a pair different regularizers; an
-        # off-diagonal psi couples k with -k and keeps the pair systems
-        state, rx, ups, _ = self._setup(smap64, 2, image=False)
-        psi = np.einsum("f,ij->fij", [1.0, 0.0, 1e-12], psi).astype(complex)
+    @pytest.mark.parametrize("image", [False, True], ids=["bins", "pairs"])
+    def test_mmse_ridge_is_the_mean_branch_power(self, smap64, monkeypatch, image):
+        # psi with unequal diagonal entries and a complex off-diagonal entry:
+        # MMSE regularizes both layouts with tr(psi) / m_r (0.125), neither
+        # with one entry of psi nor with the whole trace
+        state, rx, ups, _ = self._setup(smap64, 2, image)
+        psi = np.einsum("f,ij->fij", [1.0, 0.0, 1e-12], PSI_2X2).astype(complex)
         state = dataclasses.replace(state, psi=psi)
         sizes = []
         spy_on_solvers(monkeypatch, sizes)
-        options = dataclasses.replace(OPTIONS, detector="mmse", mmse_r="kron")
+        options = dataclasses.replace(OPTIONS, detector="mmse")
         dec = equalize_frame(rx, state, smap64, pilot_matrix(2), options, phase_updates=ups)
-        assert set(sizes) == {size}
-        soft, erased = self._oracle(state, rx, ups, smap64, "mmse", "kron")
+        assert set(sizes) == {4 if image else 2}
+        soft, erased = self._oracle(state, rx, ups, smap64, "mmse")
         np.testing.assert_array_equal(dec.erased, erased)
         assert np.abs(dec.soft - soft).max() <= 1e-12 * np.abs(soft).max()
 

@@ -314,7 +314,6 @@ SHARED_NAMES = {
         "harness.CampaignRow", "harness.ScenarioConfig",
     ],
     "master_seed": ["harness.ScenarioConfig", "numerics.RandomSource"],
-    "mmse_r": ["equalization.EqualizerOptions", "harness.ScenarioConfig"],
     "n": ["framing.SubcarrierMap", "harness.ScenarioConfig"],
     "psi": ["estimation.EstimatorState", "harness.FrontEnd"],
     "snr_db": ["harness.CampaignRow", "harness.ScenarioConfig"],

@@ -2,9 +2,8 @@
 
 ``tests/golden/results.csv`` holds the rows of the campaigns below, one
 header, in campaign order.  Together they cover every receiver mode, ZF
-and MMSE (both regularizer forms), spline and iterative completion, 2x2
-and 4x4, a finite and an infinite SNR, block-averaged IQ estimates, and
-the as-printed tracker.  Its pilot model has rank one, so without noise
+and MMSE, spline and iterative completion, 2x2 and 4x4, a finite and an
+infinite SNR, block-averaged IQ estimates, and the as-printed tracker.  Its pilot model has rank one, so without noise
 or phase noise (the measured noise power, the tracker's regularizer, is
 exactly zero) the condition guard rejects every branch: the fallback
 path and ``flagged_symbols`` are exercised.  At 100 kHz it is guarded
@@ -41,7 +40,7 @@ CAMPAIGNS = (
     ),
     ScenarioConfig(
         m_t=2, m_r=2, snr_db=(float("inf"),), beta_hz=(0.0, 1e5), frames=4,
-        modes=("pn-only", "full"), detector="mmse", ce_method="interp", mmse_r="kron",
+        modes=("pn-only", "full"), detector="mmse", ce_method="interp",
         tracking_variant="as-printed", symbols_per_frame=12, iq_frame_avg=2,
         master_seed=13,
     ),

@@ -842,6 +842,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ScenarioConfig(**fields)
 
+    @pytest.mark.parametrize("fields", [
+        dict(frames=2.5), dict(workers=1.5), dict(iq_frame_avg=1.5), dict(symbols_per_frame=10.5),
+        dict(l_taps=2.0), dict(n=64.0), dict(master_seed=1.0), dict(m_t=True), dict(n_cp="16"),
+    ])
+    def test_rejects_a_count_that_is_not_an_integer(self, fields):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            ScenarioConfig(**fields)
+
+    def test_accepts_numpy_integer_counts(self):
+        config = ScenarioConfig(frames=np.int64(3), m_r=np.int32(2))
+        assert config.frames == 3 and config.m_r == 2
+
     def test_frame_bound_admits_a_large_fft_4x4_frame(self):
         config = ScenarioConfig(m_t=4, m_r=4, n=4096, n_cp=256)  # constructed, never run
         assert config.symbols_per_frame == 50
