@@ -8,11 +8,11 @@ observation stacked with its mirror conjugate into a linear model with a
 2x2 complex matrix per pilot; the normal equations are regularized by the
 measured noise-plus-interference power and the per-pilot solutions are
 averaged.  The model matrices depend only on the preamble-stage state, so
-they are built once per frame and handed to the guarded solver
-:func:`_solve_pairs`, every symbol one right-hand-side column of its
-(frame, branch, pilot) system.  A rejected update falls back to the last
-accepted one of its branch (1 before any), which is a forward fill along
-the symbols.
+each (frame, branch, pilot) system is formed once per frame, every symbol
+one right-hand-side column of it, and solved by detection's guarded
+solver :func:`_solve_normal`, the pilots its pair axis.  A rejected update
+falls back to the last accepted one of its branch (1 before any), which is
+a forward fill along the symbols.
 
 Detection: each pair of mirror bins ``{k, -k}`` is detected jointly.
 Stacking the received vector with its mirror conjugate gives
@@ -31,8 +31,9 @@ pair's channel rows, made once per frame, over the branches, and ``W^H x``
 those rows against each branch's de-mixed, de-rotated pair.  Where ``k1 =
 1`` (``k2 = 0``) a pair's two blocks, its bins' systems, are solved apart,
 but the guard judges the whole system, erasing both bins together.  The
-systems are small and many, and LAPACK's cost is per matrix, so they are
-solved by array operations over stacks of them (:func:`_ldl_solve`).
+systems, the tracker's included, are small and many, and LAPACK's cost is
+per matrix, so they are solved by array operations over stacks of them
+(:func:`_ldl_solve`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .estimation import EstimatorState
 from .framing import N_TRAIN, SubcarrierMap, qam16_demap
-from .numerics import ConfigurationError, guard_verdicts, logical_to_bin, spread, well_conditioned
+from .numerics import CONDITION_LIMIT, ConfigurationError, logical_to_bin
 
 __all__ = [
     "EqualizerOptions",
@@ -126,20 +127,22 @@ def _track(
     """
     n_syms = data.shape[-3]
     y, ym = _pilot_responses(state, pilots, smap)
-    c = _tracking_matrices(y, ym, state.k1, variant)  # (..., m_r, r, 2, 2)
-    lead = np.broadcast_shapes(data.shape[:-3], c.shape[:-4])
-    c = np.broadcast_to(c, (*lead, *c.shape[-4:]))
-    lam = np.maximum(np.diagonal(state.psi, axis1=-2, axis2=-1).real, 0.0)[..., None]
+    # one block per (frame, branch, pilot), the pilots its pair axis: (..., m_r, 1, r, 2, 2)
+    c = _tracking_matrices(y, ym, state.k1, variant)[..., None, :, :, :]
+    lam = np.maximum(np.diagonal(state.psi, axis1=-2, axis2=-1).real, 0.0)[..., None, None]
+    rows, cols = _lower(2)
+    gram = np.moveaxis((np.conj(c[..., rows]) * c[..., cols]).sum(axis=-2), -1, 0)  # packed C^H C
+    gram[rows == cols] += lam
 
     p_bins, p_mirror = _pilot_tables(smap)
-    pb = np.take(data, p_bins, axis=-2)
-    z = np.stack([pb, np.conj(np.take(pb, p_mirror, axis=-2))], axis=-2)  # (..., S, r, 2, m_r)
-    z = np.moveaxis(z, -1, -4).swapaxes(-3, -2)                  # (..., m_r, r, S, 2)
-    # one system per (frame, branch, pilot), solved for all the symbols
-    phi, ok = _solve_pairs(c, z, lam)
-    mean = phi.mean(axis=-3)                                      # (..., m_r, S, 2)
-    est = np.where(ok.all(axis=-1)[..., None], mean[..., 0].real + 1j * mean[..., 1].real, np.nan)
-    est = np.swapaxes(est, -1, -2)                                # (..., S, m_r)
+    pb = np.moveaxis(np.take(data, p_bins, axis=-2), -3, 0).swapaxes(-1, -2)[..., None, :]
+    z = np.stack([pb, np.conj(pb[..., p_mirror])], axis=-1)  # (S, ..., m_r, 1, r, 2)
+    # C^H z, every symbol one right-hand-side column of its systems: (2, S, ..., m_r, 1, r)
+    phi = np.moveaxis((np.conj(c) * z[..., None]).sum(axis=-2), -1, 0)
+    ok = _solve_normal(gram, phi, lam[..., 0])
+    mean = phi.mean(axis=-1)[..., 0]                              # (2, S, ..., m_r)
+    est = np.where(ok.all(axis=-1), mean[0].real + 1j * mean[1].real, np.nan)
+    est = np.moveaxis(est, 0, -2)                                 # (..., S, m_r)
     accepted = np.isfinite(est) & (np.abs(est) <= UPSILON_CEILING)
 
     last = np.where(accepted, np.arange(n_syms)[:, None], -1)
@@ -157,28 +160,6 @@ class FrameDecisions:
     flagged: np.ndarray   # (..., n_data_syms) bool: a tracked update was rejected
     flagged_symbols: int  # over every frame of the stack
     cpe_history: np.ndarray  # (..., n_data_syms, m_r) phase updates applied
-
-
-def _solve_pairs(w: np.ndarray, x_stack: np.ndarray, ridge):
-    """Guarded ridge least squares ``(W^H W + rho I) s = W^H x`` by BLAS and LAPACK.
-
-    ``w`` is ``(..., rows, cols)``, ``x_stack`` holds ``c`` right-hand sides
-    per system, ``(..., c, rows)``, and ``ridge``, each system's ``rho >= 0``
-    and guard floor, broadcasts to ``(...)``.  Returns the ``(..., c, cols)``
-    solutions, zero where the guard rejects the system, and the verdicts.
-    """
-    wh = w.conj().swapaxes(-1, -2)
-    gram = wh @ w
-    diag = np.arange(gram.shape[-1])
-    gram[..., diag, diag] += np.asarray(ridge)[..., None]
-    rhs = (wh[..., None, :, :] @ x_stack[..., None])[..., 0]
-    del w, wh, x_stack  # freed before the guard and the solve
-    good = well_conditioned(gram, ridge)
-    s_stack = np.zeros(rhs.shape, dtype=np.complex128)
-    if good.any():
-        cols = np.linalg.solve(gram[good], rhs[good].swapaxes(-1, -2))
-        s_stack[good] = cols.swapaxes(-1, -2)
-    return s_stack, good
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,23 +209,31 @@ def _solve_normal(gram: np.ndarray, rhs: np.ndarray, ridge) -> np.ndarray:
 
     ``gram`` holds each system's ``n x n`` diagonal blocks as :func:`_ldl_solve`
     takes them, ``(entries, ..., b, pairs)``, and ``rhs`` their ``(n, c, ...,
-    b, pairs)`` right-hand sides, which become the solutions.  ``ridge``
-    (each system's ``rho``) broadcasts to the ``(..., pairs)`` verdicts of
-    :func:`~ofdmlink.numerics.well_conditioned` on the whole system, which
-    are returned; a rejected system solves ``I s = 0``.
+    b, pairs)`` right-hand sides, which become the solutions.  The guard
+    admits a system whose entries are finite and whose 2-norm condition
+    number, over all of its blocks' eigenvalues, is at most
+    ``CONDITION_LIMIT``.  ``ridge``, each system's ``rho`` and so a floor
+    under its smallest eigenvalue, broadcasts to the ``(..., pairs)``
+    verdicts, which are returned; a rejected system solves ``I s = 0``.
     """
     n = len(rhs)
     rows, cols = _lower(n)
-    finite = np.isfinite(gram).all(axis=0).all(axis=-2)
+    good = np.isfinite(gram).all(axis=0).all(axis=-2)
     trace = gram[rows == cols].real.sum(axis=0).sum(axis=-2)
-
-    def condition(rest):  # a system's eigenvalues are all of its blocks'
+    # rho <= lambda_min and lambda_max <= trace, so a trace within rho * CONDITION_LIMIT
+    # / 100 proves the condition limit with a factor of 100 to spare for rounding
+    floor = np.broadcast_to(ridge, good.shape)
+    with np.errstate(all="ignore"):
+        certified = (floor > 0) & np.isfinite(floor) & (trace <= floor * (CONDITION_LIMIT / 100))
+    rest = good & ~certified
+    if rest.any():  # eigvalsh of the rest; a system's eigenvalues are all of its blocks'
         lower = np.moveaxis(gram, -2, 0)[:, :, rest]  # (b, entries, systems)
         blocks = np.zeros((lower.shape[-1], len(lower), n, n), dtype=np.complex128)
         blocks[..., rows, cols] = np.moveaxis(lower, -1, 0)  # eigvalsh reads the lower triangle
-        return spread(np.linalg.eigvalsh(blocks).reshape(len(blocks), -1))
-
-    good = guard_verdicts(finite, trace, ridge, condition)
+        ev = np.abs(np.linalg.eigvalsh(blocks)).reshape(len(blocks), -1)
+        lo = ev.min(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            good[rest] = (lo > 0) & (ev.max(axis=-1) / lo <= CONDITION_LIMIT)
     if not good.all():
         bad = ~good[..., None, :]
         gram[:, np.broadcast_to(bad, gram.shape[1:])] = np.eye(n)[rows, cols, None]

@@ -23,10 +23,6 @@ __all__ = [
     "RandomSource",
     "dft",
     "idft",
-    "condition_number",
-    "well_conditioned",
-    "guard_verdicts",
-    "spread",
     "logical_to_bin",
     "CONDITION_LIMIT",
 ]
@@ -60,51 +56,6 @@ def idft(v: np.ndarray, axis: int = 0) -> np.ndarray:
 def logical_to_bin(k, n: int):
     """Map logical subcarrier index (or array) to FFT storage bin."""
     return np.mod(k, n)
-
-
-def condition_number(a: np.ndarray) -> np.ndarray:
-    """2-norm condition number of a Hermitian matrix or stack of them."""
-    return spread(np.linalg.eigvalsh(a))
-
-
-def spread(ev: np.ndarray) -> np.ndarray:
-    """Largest over smallest ``|ev|`` along the last axis: inf where the smallest is 0."""
-    ev = np.abs(ev)
-    lo = ev.min(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(lo > 0, ev.max(axis=-1) / np.where(lo > 0, lo, 1.0), np.inf)
-
-
-def well_conditioned(a: np.ndarray, floor=0.0) -> np.ndarray:
-    """Condition-guard verdict for each Hermitian matrix of a stack ``(..., n, n)``.
-
-    True exactly where every entry is finite and ``condition_number(a) <=
-    CONDITION_LIMIT``.  ``floor``, broadcast to ``a.shape[:-2]``, is a lower
-    bound on each matrix's smallest eigenvalue; 0 means none.
-    """
-    a = np.asarray(a)
-    finite, trace = np.isfinite(a).all(axis=(-2, -1)), np.trace(a, axis1=-2, axis2=-1).real
-    return guard_verdicts(finite, trace, floor, lambda rest: condition_number(a[rest]))
-
-
-def guard_verdicts(finite, trace, floor, condition) -> np.ndarray:
-    """:func:`well_conditioned`'s verdicts from each system's finiteness, trace and floor.
-
-    ``condition(rest)`` gives the condition numbers of the systems of the
-    mask ``rest``, those that a certificate leaves: for ``A = W^H W + rho
-    I`` with ``rho = floor > 0``, ``floor <= lambda_min(A)`` and
-    ``lambda_max(A) <= trace(A)``, so ``trace(A) <= floor *
-    CONDITION_LIMIT / 100`` proves ``cond_2(A) <= CONDITION_LIMIT`` with a
-    factor of 100 to spare for rounding, at the cost of a trace.
-    """
-    ok = np.array(finite)
-    floor = np.broadcast_to(floor, ok.shape)
-    with np.errstate(all="ignore"):
-        certified = (floor > 0) & np.isfinite(floor) & (trace <= floor * (CONDITION_LIMIT / 100))
-    rest = ok & ~certified
-    if rest.any():
-        ok[rest] = condition(rest) <= CONDITION_LIMIT
-    return ok
 
 
 class RandomSource:

@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_channel
-from pair_oracle import mixing_matrices
+from conftest import condition_number, eigvalsh_verdicts, make_channel
+from pair_oracle import mixing_matrices, ridge_solve
 from ofdmlink import equalization
 from ofdmlink.channel import apply_channel
 from ofdmlink.equalization import (
@@ -17,7 +17,6 @@ from ofdmlink.equalization import (
     _pilot_responses,
     _pilot_tables,
     _solve_normal,
-    _solve_pairs,
     _track,
     _tracking_matrices,
     equalize_frame,
@@ -35,12 +34,7 @@ from ofdmlink.framing import (
     qam16_map,
 )
 from ofdmlink.impairments import IqParams, apply_iq_imbalance
-from ofdmlink.numerics import (
-    CONDITION_LIMIT,
-    RandomSource,
-    condition_number,
-    logical_to_bin,
-)
+from ofdmlink.numerics import CONDITION_LIMIT, RandomSource, logical_to_bin
 
 # ZF detection with the re-derived tracking model; a test that needs
 # another setting replaces that field
@@ -208,31 +202,33 @@ def _per_pilot_estimates(x, state, smap, pilots):
 def per_symbol_tracker(data, state, smap, pilots, variant, ceiling=UPSILON_CEILING):
     """The symbol-by-symbol tracker, written out as an oracle for the frame kernel.
 
-    Each symbol solves each branch's regularized pilot systems behind the
-    eigenvalue condition guard and falls back to the previous symbol's update (1
-    before the first) when the guard rejects or the estimate is not
+    Each symbol packs each branch's regularized pilot systems as the frame
+    kernel does, one right-hand-side column each, solves them with the
+    guarded ``_solve_normal`` and falls back to the previous symbol's update
+    (1 before the first) when the guard rejects or the estimate is not
     finite or exceeds the ceiling.
     """
     p_bins, p_mirror = _pilot_tables(smap)
     y, ym = _pilot_responses(state, pilots, smap)
-    c = _tracking_matrices(y, ym, state.k1, variant)
-    ch = c.conj().swapaxes(-1, -2)
-    gram = ch @ c
+    c = _tracking_matrices(y, ym, state.k1, variant)  # (m_r, r, 2, 2)
+    rows, cols = _lower(2)
     prev = np.ones(state.m_r, dtype=complex)
     history, flagged = [], []
     for x in data:
-        z = np.stack([x[p_bins], np.conj(x[p_bins[p_mirror]])], axis=1)
-        rhs = (ch @ np.moveaxis(z, 2, 0)[..., None])[..., 0]
+        z = np.stack([x[p_bins], np.conj(x[p_bins[p_mirror]])], axis=1)  # (r, 2, m_r)
         ups = np.empty(state.m_r, dtype=complex)
         rejected = False
         for q in range(state.m_r):
             lam = max(float(state.psi[q, q].real), 0.0)
-            reg = gram[q] + lam * np.eye(2, dtype=complex)
-            cond = condition_number(reg)
-            if not (np.isfinite(reg).all() and np.all(cond <= CONDITION_LIMIT)):
+            gram = (np.conj(c[q][..., rows]) * c[q][..., cols]).sum(axis=-2).T[:, None].copy()
+            gram[rows == cols] += lam  # (3, 1, r): one block, the pilots its pair axis
+            # laid out as the frame kernel's (the pilots outside the two unknowns in memory),
+            # so that the pilot average adds in the same order
+            rhs = np.moveaxis((np.conj(c[q]) * z[..., q, None]).sum(axis=-2), -1, 0)[:, None, None]
+            if not _solve_normal(gram, rhs, lam).all():
                 ups[q], rejected = prev[q], True
                 continue
-            mean = np.linalg.solve(reg, rhs[q][..., None])[..., 0].mean(axis=0)
+            mean = rhs[:, 0, 0].mean(axis=-1)
             est = mean[0].real + 1j * mean[1].real
             if not np.isfinite(est) or abs(est) > ceiling:
                 ups[q], rejected = prev[q], True
@@ -244,24 +240,28 @@ def per_symbol_tracker(data, state, smap, pilots, variant, ceiling=UPSILON_CEILI
     return np.array(history), np.array(flagged)
 
 
+def drifting_frame(smap, scales, state=None):
+    """Pilot observations of a frame whose rotation drifts from symbol to symbol.
+
+    One rotation per symbol and branch; ``scales`` multiplies a symbol's
+    (or a symbol-branch's) pilots, 50 pushes it over the ceiling and NaN
+    makes it non-finite.
+    """
+    if state is None:
+        ch = make_channel(seed=141)
+        state = genie_state(ch, iq=IqParams.uniform(2, 5.0, 10.0), psi_scale=1e-3)
+    pilots = pilot_matrix(2)
+    phases = np.linspace(0.05, 0.6, len(scales))
+    data = np.stack([
+        pilot_observation(state, smap, pilots, np.exp(1j * np.array([p, -p])))
+        * np.broadcast_to(s, (2,))[None, :]
+        for p, s in zip(phases, scales)
+    ])
+    return data, state, pilots
+
+
 class TestForwardFillTracker:
     """The frame tracker equals the symbol-by-symbol loop, fallbacks included."""
-
-    def _frame(self, smap, scales, state=None):
-        # One drifting rotation per symbol and branch; ``scales`` multiplies
-        # a symbol's (or a symbol-branch's) pilots, 50 pushes it over the
-        # ceiling and NaN makes it non-finite.
-        if state is None:
-            ch = make_channel(seed=141)
-            state = genie_state(ch, iq=IqParams.uniform(2, 5.0, 10.0), psi_scale=1e-3)
-        pilots = pilot_matrix(2)
-        phases = np.linspace(0.05, 0.6, len(scales))
-        data = np.stack([
-            pilot_observation(state, smap, pilots, np.exp(1j * np.array([p, -p])))
-            * np.broadcast_to(s, (2,))[None, :]
-            for p, s in zip(phases, scales)
-        ])
-        return data, state, pilots
 
     def _compare(self, smap, data, state, pilots, variant="re-derived"):
         want_hist, want_flags = per_symbol_tracker(data, state, smap, pilots, variant)
@@ -275,7 +275,7 @@ class TestForwardFillTracker:
         return dec, int(want_flags.sum())
 
     def test_rejection_on_first_symbol(self, smap64):
-        data, state, pilots = self._frame(smap64, [[50, 1], 1, 1, 1, 1])
+        data, state, pilots = drifting_frame(smap64, [[50, 1], 1, 1, 1, 1])
         dec, flagged = self._compare(smap64, data, state, pilots)
         assert flagged == 1 and dec.cpe_history[0, 0] == 1.0
 
@@ -283,7 +283,7 @@ class TestForwardFillTracker:
     def test_rejection_mid_frame(self, smap64, scale):
         # an update of about the pilot scale: 3 is under the ceiling of 4
         # and is kept, 8 and 50 exceed it and are replaced
-        data, state, pilots = self._frame(smap64, [1, 1, [1, scale], 1, 1, 1])
+        data, state, pilots = drifting_frame(smap64, [1, 1, [1, scale], 1, 1, 1])
         dec, flagged = self._compare(smap64, data, state, pilots)
         if scale == 3:
             assert flagged == 0
@@ -295,7 +295,7 @@ class TestForwardFillTracker:
     def test_consecutive_rejections(self, smap64):
         nan = float("nan")
         scales = [1, 50, [50, 1], [nan, 50], 1, [1, 50], 50, 1]
-        data, state, pilots = self._frame(smap64, scales)
+        data, state, pilots = drifting_frame(smap64, scales)
         dec, flagged = self._compare(smap64, data, state, pilots)
         assert flagged == 5
         hist = dec.cpe_history
@@ -307,7 +307,7 @@ class TestForwardFillTracker:
         # The as-printed model has rank one; with zero measured noise the
         # guard rejects every symbol of every branch.
         state = genie_state(make_channel(seed=142), iq=IqParams.uniform(2, 5.0, 10.0))
-        data, state, pilots = self._frame(smap64, [1, 50, 1, 1], state=state)
+        data, state, pilots = drifting_frame(smap64, [1, 50, 1, 1], state=state)
         dec, flagged = self._compare(smap64, data, state, pilots, variant="as-printed")
         assert flagged == 4
         np.testing.assert_array_equal(dec.cpe_history, 1.0)
@@ -317,11 +317,76 @@ class TestForwardFillTracker:
         # branch is rejected, on every symbol, and the other one tracks.
         state = genie_state(make_channel(seed=143))
         state.h_pre[:, 1, :] = 0.0
-        data, state, pilots = self._frame(smap64, [1, [50, 1], 1], state=state)
+        data, state, pilots = drifting_frame(smap64, [1, [50, 1], 1], state=state)
         dec, flagged = self._compare(smap64, data, state, pilots)
         assert flagged == 3
         np.testing.assert_array_equal(dec.cpe_history[:, 1], 1.0)
         assert dec.cpe_history[1, 0] == dec.cpe_history[0, 0] != 1.0
+
+
+def lapack_tracker(data, state, smap, pilots, variant, ceiling=UPSILON_CEILING):
+    """The tracker by BLAS and LAPACK, one ``np.linalg.solve`` per (symbol, branch, pilot).
+
+    An oracle that shares neither the packing nor the solver nor the guard
+    with the frame kernel: each pilot system ``C^H C + lam I`` is formed by
+    ``matmul``, judged by the eigenvalue guard and solved alone, and a
+    branch whose pilot systems are not all admitted, or whose pilot average
+    is not finite or exceeds the ceiling, keeps its previous update.
+    """
+    p_bins, p_mirror = _pilot_tables(smap)
+    y, ym = _pilot_responses(state, pilots, smap)
+    c = _tracking_matrices(y, ym, state.k1, variant)  # (m_r, r, 2, 2)
+    prev = np.ones(state.m_r, dtype=complex)
+    history, flagged = [], []
+    for x in data:
+        ups, rejected = prev.copy(), False
+        for q in range(state.m_r):
+            lam = max(float(state.psi[q, q].real), 0.0)
+            phi = []
+            for l, (b, bm) in enumerate(zip(p_bins, p_bins[p_mirror])):
+                reg = c[q, l].conj().T @ c[q, l] + lam * np.eye(2)
+                if not eigvalsh_verdicts(reg):
+                    break
+                phi.append(np.linalg.solve(reg, c[q, l].conj().T @ [x[b, q], np.conj(x[bm, q])]))
+            else:
+                mean = np.mean(phi, axis=0)
+                est = mean[0].real + 1j * mean[1].real
+                if np.isfinite(est) and abs(est) <= ceiling:
+                    ups[q] = est
+                    continue
+            rejected = True
+        history.append(ups)
+        flagged.append(rejected)
+        prev = ups
+    return np.array(history), np.array(flagged)
+
+
+class TestTrackerMatchesLapack:
+    """``_track`` against :func:`lapack_tracker`, fallbacks of every kind included."""
+
+    @pytest.mark.parametrize("variant", ["re-derived", "as-printed"])
+    @pytest.mark.parametrize("case", ["ceiling-and-nan", "no-noise", "branch-without-channel"])
+    def test_updates_and_flags(self, smap64, variant, case):
+        # 50 and 8 exceed the ceiling, 3 does not, and NaN is not finite; with
+        # zero measured noise the guard rejects the rank-one as-printed model,
+        # and a branch that sees no channel in either variant
+        iq = IqParams.uniform(2, 5.0, 10.0)
+        state = genie_state(make_channel(seed=144), iq=iq, psi_scale=1e-3 if case == "ceiling-and-nan" else 0.0)
+        if case == "branch-without-channel":
+            state.h_pre[:, 1, :] = 0.0
+        nan = float("nan")
+        scales = [1, [50, 1], 1, [nan, 3], [1, 8], 1, [nan, nan], 1]
+        data, state, pilots = drifting_frame(smap64, scales, state=state)
+        want, want_flags = lapack_tracker(data, state, smap64, pilots, variant)
+        got, flags = _track(data, state, pilots, smap64, variant)
+        np.testing.assert_array_equal(flags, want_flags)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        if case == "branch-without-channel" or (variant, case) == ("as-printed", "no-noise"):
+            assert want_flags.all()  # the guard rejects a branch on every symbol
+        else:  # as printed, the update of the symbol scaled by 8 is wrong and under the ceiling
+            assert want_flags[[1, 3, 6]].all() and want_flags.sum() == 3 + (variant == "re-derived")
+        if case == "branch-without-channel":
+            np.testing.assert_array_equal(got[:, 1], 1.0)
 
 
 class TestBuildW:
@@ -649,7 +714,7 @@ def spy_on_solvers(monkeypatch, sizes):
 
 
 class TestDetectionPaths:
-    """equalize_frame against the pair systems of mixing_matrices solved by _solve_pairs.
+    """equalize_frame against the pair systems of mixing_matrices solved by ridge_solve.
 
     With ``k1 = 1`` (no IQ image) detection solves each data bin on its
     own; each pair must still get its pair system's guard verdict.  Frame 1
@@ -688,7 +753,7 @@ class TestDetectionPaths:
         if detector == "mmse":
             sigma2 = np.trace(state.psi, axis1=1, axis2=2).real / state.psi.shape[-1]
             ridge = np.maximum(sigma2, 0.0)[:, None, None]
-        s, good = _solve_pairs(w, x_stack[..., None, :], ridge)
+        s, good = ridge_solve(w, x_stack[..., None, :], ridge)
         soft = np.zeros((*data.shape[:2], data_bins.size, m_t), dtype=complex)
         soft[:, :, i_k], soft[:, :, i_mk] = s[..., 0, :m_t], np.conj(s[..., 0, m_t:])
         erased = np.zeros(soft.shape[:-1], dtype=bool)

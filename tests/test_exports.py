@@ -192,22 +192,48 @@ def test_caller_check_sees_each():
     assert _callers(source, "g") == ["f", "h", "h"]
 
 
+def _linalg_solves(source: str) -> int:
+    """Calls of ``np.linalg.solve`` (or ``solve`` imported from ``numpy.linalg``) in a module."""
+    tree = ast.parse(source)
+    imported = any(
+        isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+        and any(alias.name == "solve" for alias in node.names)
+        for node in ast.walk(tree)
+    )
+    return imported + sum(
+        isinstance(node, ast.Attribute) and node.attr == "solve"
+        and getattr(node.value, "attr", None) == "linalg"
+        for node in ast.walk(tree)
+    )
+
+
+def test_linalg_solve_check_sees_each():
+    assert _linalg_solves("import numpy as np\nx = np.linalg.solve(a, b)\n") == 1
+    assert _linalg_solves("from numpy.linalg import solve, inv\n") == 1
+    assert _linalg_solves("x = np.linalg.eigvalsh(a)\n") == 0
+
+
 def test_detection_forms_no_mixing_matrix():
-    # detection sums its normal equations from per-branch outer products: the
-    # W-forming oracle lives in tests/pair_oracle.py, every detection system goes
-    # to the stack-last LDL^H, and only the tracker's pilot systems to LAPACK
+    # detection sums its normal equations from per-branch outer products (the
+    # W-forming oracle lives in tests/pair_oracle.py), and every system the
+    # receiver solves, the tracker's and detection's, goes through one guard
+    # and one stack-last LDL^H: no second solver or guard, and no LAPACK solve
     sources = _package_sources()
     defined = {name for source in sources.values() for _, name in _definitions(ast.parse(source))}
-    assert not defined & {"_mixing_matrices", "_solve_small"}
+    gone = {"_mixing_matrices", "_solve_small", "_solve_pairs", "well_conditioned", "condition_number"}
+    assert not defined & gone
     assert "LDL_MAX" not in sources["equalization"]
-    assert _callers(sources["equalization"], "_solve_pairs") == ["_track"]
-    assert _callers(sources["equalization"], "_ldl_solve") == ["_solve_normal"]
+    assert {module: _linalg_solves(source) for module, source in sources.items() if _linalg_solves(source)} == {}
+    for module, source in sources.items():
+        ldl, normal = _callers(source, "_ldl_solve"), _callers(source, "_solve_normal")
+        assert ldl == (["_solve_normal"] if module == "equalization" else []), module
+        assert normal == (["_track", "equalize_frame"] if module == "equalization" else []), module
 
 
 # dataclass fields that nothing in the package reads by design, with their readers
 FIELD_READERS = {
     "equalization.FrameDecisions.soft": "tests",
-    "equalization.FrameDecisions.cpe_history": "tests, and ROADMAP item 3's anchor",
+    "equalization.FrameDecisions.cpe_history": "tests, and the tracker anchor (test_tracker_anchor.py)",
     "equalization.FrameDecisions.flagged_symbols": "benchmarks/layertrace.py",
 }
 

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from conftest import eigvalsh_verdicts
-from ofdmlink import equalization, numerics
+from ofdmlink import equalization
 from ofdmlink.harness import CampaignResult, ScenarioConfig, emit_csv, run_campaign
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "results.csv")
@@ -74,7 +74,7 @@ def test_golden_exercises_tracker_fallback():
 
 
 def block_diagonal(gram):
-    """The Hermitian systems ``(..., pairs, b n, b n)`` of detection's packed blocks ``(entries, ..., b, pairs)``."""
+    """The Hermitian systems ``(..., pairs, b n, b n)`` of ``_solve_normal``'s packed blocks ``(entries, ..., b, pairs)``."""
     lower = np.moveaxis(gram, (0, -2), (-1, -2))  # (..., pairs, b, entries)
     n = int(np.sqrt(2 * lower.shape[-1]))
     rows, cols = equalization._lower(n)
@@ -87,18 +87,13 @@ def block_diagonal(gram):
 
 
 def test_mmse_guard_verdicts_equal_eigvalsh(monkeypatch):
-    # Every tracker and detector system of the 4x4 MMSE campaign: the
-    # guard, with the floors the receiver passes, gives the eigvalsh
-    # verdict of the whole system, and the regularizer certificate spares
-    # most of them the eigendecomposition.
+    # Every tracker and detector system of the 4x4 MMSE campaign goes
+    # through _solve_normal: its guard, with the floors the receiver passes,
+    # gives the eigvalsh verdict of the whole system, and the regularizer
+    # certificate spares most of them the eigendecomposition.
     stacks, reached_eigvalsh = [], []
 
-    def guard_spy(a, floor=0.0):
-        verdicts = numerics.well_conditioned(a, floor)
-        stacks.append((np.array(a), verdicts))
-        return verdicts
-
-    def detection_spy(gram, rhs, ridge):
+    def solver_spy(gram, rhs, ridge):
         systems = block_diagonal(gram)
         verdicts = solve(gram, rhs, ridge)
         stacks.append((systems, verdicts))
@@ -109,8 +104,7 @@ def test_mmse_guard_verdicts_equal_eigvalsh(monkeypatch):
         return eigvalsh(a)
 
     solve, eigvalsh = equalization._solve_normal, np.linalg.eigvalsh
-    monkeypatch.setattr(equalization, "well_conditioned", guard_spy)
-    monkeypatch.setattr(equalization, "_solve_normal", detection_spy)
+    monkeypatch.setattr(equalization, "_solve_normal", solver_spy)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
     run_campaign(CAMPAIGNS[1])
     monkeypatch.undo()

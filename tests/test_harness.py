@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import signal
+import sys
 import time
 import tracemalloc
 import types
@@ -319,27 +320,23 @@ class TestReceiverState:
         # ls and direct estimates of uncompensated and pn-only), and a mirror
         # pair, a 2m_t-system, otherwise.  The tracker (pn-only, full) solves
         # one 2x2 system per (frame, branch, pilot), every data symbol one of
-        # its columns.
+        # its columns.  Both go through _solve_normal to _ldl_solve; the
+        # caller of _solve_normal tells them apart.
         calls = []
-        equalize = harness.equalize_frame
-        detect, track = equalization._ldl_solve, equalization._solve_pairs
+        equalize, solve = harness.equalize_frame, equalization._ldl_solve
 
         def per_frame(rx_grids, *args, **kwargs):
             calls.append((len(rx_grids), [], []))
             return equalize(rx_grids, *args, **kwargs)
 
-        def detected(a, b):  # each block of a system counted as a system
+        def solved(a, b):  # each block of a system counted as a system
             systems = math.prod(a.shape[1:])
-            calls[-1][1].append(((len(b),) * 2, systems, b.size // (len(b) * systems)))
-            return detect(a, b)
-
-        def tracked(w, x_stack, *args):
-            calls[-1][2].append((w.shape[-2:], math.prod(w.shape[:-2]), x_stack.shape[-2]))
-            return track(w, x_stack, *args)
+            tracker = sys._getframe(2).f_code.co_name == "_track"  # _track -> _solve_normal -> here
+            calls[-1][2 if tracker else 1].append(((len(b),) * 2, systems, b.size // (len(b) * systems)))
+            return solve(a, b)
 
         monkeypatch.setattr(harness, "equalize_frame", per_frame)
-        monkeypatch.setattr(equalization, "_ldl_solve", detected)
-        monkeypatch.setattr(equalization, "_solve_pairs", tracked)
+        monkeypatch.setattr(equalization, "_ldl_solve", solved)
         config = ScenarioConfig(
             frames=4, snr_db=(20.0,), modes=MODES, iq_frame_avg=2, symbols_per_frame=12,
         )

@@ -7,15 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import eigvalsh_verdicts
 from freq_oracle import conj_mirror
-from ofdmlink.numerics import (
-    CONDITION_LIMIT,
-    ConfigurationError,
-    RandomSource,
-    condition_number,
-    dft,
-    idft,
-    well_conditioned,
-)
+from ofdmlink.equalization import _lower, _solve_normal
+from ofdmlink.numerics import CONDITION_LIMIT, ConfigurationError, RandomSource, dft, idft
 
 
 class TestDft:
@@ -92,7 +85,8 @@ def hermitian_psd(rng, n, cond, scale=1.0):
 
 # (kind, log10 condition number): "cond" draws from 1 .. 1e16, "limit"
 # sits within a few ulps-worth of CONDITION_LIMIT, "singular" has a zero
-# eigenvalue, "nan"/"inf" poison one entry of a well-conditioned matrix.
+# eigenvalue, "nan"/"inf" poison one entry (and its mirror) of a
+# well-conditioned matrix.
 _matrix_kind = st.one_of(
     st.tuples(st.just("cond"), st.floats(0.0, 16.0)),
     st.tuples(st.just("limit"), st.floats(-1e-6, 1e-6)),
@@ -111,7 +105,7 @@ def square_with_condition(rng, n, cond, scale=1.0):
 
 
 # W: "cond" with log10 condition 0 .. 16, "singular" rank-deficient,
-# "nan"/"inf" poison one entry of A; R: "scaled" identity, "random"
+# "nan"/"inf" poison one entry of A and its mirror; R: "scaled" identity, "random"
 # Hermitian PD with log10 condition 0 .. 16, or "zero" (no regularizer).
 _regularized_kind = st.tuples(
     st.sampled_from(["cond", "cond", "cond", "singular", "nan", "inf"]),
@@ -123,7 +117,25 @@ _regularized_kind = st.tuples(
 )
 
 
+def guard(stack, floor=0.0):
+    """``_solve_normal``'s verdicts on a ``(..., n, n)`` stack, each matrix a packed one-block system.
+
+    The last stack axis is the pair axis and ``floor``, the ridge, broadcasts
+    to the stack's shape; a single matrix gives a single verdict.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    single = stack.ndim == 2
+    stack = stack[None] if single else stack
+    n = stack.shape[-1]
+    rows, cols = _lower(n)
+    gram = np.moveaxis(stack[..., rows, cols], -1, 0)[..., None, :].copy()  # (entries, ..., 1, k)
+    verdicts = _solve_normal(gram, np.zeros((n, 1, *gram.shape[1:]), dtype=complex), floor)
+    return verdicts[0] if single else verdicts
+
+
 class TestWellConditioned:
+    """The condition guard of ``_solve_normal``, which every system the receiver solves passes."""
+
     @given(
         st.integers(0, 2**32 - 1),
         st.sampled_from([2, 4, 8]),
@@ -149,10 +161,10 @@ class TestWellConditioned:
             else:
                 a = hermitian_psd(rng, n, 10.0, scale)
                 i, j = rng.integers(0, n, size=2)
-                a[i, j] = np.nan if kind == "nan" else np.inf
+                a[i, j] = a[j, i] = np.nan if kind == "nan" else np.inf
             stack.append(a)
         stack = np.stack(stack)
-        np.testing.assert_array_equal(well_conditioned(stack), eigvalsh_verdicts(stack))
+        np.testing.assert_array_equal(guard(stack), eigvalsh_verdicts(stack))
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -179,13 +191,13 @@ class TestWellConditioned:
             a = w.conj().swapaxes(-1, -2) @ w + r
             if w_kind in ("nan", "inf"):
                 i, j = rng.integers(0, n, size=2)
-                a[i, j] = np.nan if w_kind == "nan" else np.inf
+                a[i, j] = a[j, i] = np.nan if w_kind == "nan" else np.inf
             stack.append(a)
             floors.append(np.linalg.eigvalsh(r)[0])
         stack, floors = np.stack(stack), np.array(floors)
         want = eigvalsh_verdicts(stack)
-        np.testing.assert_array_equal(well_conditioned(stack, floors), want)
-        np.testing.assert_array_equal(well_conditioned(stack), want)
+        np.testing.assert_array_equal(guard(stack, floors), want)
+        np.testing.assert_array_equal(guard(stack), want)
         trace = np.trace(stack, axis1=-2, axis2=-1).real
         certified = (
             np.isfinite(stack).all(axis=(-2, -1))
@@ -203,10 +215,10 @@ class TestWellConditioned:
         stack = w.conj().swapaxes(-1, -2) @ w + 1e-3 * np.eye(4)
         monkeypatch.setattr(np.linalg, "inv", forbidden)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-        assert well_conditioned(stack, 1e-3).all()
+        assert guard(stack, 1e-3).all()
         # the same stack without a floor must take the guarded path
         with pytest.raises(AssertionError, match="neither"):
-            well_conditioned(stack)
+            guard(stack)
 
     def test_floor_broadcasts_over_the_stack(self):
         # (branches, pilots) systems with one floor per branch, as the tracker passes them
@@ -214,15 +226,17 @@ class TestWellConditioned:
         stack[1] += 1e-3 * np.eye(2)
         floor = np.array([[0.0], [1e-3]])
         np.testing.assert_array_equal(
-            well_conditioned(stack, floor), [[False] * 3, [True] * 3]
+            guard(stack, floor), [[False] * 3, [True] * 3]
         )
 
-    def test_nan_in_the_unread_triangle_is_rejected(self):
-        # eigvalsh reads one triangle only and returns finite eigenvalues.
+    def test_nan_the_certificate_does_not_read_is_rejected(self):
+        # The trace certificate reads the diagonal only and, with a floor,
+        # would admit this system: the NaN off the diagonal must reject it.
         a = np.eye(3, dtype=complex)
-        a[0, 2] = np.nan
-        assert np.isfinite(condition_number(a))
-        assert not well_conditioned(a)
+        a[2, 0] = a[0, 2] = np.nan
+        assert np.isfinite(np.trace(a))
+        assert not guard(a, 0.5)
+        assert not guard(a)
 
     def test_boundary_and_singular_cases(self):
         stack = np.stack([
@@ -233,12 +247,12 @@ class TestWellConditioned:
             np.ones((2, 2)),
             np.eye(2),
         ]).astype(complex)
-        np.testing.assert_array_equal(well_conditioned(stack), eigvalsh_verdicts(stack))
-        np.testing.assert_array_equal(well_conditioned(stack)[2:], [True, False, False, True])
+        np.testing.assert_array_equal(guard(stack), eigvalsh_verdicts(stack))
+        np.testing.assert_array_equal(guard(stack)[2:], [True, False, False, True])
 
     def test_single_matrix_and_hermitian_solve(self):
-        assert well_conditioned(np.eye(4))
-        assert not well_conditioned(np.diag([1.0, 1e-14]).astype(complex))
+        assert guard(np.eye(4))
+        assert not guard(np.diag([1.0, 1e-14]).astype(complex))
 
 
 class TestRandomSource:
