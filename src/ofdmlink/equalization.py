@@ -127,19 +127,21 @@ def _track(
     """
     n_syms = data.shape[-3]
     y, ym = _pilot_responses(state, pilots, smap)
-    # one block per (frame, branch, pilot), the pilots its pair axis: (..., m_r, 1, r, 2, 2)
-    c = _tracking_matrices(y, ym, state.k1, variant)[..., None, :, :, :]
+    # one block per (frame, branch, pilot), the pilots its pair axis: (row, column, ..., m_r, 1, r)
+    c = np.moveaxis(_tracking_matrices(y, ym, state.k1, variant), (-2, -1), (0, 1))[..., None, :]
     lam = np.maximum(np.diagonal(state.psi, axis1=-2, axis2=-1).real, 0.0)[..., None, None]
     rows, cols = _lower(2)
-    gram = np.moveaxis((np.conj(c[..., rows]) * c[..., cols]).sum(axis=-2), -1, 0)  # packed C^H C
+    gram = np.conj(c[0, rows]) * c[0, cols] + np.conj(c[1, rows]) * c[1, cols]  # packed C^H C
     gram[rows == cols] += lam
 
     p_bins, p_mirror = _pilot_tables(smap)
     pb = np.moveaxis(np.take(data, p_bins, axis=-2), -3, 0).swapaxes(-1, -2)[..., None, :]
-    z = np.stack([pb, np.conj(pb[..., p_mirror])], axis=-1)  # (S, ..., m_r, 1, r, 2)
-    # C^H z, every symbol one right-hand-side column of its systems: (2, S, ..., m_r, 1, r)
-    phi = np.moveaxis((np.conj(c) * z[..., None]).sum(axis=-2), -1, 0)
-    ok = _solve_normal(gram, phi, lam[..., 0])
+    # C^H z, every symbol one right-hand-side column of its systems: (2, S, ..., m_r, 1, r),
+    # the pilots outside the two unknowns in memory, which sets the pilot average's order
+    phi = np.moveaxis(np.empty((*pb.shape, 2), dtype=np.complex128), -1, 0)
+    np.multiply(np.conj(c[0, :, None]), pb, out=phi)
+    phi += np.conj(c[1, :, None]) * np.conj(pb[..., p_mirror])
+    ok = _solve_normal(gram, np.moveaxis(phi, 1, -1), lam[..., 0])
     mean = phi.mean(axis=-1)[..., 0]                              # (2, S, ..., m_r)
     est = np.where(ok.all(axis=-1), mean[0].real + 1j * mean[1].real, np.nan)
     est = np.moveaxis(est, 0, -2)                                 # (..., S, m_r)
@@ -185,7 +187,7 @@ def _ldl_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inv_d = np.empty((n, *a.shape[1:]))
     conj = np.empty((max(n - 1, 0), *a.shape[1:]), dtype=a.dtype)
     work = np.empty_like(conj)
-    step = work if b.shape[1:] == a.shape[1:] else np.empty((len(work), *b.shape[1:]), dtype=b.dtype)
+    step = work if b.shape[1:] == a.shape[1:] else np.empty_like(b[1:])  # laid out as b in memory
     for j in range(n):
         col = a[start[j] : start[j + 1]]  # the diagonal, then L's column below it
         np.divide(1.0, col[0].real, out=inv_d[j])
@@ -208,8 +210,8 @@ def _solve_normal(gram: np.ndarray, rhs: np.ndarray, ridge) -> np.ndarray:
     """Guarded solve of block-diagonal normal equations ``(W^H W + rho I) s = W^H x``, in place.
 
     ``gram`` holds each system's ``n x n`` diagonal blocks as :func:`_ldl_solve`
-    takes them, ``(entries, ..., b, pairs)``, and ``rhs`` their ``(n, c, ...,
-    b, pairs)`` right-hand sides, which become the solutions.  The guard
+    takes them, ``(entries, ..., b, pairs)``, and ``rhs`` their ``(n, ...,
+    b, pairs, c)`` right-hand sides, which become the solutions.  The guard
     admits a system whose entries are finite and whose 2-norm condition
     number, over all of its blocks' eigenvalues, is at most
     ``CONDITION_LIMIT``.  ``ridge``, each system's ``rho`` and so a floor
@@ -237,8 +239,8 @@ def _solve_normal(gram: np.ndarray, rhs: np.ndarray, ridge) -> np.ndarray:
     if not good.all():
         bad = ~good[..., None, :]
         gram[:, np.broadcast_to(bad, gram.shape[1:])] = np.eye(n)[rows, cols, None]
-        rhs[:, np.broadcast_to(bad, rhs.shape[1:])] = 0.0
-    _ldl_solve(gram[:, None], rhs)  # a system's columns share its matrix
+        rhs[:, np.broadcast_to(bad[..., None], rhs.shape[1:])] = 0.0
+    _ldl_solve(gram[..., None], rhs)  # a system's columns share its matrix
     return good
 
 
@@ -273,10 +275,10 @@ def equalize_frame(
 
     history = np.broadcast_to(upsilon, (*lead, n_syms, m_r))  # update rows: 1 or n_syms
 
-    # one system per (frame, update row, pair), its row's data symbols its columns
+    # one system per (frame, update row, pair), its row's data symbols its columns, innermost
     n_rows, frames = upsilon.shape[-2], math.prod(lead)
     cols = n_syms // n_rows
-    x = data.reshape(frames, n_rows, cols, n, m_r).transpose(4, 2, 0, 1, 3)  # (m_r, c, f, r, n)
+    x = data.reshape(frames, n_rows, cols, n, m_r).transpose(4, 0, 1, 3, 2)  # (m_r, f, r, n, c)
 
     def per_frame(a, core):
         return np.broadcast_to(a, (*lead, *core)).reshape(frames, *core)
@@ -292,16 +294,17 @@ def equalize_frame(
     i_k, i_mk = np.searchsorted(smap.data_bins, kpos), np.searchsorted(smap.data_bins, -kpos)
     b_k, b_mk = logical_to_bin(kpos, n), logical_to_bin(-kpos, n)
     pairs = kpos.size
-    # the pairs' channel rows h_k and conjugated mirror rows h_mk: (2, m_t, frames, m_r, pairs)
-    h = np.take(state.h_pre, np.stack([b_k, b_mk]), axis=-3)
-    np.conjugate(h[..., 1, :, :, :], out=h[..., 1, :, :, :])
-    h = np.ascontiguousarray(per_frame(h, (2, pairs, m_r, m_t)).transpose(1, 4, 0, 3, 2))
+    # the conjugates of the pairs' channel rows h_k and conjugated mirror rows h_mk, as W^H
+    # holds them: (2, m_t, frames, m_r, pairs)
+    hc = np.take(state.h_pre, np.stack([b_k, b_mk]), axis=-3)
+    np.conjugate(hc[..., 0, :, :, :], out=hc[..., 0, :, :, :])
+    hc = np.ascontiguousarray(per_frame(hc, (2, pairs, m_r, m_t)).transpose(1, 4, 0, 3, 2))
     # W^H W sums over the branches a (h_k^H h_k, h_mk^H h_mk) on its diagonal blocks
     # and b h_k^H h_mk off them; b = 0 where k2 = 0, and then the blocks, the bins'
     # m_t-systems (the mirror's conjugated), are solved apart
     blocks = 1 + bool(np.all(state.k1 == 1))
     size = 2 * m_t // blocks
-    h_sys = np.moveaxis(h, 0, -2) if blocks == 2 else h.reshape(2 * m_t, frames, m_r, 1, pairs)
+    hc_sys = np.moveaxis(hc, 0, -2) if blocks == 2 else hc.reshape(2 * m_t, frames, m_r, 1, pairs)
     a, b = np.abs(k1) ** 2 + np.abs(k2) ** 2, 2 * np.conj(k1) * k2  # times |u|^2 and conj(u)^2
     rows, cols_of = _lower(size)
     weigh_b = ((rows >= m_t) & (cols_of < m_t)).astype(np.intp)  # the lower-left block's entries
@@ -324,26 +327,26 @@ def equalize_frame(
     n_rw = -(-n_rows // -(-n_rows // max(1, DETECT_ENTRIES // per_row)))  # a frame's rows in equal parts
     for f0 in range(0, frames, n_fr):
         fr = slice(f0, f0 + n_fr)
-        prod = np.empty((rows.size, *h_sys[:, fr].shape[1:]), dtype=np.complex128)  # (e, f, m_r, b, p)
+        prod = np.empty((rows.size, *hc_sys[:, fr].shape[1:]), dtype=np.complex128)  # (e, f, m_r, b, p)
         for j, i in enumerate(np.flatnonzero(rows == cols_of)):  # column j: conj(h_i) h_j, i >= j
-            np.multiply(np.conj(h_sys[j:, fr]), h_sys[j, fr], out=prod[i : i + size - j])
-        h_fr = np.conj(h[:, :, None, fr, None])  # (2, m_t, 1, f, 1, m_r, pairs)
+            np.multiply(hc_sys[j:, fr], np.conj(hc_sys[j, fr]), out=prod[i : i + size - j])
+        hc_fr = hc[:, :, fr, None, ..., None]  # (2, m_t, f, 1, m_r, pairs, 1)
         for r0 in range(0, n_rows, n_rw):
             rw = slice(r0, r0 + n_rw)
             u = ups[:, fr, rw]  # (m_r, f, r)
             shape = (*u.shape[1:], blocks, pairs)
             # z1 = conj(u) (conj(k1) x_k + k2 conj(x_mk)) and z2 = u (conj(k2) x_k + k1
             # conj(x_mk)): each branch's received pair de-mixed and de-rotated
-            x_k, x_mk = (np.take(x[:, :, fr, rw], bins, axis=-1) for bins in (b_k, b_mk))
-            z = np.ascontiguousarray(mix[:, 0, :, fr])[:, :, None, :, None, None] * x_k
-            z += np.ascontiguousarray(mix[:, 1, :, fr])[:, :, None, :, None, None] * np.conj(x_mk)
+            x_k, x_mk = (np.take(x[:, fr, rw], bins, axis=-2) for bins in (b_k, b_mk))
+            z = mix[:, 0, :, fr, None, None, None] * x_k
+            z += mix[:, 1, :, fr, None, None, None] * np.conj(x_mk)
             del x_k, x_mk
-            z *= np.stack([np.conj(u), u])[:, :, None, :, :, None]  # (2, m_r, c, f, r, pairs)
+            z *= np.stack([np.conj(u), u])[..., None, None]  # (2, m_r, f, r, pairs, c)
             # the right-hand sides h_k^H z1 and h_mk^H z2 into the halves of each
-            # system's rows, or its two blocks: (2, m_t, c, f, r, pairs)
-            rhs = np.empty((size, cols, *shape), dtype=np.complex128)
-            halves = rhs.reshape(2, m_t, *rhs.shape[1:-2], -1) if blocks == 1 else np.moveaxis(rhs, -2, 0)
-            branch_sum(halves, lambda q: (h_fr[..., q, :], z[:, q, None]))
+            # system's rows, or its two blocks: (2, m_t, f, r, pairs, c)
+            rhs = np.empty((size, *shape, cols), dtype=np.complex128)
+            halves = rhs.reshape(2, m_t, *shape[:-2], -1, cols) if blocks == 1 else np.moveaxis(rhs, -3, 0)
+            branch_sum(halves, lambda q: (hc_fr[..., q, :, :], z[:, q, None]))
             del z
             # the Gram matrices from the outer products, half of their entries at a time
             weights = np.stack([np.abs(u) ** 2 * a[:, fr, None], np.conj(b[:, fr, None]) * u**2])
@@ -355,7 +358,7 @@ def equalize_frame(
                 del prod
             gram[rows == cols_of] += ridge[fr, None, None, None]
             good = _solve_normal(gram, rhs, ridge[fr, None, None])
-            s_k, s_mk = (half.transpose(2, 3, 1, 4, 0) for half in halves)  # (f, r, c, pairs, m_t)
+            s_k, s_mk = (half.transpose(1, 2, 4, 3, 0) for half in halves)  # (f, r, c, pairs, m_t)
             soft[fr, rw][..., i_k, :], soft[fr, rw][..., i_mk, :] = s_k, np.conj(s_mk)
             erased[fr, rw][..., i_k] = erased[fr, rw][..., i_mk] = ~good
             del gram, rhs, halves, s_k, s_mk  # freed before the next stack's arrays are made

@@ -40,7 +40,6 @@ TRAINING_SEED = 0x5EED  # of the preamble's and the short symbol's values
 _QAM16_LEVELS = np.array([-3.0, -1.0, 3.0, 1.0]) / np.sqrt(10.0)  # index = 2*b0 + b1, Gray
 _LEVELS_ASC = np.sort(_QAM16_LEVELS)
 _THRESHOLDS = (_LEVELS_ASC[:-1] + _LEVELS_ASC[1:]) / 2.0
-_GRAY_OF_ASC = np.argsort(_QAM16_LEVELS)  # ascending level -> Gray index
 MAX_FFT = 2**16  # the layout is built bin by bin, so a larger size only exhausts memory
 # A frame is N_SHORT short training symbols, the two long ones, then data.
 N_SHORT = 1
@@ -116,31 +115,19 @@ def qam16_map(bits: np.ndarray) -> np.ndarray:
     return _QAM16_LEVELS[2 * g[:, 0] + g[:, 1]] + 1j * _QAM16_LEVELS[2 * g[:, 2] + g[:, 3]]
 
 
-def _axis_demap(x: np.ndarray) -> np.ndarray:
-    """Nearest level per axis (midpoint slicing), returned as the Gray index.
+def qam16_demap(symbols: np.ndarray) -> np.ndarray:
+    """Nearest-neighbor hard decisions, inverse of :func:`qam16_map`.
 
-    The ascending level is the number of thresholds at or below ``x``, as
-    ``np.digitize`` counts it; each test is written ``~(x < t)`` so that
-    NaN lands above every threshold, where ``digitize`` puts it.
+    With the levels' midpoints ``t0 < t1 < t2``, Gray coding makes an
+    axis's first bit ``x >= t1`` and its second ``t0 <= x < t2``.  Each
+    ``x >= t`` is written ``~(x < t)``, so that NaN lands on the top level.
     """
     t0, t1, t2 = _THRESHOLDS
-    asc = (~(x < t0)).astype(np.intp)
-    asc += ~(x < t1)
-    asc += ~(x < t2)
-    return _GRAY_OF_ASC[asc]
-
-
-def qam16_demap(symbols: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor hard decisions, inverse of :func:`qam16_map`."""
-    s = np.asarray(symbols).reshape(-1)
-    gi = _axis_demap(s.real)
-    gq = _axis_demap(s.imag)
-    out = np.empty((s.size, 4), dtype=np.uint8)
-    out[:, 0] = gi // 2
-    out[:, 1] = gi % 2
-    out[:, 2] = gq // 2
-    out[:, 3] = gq % 2
-    return out.reshape(-1)
+    x = np.asarray(symbols, dtype=np.complex128).reshape(-1, 1).view(np.float64)  # (n, 2): re, im
+    out = np.empty((*x.shape, 2), dtype=bool)
+    out[..., 0] = ~(x < t1)
+    out[..., 1] = (x < t2) & ~(x < t0)
+    return out.view(np.uint8).reshape(-1)
 
 
 @dataclass(frozen=True)

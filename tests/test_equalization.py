@@ -95,9 +95,9 @@ def solve_detection(w, x_stack, ridge):
     gram = (w.conj().swapaxes(-1, -2) @ w)[:, rows, cols].T[:, None].copy()  # (entries, 1, k)
     gram[rows == cols] += ridge
     rhs = (w.conj().swapaxes(-1, -2)[:, None] @ x_stack[..., None])[..., 0]  # (k, c, n)
-    rhs = rhs.transpose(2, 1, 0)[:, :, None].copy()  # (n, c, 1, k)
+    rhs = rhs.transpose(2, 0, 1)[:, None].copy()  # (n, 1, k, c)
     good = _solve_normal(gram, rhs, ridge)
-    return rhs[:, :, 0].transpose(2, 1, 0), good
+    return rhs[:, 0].transpose(1, 2, 0), good
 
 
 def detect(x_stack, w, ridge=0.0):
@@ -224,11 +224,11 @@ def per_symbol_tracker(data, state, smap, pilots, variant, ceiling=UPSILON_CEILI
             gram[rows == cols] += lam  # (3, 1, r): one block, the pilots its pair axis
             # laid out as the frame kernel's (the pilots outside the two unknowns in memory),
             # so that the pilot average adds in the same order
-            rhs = np.moveaxis((np.conj(c[q]) * z[..., q, None]).sum(axis=-2), -1, 0)[:, None, None]
+            rhs = np.moveaxis((np.conj(c[q]) * z[..., q, None]).sum(axis=-2), -1, 0)[:, None, :, None]
             if not _solve_normal(gram, rhs, lam).all():
                 ups[q], rejected = prev[q], True
                 continue
-            mean = rhs[:, 0, 0].mean(axis=-1)
+            mean = rhs[:, 0, :, 0].mean(axis=-1)
             est = mean[0].real + 1j * mean[1].real
             if not np.isfinite(est) or abs(est) > ceiling:
                 ups[q], rejected = prev[q], True

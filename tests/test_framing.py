@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from ofdmlink.framing import (
-    _GRAY_OF_ASC,
     _THRESHOLDS,
     N_TRAIN,
-    _axis_demap,
     assemble_frame,
     build_preamble,
     build_short_symbol,
@@ -97,16 +95,32 @@ class TestQam16:
         expected = bits[np.argmin(np.abs(pts - target))]
         np.testing.assert_array_equal(qam16_demap(np.array([target])), expected)
 
-    def test_axis_demap_equals_digitize(self):
-        # the threshold sum gives digitize's bin everywhere: on finite values,
-        # at and next to each threshold, on +-inf and on NaN (the top bin)
+    def test_demap_equals_digitize(self):
+        # the comparisons give digitize's level everywhere: on finite values,
+        # at and next to each threshold, on +-0, +-inf and on NaN (the top
+        # level), on each axis alone and mixed across the two
+        gray = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)  # bits of the ascending levels
+        assert np.all(np.diff(qam16_map(np.concatenate([gray, gray], axis=-1)).real) > 0)
         rng = np.random.default_rng(4)
         edges = np.concatenate([_THRESHOLDS, np.nextafter(_THRESHOLDS, -np.inf),
                                 np.nextafter(_THRESHOLDS, np.inf)])
         x = np.concatenate([rng.normal(size=500), edges, -edges, [0.0, -0.0, np.inf, -np.inf, np.nan]])
-        want = _GRAY_OF_ASC[np.digitize(x, _THRESHOLDS)]
-        np.testing.assert_array_equal(_axis_demap(x), want)
-        assert _axis_demap(np.array([np.nan]))[0] == _GRAY_OF_ASC[-1]
+
+        def symbols(re, im):  # not re + 1j * im, which makes 1j * inf a NaN real part
+            s = np.empty(re.shape, dtype=complex)
+            s.real, s.imag = re, im
+            return s
+
+        def oracle(re, im):
+            axes = [gray[np.digitize(v, _THRESHOLDS)] for v in (re, im)]
+            return np.concatenate(axes, axis=-1).reshape(-1)
+
+        grid_re, grid_im = (v.reshape(-1) for v in np.meshgrid(x[500:], x[500:]))
+        zeros = np.zeros_like(x)
+        for re, im in ((x, zeros), (zeros, x), (x, rng.permutation(x)), (grid_re, grid_im)):
+            np.testing.assert_array_equal(qam16_demap(symbols(re, im)), oracle(re, im))
+        nan = qam16_demap(np.array([complex(np.nan, np.nan)]))
+        np.testing.assert_array_equal(nan, np.tile(gray[-1], 2))
 
     def test_bit_count_validated(self):
         with pytest.raises(ConfigurationError):

@@ -129,7 +129,7 @@ def guard(stack, floor=0.0):
     n = stack.shape[-1]
     rows, cols = _lower(n)
     gram = np.moveaxis(stack[..., rows, cols], -1, 0)[..., None, :].copy()  # (entries, ..., 1, k)
-    verdicts = _solve_normal(gram, np.zeros((n, 1, *gram.shape[1:]), dtype=complex), floor)
+    verdicts = _solve_normal(gram, np.zeros((n, *gram.shape[1:], 1), dtype=complex), floor)
     return verdicts[0] if single else verdicts
 
 

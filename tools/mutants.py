@@ -91,6 +91,9 @@ MUTANTS = [
     ("genie-psi-no-iq-gain", "harness.py",
      "noise = gain * config.n * frames.sigma2[:, None]", "noise = config.n * frames.sigma2[:, None]",
      "the genie noise power without the IQ mixing's noise gain"),
+    ("demap-bit1-from-t1", "framing.py",
+     "(x < t2) & ~(x < t0)", "(x < t2) & ~(x < t1)",
+     "an axis's second bit tested against the middle threshold, not the lowest"),
     ("genie-psi-no-n", "harness.py",
      "noise = gain * config.n * frames.sigma2[:, None]", "noise = gain * frames.sigma2[:, None]",
      "the genie noise power per sample, not per bin (no factor n)"),
